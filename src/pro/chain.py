@@ -51,7 +51,10 @@ class OccupationMeasure:
 
 @dataclass(frozen=True)
 class MeanRewardVector:
-    """Expected income accumulated from a page until the next teleport."""
+    """Expected income accumulated from a page until the next teleport.
+
+    ``residual`` is the certified sup-norm error bound of ``v``.
+    """
 
     v: np.ndarray
     rbar: np.ndarray
@@ -156,12 +159,39 @@ def _mean_row_rewards(transition, rewards):
     return rbar
 
 
+def span_iterate(step, x, damping, tol, max_iter):
+    """Fixed-point loop stopped on the MacQueen–Porteus bounds.
+
+    ``step`` must be monotone with ``step(x + c) = step(x) + damping * c``
+    for constants ``c``, as is every map ``x -> b + damping * (best
+    row-stochastic row) . x``.  With ``y = step(x)``, ``d = y - x`` and
+    ``k = damping / (1 - damping)``, the fixed point and the value of any
+    policy greedy at ``y`` lie in ``[y + k min d, y + k max d]``.  The
+    half-width shrinks at the chain's own mixing rate, not at the damping
+    factor; the loop stops once it is at most ``tol``.
+
+    Returns ``(x, iterations, bound, converged)``: the midpoint of the
+    last bracket and its half-width, a sup-norm error bound on ``x``.
+    """
+    k = damping / (1.0 - damping)
+    bound = math.inf
+    for it in range(1, max_iter + 1):
+        y = step(x)
+        d = y - x
+        lo, hi = float(d.min()), float(d.max())
+        bound = k * (hi - lo) / 2.0
+        x = y + k * (lo + hi) / 2.0
+        if bound <= tol:
+            return x, it, bound, True
+    return x, max_iter, bound, False
+
+
 def mean_reward_before_teleport(transition, rewards, tol=1e-9, max_iter=None):
     """Fixed-point iteration for ``v = rbar + damping * S v``.
 
-    The stopping rule compares successive sweeps against
-    ``tol * (1 - damping) / damping``, which by the contraction bound
-    makes the reported ``tol`` a true sup-norm error bound on ``v``.
+    Every row of ``S`` sums to one, so the loop stops on the bracket of
+    ``span_iterate``: ``residual`` bounds the sup-norm error of ``v`` and
+    is at most ``tol``.  ``max_iter`` defaults to a worst case.
 
     Raises
     ------
@@ -170,22 +200,20 @@ def mean_reward_before_teleport(transition, rewards, tol=1e-9, max_iter=None):
     """
     alpha = transition.damping
     rbar = _mean_row_rewards(transition, rewards)
-    threshold = tol * (1.0 - alpha) / alpha
     if max_iter is None:
+        threshold = tol * (1.0 - alpha) / alpha
         scale = max(1.0, float(np.abs(rbar).max()) / (1.0 - alpha))
         max_iter = max(1, math.ceil(math.log(min(threshold / scale, 0.5))
                                     / math.log(alpha))) + 50
-    v = np.zeros(transition.num_pages)
-    for it in range(1, max_iter + 1):
-        nxt = rbar + alpha * transition.apply_s(v)
-        change = float(np.abs(nxt - v).max())
-        v = nxt
-        if change <= threshold:
-            return MeanRewardVector(v, rbar, it, change)
-    raise MaxIterExceeded(
-        f"mean reward vector not converged after {max_iter} sweeps",
-        result=MeanRewardVector(v, rbar, max_iter, change),
-    )
+    v, it, bound, converged = span_iterate(
+        lambda x: rbar + alpha * transition.apply_s(x),
+        np.zeros(transition.num_pages), alpha, tol, max_iter)
+    result = MeanRewardVector(v, rbar, it, bound)
+    if not converged:
+        raise MaxIterExceeded(
+            f"mean reward vector not converged after {max_iter} sweeps",
+            result=result)
+    return result
 
 
 def reward_transform(rewards, teleport, damping):

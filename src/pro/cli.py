@@ -48,7 +48,6 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--sweep", choices=("jacobi", "gauss-seidel"), default="jacobi")
     p.add_argument("--mode", choices=("auto", "subset", "weights"), default="auto",
                    help="assert the instance's control kind before solving")
     p.add_argument("--out", help="write the strategy JSON here")
@@ -136,7 +135,7 @@ def _cmd_optimize(args):
         raise ValidationError("mode subset, but weight-constrained pages present")
     if args.mode == "weights" and has_subset:
         raise ValidationError("mode weights, but facultative links present")
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, sweep=args.sweep)
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
     state, strat = value_iterate(inst, cfg)
     result = {
         "income": state.psi,

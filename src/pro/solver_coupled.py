@@ -46,7 +46,8 @@ class Multipliers:
 class DualIterate:
     """Everything observed at one multiplier setting.
 
-    ``theta`` is the dual objective.  ``subgradient`` holds the update
+    ``theta`` is the dual objective, never below its exact value (see
+    ``dual_value``).  ``subgradient`` holds the update
     direction ``spending - bound`` per budget row: the projected step
     ``max(0, lam + s * g)`` then raises the price of violated rows and
     relaxes slack ones, which descends ``theta`` (whose true subgradient
@@ -143,7 +144,10 @@ def dual_value(instance, multipliers, inner=None, w0=None):
 
     Solves the local problem with rewards ``r - sum_k lam_k d_k`` and
     prices the bounds back in; Danskin's rule then makes
-    ``bound - spending`` of the induced chain a subgradient.
+    ``bound - spending`` of the induced chain a subgradient.  ``theta``
+    adds the inner solve's certified income error
+    ``(1 - damping) * residual``, so it upper-bounds the Lagrangian
+    optimum however loose ``inner.tol`` is.
 
     Parameters
     ----------
@@ -169,7 +173,8 @@ def dual_value(instance, multipliers, inner=None, w0=None):
     bounds = np.array([c.bound for c in instance.coupling])
     modified = instance.rewards.minus_weighted(weights, lam)
     state, strat = value_iterate(instance.local_only(modified), inner, w0=w0)
-    theta = state.psi + float(np.dot(lam, bounds))
+    theta = (state.psi + (1.0 - instance.damping) * state.residual
+             + float(np.dot(lam, bounds)))
     trans = build_transition(instance, strat)
     pi = stationary(trans, tol=1e-12).pi
     cvals = np.array([utility_from_chain(trans, pi, wt) for wt in weights])

@@ -10,6 +10,9 @@ mean reward accumulated before the next teleport under the best
 strategy, and ``(1 - damping) * teleport . w`` is the optimal income.
 The inner maximization is closed-form for every admissible row family:
 a greedy support grow for uniform rows, water-filling for bounded rows.
+Every admissible row sums to one, so ``T(w + c) = T(w) + damping * c``
+and the loop stops on the MacQueen–Porteus bracket of
+``chain.span_iterate``, which shrinks at the optimal chain's mixing rate.
 """
 
 from __future__ import annotations
@@ -20,17 +23,20 @@ from typing import Optional
 
 import numpy as np
 
+from .chain import span_iterate
 from .errors import CouplingPresent, MaxIterExceeded, ValidationError
 from .graph import ContinuousChoice, DiscreteChoice, Strategy
-from .polytopes import BoxSimplex, greedy_uniform_support, linear_maximize
+from .polytopes import BoxSimplex, linear_maximize
 from .sparse import segment_sums
 
 
 def iteration_budget(damping, tol):
-    """Sweeps that shrink a unit sup-norm error below ``tol``.
+    """Worst-case sweeps that shrink a unit sup-norm error below ``tol``.
 
     The contraction modulus of one sweep is the damping factor, so the
-    budget is ``ceil(log(tol) / log(damping))``.
+    budget is ``ceil(log(tol) / log(damping))``.  The span stop of
+    ``value_iterate`` usually ends far earlier; only an optimal chain
+    that never mixes, such as a periodic one, needs about this many.
     """
     if not 0.0 < damping < 1.0:
         raise ValidationError("damping must lie strictly between 0 and 1")
@@ -44,21 +50,23 @@ class SolverConfig:
     """Knobs of the fixed-point loop.
 
     ``tol`` bounds the true sup-norm error of the returned vector: the
-    loop stops once one sweep moves the iterate by no more than
-    ``tol * (1 - damping) / damping``.  ``sweep`` selects simultaneous
-    ("jacobi") or in-place ("gauss-seidel") page updates; the in-place
-    variant trades vectorization for faster per-sweep progress and is
-    meant for small instances and cross-checks.
+    loop stops once the MacQueen–Porteus bracket of one simultaneous
+    sweep has half-width at most ``tol``.  ``max_iter`` defaults to the
+    sweeps the plain contraction bound would need, a worst case.
     """
 
     tol: float = 1e-9
     max_iter: Optional[int] = None
-    sweep: str = "jacobi"
 
 
 @dataclass(frozen=True)
 class DpState:
-    """Converged iterate: value vector, income, and loop diagnostics."""
+    """Converged iterate: value vector, income, and loop diagnostics.
+
+    ``residual`` is the certified sup-norm error bound of ``w``, in
+    reward units; ``psi`` is then within ``(1 - damping) * residual`` of
+    both the optimal income and the income of the extracted strategy.
+    """
 
     w: np.ndarray
     psi: float
@@ -194,32 +202,6 @@ class CompiledBellman:
                 info["skel_rows"][page] = res.row
         return t, info
 
-    def update_page(self, i, w):
-        """Value of ``T_i(w)``, for in-place sweeps."""
-        if i in self.skel:
-            box, rrow = self.skel[i]
-            return self.alpha * linear_maximize(box, rrow + w).value + self.const[i]
-        os_, oe = self.o_indptr[i], self.o_indptr[i + 1]
-        fs, fe = self.f_indptr[i], self.f_indptr[i + 1]
-        base_sum = float(np.sum(w[self.o_idx[os_:oe]] + self.r_o[os_:oe]))
-        f = self.f_idx[fs:fe]
-        if f.size:
-            sc = w[f] + self.r_f[fs:fe]
-            order = np.lexsort((f, -sc))
-            scores = [float(v) for v in sc[order]]
-            if oe > os_:
-                _, val = greedy_uniform_support(base_sum, oe - os_, scores, scores)
-            else:
-                _, val = greedy_uniform_support(0.0, 0, scores, scores)
-                no_link = self.no_link_base[i] + float(np.dot(self.hang, w))
-                if no_link > val:
-                    val = no_link
-        elif oe > os_:
-            val = base_sum / (oe - os_)
-        else:
-            val = self.no_link_base[i] + float(np.dot(self.hang, w))
-        return self.alpha * val + self.const[i]
-
     def extract(self, w):
         """Strategy attaining ``T(w)``, page by page."""
         _, info = self._sweep(np.asarray(w, dtype=float), detail=True)
@@ -269,51 +251,31 @@ def value_iterate(instance, config=None, w0=None):
 
     Notes
     -----
-    Rewards are rescaled by ``1 / max(1, sup |r|)`` internally so the
-    stopping threshold is meaningful across reward magnitudes; all
-    reported quantities are in original units.
+    Rewards are rescaled by ``1 / max(1, sup |r|)`` internally, which
+    the default worst-case budget assumes; all reported quantities are
+    in original units.
     """
     if instance.coupling:
         raise CouplingPresent("instance has coupling rows; use the coupled solver")
     config = config or SolverConfig()
-    if config.sweep not in ("jacobi", "gauss-seidel"):
-        raise ValidationError(f"unknown sweep kind: {config.sweep!r}")
     alpha = instance.damping
     scale = max(1.0, instance.rewards.max_abs())
     comp = CompiledBellman(instance, instance.rewards.scaled(1.0 / scale))
-    theta = (config.tol / scale) * (1.0 - alpha) / alpha
+    tol = config.tol / scale
     if config.max_iter is None:
+        theta = tol * (1.0 - alpha) / alpha
         worst = 2.0 / (1.0 - alpha)
         max_iter = max(1, math.ceil(math.log(min(theta / worst, 0.5))
                                     / math.log(alpha))) + 10
     else:
         max_iter = config.max_iter
     w = np.zeros(instance.num_pages) if w0 is None else np.asarray(w0, dtype=float) / scale
-    change = math.inf
-    done = 0
-    for it in range(1, max_iter + 1):
-        if config.sweep == "jacobi":
-            nxt = comp.apply(w)
-            change = float(np.abs(nxt - w).max()) if w.size else 0.0
-            w = nxt
-        else:
-            change = 0.0
-            for i in range(instance.num_pages):
-                new = comp.update_page(i, w)
-                change = max(change, abs(new - w[i]))
-                w[i] = new
-        done = it
-        if change <= theta:
-            break
-    else:
-        state = _finish(instance, w, scale, done, change)
-        raise MaxIterExceeded(
-            f"no convergence after {max_iter} sweeps (last change {change * scale:.3e})",
-            result=(state, comp.extract(w)))
-    return _finish(instance, w, scale, done, change), comp.extract(w)
-
-
-def _finish(instance, w, scale, iterations, change):
+    w, done, bound, converged = span_iterate(comp.apply, w, alpha, tol, max_iter)
     w_out = w * scale
-    psi = (1.0 - instance.damping) * float(np.dot(instance.teleport, w_out))
-    return DpState(w_out, psi, iterations, change * scale)
+    psi = (1.0 - alpha) * float(np.dot(instance.teleport, w_out))
+    state = DpState(w_out, psi, done, bound * scale)
+    if not converged:
+        raise MaxIterExceeded(
+            f"no convergence after {max_iter} sweeps (error bound {state.residual:.3e})",
+            result=(state, comp.extract(w)))
+    return state, comp.extract(w)

@@ -111,14 +111,13 @@ class RowSparse:
 def segment_sums(values, indptr):
     """Sum ``values`` over the segments delimited by ``indptr``.
 
-    Sums run left to right inside each segment.  Empty segments yield 0.
+    Each segment is reduced on its own, so the magnitude of one segment
+    never enters the rounding of another.  Empty segments yield 0.
     """
-    n = indptr.size - 1
-    if values.size == 0:
-        return np.zeros(n)
-    prefix = np.zeros(values.size + 1)
-    np.cumsum(values, out=prefix[1:])
-    return prefix[indptr[1:]] - prefix[indptr[:-1]]
+    out = np.zeros(indptr.size - 1)
+    nonempty = indptr[:-1] < indptr[1:]
+    out[nonempty] = np.add.reduceat(values, indptr[:-1][nonempty])
+    return out
 
 
 def index_csr(num_rows, num_cols, pairs):

@@ -153,6 +153,7 @@ def test_mean_reward_tol_is_true_error():
     for _ in range(15):
         inst, strat = _random_pair(rng)
         trans = build_transition(inst, strat)
+        loose = mean_reward_before_teleport(trans, inst.rewards, tol=1e-3)
         mr = mean_reward_before_teleport(trans, inst.rewards, tol=1e-9)
         s = trans.dense_s()
         rbar_dense = (trans.dense_p() * inst.rewards.dense()).sum(axis=1)
@@ -160,6 +161,8 @@ def test_mean_reward_tol_is_true_error():
         v_exact = np.linalg.solve(
             np.eye(inst.num_pages) - inst.damping * s, mr.rbar)
         assert float(np.abs(mr.v - v_exact).max()) <= 1e-9
+        assert loose.residual <= 1e-3
+        assert float(np.abs(loose.v - v_exact).max()) <= loose.residual + 1e-12
         # fixed-point identity of the converged iterate
         defect = mr.rbar + inst.damping * trans.apply_s(mr.v) - mr.v
         assert float(np.abs(defect).max()) <= 1e-8

@@ -81,6 +81,22 @@ def test_weak_duality_against_enumeration():
             assert dual_value(inst, lam).theta >= ref.value - 1e-7
 
 
+def test_loose_inner_solve_keeps_theta_an_upper_bound():
+    # theta adds the inner solve's certified error, so it stays above
+    # the exact Lagrangian optimum even at a loose inner tolerance
+    rng = np.random.default_rng(92)
+    loose = SolverConfig(tol=1e-3)
+    for _ in range(20):
+        inst = _coupled_discrete(rng, n_max=5, fac_budget=8)
+        lam = rng.exponential(1.0, size=len(inst.coupling))
+        weights = [c.weights for c in inst.coupling]
+        bounds = np.array([c.bound for c in inst.coupling])
+        modified = inst.rewards.minus_weighted(weights, lam)
+        exact = brute_force_optimum(inst.local_only(modified)).value
+        theta = dual_value(inst, lam, loose).theta
+        assert theta >= exact + float(np.dot(lam, bounds))
+
+
 def test_dual_supporting_hyperplane():
     # theta is convex with slope (bound - spending) at each evaluation
     rng = np.random.default_rng(91)

@@ -53,6 +53,12 @@ def test_segment_sums_handles_empty_segments():
     assert segment_sums(values, indptr).tolist() == [0.0, 3.0, 0.0, 7.0, 0.0]
 
 
+def test_segment_sums_keep_segments_apart():
+    # a large earlier segment must not swamp a small later one
+    values = np.array([1e16, 1.0, 1.0])
+    assert segment_sums(values, np.array([0, 1, 3])).tolist() == [1e16, 2.0]
+
+
 def test_segment_sums_empty_values():
     assert segment_sums(np.zeros(0), np.array([0, 0, 0])).tolist() == [0.0, 0.0]
 
