@@ -7,6 +7,9 @@ bar ``(v[i] - r[i]) / damping``: targets strictly above the bar sit in
 every optimal link subset, targets strictly below in none.  A strategy
 with no classification violations is therefore optimal, since its value
 vector then solves the improvement operator's fixed-point equation.
+
+The defect audit needs no bar: its defects are ``T(v) - v`` of the local
+solver's improvement operator ``T``, applied once at the chain's own ``v``.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import numpy as np
 
 from .chain import mean_reward_before_teleport
 from .errors import PerLinkRewards, ValidationError
-from .graph import DiscreteChoice, build_transition, local_action_set
-from .polytopes import linear_maximize
+from .graph import DiscreteChoice, build_transition
+from .solver_local import CompiledBellman
 
 AUDIT_V_TOL = 1e-12
 
@@ -112,10 +115,8 @@ def master_ordering(instance, strategy=None, tol=1e-9):
     choices = strategy.choices if strategy is not None else {}
 
     classifications, violations = [], []
-    for i in range(instance.num_pages):
+    for i in instance.controlled_pages:  # no skeletons, so: pages with facultative links
         fac = instance.facultative_of(i)
-        if fac.size == 0:
-            continue
         ch = choices.get(i)
         if ch is None:
             active = frozenset()
@@ -153,6 +154,11 @@ def continuous_optimality_check(instance, transition, tol=1e-7):
     a chain with all defects at most ``tol`` is optimal.  Works for both
     link subsets and weight-constrained pages.
 
+    With one reward per page, ``v = r + damping * S v``, so one sweep of
+    the improvement operator gives exactly that gain:
+    ``T(v)_i - v_i = damping * (best row . v - (S v)_i)``.  The defects
+    are ``max(T(v) - v, 0)``.
+
     Returns
     -------
     (ok, defects) : (bool, ndarray)
@@ -161,10 +167,5 @@ def continuous_optimality_check(instance, transition, tol=1e-7):
         raise PerLinkRewards("the defect audit needs one reward per page")
     v = mean_reward_before_teleport(transition, instance.rewards,
                                     tol=AUDIT_V_TOL).v
-    sv = transition.apply_s(v)
-    alpha = instance.damping
-    defects = np.zeros(instance.num_pages)
-    for i in range(instance.num_pages):
-        best = linear_maximize(local_action_set(instance, i), v).value
-        defects[i] = max(0.0, alpha * (best - float(sv[i])))
+    defects = np.maximum(CompiledBellman(instance, instance.rewards).apply(v) - v, 0.0)
     return bool(defects.max() <= tol), defects

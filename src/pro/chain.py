@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MaxIterExceeded, TooLarge, ZeroRow
 from .graph import Rewards, TransitionMatrix
-from .sparse import segment_sums
+from .sparse import row_ids, segment_sums
 
 DENSE_CAP = 2000
 
@@ -136,8 +136,7 @@ def utility(measure, rewards):
     total = float(np.dot(pi, rewards.base))
     delta = rewards.delta
     if delta.nnz:
-        rows = np.repeat(np.arange(rho.shape[0]), delta.row_counts())
-        total += float(np.dot(rho[rows, delta.indices], delta.data))
+        total += float(np.dot(rho[row_ids(delta.indptr), delta.indices], delta.data))
     return total
 
 
@@ -153,7 +152,10 @@ def _mean_row_rewards(transition, rewards):
     delta = rewards.delta
     if delta.nnz:
         alpha = transition.damping
-        svals = transition.s_entries_at(delta)
+        # dangling rows store no entries and jump by dangling_teleport
+        svals = np.where(transition.dangling[row_ids(delta.indptr)],
+                         transition.dangling_teleport[delta.indices],
+                         transition.srows.gather_at(delta.indptr, delta.indices))
         pvals = alpha * svals + (1.0 - alpha) * transition.teleport[delta.indices]
         rbar += segment_sums(pvals * delta.data, delta.indptr)
     return rbar

@@ -22,7 +22,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import InvalidStrategy, ParseError, ValidationError
-from .sparse import RowSparse, add_sparse, index_csr
+from .sparse import RowSparse, add_sparse, index_csr, locate, row_ids
 
 STOCHASTIC_TOL = 1e-9
 STRATEGY_TOL = 1e-9
@@ -73,7 +73,7 @@ class Rewards:
         """Upper bound on ``max |r[i, j]|``, exact off the delta support."""
         m = float(np.max(np.abs(self.base))) if self.base.size else 0.0
         if self.delta.nnz:
-            rows = np.repeat(np.arange(self.num_pages), self.delta.row_counts())
+            rows = row_ids(self.delta.indptr)
             m = max(m, float(np.max(np.abs(self.base[rows] + self.delta.data))))
         return m
 
@@ -119,9 +119,8 @@ class SkeletonRecord:
 
     def upper(self):
         up = np.ones_like(self.q)
-        lo = self.lower()
-        for j in self.banned:
-            up[j] = lo[j]
+        banned = list(self.banned)
+        up[banned] = self.lower()[banned]
         return up
 
 
@@ -164,9 +163,6 @@ class WebGraphInstance:
 
     def facultative_of(self, i):
         return self.fac_indices[self.fac_indptr[i]:self.fac_indptr[i + 1]]
-
-    def is_controlled(self, i):
-        return self.fac_indptr[i + 1] > self.fac_indptr[i] or i in self.skeleton_by_page
 
     @cached_property
     def controlled_pages(self):
@@ -248,18 +244,6 @@ class TransitionMatrix:
             out[self.dangling] = float(np.dot(self.dangling_teleport, v))
         return out
 
-    def s_row(self, i):
-        row = np.zeros(self.num_pages)
-        if self.dangling[i]:
-            row[:] = self.dangling_teleport
-        else:
-            idx, val = self.srows.row_slice(i)
-            row[idx] = val
-        return row
-
-    def p_row(self, i):
-        return self.damping * self.s_row(i) + (1.0 - self.damping) * self.teleport
-
     def dense_s(self):
         out = self.srows.to_dense()
         out[self.dangling] = self.dangling_teleport
@@ -267,25 +251,6 @@ class TransitionMatrix:
 
     def dense_p(self):
         return self.damping * self.dense_s() + (1.0 - self.damping) * self.teleport[None, :]
-
-    def s_entries_at(self, sparse_pattern):
-        """Values of S at the support of a RowSparse pattern, same layout."""
-        out = np.zeros(sparse_pattern.nnz)
-        for i in range(self.num_pages):
-            lo, hi = sparse_pattern.indptr[i], sparse_pattern.indptr[i + 1]
-            if lo == hi:
-                continue
-            cols = sparse_pattern.indices[lo:hi]
-            if self.dangling[i]:
-                out[lo:hi] = self.dangling_teleport[cols]
-            else:
-                sidx, sval = self.srows.row_slice(i)
-                pos = np.searchsorted(sidx, cols)
-                pos_ok = pos < sidx.size
-                hit = np.zeros(cols.size, dtype=bool)
-                hit[pos_ok] = sidx[pos[pos_ok]] == cols[pos_ok]
-                out[lo:hi][hit] = sval[pos[hit]]
-        return out
 
 
 def _require(cond, message, exc=ParseError):
@@ -307,6 +272,21 @@ def _as_prob_vector(raw, n, name, allow_zero=False):
     return vec
 
 
+def _read_document(source, what):
+    """Decoded JSON document from a path, or ``source`` itself if a dict."""
+    if isinstance(source, dict):
+        return source
+    if not isinstance(source, (str, os.PathLike)):
+        raise ParseError(f"{what} source must be a path or a dict")
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
 def load_instance(source):
     """Parse and validate an instance document.
 
@@ -326,19 +306,7 @@ def load_instance(source):
     ValidationError
         If the document is well formed but structurally invalid.
     """
-    if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read instance: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        raise ParseError("instance source must be a path or a dict")
-
+    doc = _read_document(source, "instance")
     _require(isinstance(doc, dict), "instance document must be an object")
     for key in ("num_pages", "damping", "teleport", "rewards"):
         _require(key in doc, f"missing required key {key!r}")
@@ -409,11 +377,8 @@ def _parse_rewards(raw, n):
         _require(isinstance(entries, list), "entries must be a list of triples")
         for e in entries:
             _require(isinstance(e, list) and len(e) == 3, "entries must be [i, j, r] triples")
-        try:
-            rewards = Rewards.per_link(n, [(e[0], e[1], float(e[2])) for e in entries],
-                                       float(raw["default"]))
-        except ValidationError:
-            raise
+        rewards = Rewards.per_link(n, [(e[0], e[1], float(e[2])) for e in entries],
+                                   float(raw["default"]))
         _require(np.all(np.isfinite(rewards.delta.data)), "rewards must be finite",
                  ValidationError)
         return rewards
@@ -490,11 +455,8 @@ def validate(instance):
         raise ValidationError("dangling_teleport must be a distribution")
 
     # obligatory and facultative links must be disjoint page by page
-    counts_o = np.diff(instance.obl_indptr)
-    counts_f = np.diff(instance.fac_indptr)
-    flat_o = np.repeat(np.arange(n), counts_o) * n + instance.obl_indices
-    flat_f = np.repeat(np.arange(n), counts_f) * n + instance.fac_indices
-    if np.intersect1d(flat_o, flat_f).size:
+    if locate(instance.fac_indptr, instance.fac_indices, n,
+              row_ids(instance.obl_indptr), instance.obl_indices)[1].any():
         raise ValidationError("a link cannot be both obligatory and facultative")
 
     if instance.rewards.num_pages != n:
@@ -505,7 +467,7 @@ def validate(instance):
         if sk.page in seen:
             raise ValidationError(f"page {sk.page} has two skeleton records")
         seen.add(sk.page)
-        if counts_o[sk.page] or counts_f[sk.page]:
+        if instance.obligatory_of(sk.page).size or instance.facultative_of(sk.page).size:
             raise ValidationError(
                 f"page {sk.page} carries both links and a skeleton record")
         lo, up = sk.lower(), sk.upper()
@@ -524,18 +486,7 @@ def validate(instance):
 
 def load_strategy(source):
     """Parse a strategy document (path or dict) without instance context."""
-    if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read strategy: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        raise ParseError("strategy source must be a path or a dict")
+    doc = _read_document(source, "strategy")
     _require(isinstance(doc, dict) and "pages" in doc, "strategy document needs pages")
     _require(isinstance(doc["pages"], list), "strategy pages must be a list")
     choices = {}
@@ -559,8 +510,7 @@ def load_strategy(source):
                 pairs[int(e[0])] = float(e[1])
             size = max(pairs) + 1 if pairs else 0
             row = np.zeros(size)
-            for j, w in pairs.items():
-                row[j] = w
+            row[list(pairs)] = list(pairs.values())
             choices[page] = ContinuousChoice(row)
         else:
             raise ParseError(f"unknown strategy kind {rec['kind']!r}")
@@ -579,8 +529,7 @@ def default_skeleton_row(sk, damping, teleport):
     x = lo.copy()
     if slack > 0.0:
         free = np.ones(sk.q.size, dtype=bool)
-        for j in sk.banned:
-            free[j] = False
+        free[list(sk.banned)] = False
         if not np.any(free):
             raise ValidationError(f"skeleton on page {sk.page} bans every coordinate")
         weights = np.where(free, sk.q, 0.0)
@@ -616,6 +565,11 @@ def build_transition(instance, strategy=None):
     Notes
     -----
     Deterministic: identical inputs produce bit-identical CSR arrays.
+    The chain is assembled with array operations: activated links are
+    looked up in the facultative CSR by flat key, uniform rows (value
+    ``1 / degree``) come from the sorted obligatory and activated keys,
+    and a continuous row replaces its page's links.  Only the facet
+    check of a continuous row runs page by page.
     """
     from . import polytopes  # deferred to keep module load order simple
 
@@ -625,7 +579,7 @@ def build_transition(instance, strategy=None):
     choices = strategy.choices if strategy is not None else {}
 
     continuous_rows = {}
-    activated_pairs = []
+    act_pages, act_links = [], []
     for page in sorted(choices):
         if not isinstance(page, (int, np.integer)) or not 0 <= page < n:
             raise InvalidStrategy(f"strategy page {page} out of range")
@@ -635,13 +589,8 @@ def build_transition(instance, strategy=None):
             if sk is not None:
                 raise InvalidStrategy(
                     f"page {page} needs a continuous row, not a link subset")
-            fac = instance.facultative_of(page)
-            for j in ch.activated:
-                pos = np.searchsorted(fac, j)
-                if pos >= fac.size or fac[pos] != j:
-                    raise InvalidStrategy(
-                        f"link ({page}, {j}) is not facultative")
-                activated_pairs.append((page, j))
+            act_pages += [page] * len(ch.activated)
+            act_links += ch.activated
         elif isinstance(ch, ContinuousChoice):
             if ch.row.size > n:
                 raise InvalidStrategy(f"row for page {page} has too many columns")
@@ -664,45 +613,39 @@ def build_transition(instance, strategy=None):
         else:
             raise InvalidStrategy(f"unsupported choice type for page {page}")
 
+    act_rows = np.asarray(act_pages, dtype=np.int64)
+    act_cols = np.asarray(act_links)
+    _, hit = locate(instance.fac_indptr, instance.fac_indices, n, act_rows, act_cols)
+    if not hit.all():
+        k = int(np.argmin(hit))
+        raise InvalidStrategy(f"link ({act_pages[k]}, {act_links[k]}) is not facultative")
+
     for sk in instance.skeletons:
         if sk.page not in choices:
             prow = default_skeleton_row(sk, alpha, z)
             srow = (prow - (1.0 - alpha) * z) / alpha
             continuous_rows[sk.page] = np.maximum(srow, 0.0)
 
-    # uniform rows: merge obligatory links with the activated facultative ones
-    counts_o = np.diff(instance.obl_indptr)
-    pairs = list(zip(np.repeat(np.arange(n), counts_o).tolist(),
-                     instance.obl_indices.tolist()))
-    pairs.extend(activated_pairs)
-    sel_indptr, sel_indices = index_csr(n, n, pairs)
-    deg = np.diff(sel_indptr)
-
-    dangling = np.zeros(n, dtype=bool)
-    row_idx_parts, row_val_parts, indptr = [], [], np.zeros(n + 1, dtype=np.int64)
-    fill = 0
-    for i in range(n):
-        if i in continuous_rows:
-            srow = continuous_rows[i]
-            nz = np.flatnonzero(srow)
-            row_idx_parts.append(nz.astype(np.int64))
-            row_val_parts.append(srow[nz])
-            fill += nz.size
-        elif deg[i] > 0:
-            lo, hi = sel_indptr[i], sel_indptr[i + 1]
-            row_idx_parts.append(sel_indices[lo:hi])
-            row_val_parts.append(np.full(hi - lo, 1.0 / (hi - lo)))
-            fill += hi - lo
-        else:
-            dangling[i] = True
-        indptr[i + 1] = fill
-
-    srows = RowSparse(
-        n, n, indptr,
-        np.concatenate(row_idx_parts) if row_idx_parts else np.zeros(0, dtype=np.int64),
-        np.concatenate(row_val_parts) if row_val_parts else np.zeros(0),
-    )
-    return TransitionMatrix(n, alpha, z, instance.dangling_teleport, srows, dangling)
+    # obligatory plus activated links give uniform rows; a continuous row
+    # replaces its page's links
+    is_cont = np.zeros(n, dtype=bool)
+    is_cont[list(continuous_rows)] = True
+    rows = np.concatenate([row_ids(instance.obl_indptr), act_rows])
+    cols = np.concatenate([instance.obl_indices, act_cols.astype(np.int64)])
+    keep = ~is_cont[rows]
+    cont = sorted(continuous_rows.items())
+    nz = [np.flatnonzero(srow) for _, srow in cont]
+    rows = np.concatenate([rows[keep]] + [np.full(c.size, p) for (p, _), c in zip(cont, nz)])
+    cols = np.concatenate([cols[keep]] + nz)
+    indptr, indices = index_csr(n, n, np.column_stack([rows, cols]))
+    deg = np.diff(indptr)
+    data = 1.0 / np.repeat(deg, deg)
+    if cont:
+        data[np.repeat(is_cont, deg)] = np.concatenate(
+            [srow[c] for (_, srow), c in zip(cont, nz)])
+    # every continuous row has outlink mass, so only link pages can dangle
+    return TransitionMatrix(n, alpha, z, instance.dangling_teleport,
+                            RowSparse(n, n, indptr, indices, data), deg == 0)
 
 
 def _local_facets(instance, page, polytopes):
@@ -715,22 +658,3 @@ def _local_facets(instance, page, polytopes):
     return polytopes.facets_discrete(obligatory, facultative,
                                      instance.dangling_teleport, instance.num_pages)
 
-
-def local_action_set(instance, page):
-    """Outlink-space action set of one page, for per-page maximization."""
-    from . import polytopes
-
-    sk = instance.skeleton_by_page.get(page)
-    if sk is not None:
-        return polytopes.BoxSimplex(sk.lower(), sk.upper())
-    obligatory = instance.obligatory_of(page)
-    facultative = instance.facultative_of(page)
-    if instance.is_controlled(page):
-        return polytopes.DiscreteUniform(tuple(obligatory.tolist()),
-                                         tuple(facultative.tolist()),
-                                         instance.dangling_teleport,
-                                         instance.num_pages)
-    # frozen page: a one-point discrete set
-    return polytopes.DiscreteUniform(tuple(obligatory.tolist()), (),
-                                     instance.dangling_teleport,
-                                     instance.num_pages)

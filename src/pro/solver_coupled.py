@@ -391,15 +391,6 @@ class LpProblem:
     num_pages: int
 
 
-def _dense_weight_matrix(weights, n):
-    mat = np.repeat(weights.base[:, None], n, axis=1)
-    delta = weights.delta
-    if delta.nnz:
-        rows = np.repeat(np.arange(n), delta.row_counts())
-        mat[rows, delta.indices] += delta.data
-    return mat
-
-
 def lp_formulate(instance):
     """Exact linear program over occupation measures.
 
@@ -452,10 +443,10 @@ def lp_formulate(instance):
                 ub_b.append(0.0)
 
     for c in instance.coupling:
-        ub_rows.append(_dense_weight_matrix(c.weights, n).ravel())
+        ub_rows.append(c.weights.dense().ravel())
         ub_b.append(float(c.bound))
 
-    objective = _dense_weight_matrix(instance.rewards, n).ravel()
+    objective = instance.rewards.dense().ravel()
     return LpProblem(objective, np.array(eq_rows), np.array(eq_b),
                      np.array(ub_rows) if ub_rows else np.zeros((0, nv)),
                      np.array(ub_b), n)

@@ -27,7 +27,7 @@ from .chain import span_iterate
 from .errors import CouplingPresent, MaxIterExceeded, ValidationError
 from .graph import ContinuousChoice, DiscreteChoice, Strategy
 from .polytopes import BoxSimplex, linear_maximize
-from .sparse import segment_sums
+from .sparse import row_ids, segment_sums
 
 
 def iteration_budget(damping, tol):
@@ -74,24 +74,6 @@ class DpState:
     residual: float
 
 
-def _delta_at(delta, indptr, indices):
-    # per-link reward values aligned with a link CSR; zero where absent
-    out = np.zeros(indices.size)
-    if delta.nnz == 0:
-        return out
-    for i in range(delta.num_rows):
-        ds, de = delta.indptr[i], delta.indptr[i + 1]
-        ls, le = indptr[i], indptr[i + 1]
-        if ds == de or ls == le:
-            continue
-        cols = delta.indices[ds:de]
-        want = indices[ls:le]
-        pos = np.clip(np.searchsorted(cols, want), 0, cols.size - 1)
-        hit = cols[pos] == want
-        out[ls:le] = np.where(hit, delta.data[ds:de][pos], 0.0)
-    return out
-
-
 def _segment_min(values, indptr, fill):
     out = np.full(indptr.size - 1, fill, dtype=values.dtype)
     nonempty = indptr[:-1] < indptr[1:]
@@ -129,11 +111,10 @@ class CompiledBellman:
         self.o_safe = np.maximum(self.o_cnt_d, 1.0)
         self.haso = o_cnt > 0
         self.hasf = f_cnt > 0
-        self.f_page = np.repeat(np.arange(n), f_cnt)
-        o_page = np.repeat(np.arange(n), o_cnt)
+        self.f_page = row_ids(self.f_indptr)
         delta = rewards.delta
-        self.r_o = rewards.base[o_page] + _delta_at(delta, self.o_indptr, self.o_idx)
-        self.r_f = rewards.base[self.f_page] + _delta_at(delta, self.f_indptr, self.f_idx)
+        self.r_o = rewards.base[row_ids(self.o_indptr)] + delta.gather_at(self.o_indptr, self.o_idx)
+        self.r_f = rewards.base[self.f_page] + delta.gather_at(self.f_indptr, self.f_idx)
         self.const = (1.0 - self.alpha) * rewards.row_means(self.z)
         self.no_link_base = rewards.row_means(self.hang)
         self.starts = self.f_indptr[:-1]
@@ -146,8 +127,8 @@ class CompiledBellman:
         for sk in instance.skeletons:
             box = BoxSimplex(sk.lower(), sk.upper())
             row = np.full(n, rewards.base[sk.page])
-            ds, de = delta.indptr[sk.page], delta.indptr[sk.page + 1]
-            row[delta.indices[ds:de]] += delta.data[ds:de]
+            idx, val = delta.row_slice(sk.page)
+            row[idx] += val
             self.skel[sk.page] = (box, row)
 
     def apply(self, w):

@@ -163,6 +163,32 @@ def test_bad_inputs(tmp_path, capsys):
     assert env["error"]["type"] == "ValidationError"
 
 
+def _with(path, value):
+    doc = two_page_doc()
+    if path == "coupling":
+        doc["coupling"] = [{"entries": [value], "bound": 1.0}]
+    elif path == "rewards":
+        doc["rewards"]["entries"] = doc["rewards"]["entries"][1:] + [value]
+    else:
+        doc["facultative"] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _with("facultative", [[0, 1.5]]),
+    _with("rewards", [0, 1.5, 2.0]),
+    _with("coupling", [0, 1.5, 1.0]),
+    _with("facultative", [["a", 1]]),
+    _with("facultative", [[0, 1], [1]]),
+], ids=["float-link", "float-reward-index", "float-coupling-index",
+        "string-link", "ragged-links"])
+def test_non_integer_indices_are_parse_errors(tmp_path, capsys, doc):
+    code, env = _run(capsys, ["optimize", _write(tmp_path, "g.json", doc)])
+    assert code == 1
+    assert env["status"] == "error"
+    assert env["error"]["type"] == "ParseError"
+
+
 def test_threads_flag_pins_env(tmp_path, capsys):
     saved = {k: os.environ.get(k) for k in
              ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

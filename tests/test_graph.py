@@ -5,9 +5,11 @@ import pytest
 
 from pro.errors import InvalidStrategy, ParseError, ValidationError
 from pro.graph import (ContinuousChoice, DiscreteChoice, Rewards, Strategy,
-                       build_transition, load_instance, load_strategy)
+                       build_transition, default_skeleton_row, load_instance,
+                       load_strategy)
 
-from helpers import two_page_doc, two_page_instance
+from helpers import (random_continuous_doc, random_discrete_doc, random_strategy,
+                     two_page_doc, two_page_instance)
 
 
 def test_two_page_structure():
@@ -163,6 +165,62 @@ def test_continuous_choice_checked_against_facets():
     not_stochastic = Strategy({0: ContinuousChoice(np.array([0.5, 0.4]))})
     with pytest.raises(InvalidStrategy):
         build_transition(inst, not_stochastic)
+
+
+def _reference_outlink_rows(inst, strategy):
+    # S and the dangling flags written out page by page from the strategy
+    n, alpha, z = inst.num_pages, inst.damping, inst.teleport
+    s = np.zeros((n, n))
+    dangling = np.zeros(n, dtype=bool)
+    for i in range(n):
+        ch = strategy.choices.get(i)
+        sk = inst.skeleton_by_page.get(i)
+        if isinstance(ch, ContinuousChoice):
+            row = np.maximum((ch.row - (1.0 - alpha) * z) / alpha, 0.0)
+            s[i] = row / float(row.sum())
+        elif sk is not None:
+            prow = default_skeleton_row(sk, alpha, z)
+            s[i] = np.maximum((prow - (1.0 - alpha) * z) / alpha, 0.0)
+        else:
+            support = inst.obligatory_of(i).tolist() + list(ch.activated if ch else ())
+            if support:
+                s[i, support] = 1.0 / len(support)
+            else:
+                dangling[i] = True
+    return s, dangling
+
+
+def test_build_transition_matches_page_by_page_reference():
+    rng = np.random.default_rng(3003)
+    docs = [random_discrete_doc(rng) for _ in range(60)]
+    docs += [random_continuous_doc(rng, n_max=12) for _ in range(30)]
+    for doc in docs:
+        inst = load_instance(doc)
+        for strategy in (Strategy({}), random_strategy(rng, inst)):
+            trans = build_transition(inst, strategy)
+            s, dangling = _reference_outlink_rows(inst, strategy)
+            srows = trans.srows
+            assert np.array_equal(srows.to_dense(), s)
+            assert srows.nnz == np.count_nonzero(s)
+            for i in range(inst.num_pages):
+                assert np.all(np.diff(srows.row_slice(i)[0]) > 0)
+            assert np.array_equal(trans.dangling, dangling)
+
+
+def test_continuous_choice_replaces_a_link_row():
+    # page 0 keeps 0->1 and may add 0->2; a continuous row halfway between
+    # its two uniform rows is admissible and must replace the link row
+    doc = {"num_pages": 3, "damping": 0.8, "teleport": "uniform",
+           "obligatory": [[0, 1], [1, 2]], "facultative": [[0, 2]],
+           "rewards": {"type": "per_page", "values": [0.0, 1.0, 0.5]}}
+    inst = load_instance(doc)
+    outlinks = np.array([0.0, 0.75, 0.25])
+    row = 0.8 * outlinks + 0.2 * inst.teleport
+    trans = build_transition(inst, Strategy({0: ContinuousChoice(row)}))
+    s = trans.dense_s()
+    assert np.allclose(s[0], outlinks, atol=1e-12)
+    assert s[1].tolist() == [0.0, 0.0, 1.0]
+    assert trans.dangling.tolist() == [False, False, True]
 
 
 def test_skeleton_default_row_respects_bounds():

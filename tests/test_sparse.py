@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pro.errors import ValidationError
-from pro.sparse import RowSparse, add_sparse, index_csr, segment_sums
+from pro.sparse import RowSparse, add_sparse, index_csr, row_ids, segment_sums
 
 
 def random_sparse(rng, rows, cols, density=0.3):
@@ -89,3 +89,25 @@ def test_add_sparse_matches_dense_sum():
             seg = idx[pos:pos + c]
             assert np.all(np.diff(seg) > 0)
             pos += c
+
+
+def test_gather_at_matches_dense_lookup():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        rows = int(rng.integers(1, 8))
+        cols = int(rng.integers(1, 8))
+        source, _ = random_sparse(rng, rows, cols, density=float(rng.choice([0.0, 0.3, 0.8])))
+        pattern, _ = random_sparse(rng, rows, cols, density=float(rng.choice([0.0, 0.3, 0.8])))
+        got = source.gather_at(pattern.indptr, pattern.indices)
+        want = source.to_dense()[row_ids(pattern.indptr), pattern.indices]
+        assert got.tolist() == want.tolist()
+
+
+def test_gather_at_edge_cases():
+    source = RowSparse.from_entries(3, 4, [(0, 1, 1.5), (2, 3, -2.0), (2, 0, 4.0)])
+    # the pattern names a missing column in row 0 and skips row 2
+    indptr, indices = np.array([0, 2, 3, 3]), np.array([1, 2, 0])
+    assert source.gather_at(indptr, indices).tolist() == [1.5, 0.0, 0.0]
+    assert RowSparse.empty(3, 4).gather_at(indptr, indices).tolist() == [0.0, 0.0, 0.0]
+    empty = source.gather_at(np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    assert empty.tolist() == []
