@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
 
+from . import polytopes
 from .errors import InvalidStrategy, ParseError, ValidationError
-from .sparse import RowSparse, add_sparse, index_csr, locate, row_ids
+from .sparse import RowSparse, _as_indices, add_sparse, index_csr, locate, row_ids
 
 STOCHASTIC_TOL = 1e-9
 STRATEGY_TOL = 1e-9
@@ -258,11 +260,41 @@ def _require(cond, message, exc=ParseError):
         raise exc(message)
 
 
+def _number(raw, name):
+    """A JSON number, not a bool, as a finite float."""
+    _require(isinstance(raw, (int, float)) and not isinstance(raw, bool),
+             f"{name} must be a number")
+    # compared exactly, so NaN, infinities and ints beyond float range fail
+    _require(-sys.float_info.max <= raw <= sys.float_info.max,
+             f"{name} must be finite", ValidationError)
+    return float(raw)
+
+
+def _numbers(raw, name):
+    """A flat list of JSON numbers as a float64 array of finite values."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError as exc:  # ragged nesting
+        raise ParseError(f"{name} must be a flat list of numbers") from exc
+    _require(arr.ndim == 1 and (arr.size == 0 or arr.dtype.kind in "iuf"),
+             f"{name} must be a flat list of numbers")
+    arr = arr.astype(np.float64, copy=False)
+    _require(np.isfinite(arr).all(), f"{name} must be finite", ValidationError)
+    return arr
+
+
+def _columns(raw, name):
+    """A list of JSON integers, none negative, as an int64 array."""
+    idx = _as_indices(raw)
+    _require(idx.ndim == 1, f"{name} must be a flat list of integers")
+    _require(np.all(idx >= 0), f"{name} must be nonnegative", ValidationError)
+    return idx
+
+
 def _as_prob_vector(raw, n, name, allow_zero=False):
     _require(isinstance(raw, (list, tuple)), f"{name} must be an array")
-    vec = np.asarray(raw, dtype=np.float64)
+    vec = _numbers(raw, name)
     _require(vec.shape == (n,), f"{name} must have length {n}")
-    _require(np.all(np.isfinite(vec)), f"{name} must be finite", ValidationError)
     if allow_zero:
         _require(np.all(vec >= 0.0), f"{name} must be nonnegative", ValidationError)
     else:
@@ -312,10 +344,8 @@ def load_instance(source):
         _require(key in doc, f"missing required key {key!r}")
 
     n = doc["num_pages"]
-    _require(isinstance(n, int) and n >= 1, "num_pages must be a positive integer")
-    damping = doc["damping"]
-    _require(isinstance(damping, (int, float)), "damping must be a number")
-    damping = float(damping)
+    _require(type(n) is int and n >= 1, "num_pages must be a positive integer")
+    damping = _number(doc["damping"], "damping")
     _require(0.0 < damping < 1.0, "damping must lie strictly inside (0, 1)",
              ValidationError)
 
@@ -366,19 +396,18 @@ def _parse_rewards(raw, n):
     _require(isinstance(raw, dict) and "type" in raw, "rewards must carry a type")
     if raw["type"] == "per_page":
         _require("values" in raw, "per_page rewards need values")
-        values = np.asarray(raw["values"], dtype=np.float64)
+        values = _numbers(raw["values"], "rewards")
         _require(values.shape == (n,), "per_page values must have one entry per page")
-        _require(np.all(np.isfinite(values)), "rewards must be finite", ValidationError)
         return Rewards.per_page(values)
     if raw["type"] == "per_link":
         _require("default" in raw, "per_link rewards need a default")
-        _require(isinstance(raw["default"], (int, float)), "default must be a number")
+        default = _number(raw["default"], "default")
         entries = raw.get("entries", [])
         _require(isinstance(entries, list), "entries must be a list of triples")
         for e in entries:
             _require(isinstance(e, list) and len(e) == 3, "entries must be [i, j, r] triples")
-        rewards = Rewards.per_link(n, [(e[0], e[1], float(e[2])) for e in entries],
-                                   float(raw["default"]))
+        _numbers([e[2] for e in entries], "rewards")
+        rewards = Rewards.per_link(n, entries, default)
         _require(np.all(np.isfinite(rewards.delta.data)), "rewards must be finite",
                  ValidationError)
         return rewards
@@ -393,16 +422,14 @@ def _parse_skeletons(raw, n):
         for key in ("page", "q", "mu"):
             _require(key in rec, f"skeleton record missing {key!r}")
         page = rec["page"]
-        _require(isinstance(page, int) and 0 <= page < n, "skeleton page out of range")
+        _require(type(page) is int and 0 <= page < n, "skeleton page out of range")
         q = _as_prob_vector(rec["q"], n, "skeleton q", allow_zero=True)
-        mu = rec["mu"]
-        _require(isinstance(mu, (int, float)), "skeleton mu must be a number")
-        mu = float(mu)
+        mu = _number(rec["mu"], "skeleton mu")
         _require(0.0 <= mu <= 1.0, "skeleton mu must lie in [0, 1]", ValidationError)
         banned = rec.get("banned", [])
         _require(isinstance(banned, list), "banned must be a list of pages")
         for j in banned:
-            _require(isinstance(j, int) and 0 <= j < n, "banned page out of range")
+            _require(type(j) is int and 0 <= j < n, "banned page out of range")
         out.append(SkeletonRecord(page, q, mu, tuple(sorted(set(banned)))))
     return tuple(out)
 
@@ -422,16 +449,13 @@ def _parse_coupling(raw, n):
             for e in entries:
                 _require(isinstance(e, list) and len(e) == 3,
                          "coupling entries must be [i, j, d] triples")
-            weights = Rewards(np.zeros(n),
-                              RowSparse.from_entries(n, n, [(e[0], e[1], float(e[2]))
-                                                            for e in entries]))
+            _numbers([e[2] for e in entries], "coupling weights")
+            weights = Rewards(np.zeros(n), RowSparse.from_entries(n, n, entries))
         else:
-            values = np.asarray(rec["per_page"], dtype=np.float64)
+            values = _numbers(rec["per_page"], "coupling weights")
             _require(values.shape == (n,), "per_page coupling needs one weight per page")
             weights = Rewards.per_page(values)
-        bound = rec["bound"]
-        _require(isinstance(bound, (int, float)), "coupling bound must be a number")
-        out.append(CouplingRow(weights, float(bound)))
+        out.append(CouplingRow(weights, _number(rec["bound"], "coupling bound")))
     return tuple(out)
 
 
@@ -494,23 +518,21 @@ def load_strategy(source):
         _require(isinstance(rec, dict) and "page" in rec and "kind" in rec,
                  "strategy records need page and kind")
         page = rec["page"]
-        _require(isinstance(page, int) and page >= 0, "strategy page must be a nonnegative integer")
+        _require(type(page) is int and page >= 0, "strategy page must be a nonnegative integer")
         _require(page not in choices, f"page {page} listed twice in strategy")
         if rec["kind"] == "discrete":
             acts = rec.get("activated", [])
             _require(isinstance(acts, list), "activated must be a list")
-            choices[page] = DiscreteChoice(tuple(sorted(int(j) for j in acts)))
+            choices[page] = DiscreteChoice(tuple(np.sort(_columns(acts, "activated")).tolist()))
         elif rec["kind"] == "continuous":
             entries = rec.get("row_entries", [])
             _require(isinstance(entries, list), "row_entries must be a list")
-            pairs = {}
             for e in entries:
                 _require(isinstance(e, list) and len(e) == 2, "row_entries must be [j, w] pairs")
-                _require(e[0] not in pairs, "row_entries lists a column twice")
-                pairs[int(e[0])] = float(e[1])
-            size = max(pairs) + 1 if pairs else 0
-            row = np.zeros(size)
-            row[list(pairs)] = list(pairs.values())
+            cols = _columns([e[0] for e in entries], "row_entries columns")
+            _require(np.unique(cols).size == cols.size, "row_entries lists a column twice")
+            row = np.zeros(int(cols.max()) + 1 if cols.size else 0)
+            row[cols] = _numbers([e[1] for e in entries], "row_entries weights")
             choices[page] = ContinuousChoice(row)
         else:
             raise ParseError(f"unknown strategy kind {rec['kind']!r}")
@@ -571,8 +593,6 @@ def build_transition(instance, strategy=None):
     and a continuous row replaces its page's links.  Only the facet
     check of a continuous row runs page by page.
     """
-    from . import polytopes  # deferred to keep module load order simple
-
     n = instance.num_pages
     alpha = instance.damping
     z = instance.teleport
@@ -598,8 +618,8 @@ def build_transition(instance, strategy=None):
             row[:ch.row.size] = ch.row
             if abs(float(row.sum()) - 1.0) > STRATEGY_TOL:
                 raise InvalidStrategy(f"row for page {page} is not stochastic")
-            fs = polytopes.apply_damping(_local_facets(instance, page, polytopes), alpha, z)
-            verdict = polytopes.separate(fs, row, tol=STRATEGY_TOL)
+            verdict = polytopes.separate(chain_facets(instance, page), row,
+                                         tol=STRATEGY_TOL)
             if verdict.violated:
                 raise InvalidStrategy(
                     f"row for page {page} violates {verdict.description} "
@@ -648,13 +668,14 @@ def build_transition(instance, strategy=None):
                             RowSparse(n, n, indptr, indices, data), deg == 0)
 
 
-def _local_facets(instance, page, polytopes):
-    """Outlink-space facet system of one page's constraint set."""
+def chain_facets(instance, page):
+    """Chain-space facet system of one page's constraint set."""
     sk = instance.skeleton_by_page.get(page)
     if sk is not None:
-        return polytopes.facets_box(sk.lower(), sk.upper())
-    obligatory = instance.obligatory_of(page)
-    facultative = instance.facultative_of(page)
-    return polytopes.facets_discrete(obligatory, facultative,
-                                     instance.dangling_teleport, instance.num_pages)
-
+        system = polytopes.facets_box(sk.lower(), sk.upper())
+    else:
+        system = polytopes.facets_discrete(instance.obligatory_of(page),
+                                           instance.facultative_of(page),
+                                           instance.dangling_teleport,
+                                           instance.num_pages)
+    return polytopes.apply_damping(system, instance.damping, instance.teleport)

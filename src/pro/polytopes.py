@@ -6,47 +6,66 @@ nothing is obligatory).  Their convex hull has a closed-form facet system
 with one record per coordinate plus the simplex equation, regardless of
 how many subsets the hull covers.  Skeleton pages use a box-with-simplex
 set instead.  Both sets admit an exact linear maximizer: a sort-and-grow
-greedy for the uniform family, water filling for the box.
+greedy for the uniform family, water filling for the box.  The greedy is
+the sequential reference for the vectorized sweep of
+``solver_local.CompiledBellman``.
 
-Facet systems exist in two frames: outlink space (rows of S) and chain
-space (rows of P, after damping and teleport are applied).
+A facet system is a set of arrays: a ``RowSparse`` of coefficients with
+one row per linear relation, and per row its relation, right-hand side
+and facet record.  It exists in two frames, outlink space (rows of S)
+and chain space (rows of P, after damping and teleport).
+``apply_damping`` moves it from the first to the second with one sparse
+product, and ``separate`` checks a row against every relation at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import Infeasible
+from .sparse import RowSparse
 
 SEPARATION_TOL = 1e-12
 
+# relation codes: row k reads ``rel[k] * (coef[k] . x - rhs[k]) <= 0`` for
+# the inequalities and ``coef[k] . x == rhs[k]`` for EQ
+EQ, LE, GE = 0, 1, -1
+_REL_TEXT = {EQ: "=", LE: "<=", GE: ">="}
+
 
 @dataclass(frozen=True)
-class Atom:
-    """One linear relation ``sum_k coef[k] * x[idx[k]]  rel  rhs``."""
+class FacetSystem:
+    """Facet records of one page's action set, plus the simplex equation.
 
-    idx: tuple
-    coef: tuple
-    rel: str  # "=", "<=", ">="
-    rhs: float
+    Row k is the relation ``coef[k] . x  rel[k]  rhs[k]``, with ``rel``
+    one of ``EQ``, ``LE``, ``GE``; ``record[k]`` numbers its facet
+    record, so the two sides of a bound share one record.  The last row
+    is the simplex equation, a record of its own; every other row touches
+    at most two coordinates.  ``space`` is ``"S"`` for outlink rows and
+    ``"P"`` for chain rows.
+    """
 
-    def value(self, x):
-        return float(sum(c * x[i] for i, c in zip(self.idx, self.coef)))
+    coef: RowSparse
+    rel: np.ndarray
+    rhs: np.ndarray
+    record: np.ndarray
+    space: str = "S"
 
-    def violation(self, x):
-        v = self.value(x)
-        if self.rel == "=":
-            return abs(v - self.rhs)
-        if self.rel == "<=":
-            return max(0.0, v - self.rhs)
-        return max(0.0, self.rhs - v)
+    @property
+    def num_pages(self):
+        return self.coef.num_cols
 
-    def describe(self):
+    @property
+    def constraint_count(self):
+        return int(self.record[-1]) + 1
+
+    def describe(self, k):
+        """Row ``k`` as text, coordinates ascending, e.g. ``-x[0] + x[2] <= 0``."""
         terms = []
-        for i, c in zip(self.idx, self.coef):
+        for i, c in zip(*self.coef.row_slice(k)):
             if c == 1.0:
                 terms.append(f"x[{i}]")
             elif c == -1.0:
@@ -54,47 +73,14 @@ class Atom:
             else:
                 terms.append(f"{c:g}*x[{i}]")
         lhs = " + ".join(terms).replace("+ -", "- ") if terms else "0"
-        return f"{lhs} {self.rel} {self.rhs:g}"
-
-
-@dataclass(frozen=True)
-class Facet:
-    """One facet record; two-sided bounds keep both atoms in one record."""
-
-    atoms: tuple
-
-
-@dataclass(frozen=True)
-class FacetSystem:
-    """Facet records of one page's action set, plus the simplex equation.
-
-    ``space`` is ``"S"`` for outlink rows and ``"P"`` for chain rows.
-    The simplex equation is the last facet; every other atom touches at
-    most two coordinates.
-    """
-
-    num_pages: int
-    facets: tuple
-    space: str = "S"
-
-    @property
-    def constraint_count(self):
-        return len(self.facets)
-
-    def atoms(self):
-        for f in self.facets:
-            yield from f.atoms
+        return f"{lhs} {_REL_TEXT[int(self.rel[k])]} {self.rhs[k]:g}"
 
 
 @dataclass(frozen=True)
 class SeparationResult:
     violated: bool
     magnitude: float
-    atom: Optional[Atom]
-
-    @property
-    def description(self):
-        return self.atom.describe() if self.atom is not None else "inside"
+    description: str = "inside"
 
 
 @dataclass(frozen=True)
@@ -109,14 +95,6 @@ class DiscreteUniform:
     facultative: tuple
     no_link_row: np.ndarray
     num_pages: int
-    space: str = "S"
-    damping: Optional[float] = None
-    teleport: Optional[np.ndarray] = None
-
-    def damped(self, damping, teleport):
-        return DiscreteUniform(self.obligatory, self.facultative,
-                               self.no_link_row, self.num_pages,
-                               space="P", damping=damping, teleport=teleport)
 
 
 @dataclass(frozen=True)
@@ -125,12 +103,6 @@ class BoxSimplex:
 
     lower: np.ndarray
     upper: np.ndarray
-    space: str = "S"
-
-    def damped(self, damping, teleport):
-        return BoxSimplex(damping * self.lower + (1.0 - damping) * teleport,
-                          damping * self.upper + (1.0 - damping) * teleport,
-                          space="P")
 
 
 @dataclass(frozen=True)
@@ -144,6 +116,34 @@ class MaximizeResult:
     value: float
     row: np.ndarray
     support: Optional[tuple]
+
+
+def _system(n, col, rel, rhs, record, anchor=0, pair=None, pair_coef=-1.0):
+    """Rows ``x[col[k]] + pair_coef * x[anchor]  rel[k]  rhs[k]``.
+
+    The anchor term is present only where ``pair`` is set; ``pair_coef``
+    is one number or one per row.  The simplex equation is appended as
+    the last row and record.
+    """
+    m = col.size
+    if pair is None:
+        pair = np.zeros(m, dtype=bool)
+    indptr = np.zeros(m + 2, dtype=np.int64)
+    np.cumsum(1 + pair, out=indptr[1:m + 1])
+    indptr[m + 1] = indptr[m] + n
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.ones(indptr[-1])
+    first = indptr[:m]
+    lead = pair & (anchor < col)  # columns ascend within a row
+    indices[first] = np.where(lead, anchor, col)
+    data[first] = np.where(lead, pair_coef, 1.0)
+    second = first[pair] + 1
+    indices[second] = np.where(lead, col, anchor)[pair]
+    data[second] = np.where(lead, 1.0, pair_coef)[pair]
+    indices[indptr[m]:] = np.arange(n)
+    return FacetSystem(RowSparse(m + 1, n, indptr, indices, data),
+                       np.append(rel, EQ), np.append(rhs, 1.0),
+                       np.append(record, record[-1] + 1))
 
 
 def facets_discrete(obligatory, facultative, dangling_teleport, num_pages):
@@ -171,79 +171,78 @@ def facets_discrete(obligatory, facultative, dangling_teleport, num_pages):
     with the fallback row as apex, otherwise it is the plain probability
     simplex on the facultative coordinates.
     """
-    obligatory = tuple(sorted(int(j) for j in obligatory))
-    facultative = tuple(sorted(int(j) for j in facultative))
-    members = set(obligatory) | set(facultative)
-    forbidden = [j for j in range(num_pages) if j not in members]
-    facets = []
+    n = num_pages
+    obligatory = np.sort(np.asarray(obligatory, dtype=np.int64))
+    facultative = np.sort(np.asarray(facultative, dtype=np.int64))
+    member = np.zeros(n, dtype=bool)
+    member[obligatory] = True
+    member[facultative] = True
+    forbidden = np.flatnonzero(~member)
+    f = facultative.size
 
-    if obligatory:
+    if obligatory.size:
+        # x[j] = 0 off the links, x[j] = x[anchor] on the obligatory ones,
+        # 0 <= x[j] <= x[anchor] on the facultative ones, x[anchor] >= 0
         anchor = obligatory[0]
-        for j in forbidden:
-            facets.append(Facet((Atom((j,), (1.0,), "=", 0.0),)))
-        for j in obligatory[1:]:
-            facets.append(Facet((Atom((j, anchor), (1.0, -1.0), "=", 0.0),)))
-        for j in facultative:
-            facets.append(Facet((Atom((j,), (1.0,), ">=", 0.0),
-                                 Atom((j, anchor), (1.0, -1.0), "<=", 0.0))))
-        facets.append(Facet((Atom((anchor,), (1.0,), ">=", 0.0),)))
-    else:
-        z = dangling_teleport
-        massed = [j for j in forbidden if z[j] > 0.0]
-        if massed:
-            anchor = massed[0]
-            ratio = 1.0 / float(z[anchor])
-            for j in forbidden:
-                if j == anchor:
-                    continue
-                facets.append(Facet((Atom((j, anchor),
-                                          (1.0, -float(z[j]) * ratio), "=", 0.0),)))
-            for j in facultative:
-                facets.append(Facet((Atom((j, anchor),
-                                          (1.0, -float(z[j]) * ratio), ">=", 0.0),)))
-            facets.append(Facet((Atom((anchor,), (1.0,), ">=", 0.0),)))
-        else:
-            for j in forbidden:
-                facets.append(Facet((Atom((j,), (1.0,), "=", 0.0),)))
-            for j in facultative:
-                facets.append(Facet((Atom((j,), (1.0,), ">=", 0.0),)))
+        k = forbidden.size + obligatory.size - 1
+        col = np.concatenate([forbidden, obligatory[1:],
+                              np.repeat(facultative, 2), [anchor]])
+        pair = np.zeros(col.size, dtype=bool)
+        pair[forbidden.size:k] = True
+        pair[k + 1:k + 2 * f:2] = True
+        rel = np.concatenate([np.full(k, EQ), np.tile([GE, LE], f), [GE]])
+        record = np.concatenate([np.arange(k), k + np.repeat(np.arange(f), 2),
+                                 [k + f]])
+        return _system(n, col, rel, np.zeros(col.size), record, anchor, pair)
 
-    facets.append(Facet((Atom(tuple(range(num_pages)),
-                              (1.0,) * num_pages, "=", 1.0),)))
-    return FacetSystem(num_pages, tuple(facets), space="S")
+    z = dangling_teleport
+    massed = forbidden[z[forbidden] > 0.0]
+    if massed.size:
+        # the fallback row is the apex: x[j] = z[j]/z[anchor] * x[anchor]
+        # off the links, >= on the facultative ones, x[anchor] >= 0
+        anchor = massed[0]
+        others = forbidden[forbidden != anchor]
+        col = np.concatenate([others, facultative, [anchor]])
+        pair = np.arange(col.size) < col.size - 1
+        rel = np.concatenate([np.full(others.size, EQ), np.full(f, GE), [GE]])
+        ratio = 1.0 / float(z[anchor])
+        return _system(n, col, rel, np.zeros(col.size), np.arange(col.size),
+                       anchor, pair, -z[col] * ratio)
+
+    col = np.concatenate([forbidden, facultative])
+    rel = np.concatenate([np.full(forbidden.size, EQ), np.full(f, GE)])
+    return _system(n, col, rel, np.zeros(col.size), np.arange(col.size))
 
 
 def facets_box(lower, upper):
-    """Facet system of a box-with-simplex set, in outlink space."""
+    """Facet system of a box-with-simplex set, in outlink space.
+
+    Coordinate j is record j: ``x[j] >= lower[j]``, followed by
+    ``x[j] <= upper[j]`` where that cap is below 1.
+    """
     n = lower.size
-    facets = []
-    for j in range(n):
-        atoms = [Atom((j,), (1.0,), ">=", float(lower[j]))]
-        if upper[j] < 1.0:
-            atoms.append(Atom((j,), (1.0,), "<=", float(upper[j])))
-        facets.append(Facet(tuple(atoms)))
-    facets.append(Facet((Atom(tuple(range(n)), (1.0,) * n, "=", 1.0),)))
-    return FacetSystem(n, tuple(facets), space="S")
+    capped = upper < 1.0
+    col = np.repeat(np.arange(n), 1 + capped)
+    second = np.flatnonzero(capped) + np.cumsum(capped)[capped]
+    rel = np.full(col.size, GE)
+    rel[second] = LE
+    rhs = lower[col]
+    rhs[second] = upper[capped]
+    return _system(n, col, rel, rhs, col)
 
 
 def apply_damping(system, damping, teleport):
     """Rewrite a facet system from outlink space to chain space.
 
     Substitutes ``x = (y - (1 - damping) * teleport) / damping`` into
-    every atom: a relation ``a.x rel b`` becomes ``a.y rel damping * b +
+    every row: a relation ``a.x rel b`` becomes ``a.y rel damping * b +
     (1 - damping) * a.teleport``.  The simplex equation maps to itself.
     """
     if system.space != "S":
         raise ValueError("system is already in chain space")
-    out = []
-    for facet in system.facets:
-        atoms = []
-        for a in facet.atoms:
-            shift = sum(c * float(teleport[i]) for i, c in zip(a.idx, a.coef))
-            atoms.append(Atom(a.idx, a.coef, a.rel,
-                              damping * a.rhs + (1.0 - damping) * shift))
-        out.append(Facet(tuple(atoms)))
-    return FacetSystem(system.num_pages, tuple(out), space="P")
+    shift = system.coef.rightmul(teleport)
+    return replace(system, rhs=damping * system.rhs + (1.0 - damping) * shift,
+                   space="P")
 
 
 def separate(system, x, tol=SEPARATION_TOL):
@@ -252,18 +251,17 @@ def separate(system, x, tol=SEPARATION_TOL):
     Returns
     -------
     SeparationResult
-        ``violated`` is False when every atom holds within ``tol``;
-        otherwise ``atom`` is the worst-violated relation and
-        ``magnitude`` its violation.
+        ``violated`` is False when every row holds within ``tol``;
+        otherwise ``magnitude`` is the largest violation and
+        ``description`` the first row attaining it.
     """
-    worst, worst_atom = 0.0, None
-    for atom in system.atoms():
-        v = atom.violation(x)
-        if v > worst:
-            worst, worst_atom = v, atom
+    gap = system.coef.rightmul(x) - system.rhs
+    viol = np.where(system.rel == EQ, np.abs(gap), np.maximum(system.rel * gap, 0.0))
+    k = int(np.argmax(viol))
+    worst = float(viol[k])
     if worst <= tol:
-        return SeparationResult(False, worst, None)
-    return SeparationResult(True, worst, worst_atom)
+        return SeparationResult(False, worst)
+    return SeparationResult(True, worst, system.describe(k))
 
 
 def greedy_uniform_support(base_sum, base_count, candidates, scores):
@@ -293,7 +291,7 @@ def linear_maximize(action_set, objective):
     ----------
     action_set : DiscreteUniform or BoxSimplex
     objective : ndarray
-        Dense score per target page, in the set's own frame.
+        Dense score per target page.
 
     Returns
     -------
@@ -306,15 +304,6 @@ def linear_maximize(action_set, objective):
     """
     if isinstance(action_set, BoxSimplex):
         return _maximize_box(action_set, objective)
-    if action_set.space == "P":
-        inner = DiscreteUniform(action_set.obligatory, action_set.facultative,
-                                action_set.no_link_row, action_set.num_pages)
-        alpha, z = action_set.damping, action_set.teleport
-        res = linear_maximize(inner, objective)
-        row = alpha * res.row + (1.0 - alpha) * z
-        value = alpha * res.value + (1.0 - alpha) * float(np.dot(z, objective))
-        return MaximizeResult(value, row, res.support)
-
     obligatory = action_set.obligatory
     facultative = action_set.facultative
     n = action_set.num_pages

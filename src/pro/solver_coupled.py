@@ -22,10 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import polytopes
 from .chain import occupation, stationary, utility_from_chain
 from .errors import ProError, TooLarge, ValidationError
-from .graph import Strategy, _local_facets, build_transition
+from .polytopes import EQ
+from .graph import Strategy, build_transition, chain_facets
 from .simplex import solve_dense_lp
 from .solver_local import SolverConfig, value_iterate
 
@@ -409,47 +409,35 @@ def lp_formulate(instance):
     if n > LP_PAGE_CAP or n * n > LP_VAR_CAP:
         raise TooLarge(f"occupation LP is capped at {LP_PAGE_CAP} pages")
     nv = n * n
-    alpha = instance.damping
-    z = instance.teleport
-    eq_rows, eq_b, ub_rows, ub_b = [], [], [], []
+    systems = [chain_facets(instance, i) for i in range(n)]
+    # row k of page i lifts to coef . rho[i] - rhs * sum_j rho[i, j]; the last
+    # row of each page, the simplex equation, lifts to 0 == 0
+    rel = np.concatenate([s.rel[:-1] for s in systems])
+    lifted = np.concatenate([s.coef.to_dense()[:-1] - s.rhs[:-1, None] for s in systems])
+    pages = np.repeat(np.arange(n), [s.rel.size - 1 for s in systems])
+    eq = rel == EQ
+    num_eq = int(eq.sum())
+    num_up = rel.size - num_eq
 
-    eq_rows.append(np.ones(nv))
-    eq_b.append(1.0)
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i::n] += 1.0
-        row[i * n:(i + 1) * n] -= 1.0
-        eq_rows.append(row)
-        eq_b.append(0.0)
-
-    for i in range(n):
-        system = polytopes.apply_damping(_local_facets(instance, i, polytopes),
-                                         alpha, z)
-        for atom in system.atoms():
-            if len(atom.idx) == n and atom.rel == "=" and len(set(atom.coef)) == 1:
-                continue  # the row-mass equation lifts to 0 == 0
-            coefs = np.zeros(n)
-            coefs[np.array(atom.idx)] = atom.coef
-            lifted = np.zeros(nv)
-            lifted[i * n:(i + 1) * n] = coefs - atom.rhs
-            if atom.rel == "=":
-                eq_rows.append(lifted)
-                eq_b.append(0.0)
-            elif atom.rel == "<=":
-                ub_rows.append(lifted)
-                ub_b.append(0.0)
-            else:
-                ub_rows.append(-lifted)
-                ub_b.append(0.0)
-
-    for c in instance.coupling:
-        ub_rows.append(c.weights.dense().ravel())
-        ub_b.append(float(c.bound))
+    # a constraint row viewed as an (n, n) array over rho: each lifted row
+    # fills row pages[k] of it
+    eye = np.eye(n)
+    a_eq = np.zeros((1 + n + num_eq, nv))
+    a_eq[0] = 1.0
+    a_eq[1:n + 1] = np.tile(eye, n) - np.repeat(eye, n, axis=1)  # inflow minus outflow
+    a_eq[n + 1:].reshape(-1, n, n)[np.arange(num_eq), pages[eq]] = lifted[eq]
+    a_ub = np.zeros((num_up + len(instance.coupling), nv))
+    a_ub[:num_up].reshape(-1, n, n)[np.arange(num_up), pages[~eq]] = lifted[~eq]
+    a_ub[:num_up] *= rel[~eq, None]  # ">=" rows flip to "<="
+    for k, c in enumerate(instance.coupling):
+        a_ub[num_up + k] = c.weights.dense().ravel()
+    b_eq = np.zeros(a_eq.shape[0])
+    b_eq[0] = 1.0
+    b_ub = np.zeros(a_ub.shape[0])
+    b_ub[num_up:] = [c.bound for c in instance.coupling]
 
     objective = instance.rewards.dense().ravel()
-    return LpProblem(objective, np.array(eq_rows), np.array(eq_b),
-                     np.array(ub_rows) if ub_rows else np.zeros((0, nv)),
-                     np.array(ub_b), n)
+    return LpProblem(objective, a_eq, b_eq, a_ub, b_ub, n)
 
 
 def lp_solve(problem, tol=1e-7):

@@ -12,6 +12,7 @@ import numpy as np
 
 from pro.graph import Rewards, WebGraphInstance, load_instance
 from pro.oracle import chain_utility, exact_stationary
+from pro.polytopes import EQ
 from pro.sparse import index_csr
 
 
@@ -271,23 +272,12 @@ def facet_vertices(system, tol=1e-8):
     are solved in batches; solutions must satisfy every constraint.
     """
     n = system.num_pages
-    eq_rows, eq_rhs, ub_rows, ub_rhs = [], [], [], []
-    for atom in system.atoms():
-        row = np.zeros(n)
-        row[list(atom.idx)] = atom.coef
-        if atom.rel == "=":
-            eq_rows.append(row)
-            eq_rhs.append(atom.rhs)
-        elif atom.rel == "<=":
-            ub_rows.append(row)
-            ub_rhs.append(atom.rhs)
-        else:
-            ub_rows.append(-row)
-            ub_rhs.append(-atom.rhs)
-    eq = np.array(eq_rows, dtype=float).reshape(len(eq_rows), n)
-    erhs = np.array(eq_rhs, dtype=float)
-    ub = np.array(ub_rows, dtype=float).reshape(len(ub_rows), n)
-    urhs = np.array(ub_rhs, dtype=float)
+    rows = system.coef.to_dense()
+    is_eq = system.rel == EQ
+    eq, erhs = rows[is_eq], system.rhs[is_eq]
+    # LE rows as they stand, GE rows negated into <= form
+    sign = system.rel[~is_eq].astype(float)
+    ub, urhs = sign[:, None] * rows[~is_eq], sign * system.rhs[~is_eq]
     rank_eq = int(np.linalg.matrix_rank(eq)) if eq.size else 0
     free = n - rank_eq
     if eq.shape[0] != rank_eq:

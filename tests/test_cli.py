@@ -189,6 +189,56 @@ def test_non_integer_indices_are_parse_errors(tmp_path, capsys, doc):
     assert env["error"]["type"] == "ParseError"
 
 
+def _numbers_doc(key, value):
+    doc = two_page_coupled_doc()
+    if key == "reward":
+        doc["rewards"] = two_page_doc()["rewards"]
+        doc["rewards"]["entries"][0][2] = value
+    elif key == "coupling":
+        doc["coupling"] = [{"entries": [[0, 1, value]], "bound": 1.0}]
+    elif key == "bound":
+        doc["coupling"][0]["bound"] = value
+    elif key == "weight":
+        doc["coupling"][0]["per_page"] = [value, 1.0]
+    else:
+        doc["teleport"] = "uniform"
+        doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, kind", [
+    (_numbers_doc("reward", "x"), "ParseError"),
+    (_numbers_doc("reward", [1.0]), "ParseError"),
+    (_numbers_doc("coupling", "x"), "ParseError"),
+    (_numbers_doc("bound", float("nan")), "ValidationError"),
+    (_numbers_doc("weight", float("inf")), "ValidationError"),
+    (_numbers_doc("num_pages", True), "ParseError"),
+], ids=["string-reward", "nested-reward", "string-coupling-weight", "nan-bound",
+        "infinite-per-page-weight", "bool-num-pages"])
+def test_bad_instance_numbers_end_in_the_envelope(tmp_path, capsys, doc, kind):
+    code, env = _run(capsys, ["optimize-coupled", _write(tmp_path, "g.json", doc)])
+    assert code == 1
+    assert env["status"] == "error"
+    assert env["error"]["type"] == kind
+
+
+@pytest.mark.parametrize("record", [
+    {"page": 0, "kind": "discrete", "activated": [1.5]},
+    {"page": 0, "kind": "discrete", "activated": [True]},
+    {"page": True, "kind": "discrete", "activated": [1]},
+    {"page": 0, "kind": "continuous", "row_entries": [[-1, 0.5], [0, 0.5]]},
+    {"page": 0, "kind": "continuous", "row_entries": [[0.0, 0.5], [1, 0.5]]},
+    {"page": 0, "kind": "continuous", "row_entries": [[0, float("nan")], [1, 0.5]]},
+], ids=["float-link", "bool-link", "bool-page", "negative-column",
+        "float-column", "nan-weight"])
+def test_strict_strategy_documents(tmp_path, capsys, record):
+    code, env = _run(capsys, ["pagerank", _write(tmp_path, "g.json", two_page_doc()),
+                              "--strategy", _write(tmp_path, "s.json", {"pages": [record]})])
+    assert code == 1
+    assert env["status"] == "error"
+    assert env["error"]["type"] in ("ParseError", "ValidationError")
+
+
 def test_threads_flag_pins_env(tmp_path, capsys):
     saved = {k: os.environ.get(k) for k in
              ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

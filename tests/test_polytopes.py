@@ -10,7 +10,7 @@ from pro.polytopes import (BoxSimplex, DiscreteUniform, apply_damping,
                            linear_maximize, separate)
 from pro.simplex import solve_dense_lp
 
-from helpers import facet_vertices, same_point_set
+from helpers import facet_vertices, random_box_row, same_point_set
 
 
 def random_split(rng, n, fac_max=6):
@@ -180,26 +180,6 @@ def test_linear_maximize_no_link_needs_strict_win():
     assert res.value == pytest.approx(5.0)
 
 
-def test_linear_maximize_damped_frame():
-    rng = np.random.default_rng(13)
-    for _ in range(40):
-        n = int(rng.integers(2, 6))
-        obl, fac = random_split(rng, n)
-        hang = random_hang(rng, n)
-        alpha = float(rng.uniform(0.3, 0.9))
-        z = rng.random(n) + 0.1
-        z /= z.sum()
-        w = rng.normal(size=n)
-        inner = DiscreteUniform(obl, fac, hang, n)
-        damped = inner.damped(alpha, z)
-        res_s = linear_maximize(inner, w)
-        res_p = linear_maximize(damped, w)
-        assert res_p.value == pytest.approx(
-            alpha * res_s.value + (1.0 - alpha) * float(z @ w), abs=1e-12)
-        assert np.allclose(res_p.row,
-                           alpha * res_s.row + (1.0 - alpha) * z, atol=1e-12)
-
-
 def test_box_maximize_matches_lp():
     rng = np.random.default_rng(14)
     for _ in range(60):
@@ -242,3 +222,48 @@ def test_facets_box_membership():
     assert not separate(system, np.array([0.4, 0.3, 0.3])).violated
     assert separate(system, np.array([0.05, 0.55, 0.4])).violated
     assert separate(system, np.array([0.3, 0.3, 0.3])).violated  # mass 0.9
+
+
+def test_chain_space_box_membership_matches_elementwise_check():
+    # separate() on the damped box agrees with a*lo + (1-a)z <= row <=
+    # a*up + (1-a)z, sum(row) = 1, for rows inside, on the boundary and
+    # outside, with capped (banned) coordinates
+    rng = np.random.default_rng(15)
+    tol = 1e-9
+    seen = {True: 0, False: 0}
+    for _ in range(80):
+        n = int(rng.integers(2, 9))
+        q = rng.random(n) * (rng.random(n) < 0.7)
+        q[int(rng.integers(n))] += 0.1
+        q /= q.sum()
+        lower = (1.0 - float(rng.uniform(0.2, 0.9))) * q
+        upper = np.ones(n)
+        banned = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
+        upper[banned] = lower[banned]
+        alpha = float(rng.uniform(0.3, 0.95))
+        z = rng.random(n) + 0.05
+        z /= z.sum()
+        system = apply_damping(facets_box(lower, upper), alpha, z)
+        lo_p = alpha * lower + (1.0 - alpha) * z
+        up_p = alpha * upper + (1.0 - alpha) * z
+
+        inside = random_box_row(rng, lower, upper)
+        vertex = linear_maximize(BoxSimplex(lower, upper), rng.normal(size=n)).row
+        rows = [inside, vertex, lower, np.eye(n)[int(rng.integers(n))]]
+        e = rng.random(n)
+        rows.append(e / e.sum())
+        free = np.flatnonzero(upper > lower)
+        for j in banned[:1]:  # push a capped coordinate over its cap
+            rows.append(inside + 1e-6 * (np.eye(n)[j] - np.eye(n)[free[0]]))
+        at_floor = np.flatnonzero(np.isclose(vertex, lower, rtol=0.0, atol=1e-15))
+        if at_floor.size:  # push a coordinate below its floor
+            j = at_floor[0]
+            rows.append(vertex + 1e-6 * (np.eye(n)[free[0]] - np.eye(n)[j]))
+        rows.append(inside * (1.0 + 1e-6))
+        for x in rows:
+            row = alpha * x + (1.0 - alpha) * z
+            want = bool(np.all(row >= lo_p - tol) and np.all(row <= up_p + tol)
+                        and abs(row.sum() - 1.0) <= tol)
+            assert (not separate(system, row, tol=tol).violated) == want
+            seen[want] += 1
+    assert min(seen.values()) > 50, seen

@@ -3,7 +3,9 @@
 The solver's income figure is held against full strategy enumeration on
 small instances; the one-sweep operator is checked for its contraction
 modulus and its shift equivariance, on which the span stop rests; the
-returned value vector must lie within ``tol`` of the exact one.
+returned value vector must lie within ``tol`` of the exact one.  The
+vectorized sweep is held page by page against the sequential maximizers
+of ``polytopes``.
 """
 
 import numpy as np
@@ -23,7 +25,9 @@ from pro.chain import mean_reward_before_teleport
 from pro.errors import CouplingPresent, MaxIterExceeded, ValidationError
 from pro.graph import DiscreteChoice, build_transition, load_instance
 from pro.oracle import brute_force_optimum
+from pro.polytopes import BoxSimplex, DiscreteUniform, linear_maximize
 from pro.solver_local import (
+    CompiledBellman,
     SolverConfig,
     bellman_apply,
     iteration_budget,
@@ -159,3 +163,60 @@ def test_weight_skeleton_instances():
         for _ in range(10):
             other = random_strategy(rng, inst)
             assert exact_utility(inst, other) <= state.psi + 1e-7
+
+
+def _exact_arithmetic_doc(rng):
+    # criterion-3 family with integer rewards and a dyadic fallback row, so
+    # every score, sum and average below is exact; half of the link-free
+    # pages carry a skeleton
+    doc = random_discrete_doc(rng)
+    n = doc["num_pages"]
+    doc["rewards"] = {"type": "per_link", "default": 0.0,
+                      "entries": [[i, j, float(rng.integers(-2, 3))]
+                                  for i in range(n) for j in range(n)]}
+    hang = np.zeros(n)
+    hang[rng.choice(n, size=min(n, 2), replace=False)] = [0.75, 0.25][:min(n, 2)]
+    doc["dangling_teleport"] = hang.tolist()
+    linked = {i for i, _ in doc["obligatory"] + doc["facultative"]}
+    doc["skeleton"] = [{"page": i, "q": np.full(n, 1.0 / n).tolist(),
+                        "mu": 0.5, "banned": [int(rng.integers(n))]}
+                       for i in range(n) if i not in linked and rng.random() < 0.5]
+    return doc
+
+
+def test_sweep_matches_sequential_reference():
+    rng = np.random.default_rng(3010)
+    seen = {"smallest_support": 0, "link_wins_tie": 0, "no_link_wins": 0,
+            "skeleton": 0}
+    for _ in range(300):
+        inst = load_instance(_exact_arithmetic_doc(rng))
+        n, alpha, z = inst.num_pages, inst.damping, inst.teleport
+        comp = CompiledBellman(inst, inst.rewards)
+        r = inst.rewards.dense()
+        w = rng.integers(-3, 4, size=n).astype(float)
+        got_t, got = comp.apply(w), comp.extract(w)
+        for i in range(n):
+            score = r[i] + w
+            sk = inst.skeleton_by_page.get(i)
+            if sk is not None:
+                res = linear_maximize(BoxSimplex(sk.lower(), sk.upper()), score)
+                assert np.array_equal(got.choices[i].row, alpha * res.row + (1.0 - alpha) * z)
+                seen["skeleton"] += 1
+            else:
+                obl, fac = inst.obligatory_of(i), inst.facultative_of(i)
+                res = linear_maximize(
+                    DiscreteUniform(tuple(obl.tolist()), tuple(fac.tolist()),
+                                    inst.dangling_teleport, n), score)
+                if fac.size:
+                    want = () if res.support is None else \
+                        tuple(j for j in res.support if j not in obl)
+                    assert got.choices[i] == DiscreteChoice(want), i
+                    if res.support is not None:
+                        left_out = [j for j in fac if j not in res.support]
+                        seen["smallest_support"] += any(score[j] == res.value for j in left_out)
+                    if not obl.size:
+                        no_link = float(inst.dangling_teleport @ score)
+                        seen["link_wins_tie"] += res.support is not None and no_link == res.value
+                        seen["no_link_wins"] += res.support is None
+            assert got_t[i] == alpha * res.value + comp.const[i], i
+    assert all(count > 0 for count in seen.values()), seen
