@@ -508,8 +508,13 @@ def validate(instance):
     return instance
 
 
-def load_strategy(source):
-    """Parse a strategy document (path or dict) without instance context."""
+def load_strategy(source, num_pages):
+    """Parse a strategy document (path or dict) for an instance of ``num_pages``.
+
+    A ``row_entries`` column must lie below ``num_pages``; it is checked
+    before the row is allocated.  Pages and links are checked against the
+    instance by ``build_transition``.
+    """
     doc = _read_document(source, "strategy")
     _require(isinstance(doc, dict) and "pages" in doc, "strategy document needs pages")
     _require(isinstance(doc["pages"], list), "strategy pages must be a list")
@@ -531,6 +536,8 @@ def load_strategy(source):
                 _require(isinstance(e, list) and len(e) == 2, "row_entries must be [j, w] pairs")
             cols = _columns([e[0] for e in entries], "row_entries columns")
             _require(np.unique(cols).size == cols.size, "row_entries lists a column twice")
+            _require(np.all(cols < num_pages), f"row_entries columns must be below {num_pages}",
+                     ValidationError)
             row = np.zeros(int(cols.max()) + 1 if cols.size else 0)
             row[cols] = _numbers([e[1] for e in entries], "row_entries weights")
             choices[page] = ContinuousChoice(row)

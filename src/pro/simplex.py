@@ -18,11 +18,11 @@ _DEGENERATE_SWITCH = 60
 
 
 def _pivot(tableau, obj, basis, row, col):
-    piv = tableau[row, col]
-    tableau[row] /= piv
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    # only rows with a nonzero factor change, so only those are touched
+    tableau[row] /= tableau[row, col]
+    rows = np.flatnonzero(tableau[:, col])
+    rows = rows[rows != row]
+    tableau[rows] -= tableau[rows, col, None] * tableau[row]
     obj -= obj[col] * tableau[row]
     basis[row] = col
 
@@ -95,22 +95,16 @@ def solve_dense_lp(objective, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
     tableau[:m_eq, -1] = b_eq
     tableau[m_eq:, :nvars] = a_ub
     tableau[m_eq:, -1] = b_ub
-    for i in range(m_ub):
-        tableau[m_eq + i, nvars + i] = 1.0
+    tableau[m_eq + np.arange(m_ub), nvars + np.arange(m_ub)] = 1.0
     neg = tableau[:, -1] < 0.0
     tableau[neg] *= -1.0
 
-    basis = np.empty(m, dtype=np.int64)
-    art_used = np.zeros(m, dtype=bool)
-    for i in range(m):
-        slack_col = nvars + (i - m_eq) if i >= m_eq else -1
-        if slack_col >= 0 and tableau[i, slack_col] == 1.0:
-            basis[i] = slack_col
-        else:
-            col = nvars + nslack + i
-            tableau[i, col] = 1.0
-            basis[i] = col
-            art_used[i] = True
+    # a row starts on its slack unless negated, on its artificial otherwise
+    rows = np.arange(m)
+    basis = nvars + nslack + rows
+    on_slack = (rows >= m_eq) & ~neg
+    basis[on_slack] = nvars + rows[on_slack] - m_eq
+    tableau[rows[~on_slack], basis[~on_slack]] = 1.0
 
     if max_pivots is None:
         max_pivots = 5000 + 20 * (m + ntot)

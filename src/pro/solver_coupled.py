@@ -7,24 +7,25 @@ solves the resulting local problem exactly, and runs projected
 subgradient descent on the convex dual; it scales like the local solver
 and yields a certified upper bound plus feasible strategies found along
 the way.  The linear-programming route optimizes over occupation
-measures directly (variables ``rho[i, j] = pi[i] P[i, j]``) with the
-per-page constraint sets lifted through the row-mass factor; it is
-exact but dense, so it is capped to small instances and doubles as a
-cross-check of the dual route.
+measures directly (``rho[i, j] = pi[i] P[i, j]``), with weight pages
+written on their chain-space floor and discrete pages' constraint sets
+lifted through the row-mass factor; it is exact but dense, so it is
+capped to small instances and doubles as a cross-check of the dual
+route.
 """
 
 from __future__ import annotations
 
 import collections
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .chain import occupation, stationary, utility_from_chain
 from .errors import ProError, TooLarge, ValidationError
-from .polytopes import EQ
+from .polytopes import EQ, separate
 from .graph import Strategy, build_transition, chain_facets
 from .simplex import solve_dense_lp
 from .solver_local import SolverConfig, value_iterate
@@ -381,24 +382,65 @@ def solve_coupled(instance, config=None):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Dense linear program over occupation measures, row-major layout."""
+    """Dense linear program over reduced occupation variables ``x``.
+
+    ``blocks[i]`` maps page i's slice of ``x`` (they are laid out in page
+    order) to its row of the occupation measure, ``rho[i] = blocks[i] @
+    x_i``; ``instance`` is kept so that ``lp_solve`` can re-check the
+    mapped ``rho`` against the unreduced constraints.
+    """
 
     objective: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    num_pages: int
+    blocks: tuple
+    instance: object
+
+
+def _page_block(instance, page):
+    """Column block ``B`` (``rho_i = B @ x_i``), rows on ``x_i``, relations.
+
+    Every column of ``B`` sums to one (to within the tolerance ``q`` is
+    validated to), so ``sum(rho_i) = sum(x_i)``.  A discrete page keeps
+    ``x_i = rho_i`` and its chain-space facets lifted through the row
+    mass, ``a . rho_i rel rhs * sum_k rho_ik``; every feasible measure
+    gives each page positive mass (the teleport floor forces it), so the
+    lifting is exact, and the simplex equation lifts to ``0 == 0``.  A
+    weight page sits on its chain-space floor ``l' = alpha (1 - mu) q +
+    (1 - alpha) z``: with ``c = 1 - sum(l')``, column ``j`` is ``l' + c
+    e_j`` for each non-banned ``j``, so ``rho_i = l' sum(x_i) + c x_i``
+    and the page needs no row.  A non-banned cap ``alpha + (1 - alpha)
+    z_j`` is never below the ``l'_j + c`` a row reaches, and a banned cap
+    equals its floor.  No division is involved, so ``mu = 0`` is safe.
+    """
+    n = instance.num_pages
+    sk = instance.skeleton_by_page.get(page)
+    if sk is None:
+        system = chain_facets(instance, page)
+        lifted = system.coef.to_dense()[:-1] - system.rhs[:-1, None]
+        return np.eye(n), lifted, system.rel[:-1]
+    alpha = instance.damping
+    floor = alpha * sk.lower() + (1.0 - alpha) * instance.teleport
+    free = np.ones(n, dtype=bool)
+    free[list(sk.banned)] = False
+    slack = max(1.0 - float(floor.sum()), 0.0)
+    # banning every coordinate validates only with mu = 0: the floor is the row
+    block = floor[:, None] + slack * np.eye(n)[:, free] if free.any() else floor[:, None]
+    return block, np.zeros((0, block.shape[1])), np.zeros(0, dtype=int)
 
 
 def lp_formulate(instance):
-    """Exact linear program over occupation measures.
+    """Exact linear program over occupation measures, reduced page by page.
 
-    Variables are the ``n * n`` entries of ``rho``; constraints are mass,
-    flow balance, the per-page chain-space facets lifted through the row
-    mass (``a . rho_i rel rhs * sum_k rho[i, k]``), and the budget rows.
-    Any feasible measure gives every page positive mass (the lifted
-    teleport floor forces it), so the lifting introduces no slack.
+    The measure is ``rho[i, j] = pi[i] P[i, j]``, constrained by unit
+    mass, flow balance, each page's constraint set and the budget rows.
+    Page i contributes a column block ``B_i`` with ``rho_i = B_i @ x_i``
+    and its own rows on ``x_i`` (see ``_page_block``); the objective and
+    the mass, flow-balance and budget rows are the unreduced ones times
+    the block-diagonal ``B``.  An 18-page weight-mode instance with one
+    budget row has 20 rows instead of 366.
 
     Raises
     ------
@@ -408,52 +450,62 @@ def lp_formulate(instance):
     n = instance.num_pages
     if n > LP_PAGE_CAP or n * n > LP_VAR_CAP:
         raise TooLarge(f"occupation LP is capped at {LP_PAGE_CAP} pages")
-    nv = n * n
-    systems = [chain_facets(instance, i) for i in range(n)]
-    # row k of page i lifts to coef . rho[i] - rhs * sum_j rho[i, j]; the last
-    # row of each page, the simplex equation, lifts to 0 == 0
-    rel = np.concatenate([s.rel[:-1] for s in systems])
-    lifted = np.concatenate([s.coef.to_dense()[:-1] - s.rhs[:-1, None] for s in systems])
-    pages = np.repeat(np.arange(n), [s.rel.size - 1 for s in systems])
+    blocks, rows, rels = zip(*(_page_block(instance, i) for i in range(n)))
+    widths = [b.shape[1] for b in blocks]
+    nx = sum(widths)
+    rel = np.concatenate(rels)
     eq = rel == EQ
-    num_eq = int(eq.sum())
-    num_up = rel.size - num_eq
+    # page rows placed on their own column slices, ">=" rows flipped to "<="
+    local = np.zeros((rel.size, nx))
+    r0 = c0 = 0
+    for row, w in zip(rows, widths):
+        local[r0:r0 + row.shape[0], c0:c0 + w] = row
+        r0, c0 = r0 + row.shape[0], c0 + w
+    local[~eq] *= rel[~eq, None]
 
-    # a constraint row viewed as an (n, n) array over rho: each lifted row
-    # fills row pages[k] of it
-    eye = np.eye(n)
-    a_eq = np.zeros((1 + n + num_eq, nv))
-    a_eq[0] = 1.0
-    a_eq[1:n + 1] = np.tile(eye, n) - np.repeat(eye, n, axis=1)  # inflow minus outflow
-    a_eq[n + 1:].reshape(-1, n, n)[np.arange(num_eq), pages[eq]] = lifted[eq]
-    a_ub = np.zeros((num_up + len(instance.coupling), nv))
-    a_ub[:num_up].reshape(-1, n, n)[np.arange(num_up), pages[~eq]] = lifted[~eq]
-    a_ub[:num_up] *= rel[~eq, None]  # ">=" rows flip to "<="
-    for k, c in enumerate(instance.coupling):
-        a_ub[num_up + k] = c.weights.dense().ravel()
+    # the objective and the budget rows, each an (n, n) coefficient array
+    # on rho, pulled back through B page by page
+    weights = np.stack([instance.rewards.dense()]
+                       + [c.weights.dense() for c in instance.coupling])
+    pulled = np.concatenate([weights[:, i] @ b for i, b in enumerate(blocks)], axis=1)
+    flow = np.concatenate(blocks, axis=1)  # inflow into each page ...
+    flow[np.repeat(np.arange(n), widths), np.arange(nx)] -= 1.0  # ... minus outflow
+
+    a_eq = np.vstack([np.ones(nx), flow, local[eq]])
     b_eq = np.zeros(a_eq.shape[0])
     b_eq[0] = 1.0
+    a_ub = np.vstack([local[~eq], pulled[1:]])
     b_ub = np.zeros(a_ub.shape[0])
-    b_ub[num_up:] = [c.bound for c in instance.coupling]
-
-    objective = instance.rewards.dense().ravel()
-    return LpProblem(objective, a_eq, b_eq, a_ub, b_ub, n)
+    b_ub[a_ub.shape[0] - len(instance.coupling):] = [c.bound for c in instance.coupling]
+    return LpProblem(pulled[0], a_eq, b_eq, a_ub, b_ub, blocks, instance)
 
 
 def lp_solve(problem, tol=1e-7):
     """Solve an occupation-measure program; returns ``(rho, value)``.
 
-    The returned basic solution is re-checked against every constraint
-    to within ``tol``; a failed check raises, since it would mean the
-    pivoting went numerically wrong.
+    The basic solution is mapped back to the ``n x n`` measure ``rho``,
+    which is re-checked to within ``tol`` against unit mass, flow
+    balance, the budget rows, ``rho >= 0`` and every page's lifted
+    chain-space facets; a failed check raises, since it would mean the
+    pivoting or the reduction went numerically wrong.
     """
     x, value = solve_dense_lp(problem.objective, problem.a_eq, problem.b_eq,
                               problem.a_ub, problem.b_ub, maximize=True)
-    worst = 0.0
-    if problem.a_eq.size:
-        worst = float(np.abs(problem.a_eq @ x - problem.b_eq).max())
-    if problem.a_ub.size:
-        worst = max(worst, float((problem.a_ub @ x - problem.b_ub).max()))
-    if worst > tol or float(x.min()) < -tol:
-        raise ProError(f"basic solution violates constraints by {worst:.3e}")
-    return x.reshape(problem.num_pages, problem.num_pages), value
+    ends = np.cumsum([b.shape[1] for b in problem.blocks])
+    rho = np.stack([b @ xi for b, xi in zip(problem.blocks, np.split(x, ends[:-1]))])
+    inst = problem.instance
+    mass = rho.sum(axis=1)
+    worst = max(abs(float(mass.sum()) - 1.0),
+                float(np.abs(rho.sum(axis=0) - mass).max()),
+                -float(rho.min()))
+    for c in inst.coupling:
+        worst = max(worst, float(np.sum(c.weights.dense() * rho)) - c.bound)
+    if worst > tol:
+        raise ProError(f"occupation measure violates constraints by {worst:.3e}")
+    for i in range(inst.num_pages):
+        system = chain_facets(inst, i)
+        verdict = separate(replace(system, rhs=system.rhs * mass[i]), rho[i], tol)
+        if verdict.violated:
+            raise ProError(f"row {i} of the occupation measure violates "
+                           f"{verdict.description} by {verdict.magnitude:.3e}")
+    return rho, value

@@ -27,7 +27,7 @@ from .chain import span_iterate
 from .errors import CouplingPresent, MaxIterExceeded, ValidationError
 from .graph import ContinuousChoice, DiscreteChoice, Strategy
 from .polytopes import BoxSimplex, linear_maximize
-from .sparse import row_ids, segment_sums
+from .sparse import row_ids
 
 
 def iteration_budget(damping, tol):
@@ -74,14 +74,6 @@ class DpState:
     residual: float
 
 
-def _segment_min(values, indptr, fill):
-    out = np.full(indptr.size - 1, fill, dtype=values.dtype)
-    nonempty = indptr[:-1] < indptr[1:]
-    if np.any(nonempty):
-        out[nonempty] = np.minimum.reduceat(values, indptr[:-1][nonempty])
-    return out
-
-
 class CompiledBellman:
     """One instance's improvement operator, precompiled for bulk sweeps.
 
@@ -123,6 +115,23 @@ class CompiledBellman:
         k_flat = np.arange(self.f_idx.size) - seg_start_flat + 1
         self.seg_start_flat = seg_start_flat
         self.denom_flat = self.o_cnt_d[self.f_page] + k_flat
+        # index sets of the sweep, and scratch buffers (nxt, ps) that each
+        # sweep overwrites: one CompiledBellman serves one caller at a time
+        self.f_pos = np.arange(self.f_idx.size)
+        self.f_rows = np.flatnonzero(self.hasf)
+        self.f_row_starts = self.starts[self.f_rows]
+        self.f_row_starts_m1 = self.f_row_starts - 1
+        # pages with both link kinds, where the obligatory average can
+        # beat every facultative candidate
+        self.of_rows = np.flatnonzero(self.haso & self.hasf)
+        self.of_starts = self.starts[self.of_rows]
+        self.nxt = np.empty(self.f_idx.size)
+        self.ps = np.zeros(self.f_idx.size + 1)
+        self.ps_tail = self.ps[1:]
+        self.no_o = ~self.haso
+        self.no_f = ~self.hasf
+        self.o_rows = np.flatnonzero(self.haso)
+        self.o_row_starts = self.o_indptr[self.o_rows]
         self.skel = {}
         for sk in instance.skeletons:
             box = BoxSimplex(sk.lower(), sk.upper())
@@ -137,44 +146,47 @@ class CompiledBellman:
 
     def _sweep(self, w, detail=False):
         alpha = self.alpha
-        so = segment_sums(w[self.o_idx] + self.r_o, self.o_indptr)
+        so = np.zeros(self.n)
+        if self.o_rows.size:
+            so[self.o_rows] = np.add.reduceat(w[self.o_idx] + self.r_o,
+                                              self.o_row_starts)
         nl = self.no_link_base + float(np.dot(self.hang, w))
-        val0 = np.where(self.haso, so / self.o_safe, nl)
         F = self.f_idx.size
-        info = None
+        k_star = np.zeros(self.n, dtype=np.int64)
+        sorted_targets = self.f_idx
         if F == 0:
-            val = val0
-            use_nl = ~self.haso
-            if detail:
-                info = {"k_star": np.zeros(self.n, dtype=np.int64),
-                        "use_nl": use_nl,
-                        "sorted_targets": self.f_idx,
-                        "skel_rows": {}}
+            val = so / self.o_safe
         else:
             c = w[self.f_idx] + self.r_f
             order = np.lexsort((self.f_idx, -c, self.f_page))
             cs = c[order]
-            ps = np.concatenate(([0.0], np.cumsum(cs)))
-            prefix = ps[1:] - ps[self.seg_start_flat]
+            ps = self.ps
+            np.add.accumulate(cs, out=self.ps_tail)
+            prefix = self.ps_tail - ps[self.seg_start_flat]
             avg = (so[self.f_page] + prefix) / self.denom_flat
-            nxt = np.empty(F)
+            nxt = self.nxt
             nxt[:-1] = cs[1:]
             nxt[self.seg_last] = -np.inf
-            pos = np.where(avg >= nxt, np.arange(F), F)
-            first = _segment_min(pos, self.f_indptr, fill=F)
-            k_star = np.zeros(self.n, dtype=np.int64)
-            k_star[self.hasf] = first[self.hasf] - self.starts[self.hasf] + 1
-            first_cand = np.full(self.n, -np.inf)
-            first_cand[self.hasf] = cs[self.starts[self.hasf]]
-            k_star[self.haso & (val0 >= first_cand)] = 0
+            pos = np.where(avg >= nxt, self.f_pos, F)
+            # the rows of f_row_starts are nonempty, so each reduceat
+            # segment is exactly one page's candidate block
+            first = np.minimum.reduceat(pos, self.f_row_starts)
+            k_star[self.f_rows] = first - self.f_row_starts_m1
+            if self.of_rows.size:
+                obl_mean = so[self.of_rows] / self.o_cnt_d[self.of_rows]
+                k_star[self.of_rows[obl_mean >= cs[self.of_starts]]] = 0
+            # k_star = 0 leaves the obligatory mean so / o_cnt; pages with
+            # no link at all are overwritten by the no-link row below
             pick = ps[self.starts + k_star] - ps[self.starts]
-            denom = np.maximum(self.o_cnt_d + k_star, 1.0)
-            val = np.where(k_star > 0, (so + pick) / denom, val0)
-            use_nl = ~self.haso & (~self.hasf | (val < nl))
-            val = np.where(use_nl, nl, val)
+            val = (so + pick) / np.maximum(self.o_cnt_d + k_star, 1.0)
             if detail:
-                info = {"k_star": k_star, "use_nl": use_nl,
-                        "sorted_targets": self.f_idx[order], "skel_rows": {}}
+                sorted_targets = self.f_idx[order]
+        use_nl = self.no_o & (self.no_f | (val < nl))
+        np.copyto(val, nl, where=use_nl)
+        info = None
+        if detail:
+            info = {"k_star": k_star, "use_nl": use_nl,
+                    "sorted_targets": sorted_targets, "skel_rows": {}}
         t = alpha * val + self.const
         for page, (box, rrow) in self.skel.items():
             res = linear_maximize(box, rrow + w)

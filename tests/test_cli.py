@@ -67,7 +67,7 @@ def test_optimize_and_strategy_round_trip(tmp_path, capsys):
     assert code == 0
     assert env["result"]["income"] == pytest.approx(5.6625, abs=1e-8)
 
-    strat = load_strategy(out_path)
+    strat = load_strategy(out_path, 2)
     assert strat.choices[0].activated == (1,)
     assert strat.choices[1].activated == (0,)
 
@@ -106,7 +106,7 @@ def test_optimize_coupled_envelope(tmp_path, capsys):
     assert env["result"]["best_feasible"] is not None
     assert env["result"]["candidate"]["feasible"] is True
     assert env["result"]["candidate"]["utility"] == pytest.approx(0.5, abs=1e-3)
-    load_strategy(out_path)  # file exists and parses
+    load_strategy(out_path, 2)  # file exists and parses
 
 
 def test_analyze_optimal_versus_default(tmp_path, capsys):
@@ -229,8 +229,9 @@ def test_bad_instance_numbers_end_in_the_envelope(tmp_path, capsys, doc, kind):
     {"page": 0, "kind": "continuous", "row_entries": [[-1, 0.5], [0, 0.5]]},
     {"page": 0, "kind": "continuous", "row_entries": [[0.0, 0.5], [1, 0.5]]},
     {"page": 0, "kind": "continuous", "row_entries": [[0, float("nan")], [1, 0.5]]},
+    {"page": 0, "kind": "continuous", "row_entries": [[2 ** 40, 0.5], [0, 0.5]]},
 ], ids=["float-link", "bool-link", "bool-page", "negative-column",
-        "float-column", "nan-weight"])
+        "float-column", "nan-weight", "huge-column"])
 def test_strict_strategy_documents(tmp_path, capsys, record):
     code, env = _run(capsys, ["pagerank", _write(tmp_path, "g.json", two_page_doc()),
                               "--strategy", _write(tmp_path, "s.json", {"pages": [record]})])

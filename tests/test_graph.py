@@ -124,7 +124,7 @@ def test_uniform_shorthand_and_dangling_default():
 def test_strategy_round_trip():
     strat = Strategy({0: DiscreteChoice((1,)),
                       2: ContinuousChoice(np.array([0.25, 0.5, 0.25]))})
-    again = load_strategy(strat.to_json_dict())
+    again = load_strategy(strat.to_json_dict(), 3)
     assert again.choices[0].activated == (1,)
     assert np.allclose(again.choices[2].row, [0.25, 0.5, 0.25])
 

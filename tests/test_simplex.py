@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pro.errors import Infeasible, ProError, Unbounded
-from pro.simplex import solve_dense_lp
+from pro.simplex import _pivot, solve_dense_lp
 
 
 def _vertex_maximum(c, a_ub, b_ub):
@@ -110,3 +110,35 @@ def test_sense_flip_consistency():
     _, hi = solve_dense_lp(c, a_ub=a, b_ub=b, maximize=True)
     _, lo = solve_dense_lp(-c, a_ub=a, b_ub=b, maximize=False)
     assert hi == pytest.approx(-lo, abs=1e-10)
+
+
+def _outer_pivot(tableau, obj, basis, row, col):
+    """The full-tableau outer-product update, as a reference."""
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    obj -= obj[col] * tableau[row]
+    basis[row] = col
+
+
+def test_pivot_matches_outer_product_form():
+    # skipping the rows with a zero factor must leave every entry as the
+    # full outer-product update leaves it, bit for bit
+    rng = np.random.default_rng(73)
+    skipped = 0
+    for _ in range(200):
+        m, k = int(rng.integers(2, 12)), int(rng.integers(2, 16))
+        tableau = rng.normal(size=(m, k)) * (rng.random((m, k)) < 0.6)
+        row, col = int(rng.integers(0, m)), int(rng.integers(0, k))
+        tableau[row, col] = rng.uniform(0.5, 2.0)
+        skipped += int(np.count_nonzero(tableau[:, col] == 0.0))
+        obj = rng.normal(size=k)
+        basis = np.arange(m)
+        ours = (tableau.copy(), obj.copy(), basis.copy())
+        ref = (tableau.copy(), obj.copy(), basis.copy())
+        _pivot(*ours, row, col)
+        _outer_pivot(*ref, row, col)
+        for a, b in zip(ours, ref):
+            assert np.array_equal(a, b)
+    assert skipped > 100

@@ -18,8 +18,9 @@ from helpers import (
 )
 from pro.chain import utility
 from pro.errors import Infeasible, TooLarge, ValidationError
-from pro.graph import build_transition, load_instance
+from pro.graph import build_transition, chain_facets, load_instance
 from pro.oracle import brute_force_optimum, chain_utility, exact_stationary
+from pro.polytopes import separate
 from pro.solver_coupled import (
     CoupledConfig,
     Multipliers,
@@ -222,6 +223,93 @@ def test_lp_matches_local_solver_without_coupling():
         state, _ = value_iterate(inst)
         _, value = lp_solve(lp_formulate(inst))
         assert value == pytest.approx(state.psi, abs=1e-7)
+
+
+def _weight_doc(skeleton):
+    """Four weight pages with fixed q rows; ``skeleton`` gives (mu, banned)."""
+    q = [[0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.5, 0.0],
+         [0.1, 0.2, 0.3, 0.4], [0.0, 0.6, 0.0, 0.4]]
+    return {
+        "num_pages": 4,
+        "damping": 0.8,
+        "teleport": [0.1, 0.2, 0.3, 0.4],
+        "obligatory": [],
+        "facultative": [],
+        "rewards": {"type": "per_page", "values": [1.0, -0.5, 0.25, 2.0]},
+        "skeleton": [{"page": i, "q": q[i], "mu": mu, "banned": banned}
+                     for i, (mu, banned) in enumerate(skeleton)],
+    }
+
+
+def test_lp_matches_local_solver_on_weight_pages():
+    # weight pages enter the LP on their chain-space floor, with no row of
+    # their own; fixed rows (mu = 0, also with every coordinate banned),
+    # free rows (mu = 1) and banned coordinates must keep the LP exact
+    rng = np.random.default_rng(97)
+    docs = [random_continuous_doc(rng, n_max=8) for _ in range(6)]
+    docs.append(_weight_doc([(0.0, []), (1.0, [3]), (0.5, [0, 3]),
+                             (0.0, [0, 1, 2, 3])]))
+    docs.append(_weight_doc([(1.0, []), (1.0, [0, 1]), (0.0, [2]), (0.3, [3])]))
+    for doc in docs:
+        inst = load_instance(doc)
+        state, _ = value_iterate(inst, SolverConfig(tol=1e-10))
+        _, value = lp_solve(lp_formulate(inst))
+        assert value == pytest.approx(state.psi, abs=1e-7)
+
+
+def _mixed_doc(rng, n=7):
+    """Weight pages next to discrete pages with and without obligatory links.
+
+    Pages 0, 3, 6, ... carry a skeleton with one banned coordinate; the
+    others have two facultative links, and pages 1, 4, ... one obligatory
+    link as well.
+    """
+    teleport = rng.random(n) + 0.05
+    teleport /= teleport.sum()
+    obligatory, facultative, skeleton = [], [], []
+    for i in range(n):
+        targets = [int(j) for j in rng.choice(n, size=3, replace=False)]
+        if i % 3 == 0:
+            q = rng.random(n)
+            skeleton.append({"page": i, "q": [float(x) for x in q / q.sum()],
+                             "mu": float(rng.uniform(0.2, 0.9)),
+                             "banned": targets[:1]})
+            continue
+        if i % 3 == 1:
+            obligatory.append([i, targets[0]])
+        facultative += [[i, j] for j in targets[1:]]
+    return {
+        "num_pages": n,
+        "damping": float(rng.uniform(0.5, 0.9)),
+        "teleport": [float(x) for x in teleport],
+        "obligatory": obligatory,
+        "facultative": facultative,
+        "rewards": {"type": "per_page",
+                    "values": [float(x) for x in rng.uniform(-1.0, 1.0, size=n)]},
+        "skeleton": skeleton,
+    }
+
+
+def test_lp_on_mixed_pages_maps_back_to_an_occupation_measure():
+    # the measure lp_solve maps back from the reduced variables balances
+    # its flows, has unit mass, and each of its rows lies in its page's
+    # chain-space set; its value meets the dual bound as in criterion 7
+    rng = np.random.default_rng(96)
+    for _ in range(4):
+        inst = load_instance(add_active_coupling(_mixed_doc(rng), rng))
+        rho, lp_value = lp_solve(lp_formulate(inst))
+        assert rho.shape == (7, 7)
+        assert rho.sum() == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(rho.sum(axis=0), rho.sum(axis=1), atol=1e-9)
+        for i in range(7):
+            mass = rho[i].sum()
+            assert mass > 0.0
+            verdict = separate(chain_facets(inst, i), rho[i] / mass, tol=1e-9)
+            assert not verdict.violated, (i, verdict.description)
+        res = solve_coupled(inst, CoupledConfig(tol=1e-6, max_outer=300))
+        scale = max(1.0, abs(lp_value))
+        assert res.dual_bound >= lp_value - 1e-6 * scale
+        assert (res.dual_bound - lp_value) / scale <= 1e-4
 
 
 def test_unreachable_budget_is_infeasible():
