@@ -121,7 +121,7 @@ def _cmd_pagerank(args):
 
 
 def _cmd_optimize(args):
-    from .errors import CouplingPresent, ValidationError
+    from .errors import CouplingPresent, MaxIterExceeded, ValidationError
     from .graph import load_instance
     from .solver_local import SolverConfig, value_iterate
 
@@ -136,15 +136,21 @@ def _cmd_optimize(args):
     if args.mode == "weights" and has_subset:
         raise ValidationError("mode weights, but facultative links present")
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
-    state, strat = value_iterate(inst, cfg)
+    try:
+        state, strat = value_iterate(inst, cfg)
+    except MaxIterExceeded as exc:
+        state, strat = exc.result
     result = {
         "income": state.psi,
         "iterations": state.iterations,
+        "stop_reason": state.stop_reason,
         "residual": state.residual,
         "strategy": _strategy_payload(strat),
     }
     if inst.num_pages <= _W_CAP:
         result["values"] = [float(x) for x in state.w]
+    if state.stop_reason == "max_iter":
+        return inst, result, "limit"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(strat.to_json_dict(), fh, indent=2, sort_keys=True)

@@ -675,14 +675,43 @@ def build_transition(instance, strategy=None):
                             RowSparse(n, n, indptr, indices, data), deg == 0)
 
 
-def chain_facets(instance, page):
-    """Chain-space facet system of one page's constraint set."""
+def _outlink_facets(instance, page):
     sk = instance.skeleton_by_page.get(page)
     if sk is not None:
-        system = polytopes.facets_box(sk.lower(), sk.upper())
-    else:
-        system = polytopes.facets_discrete(instance.obligatory_of(page),
-                                           instance.facultative_of(page),
-                                           instance.dangling_teleport,
-                                           instance.num_pages)
-    return polytopes.apply_damping(system, instance.damping, instance.teleport)
+        return polytopes.facets_box(sk.lower(), sk.upper())
+    return polytopes.facets_discrete(instance.obligatory_of(page),
+                                     instance.facultative_of(page),
+                                     instance.dangling_teleport,
+                                     instance.num_pages)
+
+
+def chain_facets(instance, page):
+    """Chain-space facet system of one page's constraint set."""
+    return polytopes.apply_damping(_outlink_facets(instance, page),
+                                   instance.damping, instance.teleport)
+
+
+def instance_facets(instance):
+    """Every page's ``chain_facets`` rows in one system.
+
+    Returns ``(system, page)``: ``page[k]`` is the page that row ``k``
+    belongs to.  Columns stay page-local (``x[j]`` is the page's entry
+    for target j).  Weight pages come first, built together from dense
+    bound rows; then the discrete pages, in page order.
+    """
+    n = instance.num_pages
+    systems, pages, rows = [], [], []
+    if instance.skeletons:
+        upper = np.stack([sk.upper() for sk in instance.skeletons])
+        systems.append(polytopes.facets_box(
+            np.stack([sk.lower() for sk in instance.skeletons]), upper))
+        pages += [sk.page for sk in instance.skeletons]
+        rows += list(n + 1 + (upper < 1.0).sum(axis=1))
+    for i in range(n):
+        if i not in instance.skeleton_by_page:
+            systems.append(_outlink_facets(instance, i))
+            pages.append(i)
+            rows.append(systems[-1].coef.num_rows)
+    stacked = polytopes.stack_systems(systems)
+    return (polytopes.apply_damping(stacked, instance.damping, instance.teleport),
+            np.repeat(pages, rows))

@@ -78,9 +78,12 @@ class FacetSystem:
 
 @dataclass(frozen=True)
 class SeparationResult:
+    """``row`` is the index of the worst row, ``-1`` when none is violated."""
+
     violated: bool
     magnitude: float
     description: str = "inside"
+    row: int = -1
 
 
 @dataclass(frozen=True)
@@ -218,17 +221,50 @@ def facets_box(lower, upper):
     """Facet system of a box-with-simplex set, in outlink space.
 
     Coordinate j is record j: ``x[j] >= lower[j]``, followed by
-    ``x[j] <= upper[j]`` where that cap is below 1.
+    ``x[j] <= upper[j]`` where that cap is below 1; the simplex equation
+    is the last row.  Bounds of shape ``(b, n)`` give ``b`` such systems
+    stacked in order, each with its own simplex row and records.
     """
-    n = lower.size
+    lower, upper = np.atleast_2d(lower), np.atleast_2d(upper)
+    b, n = lower.shape
     capped = upper < 1.0
-    col = np.repeat(np.arange(n), 1 + capped)
-    second = np.flatnonzero(capped) + np.cumsum(capped)[capped]
-    rel = np.full(col.size, GE)
-    rel[second] = LE
-    rhs = lower[col]
-    rhs[second] = upper[capped]
-    return _system(n, col, rel, rhs, col)
+    per = 1 + capped.ravel()  # bound rows per coordinate
+    col = np.repeat(np.tile(np.arange(n), b), per)
+    le = np.zeros(col.size, dtype=bool)
+    le[np.cumsum(per)[capped.ravel()] - 1] = True
+    simplex = np.cumsum(n + 1 + capped.sum(axis=1)) - 1
+    bound = np.ones(simplex[-1] + 1, dtype=bool)
+    bound[simplex] = False
+    indptr = np.zeros(bound.size + 1, dtype=np.int64)
+    np.cumsum(np.where(bound, 1, n), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[indptr[:-1][bound]] = col
+    indices[(indptr[simplex][:, None] + np.arange(n)).ravel()] = np.tile(np.arange(n), b)
+    rel = np.full(bound.size, EQ)
+    rel[bound] = np.where(le, LE, GE)
+    rhs = np.ones(bound.size)
+    rhs[bound] = np.where(le, np.repeat(upper.ravel(), per), np.repeat(lower.ravel(), per))
+    record = np.full(bound.size, n)
+    record[bound] = col
+    return FacetSystem(RowSparse(bound.size, n, indptr, indices, np.ones(indptr[-1])),
+                       rel, rhs, record)
+
+
+def stack_systems(systems):
+    """One facet system holding the rows of ``systems`` in order.
+
+    All systems must share the column count and frame; each keeps its
+    own record numbers.
+    """
+    nnz = np.cumsum([0] + [s.coef.nnz for s in systems[:-1]])
+    coef = RowSparse(sum(s.coef.num_rows for s in systems), systems[0].num_pages,
+                     np.concatenate([[0]] + [s.coef.indptr[1:] + k
+                                             for s, k in zip(systems, nnz)]),
+                     np.concatenate([s.coef.indices for s in systems]),
+                     np.concatenate([s.coef.data for s in systems]))
+    return FacetSystem(coef, *(np.concatenate([getattr(s, f) for s in systems])
+                               for f in ("rel", "rhs", "record")),
+                       space=systems[0].space)
 
 
 def apply_damping(system, damping, teleport):
@@ -261,7 +297,7 @@ def separate(system, x, tol=SEPARATION_TOL):
     worst = float(viol[k])
     if worst <= tol:
         return SeparationResult(False, worst)
-    return SeparationResult(True, worst, system.describe(k))
+    return SeparationResult(True, worst, system.describe(k), k)
 
 
 def greedy_uniform_support(base_sum, base_count, candidates, scores):

@@ -26,9 +26,10 @@ import numpy as np
 from .chain import occupation, stationary, utility_from_chain
 from .errors import ProError, TooLarge, ValidationError
 from .polytopes import EQ, separate
-from .graph import Strategy, build_transition, chain_facets
+from .graph import Strategy, build_transition, chain_facets, instance_facets
 from .simplex import solve_dense_lp
 from .solver_local import SolverConfig, value_iterate
+from .sparse import row_ids
 
 FEASIBILITY_TOL = 1e-9
 LP_PAGE_CAP = 200
@@ -493,19 +494,35 @@ def lp_solve(problem, tol=1e-7):
                               problem.a_ub, problem.b_ub, maximize=True)
     ends = np.cumsum([b.shape[1] for b in problem.blocks])
     rho = np.stack([b @ xi for b, xi in zip(problem.blocks, np.split(x, ends[:-1]))])
-    inst = problem.instance
+    check_occupation(problem.instance, rho, tol)
+    return rho, value
+
+
+def check_occupation(instance, rho, tol=1e-7):
+    """Raise ``ProError`` unless ``rho`` is an admissible occupation measure.
+
+    Checks to within ``tol``: unit mass, flow balance, ``rho >= 0``, the
+    budget rows, and every page's chain-space facets lifted by its row
+    mass, ``a . rho_i rel rhs * sum(rho_i)``.  The facet rows of all
+    pages are checked at once (``graph.instance_facets``); the error
+    names the page and the worst row.
+    """
+    n = instance.num_pages
     mass = rho.sum(axis=1)
     worst = max(abs(float(mass.sum()) - 1.0),
                 float(np.abs(rho.sum(axis=0) - mass).max()),
                 -float(rho.min()))
-    for c in inst.coupling:
+    for c in instance.coupling:
         worst = max(worst, float(np.sum(c.weights.dense() * rho)) - c.bound)
     if worst > tol:
         raise ProError(f"occupation measure violates constraints by {worst:.3e}")
-    for i in range(inst.num_pages):
-        system = chain_facets(inst, i)
-        verdict = separate(replace(system, rhs=system.rhs * mass[i]), rho[i], tol)
-        if verdict.violated:
-            raise ProError(f"row {i} of the occupation measure violates "
-                           f"{verdict.description} by {verdict.magnitude:.3e}")
-    return rho, value
+    system, page = instance_facets(instance)
+    system = replace(system, rhs=system.rhs * mass[page])
+    # row k reads rho[page[k]]: one flat gather through the page-local columns
+    flat = replace(system.coef, num_cols=n * n,
+                   indices=page[row_ids(system.coef.indptr)] * n + system.coef.indices)
+    verdict = separate(replace(system, coef=flat), rho.ravel(), tol)
+    if verdict.violated:
+        k = verdict.row
+        raise ProError(f"row {page[k]} of the occupation measure violates "
+                       f"{system.describe(k)} by {verdict.magnitude:.3e}")

@@ -1,4 +1,4 @@
-"""Ergodic value iteration for instances with local constraints only.
+"""Howard policy iteration for instances with local constraints only.
 
 The improvement operator evaluated here is, per page,
 
@@ -9,10 +9,15 @@ a sup-norm contraction with modulus ``damping``.  Its fixed point is the
 mean reward accumulated before the next teleport under the best
 strategy, and ``(1 - damping) * teleport . w`` is the optimal income.
 The inner maximization is closed-form for every admissible row family:
-a greedy support grow for uniform rows, water-filling for bounded rows.
-Every admissible row sums to one, so ``T(w + c) = T(w) + damping * c``
-and the loop stops on the MacQueen–Porteus bracket of
-``chain.span_iterate``, which shrinks at the optimal chain's mixing rate.
+a threshold rule for uniform rows, water-filling for bounded rows.
+
+``value_iterate`` alternates one sweep of ``T`` with an evaluation of
+that sweep's greedy policy, ``v = rbar + damping * S v`` (Howard's
+policy iteration, Newton's method on the Bellman equation: Puterman,
+*Markov Decision Processes*, 1994, sections 6.4-6.6).  Every
+admissible row sums to one, so ``T(w + c) = T(w) + damping * c`` and
+each sweep yields the MacQueen–Porteus bracket of ``chain.span_iterate``;
+the loop stops once its half-width is at most ``tol``.
 """
 
 from __future__ import annotations
@@ -29,14 +34,34 @@ from .graph import ContinuousChoice, DiscreteChoice, Strategy
 from .polytopes import BoxSimplex, linear_maximize
 from .sparse import row_ids
 
+# Policies on at most this many pages are evaluated exactly, by one
+# dense solve.  OpenBLAS solves n x n on one thread while n * n < 10000;
+# above that, with the BLAS pool unpinned on a loaded 2-core host, a few
+# of 200 solves of 100-200 pages took up to 68-136 ms instead of 0.1-0.6
+# ms (none did pinned, or at 99 pages).
+DENSE_EVAL_CAP = 99
+
+# An iterative evaluation stops once its own bracket is below this share
+# of the improvement sweep's (or at tol): only the sweep certifies, and
+# an early policy need not be evaluated to tol.  On the web-subset and
+# web-coupled benchmarks 1e-3 saves 40-55% of the products with S for
+# 20-40% more sweeps; 1e-2 made web-weights, where sweeps cost most,
+# slower.
+EVAL_SHARE = 1e-3
+
+# Rounding allowance of one sweep, relative to ``1 + max |w|`` (rewards
+# are rescaled to at most 1): a page's value averages its scores with
+# pairwise sums, whose error stays below 32 ulps up to 2**20 terms.
+ROUNDING = 32 * float(np.finfo(float).eps)
+
 
 def iteration_budget(damping, tol):
     """Worst-case sweeps that shrink a unit sup-norm error below ``tol``.
 
     The contraction modulus of one sweep is the damping factor, so the
-    budget is ``ceil(log(tol) / log(damping))``.  The span stop of
-    ``value_iterate`` usually ends far earlier; only an optimal chain
-    that never mixes, such as a periodic one, needs about this many.
+    budget is ``ceil(log(tol) / log(damping))``.  Policy iteration takes
+    no more steps than value iteration from the same start (Puterman,
+    Theorem 6.4.6), and the span stop usually ends far earlier.
     """
     if not 0.0 < damping < 1.0:
         raise ValidationError("damping must lie strictly between 0 and 1")
@@ -47,12 +72,13 @@ def iteration_budget(damping, tol):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the fixed-point loop.
+    """Knobs of the policy-iteration loop.
 
     ``tol`` bounds the true sup-norm error of the returned vector: the
-    loop stops once the MacQueen–Porteus bracket of one simultaneous
-    sweep has half-width at most ``tol``.  ``max_iter`` defaults to the
-    sweeps the plain contraction bound would need, a worst case.
+    loop stops once the MacQueen–Porteus bracket of one improvement
+    sweep has half-width at most ``tol``.  ``max_iter`` caps the policy
+    steps (one sweep each); it defaults to the sweeps the plain
+    contraction bound would need, a worst case.
     """
 
     tol: float = 1e-9
@@ -66,72 +92,74 @@ class DpState:
     ``residual`` is the certified sup-norm error bound of ``w``, in
     reward units; ``psi`` is then within ``(1 - damping) * residual`` of
     both the optimal income and the income of the extracted strategy.
+    ``iterations`` counts improvement sweeps, and ``stop_reason`` is
+    "policy_stable" when the bracket closed to ``tol`` or "max_iter".
     """
 
     w: np.ndarray
     psi: float
     iterations: int
     residual: float
+    stop_reason: str
 
 
 class CompiledBellman:
     """One instance's improvement operator, precompiled for bulk sweeps.
 
-    Rewards are taken as passed (the caller owns any rescaling).  The
-    uniform-row maximization over all discrete pages runs as one
-    vectorized pass: candidates are sorted per page by score, prefix
-    averages compared against the next score, and the first stop
-    position recovered with a segmented minimum.  That reproduces the
-    sequential greedy exactly, including tie handling.
+    Rewards are taken as passed (the caller owns any rescaling).  On a
+    page with obligatory links the best uniform row keeps exactly the
+    facultative links scoring above the page's best average ``t*``, the
+    root of the decreasing convex ``sum_obl (c - t) + sum_fac max(c - t,
+    0)``.  A Newton step from any ``t`` is the average of the obligatory
+    links and the candidates above ``t``, so after one step the iterate
+    sits at or below the root, and from there its candidate set only
+    shrinks until it repeats.  All pages step at once over the
+    facultative CSR, with per-page sums, so no page's rounding depends
+    on another's.  The iteration starts from the previous sweep's roots:
+    a hint that changes the number of steps, not the result.  Scores
+    equal to ``t*`` stay out, which is the smallest-support tie rule of
+    ``polytopes.greedy_uniform_support``.  A page without obligatory
+    links takes its best single candidate (the lowest index on ties),
+    or the no-link row when that is strictly better.
+
+    Each sweep also keeps its greedy policy (active candidates, no-link
+    pages, weight pages' rows), which ``evaluate`` solves for and
+    ``extract`` turns into a ``Strategy``.  One instance serves one
+    caller at a time.
     """
 
     def __init__(self, instance, rewards):
-        self.instance = instance
-        self.rewards = rewards
         n = instance.num_pages
         self.n = n
         self.alpha = float(instance.damping)
         self.z = instance.teleport
         self.hang = instance.dangling_teleport
-        self.o_indptr = instance.obl_indptr
+        o_indptr, f_indptr = instance.obl_indptr, instance.fac_indptr
         self.o_idx = instance.obl_indices
-        self.f_indptr = instance.fac_indptr
         self.f_idx = instance.fac_indices
-        o_cnt = np.diff(self.o_indptr)
-        f_cnt = np.diff(self.f_indptr)
-        self.o_cnt_d = o_cnt.astype(float)
-        self.o_safe = np.maximum(self.o_cnt_d, 1.0)
-        self.haso = o_cnt > 0
-        self.hasf = f_cnt > 0
-        self.f_page = row_ids(self.f_indptr)
+        o_cnt, f_cnt = np.diff(o_indptr), np.diff(f_indptr)
+        self.o_cnt = o_cnt.astype(float)
+        self.o_page = row_ids(o_indptr)
+        self.f_page = row_ids(f_indptr)
         delta = rewards.delta
-        self.r_o = rewards.base[row_ids(self.o_indptr)] + delta.gather_at(self.o_indptr, self.o_idx)
-        self.r_f = rewards.base[self.f_page] + delta.gather_at(self.f_indptr, self.f_idx)
+        self.r_o = rewards.base[self.o_page] + delta.gather_at(o_indptr, self.o_idx)
+        self.r_f = rewards.base[self.f_page] + delta.gather_at(f_indptr, self.f_idx)
         self.const = (1.0 - self.alpha) * rewards.row_means(self.z)
         self.no_link_base = rewards.row_means(self.hang)
-        self.starts = self.f_indptr[:-1]
-        self.seg_last = self.f_indptr[1:][f_cnt > 0] - 1
-        seg_start_flat = self.starts[self.f_page]
-        k_flat = np.arange(self.f_idx.size) - seg_start_flat + 1
-        self.seg_start_flat = seg_start_flat
-        self.denom_flat = self.o_cnt_d[self.f_page] + k_flat
-        # index sets of the sweep, and scratch buffers (nxt, ps) that each
-        # sweep overwrites: one CompiledBellman serves one caller at a time
-        self.f_pos = np.arange(self.f_idx.size)
-        self.f_rows = np.flatnonzero(self.hasf)
-        self.f_row_starts = self.starts[self.f_rows]
-        self.f_row_starts_m1 = self.f_row_starts - 1
-        # pages with both link kinds, where the obligatory average can
-        # beat every facultative candidate
-        self.of_rows = np.flatnonzero(self.haso & self.hasf)
-        self.of_starts = self.starts[self.of_rows]
-        self.nxt = np.empty(self.f_idx.size)
-        self.ps = np.zeros(self.f_idx.size + 1)
-        self.ps_tail = self.ps[1:]
-        self.no_o = ~self.haso
-        self.no_f = ~self.hasf
-        self.o_rows = np.flatnonzero(self.haso)
-        self.o_row_starts = self.o_indptr[self.o_rows]
+        self.o_rows = np.flatnonzero(o_cnt > 0)
+        self.o_starts = o_indptr[self.o_rows]
+        # facultative blocks, one reduceat segment per page that has one
+        self.f_rows = np.flatnonzero(f_cnt > 0)
+        self.f_starts = f_indptr[self.f_rows]
+        self.f_seg = np.repeat(np.arange(self.f_rows.size), f_cnt[self.f_rows])
+        self.seg_cnt = self.o_cnt[self.f_rows]
+        self.newton = self.seg_cnt > 0
+        # blocks of pages with no obligatory link, compacted
+        self.fo_rows = self.f_rows[~self.newton]
+        self.fo_pos = np.flatnonzero(~self.newton[self.f_seg])
+        self.fo_seg = np.repeat(np.arange(self.fo_rows.size), f_cnt[self.fo_rows])
+        self.fo_starts = np.cumsum(f_cnt[self.fo_rows]) - f_cnt[self.fo_rows]
+        self.hint = None
         self.skel = {}
         for sk in instance.skeletons:
             box = BoxSimplex(sk.lower(), sk.upper())
@@ -139,77 +167,140 @@ class CompiledBellman:
             idx, val = delta.row_slice(sk.page)
             row[idx] += val
             self.skel[sk.page] = (box, row)
+        # pages that always take the no-link row: no links, no skeleton
+        self.plain_nl = (o_cnt == 0) & (f_cnt == 0)
+        self.plain_nl[list(self.skel)] = False
+        # the greedy policy of the last sweep
+        self.active = np.zeros(self.f_idx.size, dtype=bool)
+        self.size = self.o_cnt.copy()
+        self.use_nl = self.plain_nl.copy()
+        self.skel_rows = {}
 
     def apply(self, w):
-        """One simultaneous sweep: returns ``T(w)``."""
-        return self._sweep(np.asarray(w, dtype=float))[0]
+        """One simultaneous sweep: returns ``T(w)`` and keeps its policy."""
+        return self._sweep(np.asarray(w, dtype=float))
 
-    def _sweep(self, w, detail=False):
+    def _sweep(self, w):
         alpha = self.alpha
         so = np.zeros(self.n)
         if self.o_rows.size:
             so[self.o_rows] = np.add.reduceat(w[self.o_idx] + self.r_o,
-                                              self.o_row_starts)
+                                              self.o_starts)
         nl = self.no_link_base + float(np.dot(self.hang, w))
-        F = self.f_idx.size
-        k_star = np.zeros(self.n, dtype=np.int64)
-        sorted_targets = self.f_idx
-        if F == 0:
-            val = so / self.o_safe
-        else:
+        val = so / np.maximum(self.o_cnt, 1.0)
+        size = self.o_cnt.copy()
+        use_nl = self.plain_nl.copy()
+        if self.f_rows.size:
             c = w[self.f_idx] + self.r_f
-            order = np.lexsort((self.f_idx, -c, self.f_page))
-            cs = c[order]
-            ps = self.ps
-            np.add.accumulate(cs, out=self.ps_tail)
-            prefix = self.ps_tail - ps[self.seg_start_flat]
-            avg = (so[self.f_page] + prefix) / self.denom_flat
-            nxt = self.nxt
-            nxt[:-1] = cs[1:]
-            nxt[self.seg_last] = -np.inf
-            pos = np.where(avg >= nxt, self.f_pos, F)
-            # the rows of f_row_starts are nonempty, so each reduceat
-            # segment is exactly one page's candidate block
-            first = np.minimum.reduceat(pos, self.f_row_starts)
-            k_star[self.f_rows] = first - self.f_row_starts_m1
-            if self.of_rows.size:
-                obl_mean = so[self.of_rows] / self.o_cnt_d[self.of_rows]
-                k_star[self.of_rows[obl_mean >= cs[self.of_starts]]] = 0
-            # k_star = 0 leaves the obligatory mean so / o_cnt; pages with
-            # no link at all are overwritten by the no-link row below
-            pick = ps[self.starts + k_star] - ps[self.starts]
-            val = (so + pick) / np.maximum(self.o_cnt_d + k_star, 1.0)
-            if detail:
-                sorted_targets = self.f_idx[order]
-        use_nl = self.no_o & (self.no_f | (val < nl))
-        np.copyto(val, nl, where=use_nl)
-        info = None
-        if detail:
-            info = {"k_star": k_star, "use_nl": use_nl,
-                    "sorted_targets": sorted_targets, "skel_rows": {}}
-        t = alpha * val + self.const
+            t, active, k = self._threshold(c, so[self.f_rows])
+            pages = self.f_rows[self.newton]
+            val[pages] = t[self.newton]
+            size[pages] += k[self.newton]
+            if self.fo_rows.size:
+                cf = c[self.fo_pos]
+                top = np.maximum.reduceat(cf, self.fo_starts)
+                hit = np.where(cf == top[self.fo_seg], np.arange(cf.size), cf.size)
+                first = np.minimum.reduceat(hit, self.fo_starts)
+                take = top >= nl[self.fo_rows]  # the link wins ties
+                val[self.fo_rows] = np.where(take, top, nl[self.fo_rows])
+                size[self.fo_rows] = 1.0
+                use_nl[self.fo_rows] = ~take
+                active[self.fo_pos[first[take]]] = True
+        else:
+            active = np.zeros(0, dtype=bool)
+        np.copyto(val, nl, where=self.plain_nl)
+        out = alpha * val + self.const
+        skel_rows = {}
         for page, (box, rrow) in self.skel.items():
             res = linear_maximize(box, rrow + w)
-            t[page] = alpha * res.value + self.const[page]
-            if detail:
-                info["skel_rows"][page] = res.row
-        return t, info
+            out[page] = alpha * res.value + self.const[page]
+            skel_rows[page] = res.row
+        self.active, self.size, self.use_nl, self.skel_rows = active, size, use_nl, skel_rows
+        return out
+
+    def _threshold(self, c, base):
+        """Per-block root ``t*``, active mask and active count (Newton).
+
+        Blocks of pages without obligatory links keep ``t = inf`` and no
+        active candidate; ``_sweep`` handles them.
+        """
+        seg, starts, cnt, newton = self.f_seg, self.f_starts, self.seg_cnt, self.newton
+        t = np.full(starts.size, np.inf)
+        if self.hint is None:
+            t[newton] = base[newton] / cnt[newton]
+        else:
+            t[newton] = self.hint[newton]
+        active = c > t[seg]
+        k = np.add.reduceat(active, starts, dtype=np.int64)
+        first = True
+        while True:
+            s = np.add.reduceat(np.where(active, c, 0.0), starts)
+            np.divide(base + s, cnt + k, out=t, where=newton)
+            new = c > t[seg]
+            if not first:
+                new &= active
+            k_new = np.add.reduceat(new, starts, dtype=np.int64)
+            # after the first step the sets are nested, so equal counts
+            # mean equal sets
+            if not first and np.array_equal(k_new, k):
+                break
+            active, k, first = new, k_new, False
+        self.hint = t
+        return t, active, k
+
+    def _entries(self):
+        """Rows, columns, weights and rewards of the policy's uniform rows."""
+        act = np.flatnonzero(self.active)
+        rows = np.concatenate([self.o_page, self.f_page[act]])
+        cols = np.concatenate([self.o_idx, self.f_idx[act]])
+        weights = 1.0 / self.size[rows]
+        rewards = np.concatenate([self.r_o, self.r_f[act]])
+        return rows, cols, weights, rewards
+
+    def evaluate(self, x0, tol, max_iter):
+        """Value ``v = rbar + damping * S v`` of the last sweep's policy.
+
+        Solved densely up to ``DENSE_EVAL_CAP`` pages; above, by the span
+        loop of ``chain.span_iterate`` from ``x0`` to half-width ``tol``
+        (at most ``max_iter`` products with ``S``).
+        """
+        n, alpha = self.n, self.alpha
+        rows, cols, weights, rewards = self._entries()
+        use_nl, skel_rows = self.use_nl, self.skel_rows
+        rbar = np.bincount(rows, weights * rewards, minlength=n).astype(float, copy=False)
+        rbar[use_nl] = self.no_link_base[use_nl]
+        for page, x in skel_rows.items():
+            rbar[page] = float(np.dot(x, self.skel[page][1]))
+        rbar = alpha * rbar + self.const
+        if n <= DENSE_EVAL_CAP:
+            s = np.zeros((n, n))
+            s[rows, cols] = weights
+            s[use_nl] = self.hang
+            for page, x in skel_rows.items():
+                s[page] = x
+            return np.linalg.solve(np.eye(n) - alpha * s, rbar)
+        hang = self.hang
+
+        def step(v):
+            sv = np.bincount(rows, weights * v[cols], minlength=n).astype(float, copy=False)
+            sv[use_nl] = float(np.dot(hang, v))
+            for page, x in skel_rows.items():
+                sv[page] = float(np.dot(x, v))
+            return rbar + alpha * sv
+
+        return span_iterate(step, x0, alpha, tol, max_iter)[0]
 
     def extract(self, w):
         """Strategy attaining ``T(w)``, page by page."""
-        _, info = self._sweep(np.asarray(w, dtype=float), detail=True)
+        self._sweep(np.asarray(w, dtype=float))
         choices = {}
-        for i in np.flatnonzero(self.hasf):
-            i = int(i)
-            if info["use_nl"][i] or info["k_star"][i] == 0:
-                choices[i] = DiscreteChoice(())
-            else:
-                s = self.starts[i]
-                picked = info["sorted_targets"][s:s + info["k_star"][i]]
-                choices[i] = DiscreteChoice(tuple(int(j) for j in np.sort(picked)))
-        for page in sorted(self.skel):
-            x = info["skel_rows"][page]
-            row = self.alpha * x + (1.0 - self.alpha) * self.z
+        if self.f_rows.size:
+            k = np.add.reduceat(self.active, self.f_starts, dtype=np.int64)
+            picked = np.split(self.f_idx[self.active], np.cumsum(k)[:-1])
+            choices = {int(i): DiscreteChoice(tuple(int(j) for j in p))
+                       for i, p in zip(self.f_rows, picked)}
+        for page in sorted(self.skel_rows):
+            row = self.alpha * self.skel_rows[page] + (1.0 - self.alpha) * self.z
             choices[page] = ContinuousChoice(row)
         return Strategy(choices)
 
@@ -220,7 +311,15 @@ def bellman_apply(instance, w):
 
 
 def value_iterate(instance, config=None, w0=None):
-    """Fixed-point loop for the best local strategy.
+    """Policy iteration for the best local strategy.
+
+    Each step sweeps the improvement operator once at ``w``; the sweep's
+    bracket certifies its midpoint, and the loop stops once the bracket's
+    half-width is at most ``tol``.  Otherwise ``w`` becomes the value of
+    the sweep's greedy policy (``CompiledBellman.evaluate``): exact up to
+    ``DENSE_EVAL_CAP`` pages, else to ``max(tol, EVAL_SHARE * bracket)``.
+    After an exact evaluation the bracket closes when the greedy policy
+    repeats, or changes only where incomes tie within ``tol``.
 
     Parameters
     ----------
@@ -228,7 +327,8 @@ def value_iterate(instance, config=None, w0=None):
         Must carry no coupling rows.
     config : SolverConfig, optional
     w0 : ndarray, optional
-        Warm start for the value vector, in reward units.
+        Warm start for the value vector, in reward units; the first step
+        then starts from the policy greedy at ``w0``.
 
     Returns
     -------
@@ -255,20 +355,32 @@ def value_iterate(instance, config=None, w0=None):
     scale = max(1.0, instance.rewards.max_abs())
     comp = CompiledBellman(instance, instance.rewards.scaled(1.0 / scale))
     tol = config.tol / scale
-    if config.max_iter is None:
-        theta = tol * (1.0 - alpha) / alpha
-        worst = 2.0 / (1.0 - alpha)
-        max_iter = max(1, math.ceil(math.log(min(theta / worst, 0.5))
-                                    / math.log(alpha))) + 10
-    else:
-        max_iter = config.max_iter
+    theta = tol * (1.0 - alpha) / alpha
+    worst = 2.0 / (1.0 - alpha)
+    budget = max(1, math.ceil(math.log(min(theta / worst, 0.5))
+                              / math.log(alpha))) + 10
+    max_iter = budget if config.max_iter is None else config.max_iter
+    k = alpha / (1.0 - alpha)
     w = np.zeros(instance.num_pages) if w0 is None else np.asarray(w0, dtype=float) / scale
-    w, done, bound, converged = span_iterate(comp.apply, w, alpha, tol, max_iter)
+    done, bound, stop = 0, math.inf, "max_iter"
+    while done < max_iter:
+        y = comp.apply(w)
+        done += 1
+        d = y - w
+        lo, hi = float(d.min()), float(d.max())
+        bound = k * (hi - lo) / 2.0 + (1.0 + k) * ROUNDING * (1.0 + float(np.abs(w).max()))
+        w = y + k * (lo + hi) / 2.0
+        if bound <= tol:
+            stop = "policy_stable"
+            break
+        if done < max_iter:
+            w = comp.evaluate(w, max(tol, EVAL_SHARE * bound), budget)
     w_out = w * scale
     psi = (1.0 - alpha) * float(np.dot(instance.teleport, w_out))
-    state = DpState(w_out, psi, done, bound * scale)
-    if not converged:
+    state = DpState(w_out, psi, done, bound * scale, stop)
+    if stop == "max_iter":
         raise MaxIterExceeded(
-            f"no convergence after {max_iter} sweeps (error bound {state.residual:.3e})",
+            f"no convergence after {max_iter} policy steps "
+            f"(error bound {state.residual:.3e})",
             result=(state, comp.extract(w)))
     return state, comp.extract(w)

@@ -77,6 +77,27 @@ def test_optimize_and_strategy_round_trip(tmp_path, capsys):
     np.testing.assert_allclose(env["result"]["pi"], [0.5, 0.5], atol=1e-9)
 
 
+def test_optimize_reports_stop_reason(tmp_path, capsys):
+    inst_path = _write(tmp_path, "g.json", two_page_doc())
+    code, env = _run(capsys, ["optimize", inst_path])
+    assert code == 0
+    assert env["result"]["stop_reason"] == "policy_stable"
+    assert env["result"]["residual"] <= 1e-9
+
+    # one policy step cannot confirm its own policy: the best pair is
+    # still reported, under the iteration-limit status
+    out_path = tmp_path / "strategy.json"
+    code, env = _run(capsys, ["optimize", inst_path, "--max-iter", "1",
+                              "--out", str(out_path)])
+    assert code == 3
+    assert env["status"] == "limit"
+    assert env["result"]["stop_reason"] == "max_iter"
+    assert env["result"]["iterations"] == 1
+    assert env["result"]["residual"] > 1e-9
+    assert sorted(p["page"] for p in env["result"]["strategy"]["pages"]) == [0, 1]
+    assert not out_path.exists()
+
+
 def test_optimize_mode_guard(tmp_path, capsys):
     code, env = _run(capsys, ["optimize",
                               _write(tmp_path, "g.json", two_page_doc()),

@@ -17,13 +17,14 @@ from helpers import (
     two_page_instance,
 )
 from pro.chain import utility
-from pro.errors import Infeasible, TooLarge, ValidationError
+from pro.errors import Infeasible, ProError, TooLarge, ValidationError
 from pro.graph import build_transition, chain_facets, load_instance
 from pro.oracle import brute_force_optimum, chain_utility, exact_stationary
 from pro.polytopes import separate
 from pro.solver_coupled import (
     CoupledConfig,
     Multipliers,
+    check_occupation,
     dual_value,
     lp_formulate,
     lp_solve,
@@ -310,6 +311,39 @@ def test_lp_on_mixed_pages_maps_back_to_an_occupation_measure():
         scale = max(1.0, abs(lp_value))
         assert res.dual_bound >= lp_value - 1e-6 * scale
         assert (res.dual_bound - lp_value) / scale <= 1e-4
+
+
+def test_occupation_check_catches_one_page_off_its_facets():
+    # move mass in one page's row onto a coordinate its set pins to the
+    # floor, and back in a second row, so mass, flow balance and the
+    # per-page budget row still hold and only the facet rows can object
+    rng = np.random.default_rng(97)
+    eps = 1e-4
+    for _ in range(3):
+        inst = load_instance(add_active_coupling(_mixed_doc(rng), rng))
+        rho, _ = lp_solve(lp_formulate(inst))
+        check_occupation(inst, rho)
+        for i in range(inst.num_pages):
+            sk = inst.skeleton_by_page.get(i)
+            if sk is not None:
+                k = int(sk.banned[0])
+            else:
+                links = set(inst.obligatory_of(i)) | set(inst.facultative_of(i))
+                k = next(j for j in range(inst.num_pages) if j not in links)
+            j = int(np.argmax(np.where(np.arange(inst.num_pages) == k, -1.0, rho[i])))
+            others = [p for p in range(inst.num_pages) if p != i]
+            i2 = max(others, key=lambda p: rho[p, k])
+            assert rho[i, j] > eps and rho[i2, k] > eps
+            bad = rho.copy()
+            bad[i, j] -= eps
+            bad[i, k] += eps
+            bad[i2, j] += eps
+            bad[i2, k] -= eps
+            with pytest.raises(ProError, match=r"row (\d+) of the occupation "
+                                               r"measure violates .* by") as exc:
+                check_occupation(inst, bad)
+            named = int(str(exc.value).split()[1])
+            assert named in (i, i2)
 
 
 def test_unreachable_budget_is_infeasible():

@@ -1,11 +1,13 @@
 """Fixed-point solver for the best local strategy.
 
 The solver's income figure is held against full strategy enumeration on
-small instances; the one-sweep operator is checked for its contraction
-modulus and its shift equivariance, on which the span stop rests; the
-returned value vector must lie within ``tol`` of the exact one.  The
-vectorized sweep is held page by page against the sequential maximizers
-of ``polytopes``.
+small instances and against plain value iteration; the one-sweep
+operator is checked for its contraction modulus and its shift
+equivariance, on which the span stop rests; the returned value vector
+must lie within ``tol`` of the exact one.  The vectorized sweep is held
+page by page against the sequential maximizers of ``polytopes``, also
+where the scores of neighbouring pages differ by fourteen orders of
+magnitude, and its warm-started threshold must not change any result.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from helpers import (
     two_page_coupled_instance,
     two_page_instance,
 )
-from pro.chain import mean_reward_before_teleport
+from pro.chain import mean_reward_before_teleport, span_iterate
 from pro.errors import CouplingPresent, MaxIterExceeded, ValidationError
 from pro.graph import DiscreteChoice, build_transition, load_instance
 from pro.oracle import brute_force_optimum
@@ -220,3 +222,127 @@ def test_sweep_matches_sequential_reference():
                         seen["no_link_wins"] += res.support is None
             assert got_t[i] == alpha * res.value + comp.const[i], i
     assert all(count > 0 for count in seen.values()), seen
+
+
+def _small_next_to_huge_doc(rng):
+    # page 0's scores are ~1e8 and page 1's, next in CSR order, ~1e-6;
+    # page 2 has no obligatory link, so it competes with the no-link row
+    n = 12
+    entries = []
+    for i, size in ((0, 1e8), (1, 1e-6), (2, 1e-6)):
+        entries += [[i, j, float(size * rng.uniform(0.5, 1.5))] for j in range(n)]
+    return {
+        "num_pages": n,
+        "damping": 0.85,
+        "teleport": [1.0 / n] * n,
+        "obligatory": [[0, 1], [1, 0], [1, 3]],
+        "facultative": [[0, j] for j in range(2, n)]
+                       + [[1, j] for j in range(4, n)]
+                       + [[2, j] for j in range(3, n)],
+        "rewards": {"type": "per_link", "default": 0.0, "entries": entries},
+    }
+
+
+def test_sweep_keeps_small_scores_next_to_huge_ones():
+    rng = np.random.default_rng(3011)
+    for _ in range(30):
+        inst = load_instance(_small_next_to_huge_doc(rng))
+        n, alpha = inst.num_pages, inst.damping
+        comp = CompiledBellman(inst, inst.rewards)
+        r = inst.rewards.dense()
+        w = rng.uniform(-1e-7, 1e-7, size=n)
+        got_t, got = comp.apply(w), comp.extract(w)
+        for i in (0, 1, 2):
+            obl, fac = inst.obligatory_of(i), inst.facultative_of(i)
+            res = linear_maximize(
+                DiscreteUniform(tuple(obl.tolist()), tuple(fac.tolist()),
+                                inst.dangling_teleport, n), r[i] + w)
+            want = alpha * res.value + comp.const[i]
+            assert abs(got_t[i] - want) <= 8 * np.spacing(abs(want)), i
+            picked = () if res.support is None else \
+                tuple(j for j in res.support if j not in obl)
+            assert got.choices[i] == DiscreteChoice(picked), i
+
+
+def _plain_value_iteration(inst, tol):
+    # the improvement operator iterated to its fixed point on its own
+    w, _, _, converged = span_iterate(lambda x: bellman_apply(inst, x),
+                                      np.zeros(inst.num_pages), inst.damping,
+                                      tol, 100_000)
+    assert converged
+    return w, CompiledBellman(inst, inst.rewards).extract(w)
+
+
+def _page_income(inst, i, choice, w):
+    # one page's objective row . (r_i + w) under a choice, in outlink space
+    alpha, z = inst.damping, inst.teleport
+    if isinstance(choice, DiscreteChoice):
+        row = np.zeros(inst.num_pages)
+        support = list(inst.obligatory_of(i)) + list(choice.activated)
+        if support:
+            row[support] = 1.0 / len(support)
+        else:
+            row = inst.dangling_teleport
+    else:
+        row = (choice.row - (1.0 - alpha) * z) / alpha
+    return float(row @ (inst.rewards.dense()[i] + w))
+
+
+def test_policy_iteration_matches_value_iteration():
+    rng = np.random.default_rng(3012)
+    docs = [random_discrete_doc(rng) for _ in range(60)]
+    docs += [random_discrete_doc(rng, reward_kind="per_page") for _ in range(60)]
+    docs += [random_continuous_doc(rng, n_max=12) for _ in range(30)]
+    insts = [load_instance(doc) for doc in docs]
+    # above the dense cap, so the policies are evaluated iteratively
+    insts += [power_law_instance(300, 12, 30, seed=s, reward_frac=0.2)
+              for s in (1, 2)]
+    tol, ties = 1e-9, 0
+    for inst in insts:
+        w_vi, strat_vi = _plain_value_iteration(inst, tol / 10)
+        state, strat = value_iterate(inst, SolverConfig(tol=tol))
+        assert state.stop_reason == "policy_stable"
+        assert float(np.abs(state.w - w_vi).max()) <= tol
+        assert set(strat.choices) == set(strat_vi.choices)
+        for i, choice in strat.choices.items():
+            other = strat_vi.choices[i]
+            same = (choice == other if isinstance(choice, DiscreteChoice)
+                    else np.allclose(choice.row, other.row, rtol=0.0, atol=1e-12))
+            if not same:
+                gap = _page_income(inst, i, choice, w_vi) \
+                    - _page_income(inst, i, other, w_vi)
+                assert abs(gap) <= 1e-8, (i, choice, other)
+                ties += 1
+    assert ties <= 5
+
+
+def test_two_page_cycle_takes_few_policy_steps():
+    state, strat = value_iterate(two_page_instance())
+    assert state.iterations <= 3
+    assert state.stop_reason == "policy_stable"
+    assert strat.choices[0] == DiscreteChoice((1,))
+    assert strat.choices[1] == DiscreteChoice((0,))
+
+
+def test_threshold_hint_is_not_state():
+    rng = np.random.default_rng(3013)
+    insts = [power_law_instance(2000, 30, 60, seed=s, reward_frac=0.1)
+             for s in (5, 6)]
+    insts += [load_instance(random_discrete_doc(rng, n_max=12, fac_budget=30))
+              for _ in range(40)]
+    started_above = 0
+    for inst in insts:
+        n = inst.num_pages
+        w1 = rng.normal(size=n) * 3.0
+        comp = CompiledBellman(inst, inst.rewards)
+        for w2 in (w1 - np.abs(rng.normal(size=n)) * 5.0,  # moves t* down
+                   w1 + rng.normal(size=n) * 0.01,
+                   rng.normal(size=n) * 3.0):
+            comp.apply(w1)
+            hint = comp.hint.copy()
+            got_t, got = comp.apply(w2), comp.extract(w2)
+            fresh = CompiledBellman(inst, inst.rewards)
+            assert np.array_equal(got_t, fresh.apply(w2))
+            assert got == fresh.extract(w2)
+            started_above += int(np.any(hint[fresh.newton] > fresh.hint[fresh.newton]))
+    assert started_above >= 40
