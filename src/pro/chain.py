@@ -161,7 +161,7 @@ def _mean_row_rewards(transition, rewards):
     return rbar
 
 
-def span_iterate(step, x, damping, tol, max_iter):
+def span_iterate(step, x, damping, tol, max_iter, between=None):
     """Fixed-point loop stopped on the MacQueen–Porteus bounds.
 
     ``step`` must be monotone with ``step(x + c) = step(x) + damping * c``
@@ -170,7 +170,9 @@ def span_iterate(step, x, damping, tol, max_iter):
     ``k = damping / (1 - damping)``, the fixed point and the value of any
     policy greedy at ``y`` lie in ``[y + k min d, y + k max d]``.  The
     half-width shrinks at the chain's own mixing rate, not at the damping
-    factor; the loop stops once it is at most ``tol``.
+    factor; the loop stops once it is at most ``tol``.  ``between(x,
+    bound)``, if given, replaces the midpoint before every step but the
+    first; the bracket of the next step certifies whatever it returns.
 
     Returns ``(x, iterations, bound, converged)``: the midpoint of the
     last bracket and its half-width, a sup-norm error bound on ``x``.
@@ -178,6 +180,8 @@ def span_iterate(step, x, damping, tol, max_iter):
     k = damping / (1.0 - damping)
     bound = math.inf
     for it in range(1, max_iter + 1):
+        if between is not None and it > 1:
+            x = between(x, bound)
         y = step(x)
         d = y - x
         lo, hi = float(d.min()), float(d.max())

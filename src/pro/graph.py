@@ -696,22 +696,10 @@ def instance_facets(instance):
 
     Returns ``(system, page)``: ``page[k]`` is the page that row ``k``
     belongs to.  Columns stay page-local (``x[j]`` is the page's entry
-    for target j).  Weight pages come first, built together from dense
-    bound rows; then the discrete pages, in page order.
+    for target j).  Pages come in order, and damping is applied once to
+    the stack.
     """
-    n = instance.num_pages
-    systems, pages, rows = [], [], []
-    if instance.skeletons:
-        upper = np.stack([sk.upper() for sk in instance.skeletons])
-        systems.append(polytopes.facets_box(
-            np.stack([sk.lower() for sk in instance.skeletons]), upper))
-        pages += [sk.page for sk in instance.skeletons]
-        rows += list(n + 1 + (upper < 1.0).sum(axis=1))
-    for i in range(n):
-        if i not in instance.skeleton_by_page:
-            systems.append(_outlink_facets(instance, i))
-            pages.append(i)
-            rows.append(systems[-1].coef.num_rows)
+    systems = [_outlink_facets(instance, i) for i in range(instance.num_pages)]
     stacked = polytopes.stack_systems(systems)
     return (polytopes.apply_damping(stacked, instance.damping, instance.teleport),
-            np.repeat(pages, rows))
+            np.repeat(np.arange(len(systems)), [s.coef.num_rows for s in systems]))

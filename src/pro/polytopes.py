@@ -221,33 +221,17 @@ def facets_box(lower, upper):
     """Facet system of a box-with-simplex set, in outlink space.
 
     Coordinate j is record j: ``x[j] >= lower[j]``, followed by
-    ``x[j] <= upper[j]`` where that cap is below 1; the simplex equation
-    is the last row.  Bounds of shape ``(b, n)`` give ``b`` such systems
-    stacked in order, each with its own simplex row and records.
+    ``x[j] <= upper[j]`` where that cap is below 1.
     """
-    lower, upper = np.atleast_2d(lower), np.atleast_2d(upper)
-    b, n = lower.shape
+    n = lower.size
     capped = upper < 1.0
-    per = 1 + capped.ravel()  # bound rows per coordinate
-    col = np.repeat(np.tile(np.arange(n), b), per)
-    le = np.zeros(col.size, dtype=bool)
-    le[np.cumsum(per)[capped.ravel()] - 1] = True
-    simplex = np.cumsum(n + 1 + capped.sum(axis=1)) - 1
-    bound = np.ones(simplex[-1] + 1, dtype=bool)
-    bound[simplex] = False
-    indptr = np.zeros(bound.size + 1, dtype=np.int64)
-    np.cumsum(np.where(bound, 1, n), out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    indices[indptr[:-1][bound]] = col
-    indices[(indptr[simplex][:, None] + np.arange(n)).ravel()] = np.tile(np.arange(n), b)
-    rel = np.full(bound.size, EQ)
-    rel[bound] = np.where(le, LE, GE)
-    rhs = np.ones(bound.size)
-    rhs[bound] = np.where(le, np.repeat(upper.ravel(), per), np.repeat(lower.ravel(), per))
-    record = np.full(bound.size, n)
-    record[bound] = col
-    return FacetSystem(RowSparse(bound.size, n, indptr, indices, np.ones(indptr[-1])),
-                       rel, rhs, record)
+    col = np.repeat(np.arange(n), 1 + capped)
+    second = np.flatnonzero(capped) + np.cumsum(capped)[capped]
+    rel = np.full(col.size, GE)
+    rel[second] = LE
+    rhs = lower[col]
+    rhs[second] = upper[capped]
+    return _system(n, col, rel, rhs, col)
 
 
 def stack_systems(systems):

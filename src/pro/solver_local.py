@@ -17,7 +17,8 @@ policy iteration, Newton's method on the Bellman equation: Puterman,
 *Markov Decision Processes*, 1994, sections 6.4-6.6).  Every
 admissible row sums to one, so ``T(w + c) = T(w) + damping * c`` and
 each sweep yields the MacQueen–Porteus bracket of ``chain.span_iterate``;
-the loop stops once its half-width is at most ``tol``.
+the loop is that function's, with the evaluation run between sweeps, and
+stops once the bracket's half-width is at most ``tol``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ EVAL_SHARE = 1e-3
 
 # Rounding allowance of one sweep, relative to ``1 + max |w|`` (rewards
 # are rescaled to at most 1): a page's value averages its scores with
-# pairwise sums, whose error stays below 32 ulps up to 2**20 terms.
+# pairwise sums, whose error stays below 32 ulps up to 2**20 terms.  It
+# is added to the reported error bound, not to the stop test, so a tol
+# below it still stops once the bracket itself closes.
 ROUNDING = 32 * float(np.finfo(float).eps)
 
 
@@ -74,10 +77,10 @@ def iteration_budget(damping, tol):
 class SolverConfig:
     """Knobs of the policy-iteration loop.
 
-    ``tol`` bounds the true sup-norm error of the returned vector: the
-    loop stops once the MacQueen–Porteus bracket of one improvement
-    sweep has half-width at most ``tol``.  ``max_iter`` caps the policy
-    steps (one sweep each); it defaults to the sweeps the plain
+    The loop stops once the MacQueen–Porteus bracket of one improvement
+    sweep has half-width at most ``tol``, which then bounds the sup-norm
+    error of the returned vector up to rounding.  ``max_iter`` caps the
+    policy steps (one sweep each); it defaults to the sweeps the plain
     contraction bound would need, a worst case.
     """
 
@@ -90,10 +93,15 @@ class DpState:
     """Converged iterate: value vector, income, and loop diagnostics.
 
     ``residual`` is the certified sup-norm error bound of ``w``, in
-    reward units; ``psi`` is then within ``(1 - damping) * residual`` of
+    reward units: the last bracket's half-width plus the rounding
+    allowance ``ROUNDING * (1 + max |w|) / (1 - damping)`` (on rescaled
+    rewards); ``psi`` is then within ``(1 - damping) * residual`` of
     both the optimal income and the income of the extracted strategy.
-    ``iterations`` counts improvement sweeps, and ``stop_reason`` is
-    "policy_stable" when the bracket closed to ``tol`` or "max_iter".
+    ``iterations`` counts improvement sweeps.  ``stop_reason`` is
+    "policy_stable" when the bracket closed to ``tol`` on a sweep whose
+    greedy policy repeated the one before, "bracket" when it closed while
+    the policy still changed (where incomes tie within ``tol``, or on
+    the first sweep of a warm start), and "max_iter" otherwise.
     """
 
     w: np.ndarray
@@ -124,7 +132,8 @@ class CompiledBellman:
 
     Each sweep also keeps its greedy policy (active candidates, no-link
     pages, weight pages' rows), which ``evaluate`` solves for and
-    ``extract`` turns into a ``Strategy``.  One instance serves one
+    ``extract`` turns into a ``Strategy``, and sets ``repeated`` when that
+    policy equals the previous sweep's.  One instance serves one
     caller at a time.
     """
 
@@ -170,11 +179,10 @@ class CompiledBellman:
         # pages that always take the no-link row: no links, no skeleton
         self.plain_nl = (o_cnt == 0) & (f_cnt == 0)
         self.plain_nl[list(self.skel)] = False
-        # the greedy policy of the last sweep
-        self.active = np.zeros(self.f_idx.size, dtype=bool)
-        self.size = self.o_cnt.copy()
-        self.use_nl = self.plain_nl.copy()
-        self.skel_rows = {}
+        # the greedy policy of the last sweep, and whether it repeated
+        # the one before
+        self.active = self.size = self.use_nl = self.skel_rows = None
+        self.repeated = False
 
     def apply(self, w):
         """One simultaneous sweep: returns ``T(w)`` and keeps its policy."""
@@ -215,6 +223,11 @@ class CompiledBellman:
             res = linear_maximize(box, rrow + w)
             out[page] = alpha * res.value + self.const[page]
             skel_rows[page] = res.row
+        self.repeated = (self.skel_rows is not None
+                         and np.array_equal(active, self.active)
+                         and np.array_equal(use_nl, self.use_nl)
+                         and all(np.array_equal(x, self.skel_rows[p])
+                                 for p, x in skel_rows.items()))
         self.active, self.size, self.use_nl, self.skel_rows = active, size, use_nl, skel_rows
         return out
 
@@ -262,9 +275,15 @@ class CompiledBellman:
 
         Solved densely up to ``DENSE_EVAL_CAP`` pages; above, by the span
         loop of ``chain.span_iterate`` from ``x0`` to half-width ``tol``
-        (at most ``max_iter`` products with ``S``).
+        (at most ``max_iter`` products with ``S``).  A repeated policy
+        was solved densely one step ago, and a second solve would only
+        return that step's vector, so ``x0`` is kept: the loop then goes
+        on as value iteration, whose bracket shrinks past the solve's
+        rounding.
         """
         n, alpha = self.n, self.alpha
+        if n <= DENSE_EVAL_CAP and self.repeated:
+            return x0
         rows, cols, weights, rewards = self._entries()
         use_nl, skel_rows = self.use_nl, self.skel_rows
         rbar = np.bincount(rows, weights * rewards, minlength=n).astype(float, copy=False)
@@ -319,7 +338,9 @@ def value_iterate(instance, config=None, w0=None):
     the sweep's greedy policy (``CompiledBellman.evaluate``): exact up to
     ``DENSE_EVAL_CAP`` pages, else to ``max(tol, EVAL_SHARE * bracket)``.
     After an exact evaluation the bracket closes when the greedy policy
-    repeats, or changes only where incomes tie within ``tol``.
+    repeats, or changes only where incomes tie within ``tol``; the stop
+    does not wait for a repeat, since rounding can make the greedy
+    policy alternate between such ties.
 
     Parameters
     ----------
@@ -360,21 +381,13 @@ def value_iterate(instance, config=None, w0=None):
     budget = max(1, math.ceil(math.log(min(theta / worst, 0.5))
                               / math.log(alpha))) + 10
     max_iter = budget if config.max_iter is None else config.max_iter
-    k = alpha / (1.0 - alpha)
     w = np.zeros(instance.num_pages) if w0 is None else np.asarray(w0, dtype=float) / scale
-    done, bound, stop = 0, math.inf, "max_iter"
-    while done < max_iter:
-        y = comp.apply(w)
-        done += 1
-        d = y - w
-        lo, hi = float(d.min()), float(d.max())
-        bound = k * (hi - lo) / 2.0 + (1.0 + k) * ROUNDING * (1.0 + float(np.abs(w).max()))
-        w = y + k * (lo + hi) / 2.0
-        if bound <= tol:
-            stop = "policy_stable"
-            break
-        if done < max_iter:
-            w = comp.evaluate(w, max(tol, EVAL_SHARE * bound), budget)
+    w, done, bound, converged = span_iterate(
+        comp.apply, w, alpha, tol, max_iter,
+        between=lambda x, b: comp.evaluate(x, max(tol, EVAL_SHARE * b), budget))
+    stop = ("max_iter" if not converged
+            else "policy_stable" if comp.repeated else "bracket")
+    bound += ROUNDING / (1.0 - alpha) * (1.0 + float(np.abs(w).max()))
     w_out = w * scale
     psi = (1.0 - alpha) * float(np.dot(instance.teleport, w_out))
     state = DpState(w_out, psi, done, bound * scale, stop)
