@@ -52,12 +52,10 @@ def build_parser():
                    help="assert the instance's control kind before solving")
     p.add_argument("--out", help="write the strategy JSON here")
 
-    p = sub.add_parser("optimize-coupled", help="dual solve under budget rows")
+    p = sub.add_parser("optimize-coupled", help="column generation under budget rows")
     p.add_argument("instance")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-outer", type=int, default=200)
-    p.add_argument("--step-rule", choices=("polyak", "harmonic"), default="polyak")
-    p.add_argument("--step0", type=float, default=1.0)
     p.add_argument("--out", help="write the best feasible strategy JSON here")
 
     p = sub.add_parser("analyze", help="value ordering and optimality audit")
@@ -163,9 +161,7 @@ def _cmd_optimize_coupled(args):
     from .solver_coupled import CoupledConfig, solve_coupled
 
     inst = load_instance(args.instance)
-    cfg = CoupledConfig(tol=args.tol, max_outer=args.max_outer,
-                        step_rule=args.step_rule, step0=args.step0)
-    res = solve_coupled(inst, cfg)
+    res = solve_coupled(inst, CoupledConfig(tol=args.tol, max_outer=args.max_outer))
     result = {
         "dual_bound": res.dual_bound,
         "gap": res.gap,
@@ -188,6 +184,7 @@ def _cmd_optimize_coupled(args):
             "utility": cand.utility,
             "feasible": cand.feasible,
             "coupling_values": [float(x) for x in cand.coupling_values],
+            "strategy": _strategy_payload(cand.strategy),
         }
     status = "ok" if (res.best_feasible is not None and res.gap <= args.tol) \
         else "qualified"

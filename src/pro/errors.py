@@ -37,7 +37,16 @@ class CouplingPresent(ProError):
 
 
 class Infeasible(ProError):
-    """A constraint system has no feasible point."""
+    """A constraint system has no feasible point.
+
+    A budget system proved infeasible carries its certificate as
+    ``multipliers``: nonnegative prices ``lam`` under which every
+    strategy spends more than the priced bounds, ``lam . (C - b) > 0``.
+    """
+
+    def __init__(self, message, multipliers=None):
+        super().__init__(message)
+        self.multipliers = multipliers
 
 
 class Unbounded(ProError):

@@ -1,32 +1,37 @@
-"""Income maximization under graph-wide budget rows.
+"""Income maximization under graph-wide budget rows, by two routes.
 
-Budget rows couple the pages, so the per-page maximization inside value
-iteration no longer applies directly.  Two routes are provided.  The
-dual route prices each budget row into the rewards with a multiplier,
-solves the resulting local problem exactly, and runs projected
-subgradient descent on the convex dual; it scales like the local solver
-and yields a certified upper bound plus feasible strategies found along
-the way.  The linear-programming route optimizes over occupation
-measures directly (``rho[i, j] = pi[i] P[i, j]``), with weight pages
-written on their chain-space floor and discrete pages' constraint sets
-lifted through the row-mass factor; it is exact but dense, so it is
-capped to small instances and doubles as a cross-check of the dual
-route.
+The dual route is column generation.  Each local solve with the budget
+rows priced into the rewards (``dual_value``) gives a policy with exact
+income ``U`` and spending ``C``: a cut ``theta(lam) >= U + lam . (b -
+C)`` of the dual and a column of the master ``max sum mu_t U_t``, ``sum
+mu_t C_t <= b``, ``sum mu_t = 1``, ``mu >= 0`` (Dantzig and Wolfe,
+1960), whose duals minimize the cut model and price the next solve
+(Kelley, 1960).  Mixtures of occupation measures are occupation
+measures, so the answer is one randomized strategy mixing at most ``K +
+1`` deterministic ones (Altman, 1999), re-evaluated on its own chain.
+
+The linear-programming route optimizes over occupation measures
+directly (``rho[i, j] = pi[i] P[i, j]``), with weight pages written on
+their chain-space floor and discrete pages' constraint sets lifted
+through the row-mass factor; it is exact but dense, so it is capped to
+small instances and doubles as a cross-check of the dual route.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .chain import occupation, stationary, utility_from_chain
-from .errors import ProError, TooLarge, ValidationError
+from .chain import stationary, utility_from_chain
+from .errors import Infeasible, ProError, TooLarge, ValidationError
 from .polytopes import EQ, separate
-from .graph import Strategy, build_transition, chain_facets, instance_facets
+from .graph import (ContinuousChoice, DiscreteChoice, Strategy, build_transition,
+                    chain_facets, instance_facets)
 from .simplex import solve_dense_lp
 from .solver_local import SolverConfig, value_iterate
 from .sparse import row_ids
@@ -34,30 +39,20 @@ from .sparse import row_ids
 FEASIBILITY_TOL = 1e-9
 LP_PAGE_CAP = 200
 LP_VAR_CAP = 20000
-RHO_STORE_CAP = 200
-
-
-@dataclass(frozen=True)
-class Multipliers:
-    """Nonnegative price vector, one entry per budget row."""
-
-    values: np.ndarray
+# The master enumerates every basis of its K + 1 rows; 100,000 bases (447
+# columns with one row, 40 with three, 22 with five) take 0.3-0.4 s and 10-51 MB.
+MASTER_BASIS_CAP = 100_000
+# basic solutions are accepted to this share of the master's largest entry
+MASTER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class DualIterate:
     """Everything observed at one multiplier setting.
 
-    ``theta`` is the dual objective, never below its exact value (see
-    ``dual_value``).  ``subgradient`` holds the update
-    direction ``spending - bound`` per budget row: the projected step
-    ``max(0, lam + s * g)`` then raises the price of violated rows and
-    relaxes slack ones, which descends ``theta`` (whose true subgradient
-    is the negated vector).  ``primal_value`` and ``coupling_values``
-    describe the chain induced by the priced-out optimal strategy under
-    the original rewards; ``rho`` is its occupation measure, dense, and
-    ``None`` above ``RHO_STORE_CAP`` pages (every outer iterate is
-    retained, so dense measures are only affordable at oracle scale).
+    ``theta`` never falls below the exact dual objective (see
+    ``dual_value``); ``subgradient`` is ``spending - bound``.  The other
+    fields describe the chain of the priced-out optimal ``strategy``.
     """
 
     multipliers: np.ndarray
@@ -68,7 +63,19 @@ class DualIterate:
     primal_value: float
     strategy: Strategy
     pi: np.ndarray
-    rho: Optional[np.ndarray]
+    dp_state: object
+
+
+@dataclass(frozen=True)
+class DualRecord:
+    """One ``dual_value`` call as the run keeps it: O(K) numbers, and the
+    inner ``DpState`` without its value vector (``w`` is ``None``)."""
+
+    multipliers: np.ndarray
+    theta: float
+    primal_value: float
+    coupling_values: np.ndarray
+    feasible: bool
     dp_state: object
 
 
@@ -76,60 +83,52 @@ class DualIterate:
 class CoupledConfig:
     """Outer-loop knobs.
 
-    ``tol`` is the relative duality gap at which the loop stops;
-    ``step_rule`` is "polyak" (needs a feasible income to aim at, falls
-    back to harmonic until one appears) or "harmonic".
+    ``tol`` is the relative gap between the dual bound and the master
+    value at which the loop stops; ``max_outer`` caps the ``dual_value``
+    calls; ``inner`` configures every local solve.
     """
 
     tol: float = 1e-6
     max_outer: int = 200
-    step_rule: str = "polyak"
-    step0: float = 1.0
     inner: SolverConfig = field(default_factory=lambda: SolverConfig(tol=1e-9))
 
 
 @dataclass(frozen=True)
 class PrimalCandidate:
-    """Mixture of dual iterates, pulled back to the budget region.
+    """The master's mixture as one randomized strategy (see ``_mixture``).
 
-    Mixtures of occupation measures are again occupation measures, so
-    income and budget spending evaluate linearly; ``rho`` is the mixed
-    measure itself, materialized only at dense-friendly sizes.  The
-    solver keeps the best mixture it ever builds, whether it came from
-    the tail-window average or from pairing one over-budget iterate
-    with the best feasible one.
+    ``pi``, ``utility`` and ``coupling_values`` come from
+    ``build_transition`` and ``stationary`` on ``strategy`` itself.
     """
 
+    strategy: Strategy
     pi: np.ndarray
     utility: float
     coupling_values: np.ndarray
     feasible: bool
-    rho: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
 class FeasibleIncumbent:
-    """Best budget-respecting strategy seen so far, with its exact income.
-
-    ``iteration`` is the outer iteration that produced it; ``-1`` marks
-    the minimal-spending strategy tried before the first multiplier.
-    """
+    """Best budget-respecting deterministic policy seen, with its income."""
 
     strategy: Strategy
     value: float
     pi: np.ndarray
-    iteration: int
 
 
 @dataclass(frozen=True)
 class CoupledResult:
     """Outcome of the dual route.
 
-    ``dual_bound`` always upper-bounds every feasible income.
-    ``best_feasible`` is the best budget-respecting strategy seen, or
-    ``None`` when no iterate was feasible; the averaged ``candidate``
-    may improve on it (as a mixture, not a single strategy).  ``gap``
-    is relative, against whichever primal value is best.
+    ``dual_bound`` (the smallest ``theta``) upper-bounds every feasible
+    income.  ``candidate`` is the master's mixture, or ``None`` when the
+    loop ended before any mixture met the budget rows; ``best_feasible``
+    is the best deterministic column that meets them alone, or ``None``.
+    ``gap`` is relative, against the better of the two.  ``iterates``
+    holds one ``DualRecord`` per ``dual_value`` call.  ``stop_reason`` is
+    "gap" (the bound met the master value to ``tol``), "stalled" (a
+    local solve brought no new column) or "max_outer".
     """
 
     dual_bound: float
@@ -139,6 +138,32 @@ class CoupledResult:
     gap: float
     iterations: int
     stop_reason: str
+
+
+def _evaluate(instance, strategy):
+    """Stationary measure, income and per-row spending of a strategy."""
+    trans = build_transition(instance, strategy)
+    pi = stationary(trans, tol=1e-12).pi
+    spend = np.array([utility_from_chain(trans, pi, c.weights) for c in instance.coupling])
+    return pi, utility_from_chain(trans, pi, instance.rewards), spend
+
+
+def _price(instance, rewards, lam, inner, w0):
+    """Best local policy for ``rewards - lam . weights``, evaluated exactly.
+
+    ``theta`` adds the inner solve's certified income error and prices
+    the bounds back in, so it upper-bounds ``max_pi [R(pi) + lam . (b -
+    C(pi))]`` for the passed rewards ``R``.
+    """
+    bounds = np.array([c.bound for c in instance.coupling])
+    modified = rewards.minus_weighted([c.weights for c in instance.coupling], lam)
+    state, strat = value_iterate(instance.local_only(modified), inner, w0=w0)
+    theta = (state.psi + (1.0 - instance.damping) * state.residual
+             + float(np.dot(lam, bounds)))
+    pi, primal, cvals = _evaluate(instance, strat)
+    feasible = bool(np.all(cvals <= bounds + FEASIBILITY_TOL))
+    return DualIterate(lam.copy(), theta, cvals - bounds, cvals, feasible,
+                       primal, strat, pi, state)
 
 
 def dual_value(instance, multipliers, inner=None, w0=None):
@@ -155,14 +180,13 @@ def dual_value(instance, multipliers, inner=None, w0=None):
     ----------
     instance : WebGraphInstance
         Must carry at least one coupling row.
-    multipliers : ndarray or Multipliers
+    multipliers : ndarray
         Nonnegative, one entry per coupling row.
     inner : SolverConfig, optional
     w0 : ndarray, optional
         Warm start for the inner value vector.
     """
-    lam = multipliers.values if isinstance(multipliers, Multipliers) else multipliers
-    lam = np.asarray(lam, dtype=float)
+    lam = np.asarray(multipliers, dtype=float)
     k = len(instance.coupling)
     if k == 0:
         raise ValidationError("instance has no coupling rows")
@@ -170,21 +194,114 @@ def dual_value(instance, multipliers, inner=None, w0=None):
         raise ValidationError(f"expected {k} multipliers, got shape {lam.shape}")
     if lam.size and float(lam.min()) < 0.0:
         raise ValidationError("multipliers must be nonnegative")
-    inner = inner or SolverConfig(tol=1e-9)
-    weights = [c.weights for c in instance.coupling]
-    bounds = np.array([c.bound for c in instance.coupling])
-    modified = instance.rewards.minus_weighted(weights, lam)
-    state, strat = value_iterate(instance.local_only(modified), inner, w0=w0)
-    theta = (state.psi + (1.0 - instance.damping) * state.residual
-             + float(np.dot(lam, bounds)))
-    trans = build_transition(instance, strat)
-    pi = stationary(trans, tol=1e-12).pi
-    cvals = np.array([utility_from_chain(trans, pi, wt) for wt in weights])
-    primal = utility_from_chain(trans, pi, instance.rewards)
+    return _price(instance, instance.rewards, lam, inner or SolverConfig(tol=1e-9), w0)
+
+
+_Master = collections.namedtuple("_Master", "mu lam value")
+
+
+def _master(income, spending, bounds):
+    """Optimal basis of the mixture program over the columns found so far.
+
+    The program is ``max sum mu_t U_t`` subject to ``sum mu_t C_t + s =
+    b``, ``sum mu_t = 1`` and ``mu, s >= 0``.  Phase 1 (``income`` is
+    ``None``) zeroes the incomes and adds a shortfall column (-1 in every
+    budget row, income -1); its duals (``sum lam <= 1``) price the least
+    worst-row overshoot of any mixture.  All bases of the K + 1 rows are
+    solved in one batched ``np.linalg.solve``.  The best feasible one
+    gives ``mu``; among those reaching its value, the one with the least
+    positive reduced cost gives ``lam``, which at an optimal basis
+    minimizes the cut model ``max_t U_t + lam . (b - C_t)``.  ``None``
+    means no basis is feasible.
+
+    Raises
+    ------
+    TooLarge
+        Above ``MASTER_BASIS_CAP`` bases.
+    """
+    t, k = spending.shape
+    phase1 = income is None
+    a = np.zeros((k + 1, t + k + phase1))
+    a[:k, :t] = spending.T
+    a[k, :t] = 1.0
+    a[:k, t:t + k] = np.eye(k)
+    cost = np.zeros(a.shape[1])
+    if phase1:
+        a[:k, -1] = -1.0
+        cost[-1] = -1.0
+    else:
+        cost[:t] = income
+    rhs = np.append(bounds, 1.0)
+    count = math.comb(a.shape[1], k + 1)
+    if count > MASTER_BASIS_CAP:
+        raise TooLarge(f"master has {count} bases; the cap is {MASTER_BASIS_CAP}")
+    bases = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(a.shape[1]), k + 1)),
+        dtype=np.intp, count=count * (k + 1)).reshape(count, k + 1)
+    mats = a[:, bases].transpose(1, 0, 2)
+    keep = np.linalg.det(mats) != 0.0
+    bases, mats = bases[keep], mats[keep]
+    x = np.linalg.solve(mats, rhs[:, None])[..., 0]
+    tol = MASTER_TOL * max(1.0, np.abs(a).max(), np.abs(cost).max(), np.abs(rhs).max())
+    resid = np.abs(np.einsum("bij,bj->bi", mats, x) - rhs).max(axis=1)
+    ok = (x.min(axis=1) >= -tol) & (resid <= tol)
+    if not ok.any():
+        return None
+    values = np.einsum("bj,bj->b", cost[bases], x)
+    top = np.flatnonzero(ok & (values >= values[ok].max() - tol))
+    y = np.linalg.solve(mats[top].transpose(0, 2, 1), cost[bases[top]][..., None])[..., 0]
+    best = int(np.argmin((cost - y @ a).max(axis=1)))
+    cols, xb = bases[top[best]], x[top[best]]
+    mu = np.zeros(t)
+    mu[cols[cols < t]] = np.maximum(xb[cols < t], 0.0)
+    mu /= mu.sum()
+    return _Master(mu, np.maximum(y[best, :k], 0.0), float(mu @ cost[:t]))
+
+
+def _chain_row(instance, page, choice):
+    """Chain-space row ``P[page]`` that one page choice selects."""
+    if isinstance(choice, ContinuousChoice):
+        return choice.row
+    links = np.union1d(instance.obligatory_of(page), choice.activated).astype(np.intp)
+    srow = (np.bincount(links, minlength=instance.num_pages) / links.size
+            if links.size else instance.dangling_teleport)
+    return instance.damping * srow + (1.0 - instance.damping) * instance.teleport
+
+
+def _same(a, b):
+    return a == b if isinstance(a, DiscreteChoice) else (
+        isinstance(b, ContinuousChoice) and np.array_equal(a.row, b.row))
+
+
+def _mixture(instance, mu, table, policies, bounds):
+    """The master's mixture as one strategy, re-evaluated on its own chain.
+
+    Column t has income ``table[t, 0]``, spending ``table[t, 1:]`` and
+    ``policies[t] = (strategy, pi)``.  Where the support's policies
+    differ, page i gets ``sum_t mu_t pi_t(i) P_t,i / sum_t mu_t pi_t(i)``:
+    a point of its convex constraint set (which ``build_transition``
+    checks) that yields the mixed occupation measure.
+    """
+    support = np.flatnonzero(mu > 0.0)
+    if support.size == 1:
+        strat, pi = policies[support[0]]
+        util, cvals = float(table[support[0], 0]), table[support[0], 1:]
+    else:
+        strats = [policies[t][0] for t in support]
+        weight = mu[support, None] * np.stack([policies[t][1] for t in support])
+        choices = {}
+        for page, first in strats[0].choices.items():
+            picked = [s.choices[page] for s in strats]
+            if all(_same(first, c) for c in picked[1:]):
+                choices[page] = first
+                continue
+            rows = np.stack([_chain_row(instance, page, c) for c in picked])
+            w = weight[:, page]
+            choices[page] = ContinuousChoice(w @ rows / w.sum())
+        strat = Strategy(choices)
+        pi, util, cvals = _evaluate(instance, strat)
     feasible = bool(np.all(cvals <= bounds + FEASIBILITY_TOL))
-    rho = occupation(trans, pi).rho if instance.num_pages <= RHO_STORE_CAP else None
-    return DualIterate(lam.copy(), theta, cvals - bounds, cvals, feasible,
-                       primal, strat, pi, rho, state)
+    return PrimalCandidate(strat, pi, util, cvals, feasible)
 
 
 def _gap(dual_bound, primal):
@@ -193,192 +310,74 @@ def _gap(dual_bound, primal):
     return max(0.0, (dual_bound - primal) / max(abs(dual_bound), 1e-12))
 
 
-def _feasibility_bootstrap(instance, inner):
-    """Chase minimal budget spending to find one feasible strategy.
-
-    Runs the local solver with the summed budget weights as a cost; the
-    resulting chain need not respect the bounds (with several rows it
-    may trade one off against another), but whenever it does, it hands
-    the outer loop a feasible anchor before any multiplier is tried,
-    which is what the step rule and the candidate projection need on
-    instances where no priced-out vertex strategy is ever feasible.
-    """
-    weights = [c.weights for c in instance.coupling]
-    cost = instance.rewards.scaled(0.0).minus_weighted(
-        weights, np.ones(len(weights)))
-    state, strat = value_iterate(instance.local_only(cost), inner)
-    trans = build_transition(instance, strat)
-    pi = stationary(trans, tol=1e-12).pi
-    cvals = np.array([utility_from_chain(trans, pi, wt) for wt in weights])
-    bounds = np.array([c.bound for c in instance.coupling])
-    feasible = bool(np.all(cvals <= bounds + FEASIBILITY_TOL))
-    primal = utility_from_chain(trans, pi, instance.rewards)
-    rho = occupation(trans, pi).rho if instance.num_pages <= RHO_STORE_CAP else None
-    return DualIterate(np.zeros(len(weights)), math.inf, cvals - bounds,
-                       cvals, feasible, primal, strat, pi, rho, state)
-
-
-class _TailWindow:
-    """Running averages over the last ``cap`` iterates, O(n) per push."""
-
-    def __init__(self, cap, keep_rho):
-        self.cap = max(1, cap)
-        self.items = collections.deque()
-        self.keep_rho = keep_rho
-        self.pi_sum = None
-        self.c_sum = None
-        self.u_sum = 0.0
-        self.rho_sum = None
-
-    def push(self, it):
-        self.items.append(it)
-        if self.pi_sum is None:
-            self.pi_sum = it.pi.copy()
-            self.c_sum = it.coupling_values.copy()
-            self.u_sum = it.primal_value
-            if self.keep_rho:
-                self.rho_sum = it.rho.copy()
-        else:
-            self.pi_sum += it.pi
-            self.c_sum += it.coupling_values
-            self.u_sum += it.primal_value
-            if self.keep_rho:
-                self.rho_sum += it.rho
-        if len(self.items) > self.cap:
-            old = self.items.popleft()
-            self.pi_sum -= old.pi
-            self.c_sum -= old.coupling_values
-            self.u_sum -= old.primal_value
-            if self.keep_rho:
-                self.rho_sum -= old.rho
-
-    def means(self):
-        m = len(self.items)
-        rho = self.rho_sum / m if self.keep_rho else None
-        return self.pi_sum / m, self.u_sum / m, self.c_sum / m, rho
-
-
-def _project_candidate(pi, util, cvals, rho, anchor, bounds):
-    """Pull the averaged iterate back inside the budget region.
-
-    Mixtures of occupation measures are occupation measures, so income
-    and spending interpolate linearly along the segment toward the
-    anchor; the smallest step covering every violated row lands exactly
-    on the worst bound when the anchor itself is feasible.
-    """
-    feasible = bool(np.all(cvals <= bounds + FEASIBILITY_TOL))
-    if not feasible and anchor is not None and \
-            float(np.max(anchor.coupling_values - bounds)) <= FEASIBILITY_TOL:
-        t = 0.0
-        for j in range(bounds.size):
-            over = cvals[j] - bounds[j]
-            if over > FEASIBILITY_TOL:
-                den = cvals[j] - anchor.coupling_values[j]
-                t = max(t, over / den) if den > 0.0 else 1.0
-        t = min(1.0, t)
-        pi = (1.0 - t) * pi + t * anchor.pi
-        util = (1.0 - t) * util + t * anchor.primal_value
-        cvals = (1.0 - t) * cvals + t * anchor.coupling_values
-        if rho is not None and anchor.rho is not None:
-            rho = (1.0 - t) * rho + t * anchor.rho
-        elif rho is not None:
-            rho = None
-        feasible = bool(np.all(cvals <= bounds + FEASIBILITY_TOL))
-    return PrimalCandidate(pi, util, cvals, feasible, rho)
-
-
-def _better_candidate(old, new):
-    # feasibility first, then income; ties keep the incumbent
-    if new is None:
-        return old
-    if old is None:
-        return new
-    if (new.feasible, new.utility) > (old.feasible, old.utility):
-        return new
-    return old
-
-
 def solve_coupled(instance, config=None):
-    """Projected subgradient descent on the dual of the budget problem.
+    """Column generation on the mixture program of the budget problem.
+
+    The first column is the local optimum (``lam = 0``).  While no
+    mixture of the columns meets the budget rows, the phase-1 master's
+    duals price spending alone, and a cost-only local solve adds a
+    column (kept out of ``iterates``) or certifies that every strategy
+    overspends.  Then each step calls ``dual_value`` at the master's duals.
 
     Returns
     -------
     CoupledResult
-        Never raises on slow progress; ``stop_reason`` says whether the
-        loop closed the gap ("gap"), ran out of outer iterations
-        ("max_outer"), found a stationary multiplier ("stationary"), or
-        stopped moving ("stalled").
+
+    Raises
+    ------
+    Infeasible
+        When the cost-only solve at ``lam`` gives ``min_pi lam . (C(pi) -
+        b) > FEASIBILITY_TOL * sum(lam)`` beyond its certified error, so
+        no strategy meets the rows even to ``FEASIBILITY_TOL``; ``lam`` is
+        attached as ``multipliers``.
+    TooLarge
+        When the master outgrows ``MASTER_BASIS_CAP``.
     """
     if not instance.coupling:
         raise ValidationError("instance has no coupling rows")
     config = config or CoupledConfig()
-    if config.step_rule not in ("polyak", "harmonic"):
-        raise ValidationError(f"unknown step rule: {config.step_rule!r}")
     bounds = np.array([c.bound for c in instance.coupling])
-    lam = np.zeros(bounds.size)
-    iterates = []
-    window = _TailWindow(math.ceil(config.max_outer / 2),
-                         keep_rho=instance.num_pages <= RHO_STORE_CAP)
-    dual_bound = math.inf
-    best = None
-    best_primal = -math.inf
-    candidate = None
-    stop_reason = "max_outer"
-    w0 = None
-    boot = _feasibility_bootstrap(instance, config.inner)
-    anchor, anchor_key = boot, (
-        max(float(np.max(boot.coupling_values - bounds)), 0.0),
-        -boot.primal_value)
-    feas_it = boot if boot.feasible else None
-    if boot.feasible:
-        best = FeasibleIncumbent(boot.strategy, boot.primal_value, boot.pi, -1)
-        best_primal = boot.primal_value
-    for t in range(config.max_outer):
-        it = dual_value(instance, lam, config.inner, w0=w0)
-        w0 = it.dp_state.w
-        iterates.append(it)
-        window.push(it)
-        dual_bound = min(dual_bound, it.theta)
-        key = (max(float(np.max(it.coupling_values - bounds)), 0.0),
-               -it.primal_value)
-        if anchor_key is None or key < anchor_key:
-            anchor, anchor_key = it, key
-        if it.feasible and (best is None or it.primal_value > best.value):
-            best = FeasibleIncumbent(it.strategy, it.primal_value, it.pi, t)
-        if it.feasible and (feas_it is None
-                            or it.primal_value > feas_it.primal_value):
-            feas_it = it
-        candidate = _better_candidate(
-            candidate, _project_candidate(*window.means(), anchor, bounds))
-        if not it.feasible and feas_it is not None:
-            candidate = _better_candidate(candidate, _project_candidate(
-                it.pi, it.primal_value, it.coupling_values, it.rho,
-                feas_it, bounds))
-        if best is not None:
-            best_primal = max(best_primal, best.value)
-        if candidate.feasible:
-            best_primal = max(best_primal, candidate.utility)
-        if _gap(dual_bound, best_primal) <= config.tol:
-            stop_reason = "gap"
-            break
-        g = it.subgradient
-        gnorm = float(np.dot(g, g))
-        if gnorm == 0.0:
-            stop_reason = "stationary"
-            break
-        if config.step_rule == "polyak" and best_primal > -math.inf:
-            step = (it.theta - best_primal) / gnorm
-            if step <= 0.0:
-                step = config.step0 / (1.0 + t)
+    spend_only = instance.rewards.scaled(0.0)
+    columns, records = {}, []  # (income, *spending) -> (strategy, pi)
+    lam, w_dual, w_cost = np.zeros(bounds.size), None, None
+    dual_bound, master, best, stop = math.inf, None, None, "max_outer"
+    while len(records) < config.max_outer:
+        if columns and master is None:
+            lam = _master(None, table[:, 1:], bounds).lam
+            col = _price(instance, spend_only, lam, config.inner, w_cost)
+            if col.theta < -FEASIBILITY_TOL * float(lam.sum()):
+                raise Infeasible(f"every strategy overspends: multipliers {lam.tolist()} "
+                                 f"price the excess at {-col.theta:.3e} or more", lam)
+            w_cost = col.dp_state.w
         else:
-            step = config.step0 / (1.0 + t)
-        new_lam = np.maximum(0.0, lam + step * g)
-        if float(np.abs(new_lam - lam).max()) <= 1e-12:
-            stop_reason = "stalled"
+            col = dual_value(instance, lam, config.inner, w0=w_dual)
+            w_dual = col.dp_state.w
+            records.append(DualRecord(col.multipliers, col.theta, col.primal_value,
+                                      col.coupling_values, col.feasible,
+                                      replace(col.dp_state, w=None)))
+            dual_bound = min(dual_bound, col.theta)
+        key = (col.primal_value, *col.coupling_values.tolist())
+        fresh = key not in columns
+        columns.setdefault(key, (col.strategy, col.pi))
+        if col.feasible and (best is None or col.primal_value > best.value):
+            best = FeasibleIncumbent(col.strategy, col.primal_value, col.pi)
+        table = np.array(list(columns))
+        master = _master(table[:, 0], table[:, 1:], bounds)
+        if master is not None and _gap(dual_bound, master.value) <= config.tol:
+            stop = "gap"
             break
-        lam = new_lam
-    return CoupledResult(dual_bound, best, candidate, tuple(iterates),
-                         _gap(dual_bound, best_primal), len(iterates), stop_reason)
+        if not fresh:
+            stop = "stalled"
+            break
+        if master is not None:
+            lam = master.lam
+    candidate = None if master is None else _mixture(
+        instance, master.mu, table, list(columns.values()), bounds)
+    primal = best.value if best else -math.inf
+    if candidate is not None and candidate.feasible:
+        primal = max(primal, candidate.utility)
+    return CoupledResult(dual_bound, best, candidate, tuple(records),
+                         _gap(dual_bound, primal), len(records), stop)
 
 
 @dataclass(frozen=True)

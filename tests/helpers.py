@@ -176,6 +176,17 @@ def add_active_coupling(doc, rng, slack=None):
     return out
 
 
+def add_coupling_rows(doc, rng, count, low, high):
+    """Attach ``count`` rows built like ``add_active_coupling``'s.
+
+    Each row's slack is drawn from ``[low, high]`` and each bound alone
+    is attainable, but together the rows may admit no strategy.
+    """
+    rows = [add_active_coupling(doc, rng, slack=float(rng.uniform(low, high)))
+            ["coupling"][0] for _ in range(count)]
+    return dict(doc, coupling=rows)
+
+
 def exact_utility(instance, strategy):
     """Income of a strategy's chain via direct linear algebra."""
     from pro.graph import build_transition

@@ -127,7 +127,27 @@ def test_optimize_coupled_envelope(tmp_path, capsys):
     assert env["result"]["best_feasible"] is not None
     assert env["result"]["candidate"]["feasible"] is True
     assert env["result"]["candidate"]["utility"] == pytest.approx(0.5, abs=1e-3)
+    # the candidate is one randomized strategy: both pages mix their rows
+    pages = env["result"]["candidate"]["strategy"]["pages"]
+    assert [p["kind"] for p in pages] == ["continuous", "continuous"]
     load_strategy(out_path, 2)  # file exists and parses
+
+
+def test_optimize_coupled_infeasible_budget(tmp_path, capsys):
+    # every strategy visits the two pages with total mass 1 > 0.5
+    doc = {
+        "num_pages": 2,
+        "damping": 0.85,
+        "teleport": [0.5, 0.5],
+        "obligatory": [],
+        "facultative": [[0, 1], [1, 0]],
+        "rewards": {"type": "per_page", "values": [0.0, 1.0]},
+        "coupling": [{"per_page": [1.0, 1.0], "bound": 0.5}],
+    }
+    code, env = _run(capsys, ["optimize-coupled", _write(tmp_path, "g.json", doc)])
+    assert code == 2
+    assert env["status"] == "qualified"
+    assert env["error"]["type"] == "Infeasible"
 
 
 def test_analyze_optimal_versus_default(tmp_path, capsys):

@@ -6,24 +6,30 @@ duality, the supporting-hyperplane inequality, bound monotonicity) is
 checked on random coupled problems.
 """
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import (
     add_active_coupling,
+    add_coupling_rows,
+    power_law_instance,
     random_continuous_doc,
     random_discrete_doc,
     two_page_coupled_instance,
     two_page_instance,
 )
-from pro.chain import utility
+from pro.chain import occupation, stationary, utility_from_chain
 from pro.errors import Infeasible, ProError, TooLarge, ValidationError
-from pro.graph import build_transition, chain_facets, load_instance
+from pro.graph import (CouplingRow, Rewards, build_transition, chain_facets,
+                       load_instance)
 from pro.oracle import brute_force_optimum, chain_utility, exact_stationary
+from pro import solver_coupled
 from pro.polytopes import separate
 from pro.solver_coupled import (
     CoupledConfig,
-    Multipliers,
     check_occupation,
     dual_value,
     lp_formulate,
@@ -46,13 +52,13 @@ def test_two_page_frozen_dual_points():
     np.testing.assert_allclose(at_zero.pi, [0.075, 0.925], atol=1e-9)
     assert not at_zero.feasible
 
-    priced_out = dual_value(inst, Multipliers(np.array([10.0])))
+    priced_out = dual_value(inst, np.array([10.0]))
     assert priced_out.theta == pytest.approx(8.575, abs=1e-8)
     assert priced_out.subgradient[0] == pytest.approx(-0.85, abs=1e-8)
     assert priced_out.feasible
     # occupation measure rows recombine to the stationary measure
-    np.testing.assert_allclose(priced_out.rho.sum(axis=1), priced_out.pi,
-                               atol=1e-12)
+    rho = occupation(build_transition(inst, priced_out.strategy), priced_out.pi).rho
+    np.testing.assert_allclose(rho.sum(axis=1), priced_out.pi, atol=1e-12)
 
 
 def test_dual_value_validation():
@@ -65,8 +71,6 @@ def test_dual_value_validation():
         dual_value(inst, np.array([-0.1]))
     with pytest.raises(ValidationError):
         solve_coupled(two_page_instance())
-    with pytest.raises(ValidationError):
-        solve_coupled(inst, CoupledConfig(step_rule="momentum"))
 
 
 def test_weak_duality_against_enumeration():
@@ -133,32 +137,43 @@ def test_two_page_coupled_frozen_solve():
         chain_utility(trans.dense_p(), pi, inst.rewards), abs=1e-9)
 
 
+def _exact(inst, strategy):
+    """Dense stationary measure, income and spending of a strategy."""
+    p = build_transition(inst, strategy).dense_p()
+    pi = exact_stationary(p)
+    spend = [chain_utility(p, pi, row.weights) for row in inst.coupling]
+    return pi, chain_utility(p, pi, inst.rewards), np.array(spend)
+
+
 def test_solve_run_invariants():
-    """Bound is the running minimum; iterates stay sane; gap is recomputable."""
+    """Bound is the running minimum; reported primals re-derive exactly."""
     rng = np.random.default_rng(92)
     for _ in range(6):
         inst = _coupled_discrete(rng, n_max=5, fac_budget=6)
+        bounds = np.array([c.bound for c in inst.coupling])
         res = solve_coupled(inst, CoupledConfig(max_outer=40))
         thetas = [it.theta for it in res.iterates]
         assert res.dual_bound == pytest.approx(min(thetas), abs=1e-12)
         assert res.iterations == len(res.iterates)
         for it in res.iterates:
             assert float(it.multipliers.min()) >= 0.0
+            assert it.dp_state.w is None
             if it.feasible:
                 assert it.theta >= it.primal_value - 1e-7
-                trans = build_transition(inst, it.strategy)
-                pi = exact_stationary(trans.dense_p())
-                for row in inst.coupling:
-                    assert chain_utility(trans.dense_p(), pi, row.weights) \
-                        <= row.bound + 1e-6
-        if res.candidate is not None and res.candidate.rho is not None:
-            assert utility(res.candidate.rho, inst.rewards) == pytest.approx(
-                res.candidate.utility, abs=1e-9)
-            np.testing.assert_allclose(res.candidate.rho.sum(axis=1),
-                                       res.candidate.pi, atol=1e-12)
-            if res.candidate.feasible:
-                bounds = np.array([c.bound for c in inst.coupling])
-                assert np.all(res.candidate.coupling_values <= bounds + 1e-9)
+        best = res.best_feasible
+        pi, income, spend = _exact(inst, best.strategy)
+        np.testing.assert_allclose(pi, best.pi, atol=1e-9)
+        assert income == pytest.approx(best.value, abs=1e-9)
+        assert np.all(spend <= bounds + 1e-9)
+        # the randomized candidate is one strategy whose own chain gives
+        # the reported income, spending and stationary measure
+        cand = res.candidate
+        pi, income, spend = _exact(inst, cand.strategy)
+        np.testing.assert_allclose(pi, cand.pi, atol=1e-9)
+        assert income == pytest.approx(cand.utility, abs=1e-9)
+        np.testing.assert_allclose(spend, cand.coupling_values, atol=1e-9)
+        assert cand.feasible and np.all(spend <= bounds + 1e-9)
+        assert res.dual_bound >= cand.utility - 1e-9
 
 
 def test_slack_budget_recovers_local_solution():
@@ -175,14 +190,6 @@ def test_slack_budget_recovers_local_solution():
         assert res.iterates[0].multipliers[0] == 0.0
 
 
-def test_harmonic_rule_still_converges():
-    res = solve_coupled(two_page_coupled_instance(),
-                        CoupledConfig(step_rule="harmonic", tol=1e-9,
-                                      max_outer=500))
-    assert res.dual_bound == pytest.approx(0.5, abs=1e-3)
-    assert res.candidate.feasible
-
-
 def test_dual_matches_lp_on_continuous_instances():
     rng = np.random.default_rng(94)
     for _ in range(6):
@@ -193,8 +200,46 @@ def test_dual_matches_lp_on_continuous_instances():
         scale = max(1.0, abs(lp_value))
         assert res.dual_bound >= lp_value - 1e-6 * scale
         assert (res.dual_bound - lp_value) / scale <= 1e-4
-        if res.candidate.feasible:
-            assert res.candidate.utility <= lp_value + 1e-6 * scale
+        assert res.candidate.feasible
+        assert res.candidate.utility <= lp_value + 1e-6 * scale
+        assert res.candidate.utility >= lp_value - 1e-6 * scale
+
+
+def test_three_budget_rows_match_lp_or_certify_infeasibility():
+    # three rows with slack 0.4-0.9 each: about half the draws admit no
+    # strategy at all; the rest must close the gap to the LP, and the
+    # randomized candidate must reach the LP value too
+    rng = np.random.default_rng(4242)
+    outcomes = []
+    for k in range(30):
+        doc = random_continuous_doc(rng, n_max=30)
+        inst = load_instance(add_coupling_rows(doc, rng, 3, 0.4, 0.9))
+        bounds = np.array([c.bound for c in inst.coupling])
+        try:
+            _, lp_value = lp_solve(lp_formulate(inst))
+        except Infeasible:
+            with pytest.raises(Infeasible) as exc:
+                solve_coupled(inst, CoupledConfig(tol=1e-6, max_outer=300))
+            lam = exc.value.multipliers
+            assert lam is not None and float(lam.min()) >= 0.0
+            # independent check: min over strategies of lam . (C - b) > 0
+            cost = inst.rewards.scaled(0.0).minus_weighted(
+                [c.weights for c in inst.coupling], lam)
+            state, _ = value_iterate(inst.local_only(cost))
+            margin = (-state.psi - (1.0 - inst.damping) * state.residual
+                      - float(lam @ bounds))
+            assert margin > 0.0, k
+            outcomes.append("infeasible")
+            continue
+        res = solve_coupled(inst, CoupledConfig(tol=1e-6, max_outer=300))
+        scale = max(1.0, abs(lp_value))
+        assert res.stop_reason == "gap", k
+        assert abs(res.dual_bound - lp_value) <= 1e-6 * scale, k
+        assert res.candidate.feasible, k
+        assert abs(res.candidate.utility - lp_value) <= 1e-6 * scale, k
+        outcomes.append("feasible")
+    assert outcomes.count("feasible") >= 10
+    assert outcomes.count("infeasible") >= 10
 
 
 def test_lp_single_page_and_frozen_two_page():
@@ -364,11 +409,10 @@ def test_unreachable_budget_is_infeasible():
         [inst.coupling[0].weights], np.ones(1))
     state, _ = value_iterate(inst.local_only(cost))
     assert -state.psi > inst.coupling[0].bound
-    # the dual route reports the failure instead of raising
-    res = solve_coupled(inst, CoupledConfig(max_outer=30))
-    assert res.best_feasible is None
-    assert not res.candidate.feasible
-    assert res.gap == np.inf
+    # the dual route raises too, with the multipliers that certify it
+    with pytest.raises(Infeasible) as exc:
+        solve_coupled(inst, CoupledConfig(max_outer=30))
+    np.testing.assert_allclose(exc.value.multipliers, [1.0])
 
 
 def test_lp_size_cap():
@@ -385,6 +429,13 @@ def test_lp_size_cap():
         lp_formulate(load_instance(doc))
 
 
+def test_master_size_cap():
+    # the master enumerates every basis of its K + 1 rows: 43 columns
+    # (40 policies and 3 slacks) have C(43, 4) = 123,410 bases
+    with pytest.raises(TooLarge):
+        solver_coupled._master(np.zeros(40), np.zeros((40, 3)), np.ones(3))
+
+
 def test_large_instance_skips_dense_measure():
     n = 201
     doc = {
@@ -397,5 +448,28 @@ def test_large_instance_skips_dense_measure():
         "coupling": [{"per_page": [1.0] * n, "bound": 2.0}],
     }
     it = dual_value(load_instance(doc), np.zeros(1))
-    assert it.rho is None
     assert it.feasible  # total visit mass is 1, under the bound of 2
+
+
+def test_memory_does_not_grow_with_max_outer():
+    # a 50k-page web with one active row, run at tol 0 so each solve goes
+    # on until a dual call brings no new column or max_outer ends it;
+    # per iteration the solver keeps O(K) numbers, not vectors
+    inst = power_law_instance(50_000, 200, 50, seed=21)
+    weights = Rewards.per_page(np.random.default_rng(21).uniform(0.0, 1.0, 50_000))
+
+    def spending(rewards):
+        _, strat = value_iterate(inst.local_only(rewards))
+        trans = build_transition(inst, strat)
+        return utility_from_chain(trans, stationary(trans).pi, weights)
+
+    low, high = spending(weights.scaled(-1.0)), spending(inst.rewards)
+    inst = replace(inst, coupling=(CouplingRow(weights, 0.5 * (low + high)),))
+    peaks = []
+    for max_outer in (20, 200):
+        tracemalloc.start()
+        res = solve_coupled(inst, CoupledConfig(tol=0.0, max_outer=max_outer))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert res.candidate.feasible
+    assert peaks[1] <= 1.1 * peaks[0]
