@@ -104,7 +104,7 @@ def _cmd_pagerank(args):
     from .graph import build_transition, load_instance, load_strategy
 
     inst = load_instance(args.instance)
-    strat = load_strategy(args.strategy, inst.num_pages) if args.strategy else None
+    strat = load_strategy(args.strategy, inst) if args.strategy else None
     trans = build_transition(inst, strat)
     sd = chain.stationary(trans, tol=args.tol)
     result = {
@@ -196,7 +196,7 @@ def _cmd_analyze(args):
     from .graph import build_transition, load_instance, load_strategy
 
     inst = load_instance(args.instance)
-    strat = load_strategy(args.strategy, inst.num_pages) if args.strategy else None
+    strat = load_strategy(args.strategy, inst) if args.strategy else None
     trans = build_transition(inst, strat)
     ok, defects = continuous_optimality_check(inst, trans)
     result = {"max_defect": float(defects.max()), "optimal": bool(ok)}

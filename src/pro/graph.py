@@ -8,7 +8,10 @@ rows bound linear functionals of the occupation measure across pages.
 
 The surfer chain behind an instance is ``P = damping * S + (1 - damping) *
 ones @ teleport`` where ``S`` follows the chosen outlinks uniformly and
-rows without outlinks jump according to ``dangling_teleport``.
+rows without outlinks jump according to ``dangling_teleport``.  A
+strategy gives a continuous row in outlink space, by where the page's
+free mass goes (``ContinuousChoice``), so an optimal weight-mode row is
+one entry however dense its skeleton.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 
 from . import polytopes
 from .errors import InvalidStrategy, ParseError, ValidationError
-from .sparse import RowSparse, _as_indices, add_sparse, index_csr, locate, row_ids
+from .sparse import (RowSparse, _as_indices, _sort_coords, add_sparse, find_sorted, index_csr,
+                     locate, row_ids, segment_sums)
 
 STOCHASTIC_TOL = 1e-9
 STRATEGY_TOL = 1e-9
@@ -79,6 +83,10 @@ class Rewards:
             m = max(m, float(np.max(np.abs(self.base[rows] + self.delta.data))))
         return m
 
+    def at(self, rows, cols):
+        """Vector of ``r[rows[k], cols[k]]``, rounded as ``base + delta``."""
+        return self.base[rows] + self.delta.values_at(rows, cols)
+
     def row_means(self, weights):
         """Vector of ``sum_j weights[j] * r[i, j]`` for a probability row."""
         return self.base + self.delta.rightmul(weights)
@@ -125,6 +133,25 @@ class SkeletonRecord:
         up[banned] = self.lower()[banned]
         return up
 
+    def slack(self):
+        """Free mass left above the floor, ``1 - sum(lower)``, at least 0."""
+        return max(1.0 - float(self.lower().sum()), 0.0)
+
+
+@dataclass(frozen=True)
+class WeightRows:
+    """The skeleton pages as arrays (``WebGraphInstance.weight_rows``).
+
+    Row i of ``floor`` is page i's floor ``(1 - mu) q`` over its
+    nonzeros, empty off the skeleton pages; ``slack[i]`` is its
+    ``SkeletonRecord.slack()``, 0 off them; ``banned`` holds the sorted
+    keys ``i * num_pages + j`` of the banned pairs.
+    """
+
+    floor: RowSparse
+    slack: np.ndarray
+    banned: np.ndarray
+
 
 @dataclass(frozen=True)
 class CouplingRow:
@@ -167,14 +194,42 @@ class WebGraphInstance:
         return self.fac_indices[self.fac_indptr[i]:self.fac_indptr[i + 1]]
 
     @cached_property
+    def weight_rows(self):
+        """The skeleton pages' floors, slacks and bans (``WeightRows``).
+
+        Built on first use, by the solver or ``build_transition``, and
+        kept: O(nnz) of the floors.
+        """
+        n = self.num_pages
+        sks = sorted(self.skeletons, key=lambda sk: sk.page)
+        pages = np.array([sk.page for sk in sks], dtype=np.int64)
+        floors = [sk.lower() for sk in sks]
+        cols = [np.flatnonzero(f) for f in floors] + [np.zeros(0, dtype=np.int64)]
+        counts = np.zeros(n, dtype=np.int64)
+        counts[pages] = [c.size for c in cols[:-1]]
+        slack = np.zeros(n)
+        slack[pages] = [sk.slack() for sk in sks]
+        banned = [sk.page * n + np.asarray(sorted(sk.banned), dtype=np.int64) for sk in sks]
+        floor = RowSparse(n, n, np.concatenate([[0], np.cumsum(counts)]),
+                          np.concatenate(cols),
+                          np.concatenate([f[c] for f, c in zip(floors, cols)] + [np.zeros(0)]))
+        return WeightRows(floor, slack, np.concatenate(banned + [np.zeros(0, dtype=np.int64)]))
+
+    @cached_property
     def controlled_pages(self):
         fac = np.flatnonzero(np.diff(self.fac_indptr) > 0)
         out = sorted(set(fac.tolist()) | set(self.skeleton_by_page))
         return tuple(out)
 
     def local_only(self, rewards=None):
-        """Copy without coupling rows, optionally swapping the rewards."""
-        return replace(self, coupling=(), rewards=rewards or self.rewards)
+        """Copy without coupling rows, optionally swapping the rewards.
+
+        The copy shares the pages, and so the cached ``weight_rows``.
+        """
+        copy = replace(self, coupling=(), rewards=rewards or self.rewards)
+        if "weight_rows" in self.__dict__:
+            copy.__dict__["weight_rows"] = self.weight_rows
+        return copy
 
 
 @dataclass(frozen=True)
@@ -186,17 +241,28 @@ class DiscreteChoice:
 
 @dataclass(frozen=True)
 class ContinuousChoice:
-    """Explicit outlink row for a page, given in chain space (with damping)."""
+    """Where a page sends its free outlink mass: ``probs[k]`` to ``cols[k]``.
 
-    row: np.ndarray
+    The page's outlink row is ``floor + slack * probs``.
+    On a skeleton page the floor is the retained profile ``(1 - mu) q``
+    and ``slack = 1 - sum(floor)``; on any other page the floor is 0 and
+    the slack 1, so ``probs`` is the row itself.  ``probs`` sums to one
+    and ``cols`` holds distinct pages.  An optimal weight-mode row sends
+    all free mass to one target, the page's master:
+    ``ContinuousChoice((j,), (1.0,))``.
+    """
+
+    cols: tuple
+    probs: tuple
 
 
 @dataclass(frozen=True)
 class Strategy:
     """Per-page decisions; pages absent from ``choices`` keep their default.
 
-    The default is no facultative link activated for discrete pages and
-    the retained-profile baseline row for skeleton pages.
+    The default is no facultative link activated for discrete pages and,
+    for skeleton pages, free mass in proportion to ``q`` on the
+    non-banned targets (``default_skeleton_row``).
     """
 
     choices: Mapping[int, Union[DiscreteChoice, ContinuousChoice]] = field(default_factory=dict)
@@ -209,8 +275,8 @@ class Strategy:
                 pages.append({"page": int(i), "kind": "discrete",
                               "activated": [int(j) for j in ch.activated]})
             else:
-                entries = [[int(j), float(v)] for j, v in enumerate(ch.row) if v != 0.0]
-                pages.append({"page": int(i), "kind": "continuous", "row_entries": entries})
+                entries = [[int(j), float(p)] for j, p in zip(ch.cols, ch.probs)]
+                pages.append({"page": int(i), "kind": "free", "row_entries": entries})
         return {"pages": pages}
 
 
@@ -508,13 +574,18 @@ def validate(instance):
     return instance
 
 
-def load_strategy(source, num_pages):
-    """Parse a strategy document (path or dict) for an instance of ``num_pages``.
+def load_strategy(source, instance):
+    """Parse a strategy document (path or dict) for ``instance``.
 
-    A ``row_entries`` column must lie below ``num_pages``; it is checked
-    before the row is allocated.  Pages and links are checked against the
+    A ``row_entries`` column must lie below the page count; it is checked
+    before anything is allocated.  Two row kinds are read: ``"free"``,
+    the ``ContinuousChoice`` entries as they are, and the older
+    ``"continuous"``, a chain-space row ``P[page]``, which is converted
+    once through ``free_choice`` (that needs the instance's damping,
+    teleport and floors).  Pages, links and rows are checked against the
     instance by ``build_transition``.
     """
+    n = instance.num_pages
     doc = _read_document(source, "strategy")
     _require(isinstance(doc, dict) and "pages" in doc, "strategy document needs pages")
     _require(isinstance(doc["pages"], list), "strategy pages must be a list")
@@ -525,49 +596,141 @@ def load_strategy(source, num_pages):
         page = rec["page"]
         _require(type(page) is int and page >= 0, "strategy page must be a nonnegative integer")
         _require(page not in choices, f"page {page} listed twice in strategy")
-        if rec["kind"] == "discrete":
+        kind = rec["kind"]
+        if kind == "discrete":
             acts = rec.get("activated", [])
             _require(isinstance(acts, list), "activated must be a list")
             choices[page] = DiscreteChoice(tuple(np.sort(_columns(acts, "activated")).tolist()))
-        elif rec["kind"] == "continuous":
-            entries = rec.get("row_entries", [])
-            _require(isinstance(entries, list), "row_entries must be a list")
-            for e in entries:
-                _require(isinstance(e, list) and len(e) == 2, "row_entries must be [j, w] pairs")
-            cols = _columns([e[0] for e in entries], "row_entries columns")
-            _require(np.unique(cols).size == cols.size, "row_entries lists a column twice")
-            _require(np.all(cols < num_pages), f"row_entries columns must be below {num_pages}",
-                     ValidationError)
-            row = np.zeros(int(cols.max()) + 1 if cols.size else 0)
-            row[cols] = _numbers([e[1] for e in entries], "row_entries weights")
-            choices[page] = ContinuousChoice(row)
+            continue
+        _require(kind in ("free", "continuous"), f"unknown strategy kind {kind!r}")
+        entries = rec.get("row_entries", [])
+        _require(isinstance(entries, list), "row_entries must be a list")
+        for e in entries:
+            _require(isinstance(e, list) and len(e) == 2, "row_entries must be [j, w] pairs")
+        cols = _columns([e[0] for e in entries], "row_entries columns")
+        _require(np.unique(cols).size == cols.size, "row_entries lists a column twice")
+        _require(np.all(cols < n), f"row_entries columns must be below {n}", ValidationError)
+        vals = _numbers([e[1] for e in entries], "row_entries weights")
+        if kind == "free":
+            order = np.argsort(cols)
+            choices[page] = ContinuousChoice(tuple(cols[order].tolist()),
+                                             tuple(vals[order].tolist()))
         else:
-            raise ParseError(f"unknown strategy kind {rec['kind']!r}")
+            chain_row = np.zeros(n)
+            chain_row[cols] = vals
+            alpha = instance.damping
+            srow = (chain_row - (1.0 - alpha) * instance.teleport) / alpha
+            choices[page] = free_choice(instance, page, srow)
     return Strategy(choices)
 
 
-def default_skeleton_row(sk, damping, teleport):
-    """Baseline chain-space row for a skeleton page.
+def free_choice(instance, page, srow):
+    """The ``ContinuousChoice`` whose outlink row is the dense ``srow``.
 
-    Keeps the retained profile and spreads the free mass over non-banned
-    coordinates proportionally to ``q`` (uniformly when ``q`` puts no
-    mass there).
+    On a skeleton page the free part is ``(srow - floor) / slack``.  With
+    no slack the floor is the only row; ``srow`` must then match it to
+    the strategy tolerance, or ``InvalidStrategy`` is raised.
     """
-    lo = sk.lower()
-    slack = 1.0 - float(lo.sum())
-    x = lo.copy()
-    if slack > 0.0:
-        free = np.ones(sk.q.size, dtype=bool)
-        free[list(sk.banned)] = False
-        if not np.any(free):
+    sk = instance.skeleton_by_page.get(page)
+    if sk is None:
+        probs = np.asarray(srow, dtype=float)
+    elif sk.slack() > 0.0:
+        probs = (srow - sk.lower()) / sk.slack()
+    else:
+        gap = float(np.abs(srow - sk.lower()).max())
+        if gap > STRATEGY_TOL / instance.damping:
+            raise InvalidStrategy(
+                f"row for page {page} leaves its floor, its only row, by {gap:.3e}")
+        return ContinuousChoice((), ())
+    cols = np.flatnonzero(probs)
+    return ContinuousChoice(tuple(cols.tolist()), tuple(probs[cols].tolist()))
+
+
+def default_skeleton_row(sk):
+    """Baseline choice of a skeleton page.
+
+    Spreads the free mass over the non-banned coordinates in proportion
+    to ``q`` (uniformly when ``q`` puts no mass there).
+    """
+    free = np.ones(sk.q.size, dtype=bool)
+    free[list(sk.banned)] = False
+    if not np.any(free):
+        if sk.slack() > 0.0:
             raise ValidationError(f"skeleton on page {sk.page} bans every coordinate")
-        weights = np.where(free, sk.q, 0.0)
-        total = float(weights.sum())
-        if total <= 0.0:
-            weights = free.astype(np.float64)
-            total = float(weights.sum())
-        x += slack * weights / total
-    return damping * x + (1.0 - damping) * teleport
+        return ContinuousChoice((), ())
+    weights = np.where(free, sk.q, 0.0)
+    if float(weights.sum()) <= 0.0:
+        weights = free.astype(np.float64)
+    cols = np.flatnonzero(weights)
+    probs = weights[cols] / float(weights.sum())
+    return ContinuousChoice(tuple(cols.tolist()), tuple(probs.tolist()))
+
+
+def _free_entries(instance, pages, picked):
+    """Row-major entries ``(rows, cols, vals)`` of checked continuous rows.
+
+    ``picked[k]`` is the ``ContinuousChoice`` of page ``pages[k]``, and
+    every skeleton page is among ``pages``.  A row is ``floor + slack *
+    probs`` with floor and slack from ``weight_rows`` (0 and 1 off the
+    skeleton pages), clipped at 0, zeros dropped.  Every check reads the
+    outlink row with tolerance ``STRATEGY_TOL / damping``, which is
+    ``STRATEGY_TOL`` on the chain row.  Each row sums to one.  On a
+    skeleton page the mass above the floor, ``slack * probs``, is at
+    least ``-tol`` and at most ``tol`` on a banned page (every other cap
+    is 1): closed form, for all of them at once.  Any other page is
+    separated against its outlink facets, page by page.
+    """
+    n = instance.num_pages
+    if not picked:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    tol = STRATEGY_TOL / instance.damping
+    weights = instance.weight_rows
+    sizes = [len(ch.cols) for ch in picked]
+    if sizes != [len(ch.probs) for ch in picked]:
+        raise InvalidStrategy("a continuous choice needs one weight per column")
+    pages = np.asarray(pages, dtype=np.int64)
+    rows = np.repeat(pages, sizes)
+    cols = np.asarray([j for ch in picked for j in ch.cols])
+    probs = np.asarray([p for ch in picked for p in ch.probs], dtype=float)
+    if cols.size and (cols.dtype.kind not in "iu" or cols.min() < 0 or cols.max() >= n):
+        raise InvalidStrategy("a continuous choice names a column that is not a page")
+    cols = cols.astype(np.int64)
+    if not _sort_coords(n, n, rows, cols)[1].all():
+        raise InvalidStrategy("a continuous choice names a column twice")
+    if not np.all(np.isfinite(probs)):
+        raise InvalidStrategy("a continuous choice has a weight that is not finite")
+    is_sk = np.zeros(n, dtype=bool)
+    is_sk[list(instance.skeleton_by_page)] = True
+    lift = np.where(is_sk[rows], weights.slack[rows], 1.0) * probs
+    mass = (np.bincount(rows, lift, minlength=n)
+            + segment_sums(weights.floor.data, weights.floor.indptr))[pages]
+    bad = np.flatnonzero(np.abs(mass - 1.0) > tol)
+    if bad.size:
+        raise InvalidStrategy(f"row for page {pages[bad[0]]} is not stochastic")
+    # below the floor anywhere, or above it on a banned page
+    off = np.where(find_sorted(weights.banned, rows * n + cols)[1], np.abs(lift), -lift)
+    off[~is_sk[rows]] = 0.0
+    if off.size and off.max() > tol:
+        k = int(np.argmax(off))
+        raise InvalidStrategy(f"row for page {rows[k]} moves x[{cols[k]}] off its floor "
+                              f"by {off[k]:.3e}")
+    ends = np.cumsum(sizes)
+    for k in np.flatnonzero(~is_sk[pages]):
+        row = np.zeros(n)
+        row[cols[ends[k] - sizes[k]:ends[k]]] = probs[ends[k] - sizes[k]:ends[k]]
+        verdict = polytopes.separate(_outlink_facets(instance, pages[k]), row, tol=tol)
+        if verdict.violated:
+            raise InvalidStrategy(f"row for page {pages[k]} violates {verdict.description} "
+                                  f"by {verdict.magnitude:.3e}")
+    # a page's floor entry and free entry at one column sum, floor first
+    floor = weights.floor
+    rows = np.concatenate([row_ids(floor.indptr), rows])
+    cols = np.concatenate([floor.indices, cols])
+    order, first, _ = _sort_coords(n, n, rows, cols)
+    vals = np.bincount(np.cumsum(first) - 1, np.concatenate([floor.data, lift])[order])
+    vals = np.maximum(vals, 0.0)
+    nz = vals != 0.0
+    return rows[order][first][nz], cols[order][first][nz], vals[nz]
 
 
 def build_transition(instance, strategy=None):
@@ -588,8 +751,10 @@ def build_transition(instance, strategy=None):
     InvalidStrategy
         If a choice activates a non-facultative link, hands a discrete
         choice to a skeleton page, or supplies a row outside the page's
-        constraint set (checked against the chain-space facets within
-        1e-9).
+        constraint set.  A continuous choice's outlink row (see
+        ``ContinuousChoice``) is checked within ``STRATEGY_TOL / damping``:
+        in closed form on a skeleton page, against the outlink facets
+        elsewhere.
 
     Notes
     -----
@@ -597,46 +762,27 @@ def build_transition(instance, strategy=None):
     The chain is assembled with array operations: activated links are
     looked up in the facultative CSR by flat key, uniform rows (value
     ``1 / degree``) come from the sorted obligatory and activated keys,
-    and a continuous row replaces its page's links.  Only the facet
-    check of a continuous row runs page by page.
+    and a continuous row, ``floor + slack * probs``, replaces its page's
+    links.  Only the check of a continuous row runs page by page.
     """
     n = instance.num_pages
-    alpha = instance.damping
-    z = instance.teleport
     choices = strategy.choices if strategy is not None else {}
 
-    continuous_rows = {}
+    free_pages, free = [], []
     act_pages, act_links = [], []
     for page in sorted(choices):
         if not isinstance(page, (int, np.integer)) or not 0 <= page < n:
             raise InvalidStrategy(f"strategy page {page} out of range")
         ch = choices[page]
-        sk = instance.skeleton_by_page.get(page)
         if isinstance(ch, DiscreteChoice):
-            if sk is not None:
+            if page in instance.skeleton_by_page:
                 raise InvalidStrategy(
                     f"page {page} needs a continuous row, not a link subset")
             act_pages += [page] * len(ch.activated)
             act_links += ch.activated
         elif isinstance(ch, ContinuousChoice):
-            if ch.row.size > n:
-                raise InvalidStrategy(f"row for page {page} has too many columns")
-            row = np.zeros(n)
-            row[:ch.row.size] = ch.row
-            if abs(float(row.sum()) - 1.0) > STRATEGY_TOL:
-                raise InvalidStrategy(f"row for page {page} is not stochastic")
-            verdict = polytopes.separate(chain_facets(instance, page), row,
-                                         tol=STRATEGY_TOL)
-            if verdict.violated:
-                raise InvalidStrategy(
-                    f"row for page {page} violates {verdict.description} "
-                    f"by {verdict.magnitude:.3e}")
-            srow = (row - (1.0 - alpha) * z) / alpha
-            srow = np.maximum(srow, 0.0)
-            total = float(srow.sum())
-            if total <= 0.0:
-                raise InvalidStrategy(f"row for page {page} has no outlink part")
-            continuous_rows[page] = srow / total
+            free_pages.append(page)
+            free.append(ch)
         else:
             raise InvalidStrategy(f"unsupported choice type for page {page}")
 
@@ -649,29 +795,24 @@ def build_transition(instance, strategy=None):
 
     for sk in instance.skeletons:
         if sk.page not in choices:
-            prow = default_skeleton_row(sk, alpha, z)
-            srow = (prow - (1.0 - alpha) * z) / alpha
-            continuous_rows[sk.page] = np.maximum(srow, 0.0)
+            free_pages.append(sk.page)
+            free.append(default_skeleton_row(sk))
+    c_rows, c_cols, c_vals = _free_entries(instance, free_pages, free)
 
     # obligatory plus activated links give uniform rows; a continuous row
     # replaces its page's links
     is_cont = np.zeros(n, dtype=bool)
-    is_cont[list(continuous_rows)] = True
+    is_cont[free_pages] = True
     rows = np.concatenate([row_ids(instance.obl_indptr), act_rows])
     cols = np.concatenate([instance.obl_indices, act_cols.astype(np.int64)])
     keep = ~is_cont[rows]
-    cont = sorted(continuous_rows.items())
-    nz = [np.flatnonzero(srow) for _, srow in cont]
-    rows = np.concatenate([rows[keep]] + [np.full(c.size, p) for (p, _), c in zip(cont, nz)])
-    cols = np.concatenate([cols[keep]] + nz)
-    indptr, indices = index_csr(n, n, np.column_stack([rows, cols]))
+    indptr, indices = index_csr(n, n, np.column_stack([np.concatenate([rows[keep], c_rows]),
+                                                       np.concatenate([cols[keep], c_cols])]))
     deg = np.diff(indptr)
     data = 1.0 / np.repeat(deg, deg)
-    if cont:
-        data[np.repeat(is_cont, deg)] = np.concatenate(
-            [srow[c] for (_, srow), c in zip(cont, nz)])
+    data[np.repeat(is_cont, deg)] = c_vals
     # every continuous row has outlink mass, so only link pages can dangle
-    return TransitionMatrix(n, alpha, z, instance.dangling_teleport,
+    return TransitionMatrix(n, instance.damping, instance.teleport, instance.dangling_teleport,
                             RowSparse(n, n, indptr, indices, data), deg == 0)
 
 

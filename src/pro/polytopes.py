@@ -6,8 +6,8 @@ nothing is obligatory).  Their convex hull has a closed-form facet system
 with one record per coordinate plus the simplex equation, regardless of
 how many subsets the hull covers.  Skeleton pages use a box-with-simplex
 set instead.  Both sets admit an exact linear maximizer: a sort-and-grow
-greedy for the uniform family, water filling for the box.  The greedy is
-the sequential reference for the vectorized sweep of
+greedy for the uniform family, water filling for the box.  Both are the
+sequential references for the vectorized sweep of
 ``solver_local.CompiledBellman``.
 
 A facet system is a set of arrays: a ``RowSparse`` of coefficients with

@@ -30,7 +30,7 @@ import numpy as np
 from .chain import stationary, utility_from_chain
 from .errors import Infeasible, ProError, TooLarge, ValidationError
 from .polytopes import EQ, separate
-from .graph import (ContinuousChoice, DiscreteChoice, Strategy, build_transition,
+from .graph import (ContinuousChoice, Strategy, build_transition,
                     chain_facets, instance_facets)
 from .simplex import solve_dense_lp
 from .solver_local import SolverConfig, value_iterate
@@ -258,19 +258,21 @@ def _master(income, spending, bounds):
     return _Master(mu, np.maximum(y[best, :k], 0.0), float(mu @ cost[:t]))
 
 
-def _chain_row(instance, page, choice):
-    """Chain-space row ``P[page]`` that one page choice selects."""
+def _free_part(instance, page, choice):
+    """``(cols, probs)`` of the free mass that one page choice sends.
+
+    A link subset's free part is its outlink row (a discrete page has no
+    floor): uniform on the links, or the dangling teleport row.
+    """
     if isinstance(choice, ContinuousChoice):
-        return choice.row
-    links = np.union1d(instance.obligatory_of(page), choice.activated).astype(np.intp)
-    srow = (np.bincount(links, minlength=instance.num_pages) / links.size
-            if links.size else instance.dangling_teleport)
-    return instance.damping * srow + (1.0 - instance.damping) * instance.teleport
-
-
-def _same(a, b):
-    return a == b if isinstance(a, DiscreteChoice) else (
-        isinstance(b, ContinuousChoice) and np.array_equal(a.row, b.row))
+        return np.asarray(choice.cols, dtype=np.int64), np.asarray(choice.probs, dtype=float)
+    # the solver activates facultative links only, which are never obligatory
+    links = np.sort(np.concatenate([instance.obligatory_of(page),
+                                    np.asarray(choice.activated, dtype=np.int64)]))
+    if links.size:
+        return links, np.full(links.size, 1.0 / links.size)
+    cols = np.flatnonzero(instance.dangling_teleport)
+    return cols, instance.dangling_teleport[cols]
 
 
 def _mixture(instance, mu, table, policies, bounds):
@@ -278,9 +280,12 @@ def _mixture(instance, mu, table, policies, bounds):
 
     Column t has income ``table[t, 0]``, spending ``table[t, 1:]`` and
     ``policies[t] = (strategy, pi)``.  Where the support's policies
-    differ, page i gets ``sum_t mu_t pi_t(i) P_t,i / sum_t mu_t pi_t(i)``:
-    a point of its convex constraint set (which ``build_transition``
-    checks) that yields the mixed occupation measure.
+    differ, page i's chain row is ``sum_t mu_t pi_t(i) P_t,i / sum_t mu_t
+    pi_t(i)``: a point of its convex constraint set (which
+    ``build_transition`` checks) that yields the mixed occupation
+    measure.  A chain row is affine in the free part with the page's own
+    floor and slack, so the page gets the free parts mixed with those
+    weights.
     """
     support = np.flatnonzero(mu > 0.0)
     if support.size == 1:
@@ -292,12 +297,14 @@ def _mixture(instance, mu, table, policies, bounds):
         choices = {}
         for page, first in strats[0].choices.items():
             picked = [s.choices[page] for s in strats]
-            if all(_same(first, c) for c in picked[1:]):
+            if all(first == c for c in picked[1:]):
                 choices[page] = first
                 continue
-            rows = np.stack([_chain_row(instance, page, c) for c in picked])
-            w = weight[:, page]
-            choices[page] = ContinuousChoice(w @ rows / w.sum())
+            parts = [_free_part(instance, page, c) for c in picked]
+            w = weight[:, page] / weight[:, page].sum()
+            cols, at = np.unique(np.concatenate([c for c, _ in parts]), return_inverse=True)
+            probs = np.bincount(at, np.concatenate([wt * p for wt, (_, p) in zip(w, parts)]))
+            choices[page] = ContinuousChoice(tuple(cols.tolist()), tuple(probs.tolist()))
         strat = Strategy(choices)
         pi, util, cvals = _evaluate(instance, strat)
     feasible = bool(np.all(cvals <= bounds + FEASIBILITY_TOL))

@@ -9,7 +9,8 @@ a sup-norm contraction with modulus ``damping``.  Its fixed point is the
 mean reward accumulated before the next teleport under the best
 strategy, and ``(1 - damping) * teleport . w`` is the optimal income.
 The inner maximization is closed-form for every admissible row family:
-a threshold rule for uniform rows, water-filling for bounded rows.
+a threshold rule for uniform rows, and for a weight page its floor
+``(1 - mu) q`` plus all the slack on its best non-banned target.
 
 ``value_iterate`` alternates one sweep of ``T`` with an evaluation of
 that sweep's greedy policy, ``v = rbar + damping * S v`` (Howard's
@@ -32,8 +33,7 @@ import numpy as np
 from .chain import span_iterate
 from .errors import CouplingPresent, MaxIterExceeded, ValidationError
 from .graph import ContinuousChoice, DiscreteChoice, Strategy
-from .polytopes import BoxSimplex, linear_maximize
-from .sparse import row_ids
+from .sparse import find_sorted, row_ids, segment_sums
 
 # Policies on at most this many pages are evaluated exactly, by one
 # dense solve.  OpenBLAS solves n x n on one thread while n * n < 10000;
@@ -130,8 +130,15 @@ class CompiledBellman:
     links takes its best single candidate (the lowest index on ties),
     or the no-link row when that is strictly better.
 
+    A weight page's best row keeps its floor ``(1 - mu) q`` and puts the
+    whole slack on one target ``j*``, the best non-banned ``r_ij + w_j``
+    (every non-banned cap is 1, and the slack is below it).  The floors
+    are one CSR block, scored together by a sparse product; ``j*`` is
+    found without scoring the dense row (see ``_masters``) and matches
+    ``polytopes.linear_maximize``'s pick, the lowest index on ties.
+
     Each sweep also keeps its greedy policy (active candidates, no-link
-    pages, weight pages' rows), which ``evaluate`` solves for and
+    pages, weight pages' ``j*``), which ``evaluate`` solves for and
     ``extract`` turns into a ``Strategy``, and sets ``repeated`` when that
     policy equals the previous sweep's.  One instance serves one
     caller at a time.
@@ -169,20 +176,52 @@ class CompiledBellman:
         self.fo_seg = np.repeat(np.arange(self.fo_rows.size), f_cnt[self.fo_rows])
         self.fo_starts = np.cumsum(f_cnt[self.fo_rows]) - f_cnt[self.fo_rows]
         self.hint = None
-        self.skel = {}
-        for sk in instance.skeletons:
-            box = BoxSimplex(sk.lower(), sk.upper())
-            row = np.full(n, rewards.base[sk.page])
-            idx, val = delta.row_slice(sk.page)
-            row[idx] += val
-            self.skel[sk.page] = (box, row)
+        self._compile_weights(instance, rewards)
         # pages that always take the no-link row: no links, no skeleton
         self.plain_nl = (o_cnt == 0) & (f_cnt == 0)
-        self.plain_nl[list(self.skel)] = False
+        self.plain_nl[self.sk_page] = False
         # the greedy policy of the last sweep, and whether it repeated
         # the one before
-        self.active = self.size = self.use_nl = self.skel_rows = None
+        self.active = self.size = self.use_nl = self.jstar = None
         self.repeated = False
+
+    def _compile_weights(self, instance, rewards):
+        """Weight pages as arrays, in page order (``k`` numbers them)."""
+        n = self.n
+        self.sk_page = np.array(sorted(instance.skeleton_by_page), dtype=np.int64)
+        if not self.sk_page.size:
+            return
+        rows = instance.weight_rows
+        self.rewards = rewards
+        self.sk_base = rewards.base[self.sk_page]
+        self.slack = rows.slack[self.sk_page]
+        # the floors (1 - mu) q, one CSR segment per weight page, with r there
+        floor = rows.floor
+        self.q_indptr = np.append(floor.indptr[self.sk_page], floor.nnz)
+        self.q_rows = row_ids(floor.indptr)
+        self.q_idx, self.q_val = floor.indices, floor.data
+        self.r_q = rewards.at(self.q_rows, self.q_idx)
+        # a page's per-link reward entries score apart from its base; they
+        # and its banned targets are its excluded keys page * n + j
+        delta = rewards.delta
+        d_page = row_ids(delta.indptr)
+        on = find_sorted(self.sk_page, d_page)[1]
+        d_keys = d_page[on] * n + delta.indices[on]
+        self.ban_keys = rows.banned
+        e_keys = np.concatenate([d_keys, rows.banned])
+        # the stable argsort of sparse._sort_coords: a sort routine already
+        # in use, not one more (each first use maps 0.1-0.4 MiB of code)
+        self.e_keys = e_keys[np.argsort(e_keys, kind="stable")]
+        self.e_max = int(np.bincount(self.e_keys // n, minlength=1).max())
+        keep = ~find_sorted(rows.banned, d_keys)[1]
+        d_k = np.searchsorted(self.sk_page, d_page[on][keep])
+        self.d_col = delta.indices[on][keep]
+        self.d_r = self.sk_base[d_k] + delta.data[on][keep]
+        new = np.ones(d_k.size, dtype=bool)
+        new[1:] = d_k[1:] != d_k[:-1]
+        self.d_starts = np.flatnonzero(new)
+        self.d_pages = d_k[self.d_starts]
+        self.d_seg = np.cumsum(new) - 1
 
     def apply(self, w):
         """One simultaneous sweep: returns ``T(w)`` and keeps its policy."""
@@ -218,18 +257,74 @@ class CompiledBellman:
             active = np.zeros(0, dtype=bool)
         np.copyto(val, nl, where=self.plain_nl)
         out = alpha * val + self.const
-        skel_rows = {}
-        for page, (box, rrow) in self.skel.items():
-            res = linear_maximize(box, rrow + w)
-            out[page] = alpha * res.value + self.const[page]
-            skel_rows[page] = res.row
-        self.repeated = (self.skel_rows is not None
+        jstar = np.zeros(0, dtype=np.int64)
+        if self.sk_page.size:
+            top, jstar = self._masters(w)
+            floor = segment_sums(self.q_val * (self.r_q + w[self.q_idx]), self.q_indptr)
+            lift = self.slack * np.where(jstar >= 0, top, 0.0)
+            out[self.sk_page] = alpha * (floor + lift) + self.const[self.sk_page]
+        self.repeated = (self.jstar is not None
                          and np.array_equal(active, self.active)
                          and np.array_equal(use_nl, self.use_nl)
-                         and all(np.array_equal(x, self.skel_rows[p])
-                                 for p, x in skel_rows.items()))
-        self.active, self.size, self.use_nl, self.skel_rows = active, size, use_nl, skel_rows
+                         and np.array_equal(jstar, self.jstar))
+        self.active, self.size, self.use_nl, self.jstar = active, size, use_nl, jstar
         return out
+
+    def _masters(self, w):
+        """Per weight page, the best non-banned score ``r_ij + w_j`` and
+        its lowest-index argmax ``j*`` (-1 when every target is banned).
+
+        Scores round as in the dense row ``r_i + w``.  Off its per-link
+        reward entries a page scores ``b + w_j``, whose best is ``b + M``
+        for ``M`` the largest ``w_j`` not excluded, found among the top
+        ``e_max + 1`` entries of ``w``.  A ``w_j`` that rounds to the
+        same score lies less than one ulp of that score below ``M``, so
+        the lowest index at or above that band (from the running maximum
+        of ``w``) is ``j*`` when it is neither excluded nor rounded
+        lower; otherwise, rarely, the page scores its dense row.  The
+        per-link entries are scored one by one under the same tie rule.
+        """
+        n, num = self.n, self.sk_page.size
+        top, jstar = np.full(num, -np.inf), np.full(num, n)
+        c = min(self.e_max + 1, n)
+        cand = np.argpartition(w, n - c)[n - c:] if c < n else np.arange(n)
+        cand = cand[np.argsort(-w[cand], kind="stable")]
+        # skip each page's excluded candidates; at most e_max of them
+        pos = np.zeros(num, dtype=np.int64)
+        live = np.arange(num)
+        while live.size:
+            live = live[find_sorted(self.e_keys, self.sk_page[live] * n + cand[pos[live]])[1]]
+            pos[live] += 1
+            live = live[pos[live] < c]
+        ks = np.flatnonzero(pos < c)
+        m = w[cand[pos[ks]]]
+        top[ks] = self.sk_base[ks] + m
+        band = m - 2.0 * np.spacing(np.abs(top[ks]))
+        first = np.searchsorted(np.maximum.accumulate(w), band)
+        ok = ((self.sk_base[ks] + w[first] == top[ks])
+              & ~find_sorted(self.e_keys, self.sk_page[ks] * n + first)[1])
+        jstar[ks[ok]] = first[ok]
+        if self.d_r.size:
+            s = self.d_r + w[self.d_col]
+            best = np.maximum.reduceat(s, self.d_starts)
+            at = np.minimum.reduceat(np.where(s == best[self.d_seg], self.d_col, n),
+                                     self.d_starts)
+            kd = self.d_pages
+            tie = np.where(best == top[kd], np.minimum(jstar[kd], at), jstar[kd])
+            jstar[kd] = np.where(best > top[kd], at, tie)
+            top[kd] = np.maximum(top[kd], best)
+        for k in ks[~ok]:
+            page = self.sk_page[k]
+            row = np.full(n, self.sk_base[k])
+            idx, val = self.rewards.delta.row_slice(page)
+            row[idx] += val
+            score = row + w
+            lo, hi = np.searchsorted(self.ban_keys, [page * n, page * n + n])
+            score[self.ban_keys[lo:hi] - page * n] = -np.inf
+            jstar[k] = int(np.argmax(score))
+            top[k] = score[jstar[k]]
+        jstar[~np.isfinite(top)] = -1
+        return top, jstar
 
     def _threshold(self, c, base):
         """Per-block root ``t*``, active mask and active count (Newton).
@@ -262,13 +357,25 @@ class CompiledBellman:
         return t, active, k
 
     def _entries(self):
-        """Rows, columns, weights and rewards of the policy's uniform rows."""
+        """Rows, columns, weights and rewards of the policy's entries of S.
+
+        Uniform rows first, then each weight page's floor and its slack on
+        the master page; a floor entry and a master entry can share a
+        coordinate, and both count.
+        """
         act = np.flatnonzero(self.active)
         rows = np.concatenate([self.o_page, self.f_page[act]])
         cols = np.concatenate([self.o_idx, self.f_idx[act]])
         weights = 1.0 / self.size[rows]
         rewards = np.concatenate([self.r_o, self.r_f[act]])
-        return rows, cols, weights, rewards
+        if not self.sk_page.size:
+            return rows, cols, weights, rewards
+        has = self.jstar >= 0
+        pages, masters = self.sk_page[has], self.jstar[has]
+        return (np.concatenate([rows, self.q_rows, pages]),
+                np.concatenate([cols, self.q_idx, masters]),
+                np.concatenate([weights, self.q_val, self.slack[has]]),
+                np.concatenate([rewards, self.r_q, self.rewards.at(pages, masters)]))
 
     def evaluate(self, x0, tol, max_iter):
         """Value ``v = rbar + damping * S v`` of the last sweep's policy.
@@ -285,26 +392,19 @@ class CompiledBellman:
         if n <= DENSE_EVAL_CAP and self.repeated:
             return x0
         rows, cols, weights, rewards = self._entries()
-        use_nl, skel_rows = self.use_nl, self.skel_rows
+        use_nl = self.use_nl
         rbar = np.bincount(rows, weights * rewards, minlength=n).astype(float, copy=False)
         rbar[use_nl] = self.no_link_base[use_nl]
-        for page, x in skel_rows.items():
-            rbar[page] = float(np.dot(x, self.skel[page][1]))
         rbar = alpha * rbar + self.const
         if n <= DENSE_EVAL_CAP:
-            s = np.zeros((n, n))
-            s[rows, cols] = weights
+            s = np.bincount(rows * n + cols, weights, minlength=n * n).reshape(n, n)
             s[use_nl] = self.hang
-            for page, x in skel_rows.items():
-                s[page] = x
             return np.linalg.solve(np.eye(n) - alpha * s, rbar)
         hang = self.hang
 
         def step(v):
             sv = np.bincount(rows, weights * v[cols], minlength=n).astype(float, copy=False)
             sv[use_nl] = float(np.dot(hang, v))
-            for page, x in skel_rows.items():
-                sv[page] = float(np.dot(x, v))
             return rbar + alpha * sv
 
         return span_iterate(step, x0, alpha, tol, max_iter)[0]
@@ -318,9 +418,9 @@ class CompiledBellman:
             picked = np.split(self.f_idx[self.active], np.cumsum(k)[:-1])
             choices = {int(i): DiscreteChoice(tuple(int(j) for j in p))
                        for i, p in zip(self.f_rows, picked)}
-        for page in sorted(self.skel_rows):
-            row = self.alpha * self.skel_rows[page] + (1.0 - self.alpha) * self.z
-            choices[page] = ContinuousChoice(row)
+        for page, j in zip(self.sk_page.tolist(), self.jstar.tolist()):
+            choices[page] = (ContinuousChoice((j,), (1.0,)) if j >= 0
+                             else ContinuousChoice((), ()))
         return Strategy(choices)
 
 

@@ -112,11 +112,14 @@ class RowSparse:
         The pattern spans the same rows; where it names a coordinate this
         matrix does not store, the value is 0.
         """
-        out = np.zeros(indices.size)
-        if self.nnz == 0:
+        return self.values_at(row_ids(indptr), indices)
+
+    def values_at(self, rows, cols):
+        """Values at the coordinates ``(rows[k], cols[k])``; 0 where unstored."""
+        out = np.zeros(np.shape(cols))
+        if self.nnz == 0 or out.size == 0:
             return out
-        pos, hit = locate(self.indptr, self.indices, self.num_cols,
-                          row_ids(indptr), indices)
+        pos, hit = locate(self.indptr, self.indices, self.num_cols, rows, cols)
         out[hit] = self.data[pos[hit]]
         return out
 
@@ -134,10 +137,22 @@ def locate(indptr, indices, num_cols, rows, cols):
     coordinate, and if so ``indices[pos[k]]`` is that entry.  A column
     outside ``[0, num_cols)`` is never a hit.
     """
-    keys = row_ids(indptr) * num_cols + indices
-    want = rows * num_cols + cols
+    pos, hit = find_sorted(row_ids(indptr) * num_cols + indices, rows * num_cols + cols)
+    hit &= (cols >= 0) & (cols < num_cols)
+    return pos, hit
+
+
+def find_sorted(keys, want):
+    """Find each of ``want`` in the ascending array ``keys``.
+
+    Returns ``(pos, hit)``: ``hit[k]`` says whether ``want[k]`` occurs,
+    and if so ``keys[pos[k]]`` is it.  (``np.isin`` would serve for the
+    mask, but it may call ``np.unique``, which imports ``numpy.ma``, about
+    1 MiB, on first use.)
+    """
+    want = np.asarray(want)
     pos = np.searchsorted(keys, want)
-    hit = (pos < keys.size) & (cols >= 0) & (cols < num_cols)
+    hit = pos < keys.size
     hit[hit] = keys[pos[hit]] == want[hit]
     return pos, hit
 

@@ -220,10 +220,8 @@ def random_box_row(rng, lower, upper):
 
 def random_strategy(rng, instance):
     """Random admissible strategy: link subsets and feasible skeleton rows."""
-    from pro.graph import ContinuousChoice, DiscreteChoice, Strategy
+    from pro.graph import DiscreteChoice, Strategy, free_choice
 
-    alpha = instance.damping
-    z = instance.teleport
     choices = {}
     for page in instance.controlled_pages:
         sk = instance.skeleton_by_page.get(page)
@@ -233,8 +231,17 @@ def random_strategy(rng, instance):
             choices[page] = DiscreteChoice(keep)
         else:
             srow = random_box_row(rng, sk.lower(), sk.upper())
-            choices[page] = ContinuousChoice(alpha * srow + (1.0 - alpha) * z)
+            choices[page] = free_choice(instance, page, srow)
     return Strategy(choices)
+
+
+def free_row(instance, page, choice):
+    """Dense outlink row ``floor + slack * probs`` of a ``ContinuousChoice``."""
+    sk = instance.skeleton_by_page.get(page)
+    row = np.zeros(instance.num_pages) if sk is None else (1.0 - sk.mu) * sk.q
+    slack = 1.0 if sk is None else max(1.0 - float(row.sum()), 0.0)
+    row[list(choice.cols)] += slack * np.array(choice.probs)
+    return row
 
 
 def power_law_instance(n, n_controlled, fac_each, seed, damping=0.85,
@@ -273,6 +280,36 @@ def power_law_instance(n, n_controlled, fac_each, seed, damping=0.85,
         obl_indptr=o_indptr, obl_indices=o_idx,
         fac_indptr=f_indptr, fac_indices=f_idx,
         rewards=Rewards.per_page(values))
+
+
+def weight_web_doc(rng, n, skeletons):
+    """Power-law web whose ``skeletons`` pages carry dense weight skeletons.
+
+    The obligatory layer has zipf out-degrees and polynomially popular
+    targets; each skeleton page loses its links and gets a ``q`` with
+    about 60% nonzeros, two banned targets and ``mu`` in [0.3, 0.9].  A
+    hundredth of the pages pays a per-page reward.
+    """
+    deg = 5 + np.minimum(rng.zipf(2.5, n), min(495, n // 20))
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    pop = (np.arange(n) + 1.0) ** -0.6
+    dst = np.minimum(np.searchsorted(np.cumsum(pop / pop.sum()), rng.random(src.size)), n - 1)
+    okey = np.unique(src * n + dst)
+    pages = np.sort(rng.choice(n, skeletons, replace=False))
+    okey = okey[~np.isin(okey // n, pages)]
+    records = []
+    for page in pages.tolist():
+        q = rng.random(n) * (rng.random(n) < 0.6)
+        records.append({"page": page, "q": (q / q.sum()).tolist(),
+                        "mu": float(rng.uniform(0.3, 0.9)),
+                        "banned": rng.choice(n, 2, replace=False).tolist()})
+    values = np.zeros(n)
+    paid = rng.choice(n, max(1, n // 100), replace=False)
+    values[paid] = rng.uniform(0.5, 1.5, paid.size)
+    return {"num_pages": n, "damping": 0.85, "teleport": "uniform",
+            "obligatory": np.stack([okey // n, okey % n], axis=1).tolist(),
+            "rewards": {"type": "per_page", "values": values.tolist()},
+            "skeleton": records}
 
 
 def facet_vertices(system, tol=1e-8):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import pro
-from helpers import two_page_coupled_doc, two_page_doc
+from helpers import two_page_coupled_doc, two_page_doc, weight_web_doc
 from pro.cli import main
-from pro.graph import load_strategy
+from pro.graph import load_instance, load_strategy
 
 
 def _write(tmp_path, name, doc):
@@ -67,7 +67,7 @@ def test_optimize_and_strategy_round_trip(tmp_path, capsys):
     assert code == 0
     assert env["result"]["income"] == pytest.approx(5.6625, abs=1e-8)
 
-    strat = load_strategy(out_path, 2)
+    strat = load_strategy(out_path, load_instance(inst_path))
     assert strat.choices[0].activated == (1,)
     assert strat.choices[1].activated == (0,)
 
@@ -75,6 +75,25 @@ def test_optimize_and_strategy_round_trip(tmp_path, capsys):
     assert code == 0
     assert env["result"]["utility"] == pytest.approx(5.6625, abs=1e-8)
     np.testing.assert_allclose(env["result"]["pi"], [0.5, 0.5], atol=1e-9)
+
+
+def test_optimize_inlines_a_weight_strategy(tmp_path, capsys):
+    # 600 pages with 10 dense skeletons: chain-space rows would have taken
+    # about 6,000 entries, past the inline cap; free rows take one each
+    doc = weight_web_doc(np.random.default_rng(3030), 600, 10)
+    inst_path = _write(tmp_path, "w.json", doc)
+    out_path = str(tmp_path / "strategy.json")
+    code, env = _run(capsys, ["optimize", inst_path, "--mode", "weights",
+                              "--out", out_path])
+    assert code == 0
+    pages = env["result"]["strategy"]["pages"]
+    assert len(pages) == 10
+    assert all(p["kind"] == "free" and len(p["row_entries"]) == 1 for p in pages)
+    with open(out_path, encoding="utf-8") as fh:
+        assert json.load(fh) == env["result"]["strategy"]
+    code, back = _run(capsys, ["pagerank", inst_path, "--strategy", out_path])
+    assert code == 0
+    assert back["result"]["utility"] == pytest.approx(env["result"]["income"], abs=1e-8)
 
 
 def test_optimize_reports_stop_reason(tmp_path, capsys):
@@ -129,8 +148,8 @@ def test_optimize_coupled_envelope(tmp_path, capsys):
     assert env["result"]["candidate"]["utility"] == pytest.approx(0.5, abs=1e-3)
     # the candidate is one randomized strategy: both pages mix their rows
     pages = env["result"]["candidate"]["strategy"]["pages"]
-    assert [p["kind"] for p in pages] == ["continuous", "continuous"]
-    load_strategy(out_path, 2)  # file exists and parses
+    assert [p["kind"] for p in pages] == ["free", "free"]
+    load_strategy(out_path, load_instance(two_page_coupled_doc()))  # file exists and parses
 
 
 def test_optimize_coupled_infeasible_budget(tmp_path, capsys):

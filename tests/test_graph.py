@@ -1,5 +1,8 @@
 """Instance parsing, validation, and chain assembly."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,12 @@ from pro.errors import InvalidStrategy, ParseError, ValidationError
 from pro.graph import (ContinuousChoice, DiscreteChoice, Rewards, Strategy,
                        build_transition, default_skeleton_row, load_instance,
                        load_strategy)
+from pro.solver_local import SolverConfig, value_iterate
 
 from helpers import (random_continuous_doc, random_discrete_doc, random_strategy,
-                     two_page_doc, two_page_instance)
+                     two_page_doc, two_page_instance, weight_web_doc)
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_two_page_structure():
@@ -122,11 +128,14 @@ def test_uniform_shorthand_and_dangling_default():
 
 
 def test_strategy_round_trip():
+    inst = load_instance({"num_pages": 3, "damping": 0.85, "teleport": "uniform",
+                          "rewards": {"type": "per_page", "values": [0.0, 0.0, 0.0]}})
     strat = Strategy({0: DiscreteChoice((1,)),
-                      2: ContinuousChoice(np.array([0.25, 0.5, 0.25]))})
-    again = load_strategy(strat.to_json_dict(), 3)
+                      2: ContinuousChoice((0, 1, 2), (0.25, 0.5, 0.25))})
+    again = load_strategy(strat.to_json_dict(), inst)
     assert again.choices[0].activated == (1,)
-    assert np.allclose(again.choices[2].row, [0.25, 0.5, 0.25])
+    assert np.allclose(again.choices[2].probs, [0.25, 0.5, 0.25])
+    assert again == strat
 
 
 def test_build_transition_rejects_foreign_links():
@@ -156,31 +165,43 @@ def test_continuous_choice_checked_against_facets():
     inst = load_instance(doc)
     lo = 0.6 * 0.5  # retained share per coordinate, damped floor below
     floor = 0.85 * lo + 0.15 * 0.5
-    good = Strategy({0: ContinuousChoice(np.array([floor, 1.0 - floor]))})
-    trans = build_transition(inst, good)
-    assert np.allclose(trans.dense_p()[0], [floor, 1.0 - floor], atol=1e-12)
-    bad = Strategy({0: ContinuousChoice(np.array([floor / 2, 1.0 - floor / 2]))})
-    with pytest.raises(InvalidStrategy):
-        build_transition(inst, bad)
-    not_stochastic = Strategy({0: ContinuousChoice(np.array([0.5, 0.4]))})
-    with pytest.raises(InvalidStrategy):
-        build_transition(inst, not_stochastic)
+
+    def chain_row(row):
+        # a chain-space row, in the older strategy-file form
+        return load_strategy({"pages": [{"page": 0, "kind": "continuous", "row_entries":
+                                         [[j, v] for j, v in enumerate(row)]}]}, inst)
+
+    # free mass as fractions of the slack 0.4: all on page 1 is the good row
+    bad_probs = ((floor / 2 - 0.15 * 0.5) / 0.85 - lo) / 0.4
+    for good, bad, not_stochastic in (
+            (chain_row([floor, 1.0 - floor]), chain_row([floor / 2, 1.0 - floor / 2]),
+             chain_row([0.5, 0.4])),
+            (Strategy({0: ContinuousChoice((1,), (1.0,))}),
+             Strategy({0: ContinuousChoice((0, 1), (bad_probs, 1.0 - bad_probs))}),
+             Strategy({0: ContinuousChoice((0, 1), (0.5, 0.4))}))):
+        trans = build_transition(inst, good)
+        assert np.allclose(trans.dense_p()[0], [floor, 1.0 - floor], atol=1e-12)
+        with pytest.raises(InvalidStrategy):
+            build_transition(inst, bad)
+        with pytest.raises(InvalidStrategy):
+            build_transition(inst, not_stochastic)
 
 
 def _reference_outlink_rows(inst, strategy):
     # S and the dangling flags written out page by page from the strategy
-    n, alpha, z = inst.num_pages, inst.damping, inst.teleport
+    n = inst.num_pages
     s = np.zeros((n, n))
     dangling = np.zeros(n, dtype=bool)
     for i in range(n):
         ch = strategy.choices.get(i)
         sk = inst.skeleton_by_page.get(i)
-        if isinstance(ch, ContinuousChoice):
-            row = np.maximum((ch.row - (1.0 - alpha) * z) / alpha, 0.0)
-            s[i] = row / float(row.sum())
-        elif sk is not None:
-            prow = default_skeleton_row(sk, alpha, z)
-            s[i] = np.maximum((prow - (1.0 - alpha) * z) / alpha, 0.0)
+        if sk is not None or isinstance(ch, ContinuousChoice):
+            # the floor plus the slack spread as the free mass says
+            ch = ch or default_skeleton_row(sk)
+            floor = np.zeros(n) if sk is None else (1.0 - sk.mu) * sk.q
+            slack = 1.0 if sk is None else max(1.0 - float(floor.sum()), 0.0)
+            floor[list(ch.cols)] += slack * np.array(ch.probs)
+            s[i] = np.maximum(floor, 0.0)
         else:
             support = inst.obligatory_of(i).tolist() + list(ch.activated if ch else ())
             if support:
@@ -216,11 +237,15 @@ def test_continuous_choice_replaces_a_link_row():
     inst = load_instance(doc)
     outlinks = np.array([0.0, 0.75, 0.25])
     row = 0.8 * outlinks + 0.2 * inst.teleport
-    trans = build_transition(inst, Strategy({0: ContinuousChoice(row)}))
-    s = trans.dense_s()
-    assert np.allclose(s[0], outlinks, atol=1e-12)
-    assert s[1].tolist() == [0.0, 0.0, 1.0]
-    assert trans.dangling.tolist() == [False, False, True]
+    legacy = {"pages": [{"page": 0, "kind": "continuous",
+                         "row_entries": [[j, float(v)] for j, v in enumerate(row)]}]}
+    for strat in (Strategy({0: ContinuousChoice((1, 2), (0.75, 0.25))}),
+                  load_strategy(legacy, inst)):
+        trans = build_transition(inst, strat)
+        s = trans.dense_s()
+        assert np.allclose(s[0], outlinks, atol=1e-12)
+        assert s[1].tolist() == [0.0, 0.0, 1.0]
+        assert trans.dangling.tolist() == [False, False, True]
 
 
 def test_skeleton_default_row_respects_bounds():
@@ -240,3 +265,77 @@ def test_skeleton_default_row_respects_bounds():
     assert np.all(row >= damped_lo - 1e-12)
     assert np.all(row <= damped_up + 1e-12)
     assert abs(row.sum() - 1.0) < 1e-12
+
+
+def test_free_rows_are_checked_in_closed_form():
+    doc = two_page_doc()
+    doc["num_pages"] = 3
+    doc["teleport"] = "uniform"
+    doc["facultative"] = []
+    doc["obligatory"] = [[1, 0], [1, 2]]
+    doc["rewards"] = {"type": "per_page", "values": [0.0, 1.0, 0.0]}
+    doc["skeleton"] = [{"page": 0, "q": [0.5, 0.5, 0.0], "mu": 0.4, "banned": [2]},
+                       {"page": 2, "q": [1.0, 0.0, 0.0], "mu": 0.0}]
+    inst = load_instance(doc)
+    build_transition(inst, Strategy({0: ContinuousChoice((0, 1), (0.25, 0.75))}))
+    for cols, probs in (((2,), (1.0,)),  # mass on a banned page
+                        ((0, 1), (1.5, -0.5)),  # below the floor
+                        ((1, 1), (0.5, 0.5)),  # a column twice
+                        ((0, 3), (0.5, 0.5))):  # not a page
+        with pytest.raises(InvalidStrategy):
+            build_transition(inst, Strategy({0: ContinuousChoice(cols, probs)}))
+    # with mu = 0 the floor is the only row; an old chain-space row off it
+    # cannot be expressed as free mass and is refused on loading
+    off = {"pages": [{"page": 2, "kind": "continuous",
+                      "row_entries": [[0, 0.85 * 0.9 + 0.05], [1, 0.85 * 0.1 + 0.05],
+                                      [2, 0.05]]}]}
+    with pytest.raises(InvalidStrategy):
+        load_strategy(off, inst)
+
+
+def test_free_rows_on_link_pages_keep_the_chain_space_tolerance():
+    # page 0 keeps 0->1 and may add 0->2, so x[2] <= x[1]; a row breaking
+    # that by 0.9e-9 on the chain row passes and by 1.1e-9 does not, as
+    # when rows were checked against the chain-space facets
+    doc = {"num_pages": 3, "damping": 0.8, "teleport": "uniform",
+           "obligatory": [[0, 1], [1, 2]], "facultative": [[0, 2]],
+           "rewards": {"type": "per_page", "values": [0.0, 1.0, 0.5]}}
+    inst = load_instance(doc)
+    for chain_gap, ok in ((0.9e-9, True), (1.1e-9, False)):
+        e = chain_gap / (2 * 0.8)
+        strat = Strategy({0: ContinuousChoice((1, 2), (0.5 - e, 0.5 + e))})
+        if ok:
+            build_transition(inst, strat)
+        else:
+            with pytest.raises(InvalidStrategy):
+                build_transition(inst, strat)
+
+
+def test_weight_strategy_has_one_entry_per_page_and_round_trips():
+    # the shape of the web-weights benchmark: 3,000 pages, 30 dense skeletons
+    inst = load_instance(weight_web_doc(np.random.default_rng(3020), 3000, 30))
+    _, strat = value_iterate(inst, SolverConfig(tol=1e-8))
+    doc = json.loads(json.dumps(strat.to_json_dict()))
+    assert [p["page"] for p in doc["pages"]] == [sk.page for sk in inst.skeletons]
+    assert all(p["kind"] == "free" and len(p["row_entries"]) <= 1 for p in doc["pages"])
+    first = build_transition(inst, strat)
+    again = build_transition(inst, load_strategy(doc, inst))
+    for field in ("indptr", "indices", "data"):
+        assert getattr(first.srows, field).tobytes() == getattr(again.srows, field).tobytes()
+    assert np.array_equal(first.dangling, again.dangling)
+
+
+def test_chain_space_strategy_files_still_load():
+    # strategies saved in the older chain-space form, with the outlink rows
+    # that the release writing them built: weight pages at a local optimum
+    # (banned targets, mu = 0 and mu = 1) and a coupled mixture on link pages
+    with open(DATA / "legacy_strategies.json", encoding="utf-8") as fh:
+        cases = json.load(fh)
+    assert len(cases) == 2
+    for case in cases:
+        inst = load_instance(case["instance"])
+        assert {p["kind"] for p in case["strategy"]["pages"]} >= {"continuous"}
+        trans = build_transition(inst, load_strategy(case["strategy"], inst))
+        np.testing.assert_allclose(trans.srows.to_dense(), case["outlink_rows"],
+                                   rtol=0.0, atol=1e-12)
+        assert trans.dangling.tolist() == case["dangling"]

@@ -12,9 +12,12 @@ magnitude, and its warm-started threshold must not change any result.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     exact_utility,
+    free_row,
     power_law_instance,
     random_continuous_doc,
     random_discrete_doc,
@@ -221,7 +224,7 @@ def test_sweep_matches_sequential_reference():
             "skeleton": 0}
     for _ in range(300):
         inst = load_instance(_exact_arithmetic_doc(rng))
-        n, alpha, z = inst.num_pages, inst.damping, inst.teleport
+        n, alpha = inst.num_pages, inst.damping
         comp = CompiledBellman(inst, inst.rewards)
         r = inst.rewards.dense()
         w = rng.integers(-3, 4, size=n).astype(float)
@@ -231,8 +234,14 @@ def test_sweep_matches_sequential_reference():
             sk = inst.skeleton_by_page.get(i)
             if sk is not None:
                 res = linear_maximize(BoxSimplex(sk.lower(), sk.upper()), score)
-                assert np.array_equal(got.choices[i].row, alpha * res.row + (1.0 - alpha) * z)
+                assert np.array_equal(free_row(inst, i, got.choices[i]), res.row)
                 seen["skeleton"] += 1
+                # the sweep sums the floor sparsely, the reference densely;
+                # the row is exact, the value within 8 ulps of its terms
+                want = alpha * res.value + comp.const[i]
+                terms = alpha * float(np.abs(res.row * score).sum()) + abs(comp.const[i])
+                assert abs(got_t[i] - want) <= 8 * np.spacing(terms), i
+                continue
             else:
                 obl, fac = inst.obligatory_of(i), inst.facultative_of(i)
                 res = linear_maximize(
@@ -251,6 +260,71 @@ def test_sweep_matches_sequential_reference():
                         seen["no_link_wins"] += res.support is None
             assert got_t[i] == alpha * res.value + comp.const[i], i
     assert all(count > 0 for count in seen.values()), seen
+
+
+def _weight_case(q, mu, banned, base, links, w):
+    # page 0 carries the skeleton; per-link entries r[0, j] = base + d
+    q = np.asarray(q, dtype=float)
+    doc = {"num_pages": q.size, "damping": 0.85, "teleport": "uniform",
+           "rewards": {"type": "per_link", "default": base,
+                       "entries": [[0, j, base + d] for j, d in sorted(links.items())]},
+           "skeleton": [{"page": 0, "q": (q / q.sum()).tolist(), "mu": mu,
+                         "banned": sorted(banned)}]}
+    return doc, np.asarray(w, dtype=float)
+
+
+# a few values, so that ties are common, plus neighbours of 1 that a
+# large base rounds into one score
+_UP, _DOWN = float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0))
+_SCORES = st.sampled_from([-3.0, 0.0, 1.0, _UP, _DOWN, 2.5]) | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def _weight_cases(draw):
+    n = draw(st.integers(1, 7))
+    q = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0),
+                      min_size=n, max_size=n))
+    if sum(q) <= 0.0:
+        q[draw(st.integers(0, n - 1))] = 1.0
+    banned = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    # banning every target leaves a row only when the floor is the row
+    mu = 0.0 if len(banned) == n else draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    base = draw(st.sampled_from([0.0, 0.75, -2.0, 1e3, 2.0 ** 53]))
+    links = draw(st.dictionaries(st.integers(0, n - 1), _SCORES, max_size=n))
+    return _weight_case(q, mu, banned, base, links,
+                        draw(st.lists(_SCORES, min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_weight_cases())
+@example(_weight_case([1, 1, 1, 1], 0.5, [], 0.0, {}, [0, 0, 0, 0]))  # ties
+@example(_weight_case([1, 0, 1, 0], 0.5, [0, 1], 0.0, {}, [3, 3, 1, 1]))  # banned
+@example(_weight_case([2, 1, 1], 0.0, [], 0.5, {}, [0, 2, 1]))  # mu = 0
+@example(_weight_case([2, 1, 1], 1.0, [2], 0.5, {}, [0, 2, 5]))  # mu = 1
+@example(_weight_case([0, 0, 1], 0.4, [], 0.0, {1: 2.0}, [1, 0, 1]))  # q zeros, a link
+@example(_weight_case([1, 1, 1], 0.4, [], 0.0, {2: 1.0}, [2, 0, 1]))  # a link ties
+@example(_weight_case([1, 1, 1], 0.4, [0], 1e3, {}, [2, _DOWN, 1]))  # rounded tie
+@example(_weight_case([1, 1], 0.0, [0, 1], 0.0, {}, [1, 2]))  # all banned
+def test_weight_page_step_matches_box_maximizer(case):
+    doc, w = case
+    inst = load_instance(doc)
+    sk = inst.skeletons[0]
+    comp = CompiledBellman(inst, inst.rewards)
+    got = comp.apply(w)[0]
+    choice = comp.extract(w).choices[0]
+    score = inst.rewards.dense()[0] + w
+    lower, upper = sk.lower(), sk.upper()
+    res = linear_maximize(BoxSimplex(lower, upper), score)
+    assert np.array_equal(free_row(inst, 0, choice), res.row)
+    if 1.0 - float(lower.sum()) > 0.0:
+        # the reference fills the first target with room in its order
+        order = np.lexsort((np.arange(w.size), -score))
+        room = [int(j) for j in order if upper[j] > lower[j]]
+        assert choice.cols == tuple(room[:1])
+    # the floor is summed sparsely here and densely in the reference
+    want = 0.85 * res.value + comp.const[0]
+    terms = 0.85 * float(np.abs(res.row * score).sum()) + abs(comp.const[0])
+    assert abs(got - want) <= 8 * np.spacing(terms)
 
 
 def _small_next_to_huge_doc(rng):
@@ -304,7 +378,6 @@ def _plain_value_iteration(inst, tol):
 
 def _page_income(inst, i, choice, w):
     # one page's objective row . (r_i + w) under a choice, in outlink space
-    alpha, z = inst.damping, inst.teleport
     if isinstance(choice, DiscreteChoice):
         row = np.zeros(inst.num_pages)
         support = list(inst.obligatory_of(i)) + list(choice.activated)
@@ -313,7 +386,7 @@ def _page_income(inst, i, choice, w):
         else:
             row = inst.dangling_teleport
     else:
-        row = (choice.row - (1.0 - alpha) * z) / alpha
+        row = free_row(inst, i, choice)
     return float(row @ (inst.rewards.dense()[i] + w))
 
 
@@ -339,7 +412,8 @@ def test_policy_iteration_matches_value_iteration():
         for i, choice in strat.choices.items():
             other = strat_vi.choices[i]
             same = (choice == other if isinstance(choice, DiscreteChoice)
-                    else np.allclose(choice.row, other.row, rtol=0.0, atol=1e-12))
+                    else np.allclose(free_row(inst, i, choice), free_row(inst, i, other),
+                                     rtol=0.0, atol=1e-12))
             if not same:
                 gap = _page_income(inst, i, choice, w_vi) \
                     - _page_income(inst, i, other, w_vi)
