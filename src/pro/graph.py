@@ -32,6 +32,9 @@ from .sparse import (RowSparse, _as_indices, _sort_coords, add_sparse, find_sort
 
 STOCHASTIC_TOL = 1e-9
 STRATEGY_TOL = 1e-9
+# Outlink mass at most this small is rounding noise when ``free_choice``
+# converts a dense row: 8 ulps of 1, far below ``STRATEGY_TOL``.
+FREE_NOISE = 8 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -629,20 +632,25 @@ def free_choice(instance, page, srow):
 
     On a skeleton page the free part is ``(srow - floor) / slack``.  With
     no slack the floor is the only row; ``srow`` must then match it to
-    the strategy tolerance, or ``InvalidStrategy`` is raised.
+    the strategy tolerance, or ``InvalidStrategy`` is raised.  Entries
+    whose outlink mass is at most ``FREE_NOISE`` are dropped: the
+    rounding of a conversion, which would keep an optimal row, one
+    entry, dense.
     """
     sk = instance.skeleton_by_page.get(page)
     if sk is None:
         probs = np.asarray(srow, dtype=float)
+        lift = probs
     elif sk.slack() > 0.0:
         probs = (srow - sk.lower()) / sk.slack()
+        lift = sk.slack() * probs
     else:
         gap = float(np.abs(srow - sk.lower()).max())
         if gap > STRATEGY_TOL / instance.damping:
             raise InvalidStrategy(
                 f"row for page {page} leaves its floor, its only row, by {gap:.3e}")
         return ContinuousChoice((), ())
-    cols = np.flatnonzero(probs)
+    cols = np.flatnonzero(np.abs(lift) > FREE_NOISE)
     return ContinuousChoice(tuple(cols.tolist()), tuple(probs[cols].tolist()))
 
 
@@ -667,18 +675,21 @@ def default_skeleton_row(sk):
 
 
 def _free_entries(instance, pages, picked):
-    """Row-major entries ``(rows, cols, vals)`` of checked continuous rows.
+    """Entries ``(rows, cols, vals)`` of checked continuous rows, unmerged.
 
     ``picked[k]`` is the ``ContinuousChoice`` of page ``pages[k]``, and
     every skeleton page is among ``pages``.  A row is ``floor + slack *
     probs`` with floor and slack from ``weight_rows`` (0 and 1 off the
-    skeleton pages), clipped at 0, zeros dropped.  Every check reads the
-    outlink row with tolerance ``STRATEGY_TOL / damping``, which is
+    skeleton pages).  The entries are every floor's, then every lift
+    ``slack * probs``; a floor entry and a lift may share a coordinate,
+    and the caller sums them, floor first.  The caller also rejects a
+    column that one choice names twice.  Every check reads the outlink
+    row with tolerance ``STRATEGY_TOL / damping``, which is
     ``STRATEGY_TOL`` on the chain row.  Each row sums to one.  On a
-    skeleton page the mass above the floor, ``slack * probs``, is at
-    least ``-tol`` and at most ``tol`` on a banned page (every other cap
-    is 1): closed form, for all of them at once.  Any other page is
-    separated against its outlink facets, page by page.
+    skeleton page the lift is at least ``-tol`` and at most ``tol`` on a
+    banned page (every other cap is 1): closed form, for all of them at
+    once.  Any other page is separated against its outlink facets, page
+    by page.
     """
     n = instance.num_pages
     if not picked:
@@ -695,8 +706,6 @@ def _free_entries(instance, pages, picked):
     if cols.size and (cols.dtype.kind not in "iu" or cols.min() < 0 or cols.max() >= n):
         raise InvalidStrategy("a continuous choice names a column that is not a page")
     cols = cols.astype(np.int64)
-    if not _sort_coords(n, n, rows, cols)[1].all():
-        raise InvalidStrategy("a continuous choice names a column twice")
     if not np.all(np.isfinite(probs)):
         raise InvalidStrategy("a continuous choice has a weight that is not finite")
     is_sk = np.zeros(n, dtype=bool)
@@ -722,15 +731,10 @@ def _free_entries(instance, pages, picked):
         if verdict.violated:
             raise InvalidStrategy(f"row for page {pages[k]} violates {verdict.description} "
                                   f"by {verdict.magnitude:.3e}")
-    # a page's floor entry and free entry at one column sum, floor first
     floor = weights.floor
-    rows = np.concatenate([row_ids(floor.indptr), rows])
-    cols = np.concatenate([floor.indices, cols])
-    order, first, _ = _sort_coords(n, n, rows, cols)
-    vals = np.bincount(np.cumsum(first) - 1, np.concatenate([floor.data, lift])[order])
-    vals = np.maximum(vals, 0.0)
-    nz = vals != 0.0
-    return rows[order][first][nz], cols[order][first][nz], vals[nz]
+    return (np.concatenate([row_ids(floor.indptr), rows]),
+            np.concatenate([floor.indices, cols]),
+            np.concatenate([floor.data, lift]))
 
 
 def build_transition(instance, strategy=None):
@@ -762,8 +766,11 @@ def build_transition(instance, strategy=None):
     The chain is assembled with array operations: activated links are
     looked up in the facultative CSR by flat key, uniform rows (value
     ``1 / degree``) come from the sorted obligatory and activated keys,
-    and a continuous row, ``floor + slack * probs``, replaces its page's
-    links.  Only the check of a continuous row runs page by page.
+    and a continuous row, ``floor + slack * probs`` clipped at 0 with
+    zeros dropped, replaces its page's links.  One sort of all entries
+    orders the CSR, finds repeated links and sums each floor entry with
+    the lift at its coordinate.  Only the check of a continuous row
+    against facets runs page by page.
     """
     n = instance.num_pages
     choices = strategy.choices if strategy is not None else {}
@@ -806,14 +813,41 @@ def build_transition(instance, strategy=None):
     rows = np.concatenate([row_ids(instance.obl_indptr), act_rows])
     cols = np.concatenate([instance.obl_indices, act_cols.astype(np.int64)])
     keep = ~is_cont[rows]
-    indptr, indices = index_csr(n, n, np.column_stack([np.concatenate([rows[keep], c_rows]),
-                                                       np.concatenate([cols[keep], c_cols])]))
-    deg = np.diff(indptr)
-    data = 1.0 / np.repeat(deg, deg)
-    data[np.repeat(is_cont, deg)] = c_vals
+    u_size, f_size = int(keep.sum()), instance.weight_rows.floor.nnz
+    rows = np.concatenate([rows[keep], c_rows])
+    cols = np.concatenate([cols[keep], c_cols])
+    vals = np.concatenate([np.ones(u_size), c_vals])  # uniform: 1 / degree below
+    # drop each array once copied: held, they put a call with dense
+    # default rows on a web-weights document at 13.9 MB, not 10.4 MB
+    del c_rows, c_cols, c_vals
+    order, first, _ = _sort_coords(n, n, rows, cols)
+    # a coordinate may repeat only as a floor entry then a lift; the sort
+    # is stable, so the floor entry comes first in the sum
+    rep = np.flatnonzero(~first)
+    prev = order[rep - 1]
+    bad = np.flatnonzero((prev < u_size) | (prev >= u_size + f_size))
+    if bad.size:
+        if is_cont[rows[prev[bad[0]]]]:
+            raise InvalidStrategy("a continuous choice names a column twice")
+        raise ValidationError("duplicate link")
+    vals = vals[order]
+    vals[rep - 1] += vals[rep]
+    vals = vals[first]
+    sel = order[first]
+    del order
+    rows, cols = rows[sel], cols[sel]
+    # continuous rows are clipped at 0 and lose their zeros
+    kept = vals > 0.0
+    if not kept.all():
+        sel, rows, cols, vals = sel[kept], rows[kept], cols[kept], vals[kept]
+    deg = np.bincount(rows, minlength=n)
+    uniform = sel < u_size
+    vals[uniform] = 1.0 / deg[rows[uniform]]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
     # every continuous row has outlink mass, so only link pages can dangle
     return TransitionMatrix(n, instance.damping, instance.teleport, instance.dangling_teleport,
-                            RowSparse(n, n, indptr, indices, data), deg == 0)
+                            RowSparse(n, n, indptr, cols, vals), deg == 0)
 
 
 def _outlink_facets(instance, page):

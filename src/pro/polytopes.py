@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Infeasible
-from .sparse import RowSparse
+from .sparse import RowSparse, segment_sums
 
 SEPARATION_TOL = 1e-12
 
@@ -358,6 +358,10 @@ def _maximize_box(box, objective):
     if float(upper.sum()) < 1.0 - 1e-12:
         raise Infeasible("box upper bounds cannot reach unit mass")
     x = lower.astype(np.float64).copy()
+    # the value sums the floor's nonzero terms in index order, then adds
+    # each lift, as the sweep of ``solver_local.CompiledBellman`` does
+    nz = np.flatnonzero(x)
+    value = float(segment_sums(x[nz] * objective[nz], np.array([0, nz.size]))[0])
     if slack > 0.0:
         order = np.lexsort((np.arange(objective.size), -objective))
         for j in order:
@@ -366,7 +370,8 @@ def _maximize_box(box, objective):
                 continue
             take = min(room, slack)
             x[j] += take
+            value += take * float(objective[j])
             slack -= take
             if slack <= 1e-15:
                 break
-    return MaximizeResult(float(np.dot(x, objective)), x, None)
+    return MaximizeResult(value, x, None)

@@ -57,6 +57,12 @@ EVAL_SHARE = 1e-3
 # below it still stops once the bracket itself closes.
 ROUNDING = 32 * float(np.finfo(float).eps)
 
+# A weight page's search for its master skips at most this many excluded
+# targets (banned, or scored apart by a per-link reward) at the top of
+# ``w``; a page with more there scores its dense row instead, O(n) and
+# vectorized, rather than one Python-level step per skipped target.
+MASTER_WALK = 8
+
 
 def iteration_budget(damping, tol):
     """Worst-case sweeps that shrink a unit sup-norm error below ``tol``.
@@ -277,19 +283,23 @@ class CompiledBellman:
         Scores round as in the dense row ``r_i + w``.  Off its per-link
         reward entries a page scores ``b + w_j``, whose best is ``b + M``
         for ``M`` the largest ``w_j`` not excluded, found among the top
-        ``e_max + 1`` entries of ``w``.  A ``w_j`` that rounds to the
-        same score lies less than one ulp of that score below ``M``, so
-        the lowest index at or above that band (from the running maximum
-        of ``w``) is ``j*`` when it is neither excluded nor rounded
-        lower; otherwise, rarely, the page scores its dense row.  The
-        per-link entries are scored one by one under the same tie rule.
+        ``c`` entries of ``w`` (``c`` is one more than the most excluded
+        targets of a page, at most ``MASTER_WALK + 1``).  A ``w_j`` that
+        rounds to the same score lies less than one ulp of that score
+        below ``M``, so the lowest index at or above that band (from the
+        running maximum of ``w``) is ``j*`` when it is neither excluded
+        nor rounded lower.  Otherwise, or when all ``c`` candidates are
+        excluded and more targets remain, the page scores its dense row.
+        The per-link entries are scored one by one under the same tie
+        rule.
         """
         n, num = self.n, self.sk_page.size
         top, jstar = np.full(num, -np.inf), np.full(num, n)
-        c = min(self.e_max + 1, n)
+        c = min(self.e_max, MASTER_WALK) + 1
+        c = min(c, n)
         cand = np.argpartition(w, n - c)[n - c:] if c < n else np.arange(n)
         cand = cand[np.argsort(-w[cand], kind="stable")]
-        # skip each page's excluded candidates; at most e_max of them
+        # skip each page's excluded candidates, at most c of them
         pos = np.zeros(num, dtype=np.int64)
         live = np.arange(num)
         while live.size:
@@ -297,6 +307,9 @@ class CompiledBellman:
             pos[live] += 1
             live = live[pos[live] < c]
         ks = np.flatnonzero(pos < c)
+        # with c < n, a page whose c candidates are all excluded has more
+        # targets below them; with c == n it has none but its per-link ones
+        walked_out = np.flatnonzero(pos == c) if c < n else ks[:0]
         m = w[cand[pos[ks]]]
         top[ks] = self.sk_base[ks] + m
         band = m - 2.0 * np.spacing(np.abs(top[ks]))
@@ -313,7 +326,7 @@ class CompiledBellman:
             tie = np.where(best == top[kd], np.minimum(jstar[kd], at), jstar[kd])
             jstar[kd] = np.where(best > top[kd], at, tie)
             top[kd] = np.maximum(top[kd], best)
-        for k in ks[~ok]:
+        for k in np.concatenate([ks[~ok], walked_out]):
             page = self.sk_page[k]
             row = np.full(n, self.sk_base[k])
             idx, val = self.rewards.delta.row_slice(page)

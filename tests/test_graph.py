@@ -149,6 +149,19 @@ def test_build_transition_rejects_foreign_links():
         build_transition(inst, Strategy({0: DiscreteChoice((1,))}))
 
 
+def test_build_transition_rejects_repeated_columns():
+    doc = {"num_pages": 3, "damping": 0.8, "teleport": "uniform",
+           "obligatory": [[0, 1], [1, 2]], "facultative": [[0, 2]],
+           "rewards": {"type": "per_page", "values": [0.0, 1.0, 0.5]}}
+    inst = load_instance(doc)
+    with pytest.raises(ValidationError):
+        build_transition(inst, Strategy({0: DiscreteChoice((2, 2))}))
+    # the row read with the column once is admissible
+    build_transition(inst, Strategy({0: ContinuousChoice((1,), (1.0,))}))
+    with pytest.raises(InvalidStrategy):
+        build_transition(inst, Strategy({0: ContinuousChoice((1, 1), (0.0, 1.0))}))
+
+
 def test_build_transition_rejects_discrete_choice_on_skeleton_page():
     doc = two_page_doc()
     doc["facultative"] = [[1, 0], [1, 1]]
@@ -332,10 +345,17 @@ def test_chain_space_strategy_files_still_load():
     with open(DATA / "legacy_strategies.json", encoding="utf-8") as fh:
         cases = json.load(fh)
     assert len(cases) == 2
+    loaded = []
     for case in cases:
         inst = load_instance(case["instance"])
         assert {p["kind"] for p in case["strategy"]["pages"]} >= {"continuous"}
-        trans = build_transition(inst, load_strategy(case["strategy"], inst))
+        loaded.append(load_strategy(case["strategy"], inst))
+        trans = build_transition(inst, loaded[-1])
         np.testing.assert_allclose(trans.srows.to_dense(), case["outlink_rows"],
                                    rtol=0.0, atol=1e-12)
         assert trans.dangling.tolist() == case["dangling"]
+    # the conversion's rounding leaves no entries behind: each weight page
+    # of the optimum loads with its master alone (none where mu = 0)
+    sizes = {page: len(ch.cols) for page, ch in loaded[0].choices.items()
+             if isinstance(ch, ContinuousChoice)}
+    assert sizes == {0: 1, 1: 1, 2: 1, 5: 0}
