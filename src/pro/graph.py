@@ -3,8 +3,11 @@
 An instance describes a set of pages, the hyperlinks a webmaster must keep
 (obligatory), may add or remove (facultative), and the income attached to
 each traversal of the surfer chain.  Pages can instead carry a weight
-skeleton that constrains a fully continuous outlink row.  Optional coupling
-rows bound linear functionals of the occupation measure across pages.
+skeleton that constrains a fully continuous outlink row; the parser
+reduces every skeleton record to its floor on the nonzeros of ``q``, its
+slack and its bans, all held once in one sparse ``WeightRows``, so a
+weight page costs O(nnz of q) after loading.  Optional coupling rows
+bound linear functionals of the occupation measure across pages.
 
 The surfer chain behind an instance is ``P = damping * S + (1 - damping) *
 ones @ teleport`` where ``S`` follows the chosen outlinks uniformly and
@@ -28,7 +31,7 @@ import numpy as np
 from . import polytopes
 from .errors import InvalidStrategy, ParseError, ValidationError
 from .sparse import (RowSparse, _as_indices, _sort_coords, add_sparse, find_sorted, index_csr,
-                     locate, row_ids, segment_sums)
+                     locate, row_ids)
 
 STOCHASTIC_TOL = 1e-9
 STRATEGY_TOL = 1e-9
@@ -72,12 +75,6 @@ class Rewards:
         """True when every link of a row earns the same income."""
         return self.delta.nnz == 0
 
-    def entry(self, i, j):
-        idx, val = self.delta.row_slice(i)
-        k = np.searchsorted(idx, j)
-        extra = val[k] if k < idx.size and idx[k] == j else 0.0
-        return float(self.base[i] + extra)
-
     def max_abs(self):
         """Upper bound on ``max |r[i, j]|``, exact off the delta support."""
         m = float(np.max(np.abs(self.base))) if self.base.size else 0.0
@@ -114,46 +111,80 @@ class Rewards:
 
 
 @dataclass(frozen=True)
-class SkeletonRecord:
-    """Continuous control over one page's outlink row.
-
-    The row must retain at least a ``1 - mu`` share of the designer
-    profile ``q`` coordinate by coordinate; ``banned`` coordinates are
-    capped at that retained share.
-    """
-
-    page: int
-    q: np.ndarray
-    mu: float
-    banned: tuple
-
-    def lower(self):
-        return (1.0 - self.mu) * self.q
-
-    def upper(self):
-        up = np.ones_like(self.q)
-        banned = list(self.banned)
-        up[banned] = self.lower()[banned]
-        return up
-
-    def slack(self):
-        """Free mass left above the floor, ``1 - sum(lower)``, at least 0."""
-        return max(1.0 - float(self.lower().sum()), 0.0)
-
-
-@dataclass(frozen=True)
 class WeightRows:
-    """The skeleton pages as arrays (``WebGraphInstance.weight_rows``).
+    """The weight pages, the only form a skeleton record is kept in.
 
-    Row i of ``floor`` is page i's floor ``(1 - mu) q`` over its
-    nonzeros, empty off the skeleton pages; ``slack[i]`` is its
-    ``SkeletonRecord.slack()``, 0 off them; ``banned`` holds the sorted
-    keys ``i * num_pages + j`` of the banned pairs.
+    ``pages`` lists them in ascending order, and row k of ``floor`` is
+    page ``pages[k]``'s floor ``(1 - mu) q`` on the nonzeros of ``q``,
+    whose values ``q`` holds entry by entry.  ``slack[i]`` is page i's
+    free mass ``max(1 - sum(floor), 0)`` (summed over the dense floor,
+    as parsed), 0 off the weight pages.  ``banned`` holds the sorted
+    keys ``i * num_pages + j`` of the banned pairs.  ``len()`` counts
+    the weight pages.
     """
 
+    pages: np.ndarray
     floor: RowSparse
+    q: np.ndarray
     slack: np.ndarray
     banned: np.ndarray
+
+    @staticmethod
+    def empty(num_pages):
+        """The store of an instance without weight pages."""
+        return WeightRows(np.zeros(0, dtype=np.int64), RowSparse.empty(0, num_pages),
+                          np.zeros(0), np.zeros(num_pages), np.zeros(0, dtype=np.int64))
+
+    def __len__(self):
+        return self.pages.size
+
+    def __contains__(self, page):
+        return bool(find_sorted(self.pages, [page])[1][0])
+
+    def _row(self, page):
+        """``(cols, floor, q)`` of a page on the nonzeros of q, empty off
+        the weight pages."""
+        (k,), (hit,) = find_sorted(self.pages, [page])
+        lo, hi = (self.floor.indptr[k], self.floor.indptr[k + 1]) if hit else (0, 0)
+        return self.floor.indices[lo:hi], self.floor.data[lo:hi], self.q[lo:hi]
+
+    def banned_of(self, page):
+        """Sorted banned targets of ``page``."""
+        n = self.slack.size
+        lo, hi = np.searchsorted(self.banned, [page * n, page * n + n])
+        return self.banned[lo:hi] - page * n
+
+    def box(self, page):
+        """Dense ``(lower, upper)`` bounds of a page's outlink row: the
+        floor (0 off the weight pages), and 1 off the banned targets, the
+        floor on them."""
+        cols, floor, _ = self._row(page)
+        lower = np.zeros(self.slack.size)
+        lower[cols] = floor
+        upper = np.ones(self.slack.size)
+        banned = self.banned_of(page)
+        upper[banned] = lower[banned]
+        return lower, upper
+
+    def default_choice(self, page):
+        """Baseline choice of a weight page.
+
+        Spreads the free mass over the non-banned targets in proportion
+        to ``q`` (uniformly when ``q`` puts no mass there).  When every
+        target is banned the floor alone is the row.
+        """
+        cols, _, q = self._row(page)
+        banned = self.banned_of(page)
+        free = ~find_sorted(banned, cols)[1]
+        if free.any():
+            cols, weights = cols[free], q[free]
+        else:
+            keep = np.ones(self.slack.size, dtype=bool)
+            keep[banned] = False
+            cols = np.flatnonzero(keep)
+            weights = np.ones(cols.size)
+        probs = weights / float(weights.sum())  # empty when every target is banned
+        return ContinuousChoice(tuple(cols.tolist()), tuple(probs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -171,7 +202,7 @@ class WebGraphInstance:
     Link structure is stored as two index-only CSR arrays; the per-page
     partition is obligatory links, facultative links, and (implicitly)
     everything else forbidden.  A page is controlled when it has
-    facultative links or a skeleton record.
+    facultative links or is a weight page (``skeletons``).
     """
 
     num_pages: int
@@ -183,12 +214,8 @@ class WebGraphInstance:
     fac_indptr: np.ndarray
     fac_indices: np.ndarray
     rewards: Rewards
-    skeletons: tuple = ()
+    skeletons: WeightRows
     coupling: tuple = ()
-
-    @cached_property
-    def skeleton_by_page(self):
-        return {sk.page: sk for sk in self.skeletons}
 
     def obligatory_of(self, i):
         return self.obl_indices[self.obl_indptr[i]:self.obl_indptr[i + 1]]
@@ -197,42 +224,13 @@ class WebGraphInstance:
         return self.fac_indices[self.fac_indptr[i]:self.fac_indptr[i + 1]]
 
     @cached_property
-    def weight_rows(self):
-        """The skeleton pages' floors, slacks and bans (``WeightRows``).
-
-        Built on first use, by the solver or ``build_transition``, and
-        kept: O(nnz) of the floors.
-        """
-        n = self.num_pages
-        sks = sorted(self.skeletons, key=lambda sk: sk.page)
-        pages = np.array([sk.page for sk in sks], dtype=np.int64)
-        floors = [sk.lower() for sk in sks]
-        cols = [np.flatnonzero(f) for f in floors] + [np.zeros(0, dtype=np.int64)]
-        counts = np.zeros(n, dtype=np.int64)
-        counts[pages] = [c.size for c in cols[:-1]]
-        slack = np.zeros(n)
-        slack[pages] = [sk.slack() for sk in sks]
-        banned = [sk.page * n + np.asarray(sorted(sk.banned), dtype=np.int64) for sk in sks]
-        floor = RowSparse(n, n, np.concatenate([[0], np.cumsum(counts)]),
-                          np.concatenate(cols),
-                          np.concatenate([f[c] for f, c in zip(floors, cols)] + [np.zeros(0)]))
-        return WeightRows(floor, slack, np.concatenate(banned + [np.zeros(0, dtype=np.int64)]))
-
-    @cached_property
     def controlled_pages(self):
         fac = np.flatnonzero(np.diff(self.fac_indptr) > 0)
-        out = sorted(set(fac.tolist()) | set(self.skeleton_by_page))
-        return tuple(out)
+        return tuple(sorted(set(fac.tolist()) | set(self.skeletons.pages.tolist())))
 
     def local_only(self, rewards=None):
-        """Copy without coupling rows, optionally swapping the rewards.
-
-        The copy shares the pages, and so the cached ``weight_rows``.
-        """
-        copy = replace(self, coupling=(), rewards=rewards or self.rewards)
-        if "weight_rows" in self.__dict__:
-            copy.__dict__["weight_rows"] = self.weight_rows
-        return copy
+        """Copy without coupling rows, optionally swapping the rewards."""
+        return replace(self, coupling=(), rewards=rewards or self.rewards)
 
 
 @dataclass(frozen=True)
@@ -264,8 +262,8 @@ class Strategy:
     """Per-page decisions; pages absent from ``choices`` keep their default.
 
     The default is no facultative link activated for discrete pages and,
-    for skeleton pages, free mass in proportion to ``q`` on the
-    non-banned targets (``default_skeleton_row``).
+    for weight pages, free mass in proportion to ``q`` on the non-banned
+    targets (``WeightRows.default_choice``).
     """
 
     choices: Mapping[int, Union[DiscreteChoice, ContinuousChoice]] = field(default_factory=dict)
@@ -484,14 +482,17 @@ def _parse_rewards(raw, n):
 
 
 def _parse_skeletons(raw, n):
+    """The skeleton records as one ``WeightRows``; each dense ``q`` is
+    read, reduced to its nonzeros and dropped record by record."""
     _require(isinstance(raw, list), "skeleton must be a list of records")
-    out = []
+    rows = {}
     for rec in raw:
         _require(isinstance(rec, dict), "skeleton records must be objects")
         for key in ("page", "q", "mu"):
             _require(key in rec, f"skeleton record missing {key!r}")
         page = rec["page"]
         _require(type(page) is int and 0 <= page < n, "skeleton page out of range")
+        _require(page not in rows, f"page {page} has two skeleton records", ValidationError)
         q = _as_prob_vector(rec["q"], n, "skeleton q", allow_zero=True)
         mu = _number(rec["mu"], "skeleton mu")
         _require(0.0 <= mu <= 1.0, "skeleton mu must lie in [0, 1]", ValidationError)
@@ -499,8 +500,22 @@ def _parse_skeletons(raw, n):
         _require(isinstance(banned, list), "banned must be a list of pages")
         for j in banned:
             _require(type(j) is int and 0 <= j < n, "banned page out of range")
-        out.append(SkeletonRecord(page, q, mu, tuple(sorted(set(banned)))))
-    return tuple(out)
+        lower = (1.0 - mu) * q
+        cols = np.flatnonzero(q)
+        rows[page] = (cols, lower[cols], q[cols], max(1.0 - float(lower.sum()), 0.0),
+                      page * n + np.array(sorted(set(banned)), dtype=np.int64))
+    pages = np.array(sorted(rows), dtype=np.int64)
+    parts = [rows[p] for p in pages.tolist()]
+
+    def joined(k, dtype):
+        return np.concatenate([np.zeros(0, dtype=dtype)] + [part[k] for part in parts])
+
+    indptr = np.concatenate([[0], np.cumsum([part[0].size for part in parts], dtype=np.int64)])
+    slack = np.zeros(n)
+    slack[pages] = [part[3] for part in parts]
+    return WeightRows(pages, RowSparse(pages.size, n, indptr, joined(0, np.int64),
+                                       joined(1, np.float64)),
+                      joined(2, np.float64), slack, joined(4, np.int64))
 
 
 def _parse_coupling(raw, n):
@@ -555,20 +570,20 @@ def validate(instance):
     if instance.rewards.num_pages != n:
         raise ValidationError("rewards shape does not match num_pages")
 
-    seen = set()
-    for sk in instance.skeletons:
-        if sk.page in seen:
-            raise ValidationError(f"page {sk.page} has two skeleton records")
-        seen.add(sk.page)
-        if instance.obligatory_of(sk.page).size or instance.facultative_of(sk.page).size:
-            raise ValidationError(
-                f"page {sk.page} carries both links and a skeleton record")
-        lo, up = sk.lower(), sk.upper()
-        if float(up.sum()) < 1.0 - 1e-12:
-            raise ValidationError(
-                f"skeleton on page {sk.page} leaves no feasible row")
-        if np.any(lo < -1e-15):
-            raise ValidationError("skeleton lower bounds must be nonnegative")
+    store = instance.skeletons
+    pages = store.pages
+    linked = np.flatnonzero(np.diff(instance.obl_indptr)[pages]
+                            + np.diff(instance.fac_indptr)[pages])
+    if linked.size:
+        raise ValidationError(f"page {pages[linked[0]]} carries both links and a skeleton record")
+    # a page banning every target has its floor as its only row
+    owner = store.banned // n
+    count = np.searchsorted(owner, pages, "right") - np.searchsorted(owner, pages)
+    full = pages[(count == n) & (store.slack[pages] > 1e-12)]
+    if full.size:
+        raise ValidationError(f"skeleton on page {full[0]} leaves no feasible row")
+    if np.any(store.floor.data < -1e-15):
+        raise ValidationError("skeleton lower bounds must be nonnegative")
 
     for row in instance.coupling:
         if row.weights.num_pages != n:
@@ -637,15 +652,15 @@ def free_choice(instance, page, srow):
     rounding of a conversion, which would keep an optimal row, one
     entry, dense.
     """
-    sk = instance.skeleton_by_page.get(page)
-    if sk is None:
+    store = instance.skeletons
+    if page not in store:
         probs = np.asarray(srow, dtype=float)
         lift = probs
-    elif sk.slack() > 0.0:
-        probs = (srow - sk.lower()) / sk.slack()
-        lift = sk.slack() * probs
+    elif store.slack[page] > 0.0:
+        probs = (srow - store.box(page)[0]) / store.slack[page]
+        lift = store.slack[page] * probs
     else:
-        gap = float(np.abs(srow - sk.lower()).max())
+        gap = float(np.abs(srow - store.box(page)[0]).max())
         if gap > STRATEGY_TOL / instance.damping:
             raise InvalidStrategy(
                 f"row for page {page} leaves its floor, its only row, by {gap:.3e}")
@@ -654,48 +669,29 @@ def free_choice(instance, page, srow):
     return ContinuousChoice(tuple(cols.tolist()), tuple(probs[cols].tolist()))
 
 
-def default_skeleton_row(sk):
-    """Baseline choice of a skeleton page.
-
-    Spreads the free mass over the non-banned coordinates in proportion
-    to ``q`` (uniformly when ``q`` puts no mass there).
-    """
-    free = np.ones(sk.q.size, dtype=bool)
-    free[list(sk.banned)] = False
-    if not np.any(free):
-        if sk.slack() > 0.0:
-            raise ValidationError(f"skeleton on page {sk.page} bans every coordinate")
-        return ContinuousChoice((), ())
-    weights = np.where(free, sk.q, 0.0)
-    if float(weights.sum()) <= 0.0:
-        weights = free.astype(np.float64)
-    cols = np.flatnonzero(weights)
-    probs = weights[cols] / float(weights.sum())
-    return ContinuousChoice(tuple(cols.tolist()), tuple(probs.tolist()))
-
-
-def _free_entries(instance, pages, picked):
+def _free_entries(instance, is_weight, pages, picked):
     """Entries ``(rows, cols, vals)`` of checked continuous rows, unmerged.
 
     ``picked[k]`` is the ``ContinuousChoice`` of page ``pages[k]``, and
-    every skeleton page is among ``pages``.  A row is ``floor + slack *
-    probs`` with floor and slack from ``weight_rows`` (0 and 1 off the
-    skeleton pages).  The entries are every floor's, then every lift
-    ``slack * probs``; a floor entry and a lift may share a coordinate,
-    and the caller sums them, floor first.  The caller also rejects a
-    column that one choice names twice.  Every check reads the outlink
-    row with tolerance ``STRATEGY_TOL / damping``, which is
-    ``STRATEGY_TOL`` on the chain row.  Each row sums to one.  On a
-    skeleton page the lift is at least ``-tol`` and at most ``tol`` on a
-    banned page (every other cap is 1): closed form, for all of them at
-    once.  Any other page is separated against its outlink facets, page
-    by page.
+    every weight page (``is_weight``, a mask over pages) is among
+    ``pages``.  A row is ``floor + slack * probs`` with floor and slack
+    from ``instance.skeletons`` (0 and 1 off the weight pages).  The
+    entries are every floor's, then every lift ``slack * probs``; a
+    floor entry and a lift may share a coordinate, and the caller sums
+    them, floor first.  The caller also rejects a column that one choice
+    names twice.  Every check reads the outlink row with tolerance
+    ``STRATEGY_TOL / damping``, which is ``STRATEGY_TOL`` on the chain
+    row.  Each row sums to one.  On a weight page the lift is at least
+    ``-tol``, and at most ``tol`` on a banned target (every other cap is
+    1): closed form, for all of them at once.  Any other page is
+    separated against its outlink facets, page by page.
     """
     n = instance.num_pages
     if not picked:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     tol = STRATEGY_TOL / instance.damping
-    weights = instance.weight_rows
+    store = instance.skeletons
+    floor = store.floor
     sizes = [len(ch.cols) for ch in picked]
     if sizes != [len(ch.probs) for ch in picked]:
         raise InvalidStrategy("a continuous choice needs one weight per column")
@@ -708,33 +704,29 @@ def _free_entries(instance, pages, picked):
     cols = cols.astype(np.int64)
     if not np.all(np.isfinite(probs)):
         raise InvalidStrategy("a continuous choice has a weight that is not finite")
-    is_sk = np.zeros(n, dtype=bool)
-    is_sk[list(instance.skeleton_by_page)] = True
-    lift = np.where(is_sk[rows], weights.slack[rows], 1.0) * probs
-    mass = (np.bincount(rows, lift, minlength=n)
-            + segment_sums(weights.floor.data, weights.floor.indptr))[pages]
+    lift = np.where(is_weight[rows], store.slack[rows], 1.0) * probs
+    e_rows = np.concatenate([store.pages[row_ids(floor.indptr)], rows])
+    e_vals = np.concatenate([floor.data, lift])
+    mass = np.bincount(e_rows, e_vals, minlength=n)[pages]
     bad = np.flatnonzero(np.abs(mass - 1.0) > tol)
     if bad.size:
         raise InvalidStrategy(f"row for page {pages[bad[0]]} is not stochastic")
     # below the floor anywhere, or above it on a banned page
-    off = np.where(find_sorted(weights.banned, rows * n + cols)[1], np.abs(lift), -lift)
-    off[~is_sk[rows]] = 0.0
+    off = np.where(find_sorted(store.banned, rows * n + cols)[1], np.abs(lift), -lift)
+    off[~is_weight[rows]] = 0.0
     if off.size and off.max() > tol:
         k = int(np.argmax(off))
         raise InvalidStrategy(f"row for page {rows[k]} moves x[{cols[k]}] off its floor "
                               f"by {off[k]:.3e}")
     ends = np.cumsum(sizes)
-    for k in np.flatnonzero(~is_sk[pages]):
+    for k in np.flatnonzero(~is_weight[pages]):
         row = np.zeros(n)
         row[cols[ends[k] - sizes[k]:ends[k]]] = probs[ends[k] - sizes[k]:ends[k]]
         verdict = polytopes.separate(_outlink_facets(instance, pages[k]), row, tol=tol)
         if verdict.violated:
             raise InvalidStrategy(f"row for page {pages[k]} violates {verdict.description} "
                                   f"by {verdict.magnitude:.3e}")
-    floor = weights.floor
-    return (np.concatenate([row_ids(floor.indptr), rows]),
-            np.concatenate([floor.indices, cols]),
-            np.concatenate([floor.data, lift]))
+    return e_rows, np.concatenate([floor.indices, cols]), e_vals
 
 
 def build_transition(instance, strategy=None):
@@ -774,6 +766,9 @@ def build_transition(instance, strategy=None):
     """
     n = instance.num_pages
     choices = strategy.choices if strategy is not None else {}
+    store = instance.skeletons
+    is_weight = np.zeros(n, dtype=bool)
+    is_weight[store.pages] = True
 
     free_pages, free = [], []
     act_pages, act_links = [], []
@@ -782,7 +777,7 @@ def build_transition(instance, strategy=None):
             raise InvalidStrategy(f"strategy page {page} out of range")
         ch = choices[page]
         if isinstance(ch, DiscreteChoice):
-            if page in instance.skeleton_by_page:
+            if is_weight[page]:
                 raise InvalidStrategy(
                     f"page {page} needs a continuous row, not a link subset")
             act_pages += [page] * len(ch.activated)
@@ -800,11 +795,11 @@ def build_transition(instance, strategy=None):
         k = int(np.argmin(hit))
         raise InvalidStrategy(f"link ({act_pages[k]}, {act_links[k]}) is not facultative")
 
-    for sk in instance.skeletons:
-        if sk.page not in choices:
-            free_pages.append(sk.page)
-            free.append(default_skeleton_row(sk))
-    c_rows, c_cols, c_vals = _free_entries(instance, free_pages, free)
+    for page in store.pages.tolist():
+        if page not in choices:
+            free_pages.append(page)
+            free.append(store.default_choice(page))
+    c_rows, c_cols, c_vals = _free_entries(instance, is_weight, free_pages, free)
 
     # obligatory plus activated links give uniform rows; a continuous row
     # replaces its page's links
@@ -813,7 +808,7 @@ def build_transition(instance, strategy=None):
     rows = np.concatenate([row_ids(instance.obl_indptr), act_rows])
     cols = np.concatenate([instance.obl_indices, act_cols.astype(np.int64)])
     keep = ~is_cont[rows]
-    u_size, f_size = int(keep.sum()), instance.weight_rows.floor.nnz
+    u_size, f_size = int(keep.sum()), store.floor.nnz
     rows = np.concatenate([rows[keep], c_rows])
     cols = np.concatenate([cols[keep], c_cols])
     vals = np.concatenate([np.ones(u_size), c_vals])  # uniform: 1 / degree below
@@ -851,9 +846,8 @@ def build_transition(instance, strategy=None):
 
 
 def _outlink_facets(instance, page):
-    sk = instance.skeleton_by_page.get(page)
-    if sk is not None:
-        return polytopes.facets_box(sk.lower(), sk.upper())
+    if page in instance.skeletons:
+        return polytopes.facets_box(*instance.skeletons.box(page))
     return polytopes.facets_discrete(instance.obligatory_of(page),
                                      instance.facultative_of(page),
                                      instance.dangling_teleport,

@@ -196,9 +196,9 @@ def brute_force_optimum(instance, budget=None, keep_table=False):
     c_bounds = np.array([c.bound for c in instance.coupling])
     # per page, income of each action row against a weight row:
     #   sum_j (alpha * S_aj + (1 - alpha) * z_j) * weight_j
-    def per_action(weight_rows):
-        return [alpha * page_rows[i] @ weight_rows[i]
-                + (1.0 - alpha) * float(np.dot(z, weight_rows[i]))
+    def per_action(coef):
+        return [alpha * page_rows[i] @ coef[i]
+                + (1.0 - alpha) * float(np.dot(z, coef[i]))
                 for i in range(n)]
     r_act = per_action(rdense)
     c_act = [per_action(cr) for cr in c_rows]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,9 @@ from .solver_local import SolverConfig, value_iterate
 from .sparse import row_ids
 
 FEASIBILITY_TOL = 1e-9
-LP_PAGE_CAP = 200
+# every local solve of the dual route
+INNER = SolverConfig(tol=1e-9)
+# the occupation LP has n * n variables, so at most 141 pages
 LP_VAR_CAP = 20000
 # The master enumerates every basis of its K + 1 rows; 100,000 bases (447
 # columns with one row, 40 with three, 22 with five) take 0.3-0.4 s and 10-51 MB.
@@ -67,30 +69,16 @@ class DualIterate:
 
 
 @dataclass(frozen=True)
-class DualRecord:
-    """One ``dual_value`` call as the run keeps it: O(K) numbers, and the
-    inner ``DpState`` without its value vector (``w`` is ``None``)."""
-
-    multipliers: np.ndarray
-    theta: float
-    primal_value: float
-    coupling_values: np.ndarray
-    feasible: bool
-    dp_state: object
-
-
-@dataclass(frozen=True)
 class CoupledConfig:
     """Outer-loop knobs.
 
     ``tol`` is the relative gap between the dual bound and the master
     value at which the loop stops; ``max_outer`` caps the ``dual_value``
-    calls; ``inner`` configures every local solve.
+    calls.  Every local solve runs with ``INNER``.
     """
 
     tol: float = 1e-6
     max_outer: int = 200
-    inner: SolverConfig = field(default_factory=lambda: SolverConfig(tol=1e-9))
 
 
 @dataclass(frozen=True)
@@ -126,9 +114,11 @@ class CoupledResult:
     loop ended before any mixture met the budget rows; ``best_feasible``
     is the best deterministic column that meets them alone, or ``None``.
     ``gap`` is relative, against the better of the two.  ``iterates``
-    holds one ``DualRecord`` per ``dual_value`` call.  ``stop_reason`` is
-    "gap" (the bound met the master value to ``tol``), "stalled" (a
-    local solve brought no new column) or "max_outer".
+    holds one ``DualIterate`` per ``dual_value`` call, kept as O(K)
+    numbers: ``strategy`` and ``pi`` are ``None``, and so is the inner
+    ``DpState``'s value vector ``w``.  ``stop_reason`` is "gap" (the
+    bound met the master value to ``tol``), "stalled" (a local solve
+    brought no new column) or "max_outer".
     """
 
     dual_bound: float
@@ -183,6 +173,7 @@ def dual_value(instance, multipliers, inner=None, w0=None):
     multipliers : ndarray
         Nonnegative, one entry per coupling row.
     inner : SolverConfig, optional
+        ``INNER`` when omitted.
     w0 : ndarray, optional
         Warm start for the inner value vector.
     """
@@ -194,7 +185,7 @@ def dual_value(instance, multipliers, inner=None, w0=None):
         raise ValidationError(f"expected {k} multipliers, got shape {lam.shape}")
     if lam.size and float(lam.min()) < 0.0:
         raise ValidationError("multipliers must be nonnegative")
-    return _price(instance, instance.rewards, lam, inner or SolverConfig(tol=1e-9), w0)
+    return _price(instance, instance.rewards, lam, inner or INNER, w0)
 
 
 _Master = collections.namedtuple("_Master", "mu lam value")
@@ -351,17 +342,16 @@ def solve_coupled(instance, config=None):
     while len(records) < config.max_outer:
         if columns and master is None:
             lam = _master(None, table[:, 1:], bounds).lam
-            col = _price(instance, spend_only, lam, config.inner, w_cost)
+            col = _price(instance, spend_only, lam, INNER, w_cost)
             if col.theta < -FEASIBILITY_TOL * float(lam.sum()):
                 raise Infeasible(f"every strategy overspends: multipliers {lam.tolist()} "
                                  f"price the excess at {-col.theta:.3e} or more", lam)
             w_cost = col.dp_state.w
         else:
-            col = dual_value(instance, lam, config.inner, w0=w_dual)
+            col = dual_value(instance, lam, w0=w_dual)
             w_dual = col.dp_state.w
-            records.append(DualRecord(col.multipliers, col.theta, col.primal_value,
-                                      col.coupling_values, col.feasible,
-                                      replace(col.dp_state, w=None)))
+            records.append(replace(col, strategy=None, pi=None,
+                                   dp_state=replace(col.dp_state, w=None)))
             dual_bound = min(dual_bound, col.theta)
         key = (col.primal_value, *col.coupling_values.tolist())
         fresh = key not in columns
@@ -423,15 +413,15 @@ def _page_block(instance, page):
     equals its floor.  No division is involved, so ``mu = 0`` is safe.
     """
     n = instance.num_pages
-    sk = instance.skeleton_by_page.get(page)
-    if sk is None:
+    store = instance.skeletons
+    if page not in store:
         system = chain_facets(instance, page)
         lifted = system.coef.to_dense()[:-1] - system.rhs[:-1, None]
         return np.eye(n), lifted, system.rel[:-1]
     alpha = instance.damping
-    floor = alpha * sk.lower() + (1.0 - alpha) * instance.teleport
+    floor = alpha * store.box(page)[0] + (1.0 - alpha) * instance.teleport
     free = np.ones(n, dtype=bool)
-    free[list(sk.banned)] = False
+    free[store.banned_of(page)] = False
     slack = max(1.0 - float(floor.sum()), 0.0)
     # banning every coordinate validates only with mu = 0: the floor is the row
     block = floor[:, None] + slack * np.eye(n)[:, free] if free.any() else floor[:, None]
@@ -452,11 +442,13 @@ def lp_formulate(instance):
     Raises
     ------
     TooLarge
-        Above 200 pages (the tableau would be unreasonable).
+        Above 141 pages, where the ``n * n`` variables pass
+        ``LP_VAR_CAP`` (the tableau would be unreasonable).
     """
     n = instance.num_pages
-    if n > LP_PAGE_CAP or n * n > LP_VAR_CAP:
-        raise TooLarge(f"occupation LP is capped at {LP_PAGE_CAP} pages")
+    if n * n > LP_VAR_CAP:
+        raise TooLarge(f"occupation LP is capped at {math.isqrt(LP_VAR_CAP)} pages: "
+                       f"{n} pages need {n * n} variables, above {LP_VAR_CAP}")
     blocks, rows, rels = zip(*(_page_block(instance, i) for i in range(n)))
     widths = [b.shape[1] for b in blocks]
     nx = sum(widths)

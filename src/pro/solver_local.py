@@ -194,17 +194,17 @@ class CompiledBellman:
     def _compile_weights(self, instance, rewards):
         """Weight pages as arrays, in page order (``k`` numbers them)."""
         n = self.n
-        self.sk_page = np.array(sorted(instance.skeleton_by_page), dtype=np.int64)
+        store = instance.skeletons
+        self.sk_page = store.pages
         if not self.sk_page.size:
             return
-        rows = instance.weight_rows
         self.rewards = rewards
         self.sk_base = rewards.base[self.sk_page]
-        self.slack = rows.slack[self.sk_page]
+        self.slack = store.slack[self.sk_page]
         # the floors (1 - mu) q, one CSR segment per weight page, with r there
-        floor = rows.floor
-        self.q_indptr = np.append(floor.indptr[self.sk_page], floor.nnz)
-        self.q_rows = row_ids(floor.indptr)
+        floor = store.floor
+        self.q_indptr = floor.indptr
+        self.q_rows = self.sk_page[row_ids(floor.indptr)]
         self.q_idx, self.q_val = floor.indices, floor.data
         self.r_q = rewards.at(self.q_rows, self.q_idx)
         # a page's per-link reward entries score apart from its base; they
@@ -213,13 +213,13 @@ class CompiledBellman:
         d_page = row_ids(delta.indptr)
         on = find_sorted(self.sk_page, d_page)[1]
         d_keys = d_page[on] * n + delta.indices[on]
-        self.ban_keys = rows.banned
-        e_keys = np.concatenate([d_keys, rows.banned])
+        self.ban_keys = store.banned
+        e_keys = np.concatenate([d_keys, store.banned])
         # the stable argsort of sparse._sort_coords: a sort routine already
         # in use, not one more (each first use maps 0.1-0.4 MiB of code)
         self.e_keys = e_keys[np.argsort(e_keys, kind="stable")]
         self.e_max = int(np.bincount(self.e_keys // n, minlength=1).max())
-        keep = ~find_sorted(rows.banned, d_keys)[1]
+        keep = ~find_sorted(store.banned, d_keys)[1]
         d_k = np.searchsorted(self.sk_page, d_page[on][keep])
         self.d_col = delta.indices[on][keep]
         self.d_r = self.sk_base[d_k] + delta.data[on][keep]

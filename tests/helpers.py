@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from pro.graph import Rewards, WebGraphInstance, load_instance
+from pro.graph import Rewards, WebGraphInstance, WeightRows, load_instance
 from pro.oracle import chain_utility, exact_stationary
 from pro.polytopes import EQ
 from pro.sparse import index_csr
@@ -224,22 +224,21 @@ def random_strategy(rng, instance):
 
     choices = {}
     for page in instance.controlled_pages:
-        sk = instance.skeleton_by_page.get(page)
-        if sk is None:
+        if page not in instance.skeletons:
             fac = instance.facultative_of(page)
             keep = tuple(int(j) for j in fac if rng.random() < 0.5)
             choices[page] = DiscreteChoice(keep)
         else:
-            srow = random_box_row(rng, sk.lower(), sk.upper())
+            srow = random_box_row(rng, *instance.skeletons.box(page))
             choices[page] = free_choice(instance, page, srow)
     return Strategy(choices)
 
 
 def free_row(instance, page, choice):
     """Dense outlink row ``floor + slack * probs`` of a ``ContinuousChoice``."""
-    sk = instance.skeleton_by_page.get(page)
-    row = np.zeros(instance.num_pages) if sk is None else (1.0 - sk.mu) * sk.q
-    slack = 1.0 if sk is None else max(1.0 - float(row.sum()), 0.0)
+    weight = page in instance.skeletons
+    row = instance.skeletons.box(page)[0] if weight else np.zeros(instance.num_pages)
+    slack = max(1.0 - float(row.sum()), 0.0) if weight else 1.0
     row[list(choice.cols)] += slack * np.array(choice.probs)
     return row
 
@@ -279,7 +278,7 @@ def power_law_instance(n, n_controlled, fac_each, seed, damping=0.85,
         num_pages=n, damping=damping, teleport=z, dangling_teleport=z,
         obl_indptr=o_indptr, obl_indices=o_idx,
         fac_indptr=f_indptr, fac_indices=f_idx,
-        rewards=Rewards.per_page(values))
+        rewards=Rewards.per_page(values), skeletons=WeightRows.empty(n))
 
 
 def weight_web_doc(rng, n, skeletons):

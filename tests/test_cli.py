@@ -77,6 +77,24 @@ def test_optimize_and_strategy_round_trip(tmp_path, capsys):
     np.testing.assert_allclose(env["result"]["pi"], [0.5, 0.5], atol=1e-9)
 
 
+def test_pagerank_default_row_of_a_page_that_bans_every_target(tmp_path, capsys):
+    # the floor (1/7, 4/7, 2/7) sums to 1 - 1.1e-16, within validation's
+    # 1e-12, so the floor alone is page 0's row, by default as at the optimum
+    q = [1 / 7, 4 / 7, 2 / 7]
+    assert 0.0 < 1.0 - sum(np.array(q)) <= 1e-12
+    doc = {"num_pages": 3, "damping": 0.85, "teleport": "uniform",
+           "obligatory": [[1, 2], [2, 0]],
+           "rewards": {"type": "per_page", "values": [0.0, 1.0, 2.0]},
+           "skeleton": [{"page": 0, "q": q, "mu": 0.0, "banned": [0, 1, 2]}]}
+    path = _write(tmp_path, "g.json", doc)
+    code, env = _run(capsys, ["optimize", path])
+    assert code == 0
+    income = env["result"]["income"]
+    code, env = _run(capsys, ["pagerank", path])
+    assert code == 0
+    assert env["result"]["utility"] == pytest.approx(income, abs=1e-9)
+
+
 def test_optimize_inlines_a_weight_strategy(tmp_path, capsys):
     # 600 pages with 10 dense skeletons: chain-space rows would have taken
     # about 6,000 entries, past the inline cap; free rows take one each

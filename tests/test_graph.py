@@ -1,6 +1,7 @@
 """Instance parsing, validation, and chain assembly."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,7 @@ import pytest
 
 from pro.errors import InvalidStrategy, ParseError, ValidationError
 from pro.graph import (ContinuousChoice, DiscreteChoice, Rewards, Strategy,
-                       build_transition, default_skeleton_row, load_instance,
-                       load_strategy)
+                       build_transition, load_instance, load_strategy)
 from pro.solver_local import SolverConfig, value_iterate
 
 from helpers import (random_continuous_doc, random_discrete_doc, random_strategy,
@@ -56,13 +56,12 @@ def test_rewards_accessors():
     inst = two_page_instance()
     r = inst.rewards
     assert not r.is_per_page
-    assert r.entry(0, 1) == 10.0
-    assert r.entry(1, 1) == 2.0
+    assert r.at(np.array([0, 1]), np.array([1, 1])).tolist() == [10.0, 2.0]
     assert np.allclose(r.dense(), [[1.0, 10.0], [2.0, 2.0]])
     assert np.allclose(r.row_means(np.array([0.5, 0.5])), [5.5, 2.0])
     per_page = Rewards.per_page(np.array([3.0, -1.0]))
     assert per_page.is_per_page
-    assert per_page.entry(0, 1) == 3.0
+    assert per_page.at(np.array([0]), np.array([1])).tolist() == [3.0]
 
 
 def test_pi_step_matches_dense_product():
@@ -114,6 +113,63 @@ def test_skeleton_page_cannot_carry_links():
     doc["skeleton"] = [{"page": 0, "q": [0.5, 0.5], "mu": 0.5}]
     with pytest.raises(ValidationError):
         load_instance(doc)
+
+
+def test_skeleton_records_are_validated():
+    def load(*records):
+        return load_instance({"num_pages": 3, "damping": 0.85, "teleport": "uniform",
+                              "obligatory": [[1, 2]],
+                              "rewards": {"type": "per_page", "values": [0.0, 1.0, 0.0]},
+                              "skeleton": list(records)})
+
+    half = {"page": 0, "q": [0.5, 0.5, 0.0], "mu": 0.5}
+    with pytest.raises(ValidationError, match="page 0 has two skeleton records"):
+        load(half, dict(half, mu=0.25))
+    with pytest.raises(ValidationError, match="page 1 carries both links"):
+        load(half, dict(half, page=1))
+    # banning every target leaves the floor, which must then be a row
+    with pytest.raises(ValidationError, match="skeleton on page 2 leaves no feasible row"):
+        load(half, dict(half, page=2, banned=[2, 1, 0]))
+    store = load(half, dict(half, page=2, mu=0.0, banned=[2, 1, 0])).skeletons
+    assert store.pages.tolist() == [0, 2]
+    assert store.banned_of(2).tolist() == [0, 1, 2]
+    assert store.default_choice(2) == ContinuousChoice((), ())
+
+
+def test_weight_pages_are_stored_sparse():
+    # two weight pages of a 200k-page web, each with three nonzeros in q:
+    # the store keeps arrays of the nonzeros, pages and bans, plus one
+    # slack per page, and no array of n entries per weight page
+    n = 200_000
+    q = [0.0] * n
+    q[5], q[70_000], q[n - 1] = 0.25, 0.5, 0.25
+    inst = load_instance({"num_pages": n, "damping": 0.85, "teleport": "uniform",
+                          "rewards": {"type": "per_page", "values": [0.0] * n},
+                          "skeleton": [{"page": 3, "q": q, "mu": 0.5, "banned": [5]},
+                                       {"page": 1, "q": q, "mu": 0.25}]})
+    store = inst.skeletons
+    arrays = []
+    for f in fields(store):
+        value = getattr(store, f.name)
+        arrays += [value.indptr, value.indices, value.data] if f.name == "floor" else [value]
+    assert sorted(a.size for a in arrays) == [1, 2, 3, 6, 6, 6, n]
+    assert len(store) == 2 and store.pages.tolist() == [1, 3]
+    assert store.floor.indices.tolist() == [5, 70_000, n - 1] * 2
+    assert store.floor.data.tolist() == [0.1875, 0.375, 0.1875, 0.125, 0.25, 0.125]
+    assert store.slack[[1, 3]].tolist() == [0.25, 0.5]
+    assert store.default_choice(3) == ContinuousChoice((70_000, n - 1), (0.5 / 0.75, 0.25 / 0.75))
+    lower, upper = store.box(3)
+    assert np.flatnonzero(lower).tolist() == [5, 70_000, n - 1]
+    assert np.flatnonzero(upper < 1.0).tolist() == [5] and upper[5] == lower[5]
+    lower, upper = store.box(2)
+    assert 2 not in store and not lower.any() and upper.all()
+
+
+def test_local_only_shares_the_weight_store():
+    inst = load_instance(random_continuous_doc(np.random.default_rng(31)))
+    copy = inst.local_only(inst.rewards.scaled(2.0))
+    assert len(inst.skeletons) > 0
+    assert copy.skeletons is inst.skeletons
 
 
 def test_uniform_shorthand_and_dangling_default():
@@ -207,12 +263,12 @@ def _reference_outlink_rows(inst, strategy):
     dangling = np.zeros(n, dtype=bool)
     for i in range(n):
         ch = strategy.choices.get(i)
-        sk = inst.skeleton_by_page.get(i)
-        if sk is not None or isinstance(ch, ContinuousChoice):
+        weight = i in inst.skeletons
+        if weight or isinstance(ch, ContinuousChoice):
             # the floor plus the slack spread as the free mass says
-            ch = ch or default_skeleton_row(sk)
-            floor = np.zeros(n) if sk is None else (1.0 - sk.mu) * sk.q
-            slack = 1.0 if sk is None else max(1.0 - float(floor.sum()), 0.0)
+            ch = ch or inst.skeletons.default_choice(i)
+            floor = inst.skeletons.box(i)[0] if weight else np.zeros(n)
+            slack = max(1.0 - float(floor.sum()), 0.0) if weight else 1.0
             floor[list(ch.cols)] += slack * np.array(ch.probs)
             s[i] = np.maximum(floor, 0.0)
         else:
@@ -272,9 +328,9 @@ def test_skeleton_default_row_respects_bounds():
     inst = load_instance(doc)
     trans = build_transition(inst)
     row = trans.dense_p()[0]
-    sk = inst.skeletons[0]
-    damped_lo = 0.85 * sk.lower() + 0.15 * inst.teleport
-    damped_up = 0.85 * sk.upper() + 0.15 * inst.teleport
+    lower, upper = inst.skeletons.box(0)
+    damped_lo = 0.85 * lower + 0.15 * inst.teleport
+    damped_up = 0.85 * upper + 0.15 * inst.teleport
     assert np.all(row >= damped_lo - 1e-12)
     assert np.all(row <= damped_up + 1e-12)
     assert abs(row.sum() - 1.0) < 1e-12
@@ -329,7 +385,7 @@ def test_weight_strategy_has_one_entry_per_page_and_round_trips():
     inst = load_instance(weight_web_doc(np.random.default_rng(3020), 3000, 30))
     _, strat = value_iterate(inst, SolverConfig(tol=1e-8))
     doc = json.loads(json.dumps(strat.to_json_dict()))
-    assert [p["page"] for p in doc["pages"]] == [sk.page for sk in inst.skeletons]
+    assert [p["page"] for p in doc["pages"]] == inst.skeletons.pages.tolist()
     assert all(p["kind"] == "free" and len(p["row_entries"]) <= 1 for p in doc["pages"])
     first = build_transition(inst, strat)
     again = build_transition(inst, load_strategy(doc, inst))

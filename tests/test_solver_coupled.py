@@ -369,9 +369,8 @@ def test_occupation_check_catches_one_page_off_its_facets():
         rho, _ = lp_solve(lp_formulate(inst))
         check_occupation(inst, rho)
         for i in range(inst.num_pages):
-            sk = inst.skeleton_by_page.get(i)
-            if sk is not None:
-                k = int(sk.banned[0])
+            if i in inst.skeletons:
+                k = int(inst.skeletons.banned_of(i)[0])
             else:
                 links = set(inst.obligatory_of(i)) | set(inst.facultative_of(i))
                 k = next(j for j in range(inst.num_pages) if j not in links)
@@ -416,17 +415,18 @@ def test_unreachable_budget_is_infeasible():
 
 
 def test_lp_size_cap():
-    n = 201
-    doc = {
-        "num_pages": n,
-        "damping": 0.85,
-        "teleport": [1.0 / n] * n,
-        "obligatory": [],
-        "facultative": [],
-        "rewards": {"type": "per_page", "values": [0.0] * n},
-    }
-    with pytest.raises(TooLarge):
-        lp_formulate(load_instance(doc))
+    # the program has n * n variables: 141 pages fit in LP_VAR_CAP, 142 do not
+    for n in (142, 201):
+        doc = {
+            "num_pages": n,
+            "damping": 0.85,
+            "teleport": [1.0 / n] * n,
+            "obligatory": [],
+            "facultative": [],
+            "rewards": {"type": "per_page", "values": [0.0] * n},
+        }
+        with pytest.raises(TooLarge, match=f"capped at 141 pages: {n} pages need {n * n} "):
+            lp_formulate(load_instance(doc))
 
 
 def test_master_size_cap():

@@ -231,9 +231,8 @@ def test_sweep_matches_sequential_reference():
         got_t, got = comp.apply(w), comp.extract(w)
         for i in range(n):
             score = r[i] + w
-            sk = inst.skeleton_by_page.get(i)
-            if sk is not None:
-                res = linear_maximize(BoxSimplex(sk.lower(), sk.upper()), score)
+            if i in inst.skeletons:
+                res = linear_maximize(BoxSimplex(*inst.skeletons.box(i)), score)
                 assert np.array_equal(free_row(inst, i, got.choices[i]), res.row)
                 seen["skeleton"] += 1
             else:
@@ -309,12 +308,11 @@ def _weight_cases(draw):
 def test_weight_page_step_matches_box_maximizer(case):
     doc, w = case
     inst = load_instance(doc)
-    sk = inst.skeletons[0]
     comp = CompiledBellman(inst, inst.rewards)
     got = comp.apply(w)[0]
     choice = comp.extract(w).choices[0]
     score = inst.rewards.dense()[0] + w
-    lower, upper = sk.lower(), sk.upper()
+    lower, upper = inst.skeletons.box(0)
     res = linear_maximize(BoxSimplex(lower, upper), score)
     assert np.array_equal(free_row(inst, 0, choice), res.row)
     if 1.0 - float(lower.sum()) > 0.0:
