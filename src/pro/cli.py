@@ -3,7 +3,8 @@
 Reports are JSON on stdout: an envelope with the command, package
 version, a small instance digest, a ``result`` payload, a status, and
 the wall time.  Exit codes: 0 clean, 1 bad input, 2 qualified result
-(bound only, audit violations, mismatch), 3 iteration or size limits.
+(bound only, audit violations, mismatch), 3 iteration, size or memory
+limits.
 
 Heavy imports happen after argument parsing so that ``--threads`` can
 pin the BLAS pool before the numeric stack loads.
@@ -92,6 +93,12 @@ def _strategy_payload(strategy):
             "omitted": True}
 
 
+def _write_strategy(path, strategy):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(strategy.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _top_pages(pi, count=10):
     import numpy as np
 
@@ -150,9 +157,7 @@ def _cmd_optimize(args):
     if state.stop_reason == "max_iter":
         return inst, result, "limit"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(strat.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_strategy(args.out, strat)
     return inst, result, "ok"
 
 
@@ -175,9 +180,7 @@ def _cmd_optimize_coupled(args):
         result["best_feasible"] = {"value": res.best_feasible.value,
                                    "strategy": _strategy_payload(strat)}
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(strat.to_json_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_strategy(args.out, strat)
     if res.candidate is not None:
         cand = res.candidate
         result["candidate"] = {
@@ -247,7 +250,7 @@ def _classify(exc):
     from . import errors
 
     if isinstance(exc, (errors.MaxIterExceeded, errors.BudgetExceeded,
-                        errors.TooLarge)):
+                        errors.TooLarge, MemoryError)):
         return "limit"
     if isinstance(exc, (errors.CouplingPresent, errors.Infeasible)):
         return "qualified"

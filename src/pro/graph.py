@@ -20,6 +20,7 @@ one entry however dense its skeleton.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -38,6 +39,9 @@ STRATEGY_TOL = 1e-9
 # Outlink mass at most this small is rounding noise when ``free_choice``
 # converts a dense row: 8 ulps of 1, far below ``STRATEGY_TOL``.
 FREE_NOISE = 8 * float(np.finfo(float).eps)
+# Link keys ``row * num_pages + col`` are int64; above this page count
+# they would wrap.
+MAX_PAGES = math.isqrt(2 ** 63 - 1)
 
 
 @dataclass(frozen=True)
@@ -56,15 +60,6 @@ class Rewards:
     def per_page(values):
         values = np.asarray(values, dtype=np.float64)
         return Rewards(values, RowSparse.empty(values.size, values.size))
-
-    @staticmethod
-    def per_link(num_pages, entries, default):
-        """Entries give ``r[i, j]`` directly; ``default`` fills the rest."""
-        shifted = [(i, j, v - default) for i, j, v in entries]
-        return Rewards(
-            np.full(num_pages, float(default)),
-            RowSparse.from_entries(num_pages, num_pages, shifted),
-        )
 
     @property
     def num_pages(self):
@@ -337,8 +332,9 @@ def _number(raw, name):
     return float(raw)
 
 
-def _numbers(raw, name):
-    """A flat list of JSON numbers as a float64 array of finite values."""
+def _numbers(raw, name, size=None):
+    """A flat list of JSON numbers, ``size`` of them if given, as a
+    float64 array of finite values."""
     try:
         arr = np.asarray(raw)
     except ValueError as exc:  # ragged nesting
@@ -347,6 +343,7 @@ def _numbers(raw, name):
              f"{name} must be a flat list of numbers")
     arr = arr.astype(np.float64, copy=False)
     _require(np.isfinite(arr).all(), f"{name} must be finite", ValidationError)
+    _require(size is None or arr.size == size, f"{name} must have length {size}")
     return arr
 
 
@@ -358,10 +355,34 @@ def _columns(raw, name):
     return idx
 
 
+def _entries(raw, width, name):
+    """``[i, j, v]`` triples (``width`` 3) or ``[j, w]`` pairs (2) as arrays.
+
+    Returns ``(index, values)``: one flat, nonnegative int64 array per
+    index position, and the finite float64 values.  The list is
+    transposed once by ``zip``, so no Python loop runs per entry.  The
+    caller checks the indices' upper bound.
+    """
+    form = "[i, j, v] triples" if width == 3 else "[j, w] pairs"
+    _require(isinstance(raw, list), f"{name} must be a list of {form}")
+    _require(set(map(type, raw)) <= {list} and set(map(len, raw)) <= {width},
+             f"{name} must be {form}")
+    columns = list(zip(*raw)) or [()] * width
+    index = [_columns(col, f"{name} indices") for col in columns[:-1]]
+    return index, _numbers(columns[-1], f"{name} values")
+
+
+def _distribution(raw, n, name, allow_zero=False, default=None):
+    """``"uniform"`` or a list of n probabilities; ``default`` if absent."""
+    if raw is None and default is not None:
+        return default
+    if raw == "uniform":
+        return np.full(n, 1.0 / n)
+    return _as_prob_vector(raw, n, name, allow_zero)
+
+
 def _as_prob_vector(raw, n, name, allow_zero=False):
-    _require(isinstance(raw, (list, tuple)), f"{name} must be an array")
-    vec = _numbers(raw, name)
-    _require(vec.shape == (n,), f"{name} must have length {n}")
+    vec = _numbers(raw, name, n)
     if allow_zero:
         _require(np.all(vec >= 0.0), f"{name} must be nonnegative", ValidationError)
     else:
@@ -387,7 +408,7 @@ def _read_document(source, what):
 
 
 def load_instance(source):
-    """Parse and validate an instance document.
+    """Parse an instance document; the one place an instance is checked.
 
     Parameters
     ----------
@@ -412,24 +433,14 @@ def load_instance(source):
 
     n = doc["num_pages"]
     _require(type(n) is int and n >= 1, "num_pages must be a positive integer")
+    _require(n <= MAX_PAGES, f"num_pages must be at most {MAX_PAGES}", ValidationError)
     damping = _number(doc["damping"], "damping")
     _require(0.0 < damping < 1.0, "damping must lie strictly inside (0, 1)",
              ValidationError)
 
-    tele_raw = doc["teleport"]
-    if tele_raw == "uniform":
-        teleport = np.full(n, 1.0 / n)
-    else:
-        teleport = _as_prob_vector(tele_raw, n, "teleport")
-
-    hang_raw = doc.get("dangling_teleport")
-    if hang_raw is None:
-        dangling_teleport = teleport
-    elif hang_raw == "uniform":
-        dangling_teleport = np.full(n, 1.0 / n)
-    else:
-        dangling_teleport = _as_prob_vector(hang_raw, n, "dangling_teleport",
-                                            allow_zero=True)
+    teleport = _distribution(doc["teleport"], n, "teleport")
+    dangling_teleport = _distribution(doc.get("dangling_teleport"), n, "dangling_teleport",
+                                      allow_zero=True, default=teleport)
 
     obl_pairs = doc.get("obligatory", [])
     fac_pairs = doc.get("facultative", [])
@@ -437,12 +448,15 @@ def load_instance(source):
     _require(isinstance(fac_pairs, list), "facultative must be a list of pairs")
     obl_indptr, obl_indices = index_csr(n, n, obl_pairs)
     fac_indptr, fac_indices = index_csr(n, n, fac_pairs)
+    _require(not locate(fac_indptr, fac_indices, n, row_ids(obl_indptr), obl_indices)[1].any(),
+             "a link cannot be both obligatory and facultative", ValidationError)
 
     rewards = _parse_rewards(doc["rewards"], n)
-    skeletons = _parse_skeletons(doc.get("skeleton", []), n)
+    skeletons = _parse_skeletons(doc.get("skeleton", []), n,
+                                 np.diff(obl_indptr) + np.diff(fac_indptr))
     coupling = _parse_coupling(doc.get("coupling", []), n)
 
-    instance = WebGraphInstance(
+    return WebGraphInstance(
         num_pages=n,
         damping=damping,
         teleport=teleport,
@@ -455,35 +469,28 @@ def load_instance(source):
         skeletons=skeletons,
         coupling=coupling,
     )
-    validate(instance)
-    return instance
 
 
 def _parse_rewards(raw, n):
     _require(isinstance(raw, dict) and "type" in raw, "rewards must carry a type")
     if raw["type"] == "per_page":
         _require("values" in raw, "per_page rewards need values")
-        values = _numbers(raw["values"], "rewards")
-        _require(values.shape == (n,), "per_page values must have one entry per page")
-        return Rewards.per_page(values)
+        return Rewards.per_page(_numbers(raw["values"], "rewards", n))
     if raw["type"] == "per_link":
         _require("default" in raw, "per_link rewards need a default")
         default = _number(raw["default"], "default")
-        entries = raw.get("entries", [])
-        _require(isinstance(entries, list), "entries must be a list of triples")
-        for e in entries:
-            _require(isinstance(e, list) and len(e) == 3, "entries must be [i, j, r] triples")
-        _numbers([e[2] for e in entries], "rewards")
-        rewards = Rewards.per_link(n, entries, default)
-        _require(np.all(np.isfinite(rewards.delta.data)), "rewards must be finite",
-                 ValidationError)
-        return rewards
+        (rows, cols), values = _entries(raw.get("entries", []), 3, "rewards entries")
+        # entries give r[i, j] directly; default fills the rest
+        delta = RowSparse.from_entries(n, n, rows, cols, values - default)
+        _require(np.all(np.isfinite(delta.data)), "rewards must be finite", ValidationError)
+        return Rewards(np.full(n, default), delta)
     raise ParseError(f"unknown rewards type {raw['type']!r}")
 
 
-def _parse_skeletons(raw, n):
+def _parse_skeletons(raw, n, degree):
     """The skeleton records as one ``WeightRows``; each dense ``q`` is
-    read, reduced to its nonzeros and dropped record by record."""
+    read, reduced to its nonzeros and dropped record by record.
+    ``degree[i]`` counts page i's links; a weight page may have none."""
     _require(isinstance(raw, list), "skeleton must be a list of records")
     rows = {}
     for rec in raw:
@@ -493,6 +500,8 @@ def _parse_skeletons(raw, n):
         page = rec["page"]
         _require(type(page) is int and 0 <= page < n, "skeleton page out of range")
         _require(page not in rows, f"page {page} has two skeleton records", ValidationError)
+        _require(not degree[page], f"page {page} carries both links and a skeleton record",
+                 ValidationError)
         q = _as_prob_vector(rec["q"], n, "skeleton q", allow_zero=True)
         mu = _number(rec["mu"], "skeleton mu")
         _require(0.0 <= mu <= 1.0, "skeleton mu must lie in [0, 1]", ValidationError)
@@ -500,10 +509,15 @@ def _parse_skeletons(raw, n):
         _require(isinstance(banned, list), "banned must be a list of pages")
         for j in banned:
             _require(type(j) is int and 0 <= j < n, "banned page out of range")
+        banned = sorted(set(banned))
         lower = (1.0 - mu) * q
+        slack = max(1.0 - float(lower.sum()), 0.0)
+        # a page banning every target has its floor as its only row
+        _require(len(banned) < n or slack <= 1e-12,
+                 f"skeleton on page {page} leaves no feasible row", ValidationError)
         cols = np.flatnonzero(q)
-        rows[page] = (cols, lower[cols], q[cols], max(1.0 - float(lower.sum()), 0.0),
-                      page * n + np.array(sorted(set(banned)), dtype=np.int64))
+        rows[page] = (cols, lower[cols], q[cols], slack,
+                      page * n + np.array(banned, dtype=np.int64))
     pages = np.array(sorted(rows), dtype=np.int64)
     parts = [rows[p] for p in pages.tolist()]
 
@@ -528,68 +542,12 @@ def _parse_coupling(raw, n):
         _require(has_entries != has_per_page,
                  "coupling rows carry exactly one of entries, per_page")
         if has_entries:
-            entries = rec["entries"]
-            _require(isinstance(entries, list), "coupling entries must be a list")
-            for e in entries:
-                _require(isinstance(e, list) and len(e) == 3,
-                         "coupling entries must be [i, j, d] triples")
-            _numbers([e[2] for e in entries], "coupling weights")
-            weights = Rewards(np.zeros(n), RowSparse.from_entries(n, n, entries))
+            (rows, cols), values = _entries(rec["entries"], 3, "coupling entries")
+            weights = Rewards(np.zeros(n), RowSparse.from_entries(n, n, rows, cols, values))
         else:
-            values = _numbers(rec["per_page"], "coupling weights")
-            _require(values.shape == (n,), "per_page coupling needs one weight per page")
-            weights = Rewards.per_page(values)
+            weights = Rewards.per_page(_numbers(rec["per_page"], "coupling weights", n))
         out.append(CouplingRow(weights, _number(rec["bound"], "coupling bound")))
     return tuple(out)
-
-
-def validate(instance):
-    """Check the structural invariants of an instance.
-
-    Raises
-    ------
-    ValidationError
-        On the first violated requirement.
-    """
-    n = instance.num_pages
-    if not 0.0 < instance.damping < 1.0:
-        raise ValidationError("damping must lie strictly inside (0, 1)")
-    z = instance.teleport
-    if z.shape != (n,) or not np.all(z > 0.0) or abs(float(z.sum()) - 1.0) > STOCHASTIC_TOL:
-        raise ValidationError("teleport must be strictly positive and sum to 1")
-    hang = instance.dangling_teleport
-    if hang.shape != (n,) or not np.all(hang >= 0.0) \
-            or abs(float(hang.sum()) - 1.0) > STOCHASTIC_TOL:
-        raise ValidationError("dangling_teleport must be a distribution")
-
-    # obligatory and facultative links must be disjoint page by page
-    if locate(instance.fac_indptr, instance.fac_indices, n,
-              row_ids(instance.obl_indptr), instance.obl_indices)[1].any():
-        raise ValidationError("a link cannot be both obligatory and facultative")
-
-    if instance.rewards.num_pages != n:
-        raise ValidationError("rewards shape does not match num_pages")
-
-    store = instance.skeletons
-    pages = store.pages
-    linked = np.flatnonzero(np.diff(instance.obl_indptr)[pages]
-                            + np.diff(instance.fac_indptr)[pages])
-    if linked.size:
-        raise ValidationError(f"page {pages[linked[0]]} carries both links and a skeleton record")
-    # a page banning every target has its floor as its only row
-    owner = store.banned // n
-    count = np.searchsorted(owner, pages, "right") - np.searchsorted(owner, pages)
-    full = pages[(count == n) & (store.slack[pages] > 1e-12)]
-    if full.size:
-        raise ValidationError(f"skeleton on page {full[0]} leaves no feasible row")
-    if np.any(store.floor.data < -1e-15):
-        raise ValidationError("skeleton lower bounds must be nonnegative")
-
-    for row in instance.coupling:
-        if row.weights.num_pages != n:
-            raise ValidationError("coupling row shape does not match num_pages")
-
-    return instance
 
 
 def load_strategy(source, instance):
@@ -621,14 +579,9 @@ def load_strategy(source, instance):
             choices[page] = DiscreteChoice(tuple(np.sort(_columns(acts, "activated")).tolist()))
             continue
         _require(kind in ("free", "continuous"), f"unknown strategy kind {kind!r}")
-        entries = rec.get("row_entries", [])
-        _require(isinstance(entries, list), "row_entries must be a list")
-        for e in entries:
-            _require(isinstance(e, list) and len(e) == 2, "row_entries must be [j, w] pairs")
-        cols = _columns([e[0] for e in entries], "row_entries columns")
+        (cols,), vals = _entries(rec.get("row_entries", []), 2, "row_entries")
         _require(np.unique(cols).size == cols.size, "row_entries lists a column twice")
         _require(np.all(cols < n), f"row_entries columns must be below {n}", ValidationError)
-        vals = _numbers([e[1] for e in entries], "row_entries weights")
         if kind == "free":
             order = np.argsort(cols)
             choices[page] = ContinuousChoice(tuple(cols[order].tolist()),

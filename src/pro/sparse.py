@@ -55,27 +55,21 @@ class RowSparse:
         )
 
     @staticmethod
-    def from_entries(num_rows, num_cols, entries):
-        """Build from an iterable of ``(row, col, value)`` triples.
+    def from_entries(num_rows, num_cols, rows, cols, vals):
+        """Build from flat int64 index arrays: ``vals[k]`` at ``(rows[k], cols[k])``.
 
         Raises
         ------
-        ParseError
-            If an index is not an integer.
         ValidationError
             If an index is out of range or a coordinate appears twice.
         """
-        triples = list(entries)
-        if not triples:
-            return RowSparse.empty(num_rows, num_cols)
-        rows, cols, vals = zip(*triples)
-        rows = _in_range(_as_indices(rows), num_rows, "entry row index out of range")
-        cols = _in_range(_as_indices(cols), num_cols, "entry column index out of range")
+        rows = _in_range(rows, num_rows, "entry row index out of range")
+        cols = _in_range(cols, num_cols, "entry column index out of range")
         order, first, indptr = _sort_coords(num_rows, num_cols, rows, cols)
         if not first.all():
             raise ValidationError("duplicate entry coordinates")
-        vals = np.asarray(vals, dtype=np.float64)
-        return RowSparse(num_rows, num_cols, indptr, cols[order], vals[order])
+        return RowSparse(num_rows, num_cols, indptr, cols[order],
+                         np.asarray(vals, dtype=np.float64)[order])
 
     @property
     def nnz(self):

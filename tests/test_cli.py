@@ -1,14 +1,21 @@
 """Command line envelope, exit codes, and file round trips."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pro
 from helpers import two_page_coupled_doc, two_page_doc, weight_web_doc
+from pro import graph
 from pro.cli import main
+from pro.errors import ValidationError
 from pro.graph import load_instance, load_strategy
 
 
@@ -334,3 +341,82 @@ def test_threads_flag_pins_env(tmp_path, capsys):
                 os.environ.pop(k, None)
             else:
                 os.environ[k] = v
+
+
+def _uniform_doc():
+    # uniform teleport, per-link rewards and single-entry lists
+    return {"num_pages": 3, "damping": 0.85, "teleport": "uniform",
+            "obligatory": [[1, 2]], "facultative": [[2, 0]],
+            "rewards": {"type": "per_link", "default": 0.5, "entries": [[2, 0, 1.0]]},
+            "coupling": [{"entries": [[2, 0, 1.0]], "bound": 0.3}]}
+
+
+def test_page_count_above_the_int64_key_cap_is_refused(tmp_path, capsys):
+    doc = _uniform_doc()
+    doc["num_pages"] = 10 ** 30
+    code, env = _run(capsys, ["pagerank", _write(tmp_path, "g.json", doc)])
+    assert code == 1
+    assert env["error"]["type"] == "ValidationError"
+    doc["num_pages"] = graph.MAX_PAGES + 1
+    with pytest.raises(ValidationError, match="num_pages must be at most 3037000499"):
+        load_instance(doc)
+
+
+def test_memory_error_is_a_limit(tmp_path, capsys, monkeypatch):
+    def exhausted(source):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(graph, "load_instance", exhausted)
+    code, env = _run(capsys, ["pagerank", _write(tmp_path, "g.json", two_page_doc())])
+    assert code == 3
+    assert env["status"] == "limit"
+    assert env["error"]["type"] == "MemoryError"
+
+
+def _fuzz_bases():
+    weights = {"num_pages": 3, "damping": 0.85, "teleport": [0.2, 0.3, 0.5],
+               "dangling_teleport": [0.0, 0.5, 0.5], "obligatory": [[1, 2]],
+               "rewards": {"type": "per_page", "values": [0.0, 1.0, 2.0]},
+               "skeleton": [{"page": 0, "q": [0.25, 0.5, 0.25], "mu": 0.5, "banned": [1]}]}
+    return [two_page_doc(), two_page_coupled_doc(), _uniform_doc(), weights]
+
+
+def _slots(node, path=()):
+    """Paths to every field and list element below ``node``."""
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    for key, child in node.items() if isinstance(node, dict) else ():
+        yield path + (key,)
+        yield from _slots(child, path + (key,))
+
+
+_FUZZ_SLOTS = [(b, path) for b, doc in enumerate(_fuzz_bases()) for path in _slots(doc)]
+# no value here is huge but valid: a page count between 10**4 and the cap
+# would allocate gigabytes, a damping above 0.99 run ~10**8 sweeps
+_FUZZ_POOL = [None, True, "x", -1, 0, 1.5, 10 ** 15, 10 ** 30, [], [[0]], [[0, 1]], {"a": 1}]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(_FUZZ_SLOTS), st.sampled_from(_FUZZ_POOL))
+@example((2, ("num_pages",)), 10 ** 30)
+@example((2, ("num_pages",)), 10 ** 15)
+@example((2, ("rewards", "entries", 0, 0)), [[0, 1]])
+@example((2, ("coupling", 0, "entries", 0, 0)), [[0, 1]])
+def test_fuzzed_documents_end_in_one_envelope(slot, value):
+    base, path = slot
+    doc = _fuzz_bases()[base]
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = os.path.join(tmp, "g.json")
+        with open(inst_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in ("pagerank", "optimize"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["--deterministic", command, inst_path])
+            envelope = json.loads(out.getvalue())  # one JSON document
+            assert envelope["command"] == command
+            assert code == {"ok": 0, "error": 1, "qualified": 2, "limit": 3}[envelope["status"]]

@@ -7,15 +7,18 @@ from pro.errors import ValidationError
 from pro.sparse import RowSparse, add_sparse, index_csr, row_ids, segment_sums
 
 
+def entries(rows, cols, vals):
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals)
+
+
 def random_sparse(rng, rows, cols, density=0.3):
     mask = rng.random((rows, cols)) < density
-    entries = [(i, j, float(rng.normal()))
-               for i in range(rows) for j in range(cols) if mask[i, j]]
-    return RowSparse.from_entries(rows, cols, entries), entries
+    r, c = np.nonzero(mask)
+    return RowSparse.from_entries(rows, cols, *entries(r, c, rng.normal(size=r.size)))
 
 
 def test_from_entries_sorts_columns_within_rows():
-    mat = RowSparse.from_entries(2, 4, [(0, 3, 1.0), (0, 1, 2.0), (1, 0, 3.0)])
+    mat = RowSparse.from_entries(2, 4, *entries([0, 0, 1], [3, 1, 0], [1.0, 2.0, 3.0]))
     idx, val = mat.row_slice(0)
     assert idx.tolist() == [1, 3]
     assert val.tolist() == [2.0, 1.0]
@@ -24,14 +27,14 @@ def test_from_entries_sorts_columns_within_rows():
 
 def test_from_entries_rejects_duplicates():
     with pytest.raises(ValidationError):
-        RowSparse.from_entries(2, 2, [(0, 1, 1.0), (0, 1, 2.0)])
+        RowSparse.from_entries(2, 2, *entries([0, 0], [1, 1], [1.0, 2.0]))
 
 
 def test_from_entries_rejects_out_of_range():
     with pytest.raises(ValidationError):
-        RowSparse.from_entries(2, 2, [(2, 0, 1.0)])
+        RowSparse.from_entries(2, 2, *entries([2], [0], [1.0]))
     with pytest.raises(ValidationError):
-        RowSparse.from_entries(2, 2, [(0, -1, 1.0)])
+        RowSparse.from_entries(2, 2, *entries([0], [-1], [1.0]))
 
 
 def test_matvec_products_match_dense():
@@ -39,7 +42,7 @@ def test_matvec_products_match_dense():
     for _ in range(25):
         rows = int(rng.integers(1, 9))
         cols = int(rng.integers(1, 9))
-        mat, _ = random_sparse(rng, rows, cols)
+        mat = random_sparse(rng, rows, cols)
         dense = mat.to_dense()
         v = rng.normal(size=cols)
         x = rng.normal(size=rows)
@@ -78,8 +81,8 @@ def test_add_sparse_matches_dense_sum():
     for _ in range(25):
         rows = int(rng.integers(1, 7))
         cols = int(rng.integers(1, 7))
-        a, _ = random_sparse(rng, rows, cols)
-        b, _ = random_sparse(rng, rows, cols)
+        a = random_sparse(rng, rows, cols)
+        b = random_sparse(rng, rows, cols)
         total = add_sparse(a, b)
         assert np.allclose(total.to_dense(), a.to_dense() + b.to_dense(), atol=1e-12)
         idx = total.indices
@@ -96,15 +99,15 @@ def test_gather_at_matches_dense_lookup():
     for _ in range(40):
         rows = int(rng.integers(1, 8))
         cols = int(rng.integers(1, 8))
-        source, _ = random_sparse(rng, rows, cols, density=float(rng.choice([0.0, 0.3, 0.8])))
-        pattern, _ = random_sparse(rng, rows, cols, density=float(rng.choice([0.0, 0.3, 0.8])))
+        source = random_sparse(rng, rows, cols, density=float(rng.choice([0.0, 0.3, 0.8])))
+        pattern = random_sparse(rng, rows, cols, density=float(rng.choice([0.0, 0.3, 0.8])))
         got = source.gather_at(pattern.indptr, pattern.indices)
         want = source.to_dense()[row_ids(pattern.indptr), pattern.indices]
         assert got.tolist() == want.tolist()
 
 
 def test_gather_at_edge_cases():
-    source = RowSparse.from_entries(3, 4, [(0, 1, 1.5), (2, 3, -2.0), (2, 0, 4.0)])
+    source = RowSparse.from_entries(3, 4, *entries([0, 2, 2], [1, 3, 0], [1.5, -2.0, 4.0]))
     # the pattern names a missing column in row 0 and skips row 2
     indptr, indices = np.array([0, 2, 3, 3]), np.array([1, 2, 0])
     assert source.gather_at(indptr, indices).tolist() == [1.5, 0.0, 0.0]
