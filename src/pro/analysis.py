@@ -22,6 +22,7 @@ from .chain import mean_reward_before_teleport
 from .errors import PerLinkRewards, ValidationError
 from .graph import DiscreteChoice, build_transition
 from .solver_local import CompiledBellman
+from .sparse import locate, row_ids
 
 AUDIT_V_TOL = 1e-12
 
@@ -110,40 +111,32 @@ def master_ordering(instance, strategy=None, tol=1e-9):
         raise ValidationError("the ordering audit handles discrete pages only")
     trans = build_transition(instance, strategy)
     v = mean_reward_before_teleport(trans, instance.rewards, tol=AUDIT_V_TOL).v
-    alpha = instance.damping
-    base = instance.rewards.base
+    n, f_indptr, f_idx = instance.num_pages, instance.fac_indptr, instance.fac_indices
     choices = strategy.choices if strategy is not None else {}
-
-    classifications, violations = [], []
-    for i in instance.controlled_pages:  # no skeletons, so: pages with facultative links
-        fac = instance.facultative_of(i)
-        ch = choices.get(i)
-        if ch is None:
-            active = frozenset()
-        elif isinstance(ch, DiscreteChoice):
-            active = frozenset(int(j) for j in ch.activated)
-        else:
+    picked = [(i, ch) for i, ch in sorted(choices.items()) if f_indptr[i + 1] > f_indptr[i]]
+    for i, ch in picked:
+        if not isinstance(ch, DiscreteChoice):
             raise ValidationError(f"page {i} carries a non-subset choice")
-        bar = (v[i] - base[i]) / alpha
-        scale = tol * max(1.0, abs(bar))
-        for j in fac:
-            j = int(j)
-            margin = float(v[j] - bar)
-            if margin > scale:
-                kind = "required"
-            elif margin < -scale:
-                kind = "forbidden"
-            else:
-                kind = "tie"
-            classifications.append(LinkClassification(i, j, kind, margin))
-            if kind == "required" and j not in active:
-                violations.append(Violation(i, j, kind, "missing"))
-            elif kind == "forbidden" and j in active:
-                violations.append(Violation(i, j, kind, "extra"))
-
+    # build_transition has checked that every activated link is facultative
+    chosen = np.array([(i, j) for i, ch in picked for j in ch.activated], np.int64).reshape(-1, 2)
+    active = np.zeros(f_idx.size, dtype=bool)
+    active[locate(f_indptr, f_idx, n, chosen[:, 0], chosen[:, 1])[0]] = True
+    f_page = row_ids(f_indptr)
+    bar = ((v - instance.rewards.base) / instance.damping)[f_page]
+    margin = v[f_idx] - bar
+    scale = tol * np.maximum(1.0, np.abs(bar))
+    sign = (margin > scale).astype(np.int8) - (margin < -scale)  # +1 required, -1 forbidden
+    kinds = ("tie", "required", "forbidden")
+    pages = list(range(n))  # the link records of a page share one int object
+    classifications = tuple(map(LinkClassification, map(pages.__getitem__, f_page),
+                                map(int, f_idx), map(kinds.__getitem__, sign),
+                                map(float, margin)))
+    wrong = np.flatnonzero(np.where(active, sign == -1, sign == 1))
+    violations = tuple(Violation(int(f_page[k]), int(f_idx[k]), kinds[sign[k]],
+                                 "extra" if active[k] else "missing") for k in wrong)
     order = np.argsort(-v, kind="stable")
     return MasterReport(int(order[0]), tuple(int(i) for i in order), v,
-                        tuple(classifications), tuple(violations))
+                        classifications, violations)
 
 
 def continuous_optimality_check(instance, transition, tol=1e-7):

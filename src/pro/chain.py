@@ -6,22 +6,50 @@ expectation of the per-traversal reward under the occupation measure
 mean reward accumulated before the next teleportation, the vector ``v``
 solving ``v = rbar + damping * S v``; that vector is what the local
 optimizer's fixed point reproduces, so it is the bridge between chain
-evaluation and optimization.
+evaluation and optimization.  Up to ``DENSE_EVAL_CAP`` pages one dense
+solve starts the loop that certifies ``v`` (``policy_value``, shared
+with ``CompiledBellman``) or ``pi`` (``stationary``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import MaxIterExceeded, TooLarge, ZeroRow
-from .graph import Rewards, TransitionMatrix
+from .errors import MaxIterExceeded, TooLarge, ValidationError, ZeroRow
+from .graph import Rewards
 from .sparse import row_ids, segment_sums
 
 DENSE_CAP = 2000
+
+# Systems on at most this many pages start from one dense solve.  OpenBLAS
+# solves n x n on one thread while n * n < 10000; above, with its pool
+# unpinned on a loaded 2-core host, a few of 200 solves of 100-200 pages
+# took 68-136 ms, not 0.1-0.6 ms (none did pinned, or at 99 pages).
+DENSE_EVAL_CAP = 99
+
+# Rounding allowance of one sweep, relative to the reward scale plus
+# ``max |v|``: pairwise sums err by less than 32 ulps up to 2**20 terms.
+# It is added to the reported error bound, not to the stop test, so a tol
+# below it still stops once the bracket itself closes.
+ROUNDING = 32 * float(np.finfo(float).eps)
+
+
+def iteration_budget(damping, tol):
+    """Worst-case sweeps that shrink a unit sup-norm error below ``tol``.
+
+    The contraction modulus of one sweep is the damping factor, so the
+    budget is ``ceil(log(tol) / log(damping))``.  Policy iteration takes
+    no more steps than value iteration from the same start (Puterman,
+    Theorem 6.4.6), and the span stop usually ends far earlier.
+    """
+    if not 0.0 < damping < 1.0:
+        raise ValidationError("damping must lie strictly between 0 and 1")
+    if not 0.0 < tol < 1.0:
+        raise ValidationError("tolerance must lie strictly between 0 and 1")
+    return int(math.ceil(math.log(tol) / math.log(damping)))
 
 
 @dataclass(frozen=True)
@@ -51,10 +79,8 @@ class OccupationMeasure:
 
 @dataclass(frozen=True)
 class MeanRewardVector:
-    """Expected income accumulated from a page until the next teleport.
-
-    ``residual`` is the certified sup-norm error bound of ``v``.
-    """
+    """Income ``v`` accumulated from each page until the next teleport;
+    ``residual`` is the certified sup-norm error bound of ``v``."""
 
     v: np.ndarray
     rbar: np.ndarray
@@ -63,7 +89,9 @@ class MeanRewardVector:
 
 
 def stationary(transition, tol=1e-12, max_iter=None):
-    """Power iteration for the stationary measure, started at teleport.
+    """Power iteration for the stationary measure, started at the dense
+    solution of ``(I - damping S^T) pi = (1 - damping) teleport`` up to
+    ``DENSE_EVAL_CAP`` pages and at the teleport vector above.
 
     Parameters
     ----------
@@ -82,22 +110,23 @@ def stationary(transition, tol=1e-12, max_iter=None):
     MaxIterExceeded
         With the best iterate attached as ``result``.
     """
-    alpha = transition.damping
+    alpha, n, z = transition.damping, transition.num_pages, transition.teleport
     if max_iter is None:
-        max_iter = max(1, math.ceil(math.log(min(tol, 0.5)) / math.log(alpha))) + 50
-    pi = transition.teleport.copy()
+        max_iter = iteration_budget(alpha, min(tol, 0.5)) + 50
+    it, change = 0, math.inf
+    pi = (np.linalg.solve(np.eye(n) - alpha * transition.dense_s().T, (1.0 - alpha) * z)
+          if n <= DENSE_EVAL_CAP else z.copy())
     for it in range(1, max_iter + 1):
         nxt = transition.pi_step(pi)
         change = float(np.abs(nxt - pi).sum())
         pi = nxt
         if change <= tol:
-            residual = float(np.abs(pi - transition.pi_step(pi)).max())
-            return StationaryDistribution(pi, residual, it)
-    residual = float(np.abs(pi - transition.pi_step(pi)).max())
-    raise MaxIterExceeded(
-        f"stationary measure not converged after {max_iter} sweeps",
-        result=StationaryDistribution(pi, residual, max_iter),
-    )
+            break
+    result = StationaryDistribution(pi, float(np.abs(pi - transition.pi_step(pi)).max()), it)
+    if change > tol:
+        raise MaxIterExceeded(
+            f"stationary measure not converged after {max_iter} sweeps", result=result)
+    return result
 
 
 def occupation(transition, pi):
@@ -192,12 +221,29 @@ def span_iterate(step, x, damping, tol, max_iter, between=None):
     return x, max_iter, bound, False
 
 
-def mean_reward_before_teleport(transition, rewards, tol=1e-9, max_iter=None):
-    """Fixed-point iteration for ``v = rbar + damping * S v``.
+def policy_value(rbar, damping, apply_s, dense_s, x0, tol, max_iter):
+    """Value ``v = rbar + damping * S v`` of a fixed policy ``S``, given
+    as ``apply_s(v) = S v`` and the dense ``dense_s()``.
 
-    Every row of ``S`` sums to one, so the loop stops on the bracket of
-    ``span_iterate``: ``residual`` bounds the sup-norm error of ``v`` and
-    is at most ``tol``.  ``max_iter`` defaults to a worst case.
+    Up to ``DENSE_EVAL_CAP`` pages a dense solve replaces the start
+    ``x0``.  ``span_iterate`` then runs to half-width ``tol``, at most
+    ``max_iter`` products with ``S``.  Returns ``(v, iterations,
+    residual, converged)``; ``residual`` adds to the last half-width the
+    rounding allowance ``ROUNDING * (max |rbar| + max |v|) / (1 - damping)``.
+    """
+    n = rbar.size
+    if n <= DENSE_EVAL_CAP:
+        x0 = np.linalg.solve(np.eye(n) - damping * dense_s(), rbar)
+    v, it, bound, converged = span_iterate(
+        lambda x: rbar + damping * apply_s(x), x0, damping, tol, max_iter)
+    scale = float(np.abs(rbar).max()) + float(np.abs(v).max())
+    return v, it, bound + ROUNDING / (1.0 - damping) * scale, converged
+
+
+def mean_reward_before_teleport(transition, rewards, tol=1e-9, max_iter=None):
+    """Income ``v = rbar + damping * S v`` accumulated from each page until
+    the next teleport, by ``policy_value`` from zero.  ``max_iter``
+    defaults to a worst case.
 
     Raises
     ------
@@ -207,13 +253,10 @@ def mean_reward_before_teleport(transition, rewards, tol=1e-9, max_iter=None):
     alpha = transition.damping
     rbar = _mean_row_rewards(transition, rewards)
     if max_iter is None:
-        threshold = tol * (1.0 - alpha) / alpha
-        scale = max(1.0, float(np.abs(rbar).max()) / (1.0 - alpha))
-        max_iter = max(1, math.ceil(math.log(min(threshold / scale, 0.5))
-                                    / math.log(alpha))) + 50
-    v, it, bound, converged = span_iterate(
-        lambda x: rbar + alpha * transition.apply_s(x),
-        np.zeros(transition.num_pages), alpha, tol, max_iter)
+        reach = max(1.0, float(np.abs(rbar).max()) / (1.0 - alpha))
+        max_iter = iteration_budget(alpha, min(tol * (1.0 - alpha) / alpha / reach, 0.5)) + 50
+    v, it, bound, converged = policy_value(rbar, alpha, transition.apply_s, transition.dense_s,
+                                           np.zeros(rbar.size), tol, max_iter)
     result = MeanRewardVector(v, rbar, it, bound)
     if not converged:
         raise MaxIterExceeded(

@@ -376,8 +376,9 @@ def _distribution(raw, n, name, allow_zero=False, default=None):
     """``"uniform"`` or a list of n probabilities; ``default`` if absent."""
     if raw is None and default is not None:
         return default
-    if raw == "uniform":
+    if isinstance(raw, str) and raw == "uniform":
         return np.full(n, 1.0 / n)
+    _require(isinstance(raw, list), f'{name} must be "uniform" or a list of numbers')
     return _as_prob_vector(raw, n, name, allow_zero)
 
 

@@ -19,28 +19,21 @@ policy iteration, Newton's method on the Bellman equation: Puterman,
 admissible row sums to one, so ``T(w + c) = T(w) + damping * c`` and
 each sweep yields the MacQueen–Porteus bracket of ``chain.span_iterate``;
 the loop is that function's, with the evaluation run between sweeps, and
-stops once the bracket's half-width is at most ``tol``.
+stops once the bracket's half-width is at most ``tol``.  The evaluation
+is ``chain.policy_value``, whose constants this module re-exports.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .chain import span_iterate
-from .errors import CouplingPresent, MaxIterExceeded, ValidationError
+from .chain import DENSE_EVAL_CAP, ROUNDING, iteration_budget, policy_value, span_iterate
+from .errors import CouplingPresent, MaxIterExceeded
 from .graph import ContinuousChoice, DiscreteChoice, Strategy
 from .sparse import find_sorted, row_ids, segment_sums
-
-# Policies on at most this many pages are evaluated exactly, by one
-# dense solve.  OpenBLAS solves n x n on one thread while n * n < 10000;
-# above that, with the BLAS pool unpinned on a loaded 2-core host, a few
-# of 200 solves of 100-200 pages took up to 68-136 ms instead of 0.1-0.6
-# ms (none did pinned, or at 99 pages).
-DENSE_EVAL_CAP = 99
 
 # An iterative evaluation stops once its own bracket is below this share
 # of the improvement sweep's (or at tol): only the sweep certifies, and
@@ -50,33 +43,11 @@ DENSE_EVAL_CAP = 99
 # slower.
 EVAL_SHARE = 1e-3
 
-# Rounding allowance of one sweep, relative to ``1 + max |w|`` (rewards
-# are rescaled to at most 1): a page's value averages its scores with
-# pairwise sums, whose error stays below 32 ulps up to 2**20 terms.  It
-# is added to the reported error bound, not to the stop test, so a tol
-# below it still stops once the bracket itself closes.
-ROUNDING = 32 * float(np.finfo(float).eps)
-
 # A weight page's search for its master skips at most this many excluded
 # targets (banned, or scored apart by a per-link reward) at the top of
 # ``w``; a page with more there scores its dense row instead, O(n) and
 # vectorized, rather than one Python-level step per skipped target.
 MASTER_WALK = 8
-
-
-def iteration_budget(damping, tol):
-    """Worst-case sweeps that shrink a unit sup-norm error below ``tol``.
-
-    The contraction modulus of one sweep is the damping factor, so the
-    budget is ``ceil(log(tol) / log(damping))``.  Policy iteration takes
-    no more steps than value iteration from the same start (Puterman,
-    Theorem 6.4.6), and the span stop usually ends far earlier.
-    """
-    if not 0.0 < damping < 1.0:
-        raise ValidationError("damping must lie strictly between 0 and 1")
-    if not 0.0 < tol < 1.0:
-        raise ValidationError("tolerance must lie strictly between 0 and 1")
-    return int(math.ceil(math.log(tol) / math.log(damping)))
 
 
 @dataclass(frozen=True)
@@ -391,36 +362,31 @@ class CompiledBellman:
                 np.concatenate([rewards, self.r_q, self.rewards.at(pages, masters)]))
 
     def evaluate(self, x0, tol, max_iter):
-        """Value ``v = rbar + damping * S v`` of the last sweep's policy.
-
-        Solved densely up to ``DENSE_EVAL_CAP`` pages; above, by the span
-        loop of ``chain.span_iterate`` from ``x0`` to half-width ``tol``
-        (at most ``max_iter`` products with ``S``).  A repeated policy
-        was solved densely one step ago, and a second solve would only
-        return that step's vector, so ``x0`` is kept: the loop then goes
-        on as value iteration, whose bracket shrinks past the solve's
-        rounding.
+        """Value ``v = rbar + damping * S v`` of the last sweep's policy,
+        by ``chain.policy_value``.  A repeated policy was solved densely
+        one step ago, and a second solve would only return that step's
+        vector, so ``x0`` is kept: the loop then goes on as value
+        iteration, whose bracket shrinks past the solve's rounding.
         """
-        n, alpha = self.n, self.alpha
+        n, alpha, hang, use_nl = self.n, self.alpha, self.hang, self.use_nl
         if n <= DENSE_EVAL_CAP and self.repeated:
             return x0
         rows, cols, weights, rewards = self._entries()
-        use_nl = self.use_nl
         rbar = np.bincount(rows, weights * rewards, minlength=n).astype(float, copy=False)
         rbar[use_nl] = self.no_link_base[use_nl]
         rbar = alpha * rbar + self.const
-        if n <= DENSE_EVAL_CAP:
-            s = np.bincount(rows * n + cols, weights, minlength=n * n).reshape(n, n)
-            s[use_nl] = self.hang
-            return np.linalg.solve(np.eye(n) - alpha * s, rbar)
-        hang = self.hang
 
-        def step(v):
+        def apply_s(v):
             sv = np.bincount(rows, weights * v[cols], minlength=n).astype(float, copy=False)
             sv[use_nl] = float(np.dot(hang, v))
-            return rbar + alpha * sv
+            return sv
 
-        return span_iterate(step, x0, alpha, tol, max_iter)[0]
+        def dense_s():
+            s = np.bincount(rows * n + cols, weights, minlength=n * n).reshape(n, n)
+            s[use_nl] = hang
+            return s
+
+        return policy_value(rbar, alpha, apply_s, dense_s, x0, tol, max_iter)[0]
 
     def extract(self, w):
         """Strategy attaining ``T(w)``, page by page."""
@@ -448,12 +414,11 @@ def value_iterate(instance, config=None, w0=None):
     Each step sweeps the improvement operator once at ``w``; the sweep's
     bracket certifies its midpoint, and the loop stops once the bracket's
     half-width is at most ``tol``.  Otherwise ``w`` becomes the value of
-    the sweep's greedy policy (``CompiledBellman.evaluate``): exact up to
-    ``DENSE_EVAL_CAP`` pages, else to ``max(tol, EVAL_SHARE * bracket)``.
-    After an exact evaluation the bracket closes when the greedy policy
-    repeats, or changes only where incomes tie within ``tol``; the stop
-    does not wait for a repeat, since rounding can make the greedy
-    policy alternate between such ties.
+    the sweep's greedy policy (``CompiledBellman.evaluate``), to
+    ``max(tol, EVAL_SHARE * bracket)``.  After an exact evaluation the
+    bracket closes when the greedy policy repeats, or changes only where
+    incomes tie within ``tol``; the stop does not wait for a repeat,
+    since rounding can make the greedy policy alternate between such ties.
 
     Parameters
     ----------
@@ -490,9 +455,7 @@ def value_iterate(instance, config=None, w0=None):
     comp = CompiledBellman(instance, instance.rewards.scaled(1.0 / scale))
     tol = config.tol / scale
     theta = tol * (1.0 - alpha) / alpha
-    worst = 2.0 / (1.0 - alpha)
-    budget = max(1, math.ceil(math.log(min(theta / worst, 0.5))
-                              / math.log(alpha))) + 10
+    budget = iteration_budget(alpha, min(theta / (2.0 / (1.0 - alpha)), 0.5)) + 10
     max_iter = budget if config.max_iter is None else config.max_iter
     w = np.zeros(instance.num_pages) if w0 is None else np.asarray(w0, dtype=float) / scale
     w, done, bound, converged = span_iterate(

@@ -12,7 +12,7 @@ from helpers import (
 )
 from pro.analysis import continuous_optimality_check, master_ordering
 from pro.errors import PerLinkRewards, ValidationError
-from pro.graph import DiscreteChoice, Strategy, build_transition, load_instance
+from pro.graph import ContinuousChoice, DiscreteChoice, Strategy, build_transition, load_instance
 from pro.solver_local import value_iterate
 
 
@@ -120,6 +120,26 @@ def test_audit_rejections():
     cont = load_instance(random_continuous_doc(rng, n_max=4))
     with pytest.raises(ValidationError):
         master_ordering(cont)
+
+
+def test_audit_rejects_a_row_on_a_subset_page():
+    # build_transition admits the row e_0 on pages 1 and 2, but the audit
+    # judges link subsets only, and page 2 has no facultative link to judge
+    doc = {
+        "num_pages": 3,
+        "damping": 0.85,
+        "teleport": "uniform",
+        "obligatory": [[2, 0]],
+        "facultative": [[0, 1], [0, 2], [1, 0], [1, 2]],
+        "rewards": {"type": "per_page", "values": [1.0, 2.0, 0.5]},
+    }
+    inst = load_instance(doc)
+    row = ContinuousChoice((0,), (1.0,))
+    with pytest.raises(ValidationError, match="page 1 carries a non-subset choice"):
+        master_ordering(inst, Strategy({0: DiscreteChoice((2,)), 1: row, 2: row}))
+    report = master_ordering(inst, Strategy({0: DiscreteChoice((1, 2)), 2: row}))
+    assert [(c.page, c.target) for c in report.classifications] == [
+        (0, 1), (0, 2), (1, 0), (1, 2)]
 
 
 def test_continuous_defect_check():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    power_law_instance,
     random_continuous_doc,
     random_discrete_doc,
     random_discrete_instance,
@@ -18,6 +19,7 @@ from helpers import (
     two_page_instance,
 )
 from pro.chain import (
+    DENSE_EVAL_CAP,
     mean_reward_before_teleport,
     occupation,
     recover,
@@ -90,9 +92,8 @@ def test_stationary_residual_is_recomputed():
 
 
 def test_stationary_budget_exhaustion_keeps_iterate():
-    doc = two_page_doc()
-    doc["teleport"] = [0.3, 0.7]  # start away from the fixed point
-    trans = build_transition(load_instance(doc), CROSS_STRATEGY)
+    # above the dense cap, so the power loop starts at the teleport vector
+    trans = build_transition(power_law_instance(DENSE_EVAL_CAP + 201, 12, 30, seed=4))
     with pytest.raises(MaxIterExceeded) as exc:
         stationary(trans, tol=1e-15, max_iter=2)
     partial = exc.value.result
@@ -169,9 +170,11 @@ def test_mean_reward_tol_is_true_error():
 
 
 def test_mean_reward_budget_exhaustion_keeps_iterate():
-    trans = build_transition(two_page_instance(), CROSS_STRATEGY)
+    # above the dense cap, so the span loop starts at zero
+    inst = power_law_instance(DENSE_EVAL_CAP + 201, 12, 30, seed=4)
+    trans = build_transition(inst)
     with pytest.raises(MaxIterExceeded) as exc:
-        mean_reward_before_teleport(trans, two_page_instance().rewards, max_iter=1)
+        mean_reward_before_teleport(trans, inst.rewards, max_iter=1)
     assert exc.value.result.iterations == 1
 
 

@@ -94,6 +94,17 @@ def test_load_rejects_malformed_documents():
         load_instance(doc)
 
 
+def test_distributions_must_be_uniform_or_a_list():
+    # a numpy array is not a JSON list: refused with a ParseError, not
+    # compared elementwise against "uniform"
+    for key in ("teleport", "dangling_teleport"):
+        for bad in (np.array([0.5, 0.5]), "even", 0.5):
+            doc = two_page_doc()
+            doc[key] = bad
+            with pytest.raises(ParseError):
+                load_instance(doc)
+
+
 def test_load_rejects_overlapping_link_sets():
     doc = two_page_doc()
     doc["obligatory"] = [[0, 1]]

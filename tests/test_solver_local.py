@@ -10,6 +10,8 @@ where the scores of neighbouring pages differ by fourteen orders of
 magnitude, and its warm-started threshold must not change any result.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,8 @@ from helpers import (
     two_page_coupled_instance,
     two_page_instance,
 )
+import pro
+from pro import chain, solver_local
 from pro.chain import mean_reward_before_teleport, span_iterate
 from pro.errors import CouplingPresent, MaxIterExceeded, ValidationError
 from pro.graph import DiscreteChoice, build_transition, load_instance
@@ -90,6 +94,22 @@ def test_value_error_within_tol():
             assert err <= state.residual + 1e-12
 
 
+def _exact_value(s, damping, rbar):
+    """Solution of ``(I - damping * s) v = rbar`` in rational arithmetic,
+    taking every float input as the exact number it stores."""
+    n = len(rbar)
+    a = [[Fraction(int(i == j)) - Fraction(damping) * Fraction(s[i][j]) for j in range(n)]
+         + [Fraction(rbar[i])] for i in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [row[n] for row in a]
+
+
 def test_default_tol_stops_at_high_damping_and_large_rewards():
     # at damping 0.99 and rewards near 100 the rescaled tol, 1e-9 / 110,
     # lies below the rounding allowance of a sweep: the loop must stop on
@@ -109,6 +129,11 @@ def test_default_tol_stops_at_high_damping_and_large_rewards():
         w_exact = np.linalg.solve(
             np.eye(inst.num_pages) - inst.damping * trans.dense_s(), rbar)
         assert float(np.abs(state.w - w_exact).max()) <= state.residual
+        # the fixed chain's own value solve meets the same tol, and its
+        # residual bounds the error against the exact rational solution
+        mr = mean_reward_before_teleport(trans, inst.rewards)
+        v_exact = _exact_value(trans.dense_s(), inst.damping, mr.rbar)
+        assert max(abs(Fraction(x) - e) for x, e in zip(mr.v.tolist(), v_exact)) <= mr.residual
     # above the dense cap the policies are evaluated iteratively
     big = power_law_instance(300, 12, 30, seed=4, damping=0.99, reward_frac=0.5)
     big = big.local_only(big.rewards.scaled(100.0 / big.rewards.max_abs()))
@@ -142,6 +167,15 @@ def test_iteration_budget_closed_form():
         iteration_budget(1.0, 1e-8)
     with pytest.raises(ValidationError):
         iteration_budget(0.85, 0.0)
+
+
+def test_exports_resolve_and_shared_pieces_live_in_chain():
+    for name in pro.__all__:
+        if name != "__version__":
+            assert pro.__getattr__(name) is getattr(pro, name)
+    assert solver_local.iteration_budget is chain.iteration_budget
+    assert solver_local.ROUNDING is chain.ROUNDING
+    assert solver_local.DENSE_EVAL_CAP == chain.DENSE_EVAL_CAP == 99
 
 
 def test_iterations_within_budget():
