@@ -24,7 +24,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
@@ -217,11 +216,6 @@ class WebGraphInstance:
 
     def facultative_of(self, i):
         return self.fac_indices[self.fac_indptr[i]:self.fac_indptr[i + 1]]
-
-    @cached_property
-    def controlled_pages(self):
-        fac = np.flatnonzero(np.diff(self.fac_indptr) > 0)
-        return tuple(sorted(set(fac.tolist()) | set(self.skeletons.pages.tolist())))
 
     def local_only(self, rewards=None):
         """Copy without coupling rows, optionally swapping the rewards."""
@@ -808,21 +802,13 @@ def _outlink_facets(instance, page):
                                      instance.num_pages)
 
 
-def chain_facets(instance, page):
-    """Chain-space facet system of one page's constraint set."""
-    return polytopes.apply_damping(_outlink_facets(instance, page),
-                                   instance.damping, instance.teleport)
-
-
 def instance_facets(instance):
-    """Every page's ``chain_facets`` rows in one system.
+    """Every page's outlink facet system, stacked in page order.
 
     Returns ``(system, page)``: ``page[k]`` is the page that row ``k``
     belongs to.  Columns stay page-local (``x[j]`` is the page's entry
-    for target j).  Pages come in order, and damping is applied once to
-    the stack.
+    for target j).
     """
     systems = [_outlink_facets(instance, i) for i in range(instance.num_pages)]
-    stacked = polytopes.stack_systems(systems)
-    return (polytopes.apply_damping(stacked, instance.damping, instance.teleport),
+    return (polytopes.stack_systems(systems),
             np.repeat(np.arange(len(systems)), [s.coef.num_rows for s in systems]))

@@ -12,15 +12,15 @@ sequential references for the vectorized sweep of
 
 A facet system is a set of arrays: a ``RowSparse`` of coefficients with
 one row per linear relation, and per row its relation, right-hand side
-and facet record.  It exists in two frames, outlink space (rows of S)
-and chain space (rows of P, after damping and teleport).
-``apply_damping`` moves it from the first to the second with one sparse
-product, and ``separate`` checks a row against every relation at once.
+and facet record.  It lives in outlink space, on rows of S; a caller
+holding a chain row ``P[i] = damping * S[i] + (1 - damping) * teleport``
+checks its outlink part.  ``separate`` checks a row against every
+relation at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,15 +44,13 @@ class FacetSystem:
     one of ``EQ``, ``LE``, ``GE``; ``record[k]`` numbers its facet
     record, so the two sides of a bound share one record.  The last row
     is the simplex equation, a record of its own; every other row touches
-    at most two coordinates.  ``space`` is ``"S"`` for outlink rows and
-    ``"P"`` for chain rows.
+    at most two coordinates.
     """
 
     coef: RowSparse
     rel: np.ndarray
     rhs: np.ndarray
     record: np.ndarray
-    space: str = "S"
 
     @property
     def num_pages(self):
@@ -237,8 +235,8 @@ def facets_box(lower, upper):
 def stack_systems(systems):
     """One facet system holding the rows of ``systems`` in order.
 
-    All systems must share the column count and frame; each keeps its
-    own record numbers.
+    All systems must share the column count; each keeps its own record
+    numbers.
     """
     nnz = np.cumsum([0] + [s.coef.nnz for s in systems[:-1]])
     coef = RowSparse(sum(s.coef.num_rows for s in systems), systems[0].num_pages,
@@ -247,22 +245,7 @@ def stack_systems(systems):
                      np.concatenate([s.coef.indices for s in systems]),
                      np.concatenate([s.coef.data for s in systems]))
     return FacetSystem(coef, *(np.concatenate([getattr(s, f) for s in systems])
-                               for f in ("rel", "rhs", "record")),
-                       space=systems[0].space)
-
-
-def apply_damping(system, damping, teleport):
-    """Rewrite a facet system from outlink space to chain space.
-
-    Substitutes ``x = (y - (1 - damping) * teleport) / damping`` into
-    every row: a relation ``a.x rel b`` becomes ``a.y rel damping * b +
-    (1 - damping) * a.teleport``.  The simplex equation maps to itself.
-    """
-    if system.space != "S":
-        raise ValueError("system is already in chain space")
-    shift = system.coef.rightmul(teleport)
-    return replace(system, rhs=damping * system.rhs + (1.0 - damping) * shift,
-                   space="P")
+                               for f in ("rel", "rhs", "record")))
 
 
 def separate(system, x, tol=SEPARATION_TOL):

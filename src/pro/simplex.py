@@ -1,10 +1,13 @@
 """Dense two-phase tableau simplex.
 
-Small and deterministic rather than fast: Dantzig pricing with a switch
-to Bland's rule after a degenerate stretch, so cycling cannot occur,
-and a basic (vertex) solution is always returned.  Problem sizes here
-are a few thousand variables at most, which a dense tableau handles
-comfortably.
+Small and deterministic rather than fast: Dantzig pricing with the
+lexicographic ratio test (Dantzig, Orden and Wolfe, 1955), and a basic
+(vertex) solution is always returned.  The ratio test breaks ties at
+the minimum ratio by the rows of ``B^-1`` relative to the basis each
+phase starts from, so no basis repeats in exact arithmetic; in floating
+point, entries that differ by less than ``_PIVOT_TOL`` count as equal.
+Problem sizes here are a few thousand variables at most, which a dense
+tableau handles comfortably.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import numpy as np
 from .errors import Infeasible, ProError, Unbounded
 
 _PIVOT_TOL = 1e-9
-_DEGENERATE_SWITCH = 60
 
 
 def _pivot(tableau, obj, basis, row, col):
@@ -28,36 +30,30 @@ def _pivot(tableau, obj, basis, row, col):
 
 
 def _run(tableau, obj, basis, allowed, max_pivots):
-    """Pivot until optimal; returns 'optimal' or 'unbounded'."""
-    bland = False
-    streak = 0
-    basis_arr = basis
+    """Pivot until optimal; returns 'optimal' or 'unbounded'.
+
+    The right-hand side and the columns of the basis the run starts from
+    hold ``(rhs, B^-1)`` relative to that basis; every row starts
+    lexicographically positive, as ``(rhs_i, e_i)`` with ``rhs_i >= 0``.
+    """
+    lex = np.append(tableau.shape[1] - 1, basis)
     for _ in range(max_pivots):
-        rc = obj[:-1]
-        if bland:
-            cand = np.flatnonzero(allowed & (rc < -_PIVOT_TOL))
-            if cand.size == 0:
-                return "optimal"
-            col = int(cand[0])
-        else:
-            masked = np.where(allowed, rc, 0.0)
-            col = int(np.argmin(masked))
-            if masked[col] >= -_PIVOT_TOL:
-                return "optimal"
+        masked = np.where(allowed, obj[:-1], 0.0)
+        col = int(np.argmin(masked))
+        if masked[col] >= -_PIVOT_TOL:
+            return "optimal"
         colvals = tableau[:, col]
         pos = colvals > _PIVOT_TOL
         if not np.any(pos):
             return "unbounded"
         ratios = np.where(pos, tableau[:, -1] / np.where(pos, colvals, 1.0), np.inf)
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-12)
-        row = int(ties[np.argmin(np.asarray(basis_arr)[ties])])
-        if best <= 1e-12:
-            streak += 1
-            if streak >= _DEGENERATE_SWITCH:
-                bland = True
-        else:
-            streak = 0
+        ties = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+        row = int(ties[0])
+        if ties.size > 1:
+            # the lexicographically least (rhs, B^-1 row) / pivot, on a _PIVOT_TOL grid
+            keys = np.round(tableau[ties[:, None], lex] / (colvals[ties, None] * _PIVOT_TOL))
+            keys = keys.tolist()
+            row = int(ties[keys.index(min(keys))])
         _pivot(tableau, obj, basis, row, col)
     raise ProError("simplex pivot limit reached")
 

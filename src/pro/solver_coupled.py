@@ -11,10 +11,13 @@ measures, so the answer is one randomized strategy mixing at most ``K +
 1`` deterministic ones (Altman, 1999), re-evaluated on its own chain.
 
 The linear-programming route optimizes over occupation measures
-directly (``rho[i, j] = pi[i] P[i, j]``), with weight pages written on
-their chain-space floor and discrete pages' constraint sets lifted
-through the row-mass factor; it is exact but dense, so it is capped to
-small instances and doubles as a cross-check of the dual route.
+directly (``rho[i, j] = pi[i] P[i, j]``).  Each page gets a block of
+columns, one per admissible outlink row of its own (one per link
+choice of a discrete page, one per free target of a weight page),
+damped and lifted by the page's mass, so a 100-page web with a few
+controlled pages stays near 200 columns.  It is exact but dense, so it
+is capped by tableau size, and doubles as a cross-check of the dual
+route.
 """
 
 from __future__ import annotations
@@ -29,9 +32,8 @@ import numpy as np
 
 from .chain import stationary, utility_from_chain
 from .errors import Infeasible, ProError, TooLarge, ValidationError
-from .polytopes import EQ, separate
-from .graph import (ContinuousChoice, Strategy, build_transition,
-                    chain_facets, instance_facets)
+from .polytopes import separate
+from .graph import ContinuousChoice, Strategy, build_transition, instance_facets
 from .simplex import solve_dense_lp
 from .solver_local import SolverConfig, value_iterate
 from .sparse import row_ids
@@ -39,8 +41,10 @@ from .sparse import row_ids
 FEASIBILITY_TOL = 1e-9
 # every local solve of the dual route
 INNER = SolverConfig(tol=1e-9)
-# the occupation LP has n * n variables, so at most 141 pages
-LP_VAR_CAP = 20000
+# cells of the occupation LP's dense tableau: those of 141 weight pages with
+# no bans and one budget row, 143 rows by 141 * 141 columns, 1 slack, 143
+# artificials and the right-hand side
+LP_CELL_CAP = 143 * (141 * 141 + 1 + 143 + 1)
 # The master enumerates every basis of its K + 1 rows; 100,000 bases (447
 # columns with one row, 40 with three, 22 with five) take 0.3-0.4 s and 10-51 MB.
 MASTER_BASIS_CAP = 100_000
@@ -397,35 +401,47 @@ class LpProblem:
 
 
 def _page_block(instance, page):
-    """Column block ``B`` (``rho_i = B @ x_i``), rows on ``x_i``, relations.
+    """Column block ``B`` (``rho_i = B @ x_i``) and the ``<= 0`` rows on ``x_i``.
 
-    Every column of ``B`` sums to one (to within the tolerance ``q`` is
-    validated to), so ``sum(rho_i) = sum(x_i)``.  A discrete page keeps
-    ``x_i = rho_i`` and its chain-space facets lifted through the row
-    mass, ``a . rho_i rel rhs * sum_k rho_ik``; every feasible measure
-    gives each page positive mass (the teleport floor forces it), so the
-    lifting is exact, and the simplex equation lifts to ``0 == 0``.  A
-    weight page sits on its chain-space floor ``l' = alpha (1 - mu) q +
-    (1 - alpha) z``: with ``c = 1 - sum(l')``, column ``j`` is ``l' + c
-    e_j`` for each non-banned ``j``, so ``rho_i = l' sum(x_i) + c x_i``
-    and the page needs no row.  A non-banned cap ``alpha + (1 - alpha)
-    z_j`` is never below the ``l'_j + c`` a row reaches, and a banned cap
-    equals its floor.  No division is involved, so ``mu = 0`` is safe.
+    Every column of ``B`` sums to one (to within the tolerance ``z`` and
+    ``q`` are validated to), so ``sum(rho_i) = sum(x_i)``, the page mass
+    ``m_i``.  A discrete page is ``B = (1 - alpha) z 1' + alpha V``, so
+    ``rho_i = (1 - alpha) m_i z + alpha V @ x_i``.  Each column of ``V``
+    is an admissible outlink row: column 0 is uniform on the obligatory
+    links O (the dangling teleport row when there are none), and each
+    facultative target j adds ``e_j``.  Their cone is the page's outlink
+    hull lifted by mass, once each facultative entry is held to at most
+    an obligatory one, ``|O| x_j - x_0 <= 0``.  A weight page sits on
+    its chain-space floor ``l' = alpha (1 - mu) q + (1 - alpha) z``: with
+    ``c = 1 - sum(l')``, column ``j`` is ``l' + c e_j`` for each
+    non-banned ``j``, so ``rho_i = l' sum(x_i) + c x_i`` and the page
+    needs no row.  A non-banned cap ``alpha + (1 - alpha) z_j`` is never
+    below the ``l'_j + c`` a row reaches, and a banned cap equals its
+    floor.  No division is involved, so ``mu = 0`` is safe.
     """
     n = instance.num_pages
+    alpha = instance.damping
     store = instance.skeletons
     if page not in store:
-        system = chain_facets(instance, page)
-        lifted = system.coef.to_dense()[:-1] - system.rhs[:-1, None]
-        return np.eye(n), lifted, system.rel[:-1]
-    alpha = instance.damping
+        obligatory, facultative = instance.obligatory_of(page), instance.facultative_of(page)
+        f = facultative.size
+        outlinks = np.zeros((n, 1 + f))
+        if obligatory.size:
+            outlinks[obligatory, 0] = 1.0 / obligatory.size
+        else:
+            outlinks[:, 0] = instance.dangling_teleport
+        outlinks[facultative, 1 + np.arange(f)] = 1.0
+        rows = np.zeros((f if obligatory.size else 0, 1 + f))
+        rows[:, 0] = -1.0
+        rows[:, 1:] = obligatory.size * np.eye(rows.shape[0], f)
+        return (1.0 - alpha) * instance.teleport[:, None] + alpha * outlinks, rows
     floor = alpha * store.box(page)[0] + (1.0 - alpha) * instance.teleport
     free = np.ones(n, dtype=bool)
     free[store.banned_of(page)] = False
     slack = max(1.0 - float(floor.sum()), 0.0)
     # banning every coordinate validates only with mu = 0: the floor is the row
     block = floor[:, None] + slack * np.eye(n)[:, free] if free.any() else floor[:, None]
-    return block, np.zeros((0, block.shape[1])), np.zeros(0, dtype=int)
+    return block, np.zeros((0, block.shape[1]))
 
 
 def lp_formulate(instance):
@@ -434,33 +450,41 @@ def lp_formulate(instance):
     The measure is ``rho[i, j] = pi[i] P[i, j]``, constrained by unit
     mass, flow balance, each page's constraint set and the budget rows.
     Page i contributes a column block ``B_i`` with ``rho_i = B_i @ x_i``
-    and its own rows on ``x_i`` (see ``_page_block``); the objective and
-    the mass, flow-balance and budget rows are the unreduced ones times
-    the block-diagonal ``B``.  An 18-page weight-mode instance with one
-    budget row has 20 rows instead of 366.
+    and its own ``<= 0`` rows on ``x_i`` (see ``_page_block``); the
+    objective and the mass, flow-balance and budget rows are the
+    unreduced ones times the block-diagonal ``B``.  A discrete page has
+    one column plus one per facultative link, and a weight page one per
+    non-banned target, so an 18-page weight-mode instance with one
+    budget row has 20 rows instead of 366, and a 100-page web with 5
+    controlled pages about 200 columns instead of 10,000.
 
     Raises
     ------
     TooLarge
-        Above 141 pages, where the ``n * n`` variables pass
-        ``LP_VAR_CAP`` (the tableau would be unreasonable).
+        When the dense tableau would pass ``LP_CELL_CAP`` cells; checked
+        before any block is built.
     """
     n = instance.num_pages
-    if n * n > LP_VAR_CAP:
-        raise TooLarge(f"occupation LP is capped at {math.isqrt(LP_VAR_CAP)} pages: "
-                       f"{n} pages need {n * n} variables, above {LP_VAR_CAP}")
-    blocks, rows, rels = zip(*(_page_block(instance, i) for i in range(n)))
-    widths = [b.shape[1] for b in blocks]
-    nx = sum(widths)
-    rel = np.concatenate(rels)
-    eq = rel == EQ
-    # page rows placed on their own column slices, ">=" rows flipped to "<="
-    local = np.zeros((rel.size, nx))
+    store = instance.skeletons
+    # the tableau solve_dense_lp allocates, from link and ban counts alone:
+    # m rows by the columns, slacks, artificials and right-hand side
+    fac = np.diff(instance.fac_indptr)
+    widths = 1 + fac
+    widths[store.pages] = np.maximum(n - np.bincount(store.banned // n, minlength=n)[store.pages], 1)
+    nx = int(widths.sum())
+    m_ub = int(fac[np.diff(instance.obl_indptr) > 0].sum()) + len(instance.coupling)
+    m = n + 1 + m_ub
+    cells = m * (nx + m_ub + m + 1)
+    if cells > LP_CELL_CAP:
+        raise TooLarge(f"occupation LP tableau needs {cells} cells, above the cap of "
+                       f"{LP_CELL_CAP} (141 weight pages with one budget row)")
+    blocks, rows = zip(*(_page_block(instance, i) for i in range(n)))
+    # page rows placed on their own column slices
+    local = np.zeros((sum(r.shape[0] for r in rows), nx))
     r0 = c0 = 0
     for row, w in zip(rows, widths):
         local[r0:r0 + row.shape[0], c0:c0 + w] = row
         r0, c0 = r0 + row.shape[0], c0 + w
-    local[~eq] *= rel[~eq, None]
 
     # the objective and the budget rows, each an (n, n) coefficient array
     # on rho, pulled back through B page by page
@@ -470,10 +494,10 @@ def lp_formulate(instance):
     flow = np.concatenate(blocks, axis=1)  # inflow into each page ...
     flow[np.repeat(np.arange(n), widths), np.arange(nx)] -= 1.0  # ... minus outflow
 
-    a_eq = np.vstack([np.ones(nx), flow, local[eq]])
+    a_eq = np.vstack([np.ones(nx), flow])
     b_eq = np.zeros(a_eq.shape[0])
     b_eq[0] = 1.0
-    a_ub = np.vstack([local[~eq], pulled[1:]])
+    a_ub = np.vstack([local, pulled[1:]])
     b_ub = np.zeros(a_ub.shape[0])
     b_ub[a_ub.shape[0] - len(instance.coupling):] = [c.bound for c in instance.coupling]
     return LpProblem(pulled[0], a_eq, b_eq, a_ub, b_ub, blocks, instance)
@@ -483,9 +507,8 @@ def lp_solve(problem, tol=1e-7):
     """Solve an occupation-measure program; returns ``(rho, value)``.
 
     The basic solution is mapped back to the ``n x n`` measure ``rho``,
-    which is re-checked to within ``tol`` against unit mass, flow
-    balance, the budget rows, ``rho >= 0`` and every page's lifted
-    chain-space facets; a failed check raises, since it would mean the
+    which ``check_occupation`` re-checks to within ``tol`` against the
+    unreduced constraints; a failed check raises, since it would mean the
     pivoting or the reduction went numerically wrong.
     """
     x, value = solve_dense_lp(problem.objective, problem.a_eq, problem.b_eq,
@@ -499,13 +522,16 @@ def lp_solve(problem, tol=1e-7):
 def check_occupation(instance, rho, tol=1e-7):
     """Raise ``ProError`` unless ``rho`` is an admissible occupation measure.
 
-    Checks to within ``tol``: unit mass, flow balance, ``rho >= 0``, the
-    budget rows, and every page's chain-space facets lifted by its row
-    mass, ``a . rho_i rel rhs * sum(rho_i)``.  The facet rows of all
-    pages are checked at once (``graph.instance_facets``); the error
-    names the page and the worst row.
+    Checks to within ``tol``: unit mass, flow balance, ``rho >= 0`` and
+    the budget rows.  Each page's outlink part ``sigma_i = (rho_i - (1 -
+    alpha) m_i z) / alpha``, with ``m_i = sum(rho_i)``, must then meet
+    the page's outlink facets lifted by its mass, ``a . sigma_i rel rhs *
+    m_i``, to within ``tol / alpha``.  The facet rows of all pages are
+    checked at once (``graph.instance_facets``); the error names the page
+    and the worst row.
     """
     n = instance.num_pages
+    alpha = instance.damping
     mass = rho.sum(axis=1)
     worst = max(abs(float(mass.sum()) - 1.0),
                 float(np.abs(rho.sum(axis=0) - mass).max()),
@@ -514,12 +540,13 @@ def check_occupation(instance, rho, tol=1e-7):
         worst = max(worst, float(np.sum(c.weights.dense() * rho)) - c.bound)
     if worst > tol:
         raise ProError(f"occupation measure violates constraints by {worst:.3e}")
+    sigma = (rho - (1.0 - alpha) * mass[:, None] * instance.teleport) / alpha
     system, page = instance_facets(instance)
     system = replace(system, rhs=system.rhs * mass[page])
-    # row k reads rho[page[k]]: one flat gather through the page-local columns
+    # row k reads sigma[page[k]]: one flat gather through the page-local columns
     flat = replace(system.coef, num_cols=n * n,
                    indices=page[row_ids(system.coef.indptr)] * n + system.coef.indices)
-    verdict = separate(replace(system, coef=flat), rho.ravel(), tol)
+    verdict = separate(replace(system, coef=flat), sigma.ravel(), tol / alpha)
     if verdict.violated:
         k = verdict.row
         raise ProError(f"row {page[k]} of the occupation measure violates "

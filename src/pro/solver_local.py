@@ -403,11 +403,6 @@ class CompiledBellman:
         return Strategy(choices)
 
 
-def bellman_apply(instance, w):
-    """One raw sweep of the improvement operator at the instance rewards."""
-    return CompiledBellman(instance, instance.rewards).apply(w)
-
-
 def value_iterate(instance, config=None, w0=None):
     """Policy iteration for the best local strategy.
 

@@ -223,7 +223,9 @@ def random_strategy(rng, instance):
     from pro.graph import DiscreteChoice, Strategy, free_choice
 
     choices = {}
-    for page in instance.controlled_pages:
+    controlled = np.union1d(np.flatnonzero(np.diff(instance.fac_indptr)),
+                            instance.skeletons.pages)
+    for page in controlled.tolist():
         if page not in instance.skeletons:
             fac = instance.facultative_of(page)
             keep = tuple(int(j) for j in fac if rng.random() < 0.5)
@@ -281,6 +283,45 @@ def power_law_instance(n, n_controlled, fac_each, seed, damping=0.85,
         rewards=Rewards.per_page(values), skeletons=WeightRows.empty(n))
 
 
+def _power_law_keys(rng, n):
+    """Keys ``i * n + j`` of a power-law obligatory layer.
+
+    Out-degrees are zipf, capped at a twentieth of the pages, and
+    targets are polynomially popular.
+    """
+    deg = 5 + np.minimum(rng.zipf(2.5, n), min(495, n // 20))
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    pop = (np.arange(n) + 1.0) ** -0.6
+    dst = np.minimum(np.searchsorted(np.cumsum(pop / pop.sum()), rng.random(src.size)), n - 1)
+    return np.unique(src * n + dst)
+
+
+def link_web_doc(rng, n, controlled, fac_each):
+    """Power-law web in subset mode with per-link rewards.
+
+    ``controlled`` pages each draw ``fac_each`` facultative targets.
+    Half of them and a twentieth of the other pages lose their
+    obligatory links, so pages that choose the no-link row and dangling
+    pages both occur.  Every link into a twentieth of the pages pays
+    between 0.5 and 1.5.
+    """
+    okey = _power_law_keys(rng, n)
+    ctrl = rng.choice(n, controlled, replace=False)
+    hollow = np.concatenate([ctrl[:controlled // 2], rng.choice(n, n // 20, replace=False)])
+    okey = okey[~np.isin(okey // n, hollow)]
+    fkey = np.unique(np.repeat(ctrl, fac_each) * n + rng.integers(0, n, controlled * fac_each))
+    fkey = fkey[~np.isin(fkey, okey)]
+    links = np.concatenate([okey, fkey])
+    paid = links[np.isin(links % n, rng.choice(n, n // 20, replace=False))]
+    gains = rng.uniform(0.5, 1.5, paid.size)
+    return {"num_pages": n, "damping": 0.85, "teleport": "uniform",
+            "obligatory": np.stack([okey // n, okey % n], axis=1).tolist(),
+            "facultative": np.stack([fkey // n, fkey % n], axis=1).tolist(),
+            "rewards": {"type": "per_link", "default": 0.0,
+                        "entries": [[int(k // n), int(k % n), float(g)]
+                                    for k, g in zip(paid, gains)]}}
+
+
 def weight_web_doc(rng, n, skeletons):
     """Power-law web whose ``skeletons`` pages carry dense weight skeletons.
 
@@ -289,11 +330,7 @@ def weight_web_doc(rng, n, skeletons):
     about 60% nonzeros, two banned targets and ``mu`` in [0.3, 0.9].  A
     hundredth of the pages pays a per-page reward.
     """
-    deg = 5 + np.minimum(rng.zipf(2.5, n), min(495, n // 20))
-    src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    pop = (np.arange(n) + 1.0) ** -0.6
-    dst = np.minimum(np.searchsorted(np.cumsum(pop / pop.sum()), rng.random(src.size)), n - 1)
-    okey = np.unique(src * n + dst)
+    okey = _power_law_keys(rng, n)
     pages = np.sort(rng.choice(n, skeletons, replace=False))
     okey = okey[~np.isin(okey // n, pages)]
     records = []

@@ -29,7 +29,7 @@ from pro.oracle import brute_force_optimum, chain_utility, exact_stationary
 from pro.polytopes import facets_discrete
 from pro.solver_coupled import (CoupledConfig, lp_formulate, lp_solve,
                                 solve_coupled)
-from pro.solver_local import (SolverConfig, bellman_apply, iteration_budget,
+from pro.solver_local import (CompiledBellman, SolverConfig, iteration_budget,
                               value_iterate)
 
 
@@ -154,11 +154,11 @@ def test_criterion_5_contraction_and_budget():
     rng = np.random.default_rng(3005)
     alpha = small.damping
     worst = 0.0
+    op = CompiledBellman(small, small.rewards)
     for _ in range(100):
         w = rng.standard_normal(small.num_pages) * 10.0
         w2 = rng.standard_normal(small.num_pages) * 10.0
-        lhs = float(np.abs(bellman_apply(small, w)
-                           - bellman_apply(small, w2)).max())
+        lhs = float(np.abs(op.apply(w) - op.apply(w2)).max())
         rhs = alpha * float(np.abs(w - w2).max())
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
         worst = max(worst, lhs / rhs if rhs else 0.0)

@@ -230,7 +230,7 @@ def test_reward_transform_prices_teleport_at_zero():
 
 def _follow_only_brute_force(inst):
     """Maximize outlink-only income by full strategy enumeration."""
-    pages = [i for i in inst.controlled_pages]
+    pages = np.union1d(np.flatnonzero(np.diff(inst.fac_indptr)), inst.skeletons.pages).tolist()
     menus = []
     for i in pages:
         fac = [int(j) for j in inst.facultative_of(i)]

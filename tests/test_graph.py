@@ -26,7 +26,6 @@ def test_two_page_structure():
     assert inst.obligatory_of(0).size == 0
     assert inst.facultative_of(0).tolist() == [0, 1]
     assert inst.facultative_of(1).tolist() == [0, 1]
-    assert inst.controlled_pages == (0, 1)
 
 
 def test_two_page_chain_for_known_strategy():

@@ -5,9 +5,8 @@ import pytest
 
 from pro.errors import Infeasible
 from pro.oracle import enumerate_discrete_actions
-from pro.polytopes import (BoxSimplex, DiscreteUniform, apply_damping,
-                           facets_box, facets_discrete, greedy_uniform_support,
-                           linear_maximize, separate)
+from pro.polytopes import (BoxSimplex, DiscreteUniform, facets_box, facets_discrete,
+                           greedy_uniform_support, linear_maximize, separate)
 from pro.simplex import solve_dense_lp
 
 from helpers import facet_vertices, random_box_row, same_point_set
@@ -106,31 +105,6 @@ def test_separation_reports_worst_violation():
     assert not inside.violated
 
 
-def test_apply_damping_preserves_membership():
-    rng = np.random.default_rng(10)
-    for _ in range(30):
-        n = int(rng.integers(2, 6))
-        obl, fac = random_split(rng, n)
-        hang = random_hang(rng, n)
-        alpha = float(rng.uniform(0.2, 0.95))
-        z = rng.random(n) + 0.05
-        z /= z.sum()
-        s_sys = facets_discrete(obl, fac, hang, n)
-        p_sys = apply_damping(s_sys, alpha, z)
-        assert p_sys.space == "P"
-        for _, row in enumerate_discrete_actions(obl, fac, hang):
-            damped = alpha * row + (1.0 - alpha) * z
-            assert not separate(p_sys, damped, tol=1e-10).violated
-        # a point just outside the hull stays outside after damping
-        outside = np.zeros(n)
-        forbidden = [j for j in range(n)
-                     if j not in obl and j not in fac and hang[j] == 0.0]
-        if forbidden:
-            outside[forbidden[0]] = 1.0
-            damped = alpha * outside + (1.0 - alpha) * z
-            assert separate(p_sys, damped, tol=1e-10).violated
-
-
 def test_greedy_matches_enumeration_over_averages():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -224,10 +198,10 @@ def test_facets_box_membership():
     assert separate(system, np.array([0.3, 0.3, 0.3])).violated  # mass 0.9
 
 
-def test_chain_space_box_membership_matches_elementwise_check():
-    # separate() on the damped box agrees with a*lo + (1-a)z <= row <=
-    # a*up + (1-a)z, sum(row) = 1, for rows inside, on the boundary and
-    # outside, with capped (banned) coordinates
+def test_box_membership_matches_elementwise_check():
+    # separate() on the box agrees with lo <= row <= up, sum(row) = 1,
+    # for rows inside, on the boundary and outside, with capped (banned)
+    # coordinates
     rng = np.random.default_rng(15)
     tol = 1e-9
     seen = {True: 0, False: 0}
@@ -240,12 +214,7 @@ def test_chain_space_box_membership_matches_elementwise_check():
         upper = np.ones(n)
         banned = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
         upper[banned] = lower[banned]
-        alpha = float(rng.uniform(0.3, 0.95))
-        z = rng.random(n) + 0.05
-        z /= z.sum()
-        system = apply_damping(facets_box(lower, upper), alpha, z)
-        lo_p = alpha * lower + (1.0 - alpha) * z
-        up_p = alpha * upper + (1.0 - alpha) * z
+        system = facets_box(lower, upper)
 
         inside = random_box_row(rng, lower, upper)
         vertex = linear_maximize(BoxSimplex(lower, upper), rng.normal(size=n)).row
@@ -260,9 +229,8 @@ def test_chain_space_box_membership_matches_elementwise_check():
             j = at_floor[0]
             rows.append(vertex + 1e-6 * (np.eye(n)[free[0]] - np.eye(n)[j]))
         rows.append(inside * (1.0 + 1e-6))
-        for x in rows:
-            row = alpha * x + (1.0 - alpha) * z
-            want = bool(np.all(row >= lo_p - tol) and np.all(row <= up_p + tol)
+        for row in rows:
+            want = bool(np.all(row >= lower - tol) and np.all(row <= upper + tol)
                         and abs(row.sum() - 1.0) <= tol)
             assert (not separate(system, row, tol=tol).violated) == want
             seen[want] += 1

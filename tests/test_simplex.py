@@ -112,6 +112,17 @@ def test_sense_flip_consistency():
     assert hi == pytest.approx(-lo, abs=1e-10)
 
 
+def test_beale_cycling_example_terminates():
+    # Beale (1955): Dantzig pricing that breaks ratio ties by the smallest
+    # basic index cycles through six degenerate bases here; the
+    # lexicographic ratio test leaves the degenerate vertex at once
+    c = np.array([-0.75, 20.0, -0.5, 6.0])
+    a = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    x, val = solve_dense_lp(c, a_ub=a, b_ub=np.array([0.0, 0.0, 1.0]), max_pivots=20)
+    assert val == pytest.approx(-1.25, abs=1e-12)
+    np.testing.assert_allclose(x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+
 def _outer_pivot(tableau, obj, basis, row, col):
     """The full-tableau outer-product update, as a reference."""
     tableau[row] /= tableau[row, col]

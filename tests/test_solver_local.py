@@ -39,7 +39,6 @@ from pro.solver_local import (
     ROUNDING,
     CompiledBellman,
     SolverConfig,
-    bellman_apply,
     iteration_budget,
     value_iterate,
 )
@@ -72,7 +71,8 @@ def test_sweep_moves_with_constants_at_damping_rate():
         inst = load_instance(doc)
         w = rng.normal(size=inst.num_pages) * 10.0
         c = float(rng.normal()) * 10.0
-        moved = bellman_apply(inst, w + c) - bellman_apply(inst, w)
+        op = CompiledBellman(inst, inst.rewards)
+        moved = op.apply(w + c) - op.apply(w)
         assert float(np.abs(moved - inst.damping * c).max()) <= 1e-12
 
 
@@ -155,7 +155,8 @@ def test_one_sweep_is_a_contraction():
         inst = random_discrete_instance(rng)
         w = rng.normal(size=inst.num_pages) * 10.0
         u = rng.normal(size=inst.num_pages) * 10.0
-        lhs = float(np.abs(bellman_apply(inst, w) - bellman_apply(inst, u)).max())
+        op = CompiledBellman(inst, inst.rewards)
+        lhs = float(np.abs(op.apply(w) - op.apply(u)).max())
         rhs = inst.damping * float(np.abs(w - u).max())
         assert lhs <= rhs + 1e-12
 
@@ -399,11 +400,11 @@ def test_sweep_keeps_small_scores_next_to_huge_ones():
 
 def _plain_value_iteration(inst, tol):
     # the improvement operator iterated to its fixed point on its own
-    w, _, _, converged = span_iterate(lambda x: bellman_apply(inst, x),
-                                      np.zeros(inst.num_pages), inst.damping,
+    op = CompiledBellman(inst, inst.rewards)
+    w, _, _, converged = span_iterate(op.apply, np.zeros(inst.num_pages), inst.damping,
                                       tol, 100_000)
     assert converged
-    return w, CompiledBellman(inst, inst.rewards).extract(w)
+    return w, op.extract(w)
 
 
 def _page_income(inst, i, choice, w):
