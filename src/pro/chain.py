@@ -8,7 +8,8 @@ solving ``v = rbar + damping * S v``; that vector is what the local
 optimizer's fixed point reproduces, so it is the bridge between chain
 evaluation and optimization.  Up to ``DENSE_EVAL_CAP`` pages one dense
 solve starts the loop that certifies ``v`` (``policy_value``, shared
-with ``CompiledBellman``) or ``pi`` (``stationary``).
+with ``CompiledBellman``) or ``pi`` (``stationary``, which above the
+cap starts from a given measure and stops on a certified L1 bound).
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ DENSE_CAP = 2000
 # solves n x n on one thread while n * n < 10000; above, with its pool
 # unpinned on a loaded 2-core host, a few of 200 solves of 100-200 pages
 # took 68-136 ms, not 0.1-0.6 ms (none did pinned, or at 99 pages).
+# Unpinned, its worker thread ran at 100 pages for solves (56-66 CPU ticks
+# over 3,000) and for ``x @ A`` products (9-10 over 20,000), never at 99.
 DENSE_EVAL_CAP = 99
 
 # Rounding allowance of one sweep, relative to the reward scale plus
 # ``max |v|``: pairwise sums err by less than 32 ulps up to 2**20 terms.
-# It is added to the reported error bound, not to the stop test, so a tol
-# below it still stops once the bracket itself closes.
+# It is added to the reported error bound, and a tol below it stops once
+# the bracket closes or stops shrinking within it (span_iterate's floor).
 ROUNDING = 32 * float(np.finfo(float).eps)
 
 
@@ -56,9 +59,8 @@ def iteration_budget(damping, tol):
 class StationaryDistribution:
     """Stationary row vector of a surfer chain.
 
-    ``residual`` is the exactly evaluated ``max_j |pi - pi P|_j`` of the
-    returned iterate, so it is a true invariance bound, not the last
-    iteration change.
+    ``residual`` bounds the L1 error of ``pi`` in exact arithmetic (see
+    ``stationary``): it is certified, not just the last iteration change.
     """
 
     pi: np.ndarray
@@ -88,18 +90,24 @@ class MeanRewardVector:
     residual: float
 
 
-def stationary(transition, tol=1e-12, max_iter=None):
+def stationary(transition, tol=1e-12, max_iter=None, pi0=None):
     """Power iteration for the stationary measure, started at the dense
     solution of ``(I - damping S^T) pi = (1 - damping) teleport`` up to
-    ``DENSE_EVAL_CAP`` pages and at the teleport vector above.
+    ``DENSE_EVAL_CAP`` pages and at ``pi0`` or the teleport vector above.
+
+    ``e P = damping e S`` for every zero-sum ``e``, so ``damping / (1 -
+    damping)`` times the L1 change of a step bounds the L1 error of its
+    result; that bound is the stop test and the returned ``residual``.
 
     Parameters
     ----------
     transition : TransitionMatrix
     tol : float
-        Stop once the L1 change of an iteration drops to ``tol``.
+        Stop once the L1 error bound is at most ``tol``.
     max_iter : int, optional
-        Default sizes the sweep budget from the damping factor.
+        Default: the steps that take an L1 error of 2 below ``tol``.
+    pi0 : ndarray, optional
+        A probability vector, such as a nearby chain's measure.
 
     Returns
     -------
@@ -111,19 +119,20 @@ def stationary(transition, tol=1e-12, max_iter=None):
         With the best iterate attached as ``result``.
     """
     alpha, n, z = transition.damping, transition.num_pages, transition.teleport
+    k = alpha / (1.0 - alpha)
     if max_iter is None:
-        max_iter = iteration_budget(alpha, min(tol, 0.5)) + 50
-    it, change = 0, math.inf
+        max_iter = iteration_budget(alpha, min(tol / (4.0 * k), 0.5)) + 50
+    it, bound = 0, math.inf
     pi = (np.linalg.solve(np.eye(n) - alpha * transition.dense_s().T, (1.0 - alpha) * z)
-          if n <= DENSE_EVAL_CAP else z.copy())
+          if n <= DENSE_EVAL_CAP else z.copy() if pi0 is None else pi0)
     for it in range(1, max_iter + 1):
         nxt = transition.pi_step(pi)
-        change = float(np.abs(nxt - pi).sum())
+        bound = k * float(np.abs(nxt - pi).sum())
         pi = nxt
-        if change <= tol:
+        if bound <= tol:
             break
-    result = StationaryDistribution(pi, float(np.abs(pi - transition.pi_step(pi)).max()), it)
-    if change > tol:
+    result = StationaryDistribution(pi, bound, it)
+    if bound > tol:
         raise MaxIterExceeded(
             f"stationary measure not converged after {max_iter} sweeps", result=result)
     return result
@@ -190,7 +199,7 @@ def _mean_row_rewards(transition, rewards):
     return rbar
 
 
-def span_iterate(step, x, damping, tol, max_iter, between=None):
+def span_iterate(step, x, damping, tol, max_iter, between=None, floor=0.0):
     """Fixed-point loop stopped on the MacQueen–Porteus bounds.
 
     ``step`` must be monotone with ``step(x + c) = step(x) + damping * c``
@@ -202,6 +211,8 @@ def span_iterate(step, x, damping, tol, max_iter, between=None):
     factor; the loop stops once it is at most ``tol``.  ``between(x,
     bound)``, if given, replaces the midpoint before every step but the
     first; the bracket of the next step certifies whatever it returns.
+    It also stops once the half-width no longer shrinks within the
+    rounding allowance ``floor * (1 + max |x|)``, where tol is out of reach.
 
     Returns ``(x, iterations, bound, converged)``: the midpoint of the
     last bracket and its half-width, a sup-norm error bound on ``x``.
@@ -214,9 +225,9 @@ def span_iterate(step, x, damping, tol, max_iter, between=None):
         y = step(x)
         d = y - x
         lo, hi = float(d.min()), float(d.max())
-        bound = k * (hi - lo) / 2.0
+        last, bound = bound, k * (hi - lo) / 2.0
         x = y + k * (lo + hi) / 2.0
-        if bound <= tol:
+        if bound <= tol or last <= bound <= floor * (1.0 + float(np.abs(x).max())):
             return x, it, bound, True
     return x, max_iter, bound, False
 

@@ -150,6 +150,7 @@ def _cmd_optimize(args):
         "iterations": state.iterations,
         "stop_reason": state.stop_reason,
         "residual": state.residual,
+        "tol": state.residual if state.stop_reason == "rounding" else args.tol,
         "strategy": _strategy_payload(strat),
     }
     if inst.num_pages <= _W_CAP:

@@ -24,14 +24,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
 
 from . import polytopes
 from .errors import InvalidStrategy, ParseError, ValidationError
-from .sparse import (RowSparse, _as_indices, _sort_coords, add_sparse, find_sorted, index_csr,
-                     locate, row_ids)
+from .sparse import RowSparse, _as_indices, _sort_coords, find_sorted, index_csr, locate, row_ids
 
 STOCHASTIC_TOL = 1e-9
 STRATEGY_TOL = 1e-9
@@ -77,25 +77,9 @@ class Rewards:
             m = max(m, float(np.max(np.abs(self.base[rows] + self.delta.data))))
         return m
 
-    def at(self, rows, cols):
-        """Vector of ``r[rows[k], cols[k]]``, rounded as ``base + delta``."""
-        return self.base[rows] + self.delta.values_at(rows, cols)
-
     def row_means(self, weights):
         """Vector of ``sum_j weights[j] * r[i, j]`` for a probability row."""
         return self.base + self.delta.rightmul(weights)
-
-    def minus_weighted(self, matrices, lams):
-        """Rewards minus ``sum_k lams[k] * matrices[k]`` (sparse union)."""
-        base = self.base.copy()
-        delta = self.delta
-        for lam, mat in zip(lams, matrices):
-            if lam == 0.0:
-                continue
-            base = base - lam * mat.base
-            if mat.delta.nnz:
-                delta = add_sparse(delta, mat.delta.scaled(-lam))
-        return Rewards(base, delta)
 
     def scaled(self, factor):
         return Rewards(self.base * factor, self.delta.scaled(factor))
@@ -287,13 +271,20 @@ class TransitionMatrix:
     srows: RowSparse
     dangling: np.ndarray
 
+    @cached_property
+    def row_counts(self):
+        """Stored entries of ``S`` per row, counted once per chain."""
+        return self.srows.row_counts()
+
     def pi_step(self, pi):
         """One application ``pi -> pi P`` for a probability vector pi."""
-        out = self.srows.leftmul(pi)
-        hang = float(np.sum(pi[self.dangling]))
+        s = self.srows
+        out = np.bincount(s.indices, pi.repeat(self.row_counts) * s.data,
+                          minlength=self.num_pages)
+        hang = float(pi[self.dangling].sum())
         if hang != 0.0:
             out = out + hang * self.dangling_teleport
-        return self.damping * out + (1.0 - self.damping) * float(np.sum(pi)) * self.teleport
+        return self.damping * out + (1.0 - self.damping) * float(pi.sum()) * self.teleport
 
     def apply_s(self, v):
         """Outlink part applied to a column vector, ``S v``."""

@@ -50,10 +50,10 @@ def _run(tableau, obj, basis, allowed, max_pivots):
         ties = np.flatnonzero(ratios <= ratios.min() + 1e-12)
         row = int(ties[0])
         if ties.size > 1:
-            # the lexicographically least (rhs, B^-1 row) / pivot, on a _PIVOT_TOL grid
+            # the lexicographically least (rhs, B^-1 row) / pivot, on a
+            # _PIVOT_TOL grid; lexsort is stable and led by its last key
             keys = np.round(tableau[ties[:, None], lex] / (colvals[ties, None] * _PIVOT_TOL))
-            keys = keys.tolist()
-            row = int(ties[keys.index(min(keys))])
+            row = int(ties[np.lexsort(keys[:, ::-1].T)[0]])
         _pivot(tableau, obj, basis, row, col)
     raise ProError("simplex pivot limit reached")
 

@@ -23,6 +23,7 @@ route.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -33,10 +34,10 @@ import numpy as np
 from .chain import stationary, utility_from_chain
 from .errors import Infeasible, ProError, TooLarge, ValidationError
 from .polytopes import separate
-from .graph import ContinuousChoice, Strategy, build_transition, instance_facets
+from .graph import ContinuousChoice, Rewards, Strategy, build_transition, instance_facets
 from .simplex import solve_dense_lp
-from .solver_local import SolverConfig, value_iterate
-from .sparse import row_ids
+from .solver_local import CompiledBellman, SolverConfig, value_iterate
+from .sparse import add_sparse, row_ids, segment_sums
 
 FEASIBILITY_TOL = 1e-9
 # every local solve of the dual route
@@ -134,33 +135,55 @@ class CoupledResult:
     stop_reason: str
 
 
-def _evaluate(instance, strategy):
-    """Stationary measure, income and per-row spending of a strategy."""
-    trans = build_transition(instance, strategy)
-    pi = stationary(trans, tol=1e-12).pi
-    spend = np.array([utility_from_chain(trans, pi, c.weights) for c in instance.coupling])
-    return pi, utility_from_chain(trans, pi, instance.rewards), spend
+class _Run:
+    """One ``CompiledBellman`` for every dual call of a ``solve_coupled``
+    run, on the union of the per-link patterns of ``r`` and the rows ``w``;
+    each column is evaluated on the operator's own chain, from the last
+    column's measure, once per distinct policy."""
+
+    def __init__(self, instance):
+        self.schemes = [instance.rewards] + [c.weights for c in instance.coupling]
+        union = functools.reduce(add_sparse, [r.delta.scaled(0.0) for r in self.schemes])
+        self.columns = [Rewards(r.base, replace(union, data=r.delta.gather_at(
+            union.indptr, union.indices))) for r in self.schemes]
+        self.comp = CompiledBellman(instance, self.columns[0])
+        # where each scheme's own pattern sits in the union
+        self.at = [self.comp.slots(row_ids(r.delta.indptr), r.delta.indices) for r in self.schemes]
+        self.instance, self.pi, self.seen = instance, None, {}
+        self.bounds = np.array([c.bound for c in instance.coupling])
+
+    def price(self, s, lam, inner, w0):
+        """Best local policy for ``s r - lam . w``, evaluated exactly.
+
+        ``theta`` adds the inner solve's certified income error and prices
+        the bounds back in, so it upper-bounds ``max_pi [s R(pi) + lam .
+        (b - C(pi))]``.
+        """
+        base, data = s * self.columns[0].base, s * self.columns[0].delta.data
+        for c, r in zip(lam, self.columns[1:]):  # one axpy per scheme
+            base += -c * r.base
+            data += -c * r.delta.data
+        priced = Rewards(base, replace(self.columns[0].delta, data=data))
+        scale = max(1.0, priced.max_abs())
+        self.comp.reprice(priced.scaled(1.0 / scale), scale)
+        state, strat = value_iterate(self.instance, inner, w0=w0, bellman=self.comp)
+        theta = (state.psi + (1.0 - self.instance.damping) * state.residual
+                 + float(np.dot(lam, self.bounds)))
+        key = tuple(strat.choices.items())
+        if key not in self.seen:
+            trans, p = self.comp.chain()
+            self.pi = stationary(trans, pi0=self.pi).pi
+            # rbar_i = sum_j P_ij r_ij, summed as utility_from_chain does
+            self.seen[key] = self.pi, np.array([float(np.dot(self.pi, r.base + segment_sums(
+                p[at] * r.delta.data, r.delta.indptr))) for r, at in zip(self.schemes, self.at)])
+        pi, values = self.seen[key]
+        cvals = values[1:]
+        feasible = bool(np.all(cvals <= self.bounds + FEASIBILITY_TOL))
+        return DualIterate(lam.copy(), theta, cvals - self.bounds, cvals, feasible,
+                           float(values[0]), strat, pi, state)
 
 
-def _price(instance, rewards, lam, inner, w0):
-    """Best local policy for ``rewards - lam . weights``, evaluated exactly.
-
-    ``theta`` adds the inner solve's certified income error and prices
-    the bounds back in, so it upper-bounds ``max_pi [R(pi) + lam . (b -
-    C(pi))]`` for the passed rewards ``R``.
-    """
-    bounds = np.array([c.bound for c in instance.coupling])
-    modified = rewards.minus_weighted([c.weights for c in instance.coupling], lam)
-    state, strat = value_iterate(instance.local_only(modified), inner, w0=w0)
-    theta = (state.psi + (1.0 - instance.damping) * state.residual
-             + float(np.dot(lam, bounds)))
-    pi, primal, cvals = _evaluate(instance, strat)
-    feasible = bool(np.all(cvals <= bounds + FEASIBILITY_TOL))
-    return DualIterate(lam.copy(), theta, cvals - bounds, cvals, feasible,
-                       primal, strat, pi, state)
-
-
-def dual_value(instance, multipliers, inner=None, w0=None):
+def dual_value(instance, multipliers, inner=None, w0=None, run=None):
     """Evaluate the dual objective at one multiplier setting.
 
     Solves the local problem with rewards ``r - sum_k lam_k d_k`` and
@@ -180,6 +203,8 @@ def dual_value(instance, multipliers, inner=None, w0=None):
         ``INNER`` when omitted.
     w0 : ndarray, optional
         Warm start for the inner value vector.
+    run : optional
+        The state ``solve_coupled`` shares between calls; fresh if omitted.
     """
     lam = np.asarray(multipliers, dtype=float)
     k = len(instance.coupling)
@@ -189,7 +214,7 @@ def dual_value(instance, multipliers, inner=None, w0=None):
         raise ValidationError(f"expected {k} multipliers, got shape {lam.shape}")
     if lam.size and float(lam.min()) < 0.0:
         raise ValidationError("multipliers must be nonnegative")
-    return _price(instance, instance.rewards, lam, inner or INNER, w0)
+    return (run or _Run(instance)).price(1.0, lam, inner or INNER, w0)
 
 
 _Master = collections.namedtuple("_Master", "mu lam value")
@@ -301,7 +326,11 @@ def _mixture(instance, mu, table, policies, bounds):
             probs = np.bincount(at, np.concatenate([wt * p for wt, (_, p) in zip(w, parts)]))
             choices[page] = ContinuousChoice(tuple(cols.tolist()), tuple(probs.tolist()))
         strat = Strategy(choices)
-        pi, util, cvals = _evaluate(instance, strat)
+        trans = build_transition(instance, strat)
+        # the mixed chain's exact measure, up to the columns' own error
+        pi = stationary(trans, pi0=weight.sum(axis=0)).pi
+        util = utility_from_chain(trans, pi, instance.rewards)
+        cvals = np.array([utility_from_chain(trans, pi, c.weights) for c in instance.coupling])
     feasible = bool(np.all(cvals <= bounds + FEASIBILITY_TOL))
     return PrimalCandidate(strat, pi, util, cvals, feasible)
 
@@ -338,21 +367,21 @@ def solve_coupled(instance, config=None):
     if not instance.coupling:
         raise ValidationError("instance has no coupling rows")
     config = config or CoupledConfig()
-    bounds = np.array([c.bound for c in instance.coupling])
-    spend_only = instance.rewards.scaled(0.0)
+    run = _Run(instance)
+    bounds = run.bounds
     columns, records = {}, []  # (income, *spending) -> (strategy, pi)
     lam, w_dual, w_cost = np.zeros(bounds.size), None, None
     dual_bound, master, best, stop = math.inf, None, None, "max_outer"
     while len(records) < config.max_outer:
         if columns and master is None:
             lam = _master(None, table[:, 1:], bounds).lam
-            col = _price(instance, spend_only, lam, INNER, w_cost)
+            col = run.price(0.0, lam, INNER, w_cost)
             if col.theta < -FEASIBILITY_TOL * float(lam.sum()):
                 raise Infeasible(f"every strategy overspends: multipliers {lam.tolist()} "
                                  f"price the excess at {-col.theta:.3e} or more", lam)
             w_cost = col.dp_state.w
         else:
-            col = dual_value(instance, lam, w0=w_dual)
+            col = dual_value(instance, lam, w0=w_dual, run=run)
             w_dual = col.dp_state.w
             records.append(replace(col, strategy=None, pi=None,
                                    dp_state=replace(col.dp_state, w=None)))

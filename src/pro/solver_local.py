@@ -32,8 +32,8 @@ import numpy as np
 
 from .chain import DENSE_EVAL_CAP, ROUNDING, iteration_budget, policy_value, span_iterate
 from .errors import CouplingPresent, MaxIterExceeded
-from .graph import ContinuousChoice, DiscreteChoice, Strategy
-from .sparse import find_sorted, row_ids, segment_sums
+from .graph import ContinuousChoice, DiscreteChoice, Strategy, TransitionMatrix
+from .sparse import RowSparse, _sort_coords, find_sorted, row_ids, segment_sums
 
 # An iterative evaluation stops once its own bracket is below this share
 # of the improvement sweep's (or at tol): only the sweep certifies, and
@@ -78,7 +78,9 @@ class DpState:
     "policy_stable" when the bracket closed to ``tol`` on a sweep whose
     greedy policy repeated the one before, "bracket" when it closed while
     the policy still changed (where incomes tie within ``tol``, or on
-    the first sweep of a warm start), and "max_iter" otherwise.
+    the first sweep of a warm start), "rounding" when it stopped
+    shrinking within the rounding allowance, above ``tol``, and
+    "max_iter" otherwise.
     """
 
     w: np.ndarray
@@ -91,7 +93,8 @@ class DpState:
 class CompiledBellman:
     """One instance's improvement operator, precompiled for bulk sweeps.
 
-    Rewards are taken as passed (the caller owns any rescaling).  On a
+    Rewards are taken as passed (the caller owns any rescaling, kept as
+    ``scale``); ``reprice`` swaps in others on the same per-link pattern.  On a
     page with obligatory links the best uniform row keeps exactly the
     facultative links scoring above the page's best average ``t*``, the
     root of the decreasing convex ``sum_obl (c - t) + sum_fac max(c - t,
@@ -115,13 +118,13 @@ class CompiledBellman:
     ``polytopes.linear_maximize``'s pick, the lowest index on ties.
 
     Each sweep also keeps its greedy policy (active candidates, no-link
-    pages, weight pages' ``j*``), which ``evaluate`` solves for and
-    ``extract`` turns into a ``Strategy``, and sets ``repeated`` when that
-    policy equals the previous sweep's.  One instance serves one
-    caller at a time.
+    pages, weight pages' ``j*``), which ``evaluate`` solves for,
+    ``chain`` builds and ``extract`` turns into a ``Strategy``, and sets
+    ``repeated`` when that policy equals the previous sweep's.  One
+    instance serves one caller at a time.
     """
 
-    def __init__(self, instance, rewards):
+    def __init__(self, instance, rewards, scale=1.0):
         n = instance.num_pages
         self.n = n
         self.alpha = float(instance.damping)
@@ -134,11 +137,10 @@ class CompiledBellman:
         self.o_cnt = o_cnt.astype(float)
         self.o_page = row_ids(o_indptr)
         self.f_page = row_ids(f_indptr)
-        delta = rewards.delta
-        self.r_o = rewards.base[self.o_page] + delta.gather_at(o_indptr, self.o_idx)
-        self.r_f = rewards.base[self.f_page] + delta.gather_at(f_indptr, self.f_idx)
-        self.const = (1.0 - self.alpha) * rewards.row_means(self.z)
-        self.no_link_base = rewards.row_means(self.hang)
+        # keys i * n + j of the per-link reward pattern, fixed for life
+        self.keys = row_ids(rewards.delta.indptr) * n + rewards.delta.indices
+        self.o_pos = self.slots(self.o_page, self.o_idx)
+        self.f_pos = self.slots(self.f_page, self.f_idx)
         self.o_rows = np.flatnonzero(o_cnt > 0)
         self.o_starts = o_indptr[self.o_rows]
         # facultative blocks, one reduceat segment per page that has one
@@ -153,37 +155,35 @@ class CompiledBellman:
         self.fo_seg = np.repeat(np.arange(self.fo_rows.size), f_cnt[self.fo_rows])
         self.fo_starts = np.cumsum(f_cnt[self.fo_rows]) - f_cnt[self.fo_rows]
         self.hint = None
-        self._compile_weights(instance, rewards)
+        self._compile_weights(instance)
         # pages that always take the no-link row: no links, no skeleton
         self.plain_nl = (o_cnt == 0) & (f_cnt == 0)
         self.plain_nl[self.sk_page] = False
-        # the greedy policy of the last sweep, and whether it repeated
-        # the one before
-        self.active = self.size = self.use_nl = self.jstar = None
-        self.repeated = False
+        self.reprice(rewards, scale)
 
-    def _compile_weights(self, instance, rewards):
+    def slots(self, rows, cols):
+        """Each coordinate's position in the reward pattern, or its size."""
+        if not (rows.size and self.keys.size):
+            return np.broadcast_to(self.keys.size, rows.shape) if rows.size else rows
+        pos, hit = find_sorted(self.keys, rows * self.n + cols)
+        return np.where(hit, pos, self.keys.size)
+
+    def _compile_weights(self, instance):
         """Weight pages as arrays, in page order (``k`` numbers them)."""
         n = self.n
         store = instance.skeletons
         self.sk_page = store.pages
-        if not self.sk_page.size:
-            return
-        self.rewards = rewards
-        self.sk_base = rewards.base[self.sk_page]
         self.slack = store.slack[self.sk_page]
-        # the floors (1 - mu) q, one CSR segment per weight page, with r there
+        # the floors (1 - mu) q, one CSR segment per weight page
         floor = store.floor
         self.q_indptr = floor.indptr
         self.q_rows = self.sk_page[row_ids(floor.indptr)]
         self.q_idx, self.q_val = floor.indices, floor.data
-        self.r_q = rewards.at(self.q_rows, self.q_idx)
+        self.q_pos = self.slots(self.q_rows, self.q_idx)
         # a page's per-link reward entries score apart from its base; they
         # and its banned targets are its excluded keys page * n + j
-        delta = rewards.delta
-        d_page = row_ids(delta.indptr)
-        on = find_sorted(self.sk_page, d_page)[1]
-        d_keys = d_page[on] * n + delta.indices[on]
+        on = find_sorted(self.sk_page, self.keys // n)[1]
+        d_keys = self.keys[on]
         self.ban_keys = store.banned
         e_keys = np.concatenate([d_keys, store.banned])
         # the stable argsort of sparse._sort_coords: a sort routine already
@@ -191,14 +191,32 @@ class CompiledBellman:
         self.e_keys = e_keys[np.argsort(e_keys, kind="stable")]
         self.e_max = int(np.bincount(self.e_keys // n, minlength=1).max())
         keep = ~find_sorted(store.banned, d_keys)[1]
-        d_k = np.searchsorted(self.sk_page, d_page[on][keep])
-        self.d_col = delta.indices[on][keep]
-        self.d_r = self.sk_base[d_k] + delta.data[on][keep]
-        new = np.ones(d_k.size, dtype=bool)
-        new[1:] = d_k[1:] != d_k[:-1]
+        self.d_k = np.searchsorted(self.sk_page, d_keys[keep] // n)
+        self.d_col = d_keys[keep] % n
+        self.d_pos = np.flatnonzero(on)[keep]
+        new = np.ones(self.d_k.size, dtype=bool)
+        new[1:] = self.d_k[1:] != self.d_k[:-1]
         self.d_starts = np.flatnonzero(new)
-        self.d_pages = d_k[self.d_starts]
+        self.d_pages = self.d_k[self.d_starts]
         self.d_seg = np.cumsum(new) - 1
+
+    def reprice(self, rewards, scale=1.0):
+        """Swap in rewards, in units of ``1 / scale``, on the compiled
+        per-link pattern.  The Newton roots stay as the next sweep's hint;
+        the last policy is dropped, so no repeat spans two pricings."""
+        base, self.rewards, self.scale = rewards.base, rewards, scale
+        self.dext = delta = np.append(rewards.delta.data, 0.0)
+        self.r_o = base[self.o_page] + delta[self.o_pos]
+        self.r_f = base[self.f_page] + delta[self.f_pos]
+        self.const = (1.0 - self.alpha) * rewards.row_means(self.z)
+        self.no_link_base = rewards.row_means(self.hang)
+        self.sk_base = base[self.sk_page]
+        self.r_q = base[self.q_rows] + delta[self.q_pos]
+        self.d_r = self.sk_base[self.d_k] + delta[self.d_pos]
+        # the greedy policy of the last sweep, and whether it repeated the
+        # one before
+        self.active = self.size = self.use_nl = self.jstar = None
+        self.repeated = False
 
     def apply(self, w):
         """One simultaneous sweep: returns ``T(w)`` and keeps its policy."""
@@ -349,17 +367,28 @@ class CompiledBellman:
         """
         act = np.flatnonzero(self.active)
         rows = np.concatenate([self.o_page, self.f_page[act]])
-        cols = np.concatenate([self.o_idx, self.f_idx[act]])
-        weights = 1.0 / self.size[rows]
-        rewards = np.concatenate([self.r_o, self.r_f[act]])
-        if not self.sk_page.size:
-            return rows, cols, weights, rewards
         has = self.jstar >= 0
         pages, masters = self.sk_page[has], self.jstar[has]
         return (np.concatenate([rows, self.q_rows, pages]),
-                np.concatenate([cols, self.q_idx, masters]),
-                np.concatenate([weights, self.q_val, self.slack[has]]),
-                np.concatenate([rewards, self.r_q, self.rewards.at(pages, masters)]))
+                np.concatenate([self.o_idx, self.f_idx[act], self.q_idx, masters]),
+                np.concatenate([1.0 / self.size[rows], self.q_val, self.slack[has]]),
+                np.concatenate([self.r_o, self.r_f[act], self.r_q,
+                                self.sk_base[has] + self.dext[self.slots(pages, masters)]]))
+
+    def chain(self):
+        """The policy's ``TransitionMatrix``, and its ``P`` at each pattern key."""
+        n = self.n
+        rows, cols, weights, _ = self._entries()
+        order, first, indptr = _sort_coords(n, n, rows, cols)
+        # a shared coordinate sums the floor entry, then the master entry
+        vals = np.bincount(np.cumsum(first) - 1, weights[order])
+        trans = TransitionMatrix(n, self.alpha, self.z, self.hang,
+                                 RowSparse(n, n, indptr, cols[order[first]], vals),
+                                 self.use_nl.copy())
+        at, col = self.keys // n, self.keys % n
+        s = np.bincount(self.slots(rows, cols), weights, minlength=self.keys.size + 1)[:-1]
+        s = np.where(self.use_nl[at], self.hang[col], s)
+        return trans, self.alpha * s + (1.0 - self.alpha) * self.z[col]
 
     def evaluate(self, x0, tol, max_iter):
         """Value ``v = rbar + damping * S v`` of the last sweep's policy,
@@ -391,19 +420,17 @@ class CompiledBellman:
     def extract(self, w):
         """Strategy attaining ``T(w)``, page by page."""
         self._sweep(np.asarray(w, dtype=float))
-        choices = {}
-        if self.f_rows.size:
-            k = np.add.reduceat(self.active, self.f_starts, dtype=np.int64)
-            picked = np.split(self.f_idx[self.active], np.cumsum(k)[:-1])
-            choices = {int(i): DiscreteChoice(tuple(int(j) for j in p))
-                       for i, p in zip(self.f_rows, picked)}
+        picked = self.f_idx[self.active].tolist()
+        ends = np.cumsum(np.bincount(self.f_seg[self.active], minlength=self.f_rows.size)).tolist()
+        choices = {i: DiscreteChoice(tuple(picked[a:b]))
+                   for i, a, b in zip(self.f_rows.tolist(), [0] + ends, ends)}
         for page, j in zip(self.sk_page.tolist(), self.jstar.tolist()):
             choices[page] = (ContinuousChoice((j,), (1.0,)) if j >= 0
                              else ContinuousChoice((), ()))
         return Strategy(choices)
 
 
-def value_iterate(instance, config=None, w0=None):
+def value_iterate(instance, config=None, w0=None, bellman=None):
     """Policy iteration for the best local strategy.
 
     Each step sweeps the improvement operator once at ``w``; the sweep's
@@ -414,15 +441,20 @@ def value_iterate(instance, config=None, w0=None):
     bracket closes when the greedy policy repeats, or changes only where
     incomes tie within ``tol``; the stop does not wait for a repeat,
     since rounding can make the greedy policy alternate between such ties.
+    A ``tol`` below the values' rounding allowance cannot be met; the
+    loop then stops once the bracket no longer shrinks within it.
 
     Parameters
     ----------
     instance : WebGraphInstance
-        Must carry no coupling rows.
+        Must carry no coupling rows, unless ``bellman`` prices them in.
     config : SolverConfig, optional
     w0 : ndarray, optional
         Warm start for the value vector, in reward units; the first step
         then starts from the policy greedy at ``w0``.
+    bellman : CompiledBellman, optional
+        An operator of ``instance`` whose rewards the caller has set
+        (``CompiledBellman.reprice``); they replace ``instance.rewards``.
 
     Returns
     -------
@@ -438,16 +470,18 @@ def value_iterate(instance, config=None, w0=None):
 
     Notes
     -----
-    Rewards are rescaled by ``1 / max(1, sup |r|)`` internally, which
-    the default worst-case budget assumes; all reported quantities are
-    in original units.
+    Rewards are rescaled by ``1 / max(1, sup |r|)`` (``bellman.scale``),
+    which the default worst-case budget assumes; all reported quantities
+    are in original units.
     """
-    if instance.coupling:
+    if instance.coupling and bellman is None:
         raise CouplingPresent("instance has coupling rows; use the coupled solver")
     config = config or SolverConfig()
     alpha = instance.damping
-    scale = max(1.0, instance.rewards.max_abs())
-    comp = CompiledBellman(instance, instance.rewards.scaled(1.0 / scale))
+    if bellman is None:
+        scale = max(1.0, instance.rewards.max_abs())
+        bellman = CompiledBellman(instance, instance.rewards.scaled(1.0 / scale), scale)
+    comp, scale = bellman, bellman.scale
     tol = config.tol / scale
     theta = tol * (1.0 - alpha) / alpha
     budget = iteration_budget(alpha, min(theta / (2.0 / (1.0 - alpha)), 0.5)) + 10
@@ -455,10 +489,12 @@ def value_iterate(instance, config=None, w0=None):
     w = np.zeros(instance.num_pages) if w0 is None else np.asarray(w0, dtype=float) / scale
     w, done, bound, converged = span_iterate(
         comp.apply, w, alpha, tol, max_iter,
-        between=lambda x, b: comp.evaluate(x, max(tol, EVAL_SHARE * b), budget))
-    stop = ("max_iter" if not converged
+        between=lambda x, b: comp.evaluate(x, max(tol, EVAL_SHARE * b), budget),
+        floor=ROUNDING / (1.0 - alpha))
+    allowance = ROUNDING / (1.0 - alpha) * (1.0 + float(np.abs(w).max()))
+    stop = ("max_iter" if not converged else "rounding" if bound > tol
             else "policy_stable" if comp.repeated else "bracket")
-    bound += ROUNDING / (1.0 - alpha) * (1.0 + float(np.abs(w).max()))
+    bound += allowance
     w_out = w * scale
     psi = (1.0 - alpha) * float(np.dot(instance.teleport, w_out))
     state = DpState(w_out, psi, done, bound * scale, stop)

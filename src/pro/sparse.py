@@ -87,11 +87,6 @@ class RowSparse:
         """Matrix-vector product ``A v`` as a dense (num_rows,) vector."""
         return segment_sums(self.data * v[self.indices], self.indptr)
 
-    def leftmul(self, x):
-        """Vector-matrix product ``x A`` as a dense (num_cols,) vector."""
-        weights = np.repeat(x, self.row_counts()) * self.data
-        return np.bincount(self.indices, weights=weights, minlength=self.num_cols)
-
     def scaled(self, factor):
         return RowSparse(self.num_rows, self.num_cols, self.indptr, self.indices, self.data * factor)
 
@@ -106,14 +101,10 @@ class RowSparse:
         The pattern spans the same rows; where it names a coordinate this
         matrix does not store, the value is 0.
         """
-        return self.values_at(row_ids(indptr), indices)
-
-    def values_at(self, rows, cols):
-        """Values at the coordinates ``(rows[k], cols[k])``; 0 where unstored."""
-        out = np.zeros(np.shape(cols))
+        out = np.zeros(np.shape(indices))
         if self.nnz == 0 or out.size == 0:
             return out
-        pos, hit = locate(self.indptr, self.indices, self.num_cols, rows, cols)
+        pos, hit = locate(self.indptr, self.indices, self.num_cols, row_ids(indptr), indices)
         out[hit] = self.data[pos[hit]]
         return out
 

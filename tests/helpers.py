@@ -13,7 +13,17 @@ import numpy as np
 from pro.graph import Rewards, WebGraphInstance, WeightRows, load_instance
 from pro.oracle import chain_utility, exact_stationary
 from pro.polytopes import EQ
-from pro.sparse import index_csr
+from pro.sparse import add_sparse, index_csr
+
+
+def minus_weighted(rewards, matrices, lams):
+    """``rewards`` minus ``sum_k lams[k] * matrices[k]``, on the union of
+    their per-link patterns."""
+    base, delta = rewards.base.copy(), rewards.delta
+    for lam, mat in zip(lams, matrices):
+        base = base - lam * mat.base
+        delta = add_sparse(delta, mat.delta.scaled(-lam))
+    return Rewards(base, delta)
 
 
 def two_page_doc():

@@ -82,13 +82,44 @@ def test_stationary_matches_direct_solve():
 
 
 def test_stationary_residual_is_recomputed():
-    # residual must equal the invariance defect of the returned iterate
-    rng = np.random.default_rng(21)
-    inst, strat = _random_pair(rng)
-    trans = build_transition(inst, strat)
+    # residual is the certified L1 error bound of the returned iterate,
+    # damping / (1 - damping) times its last change, not that change
+    trans = build_transition(power_law_instance(DENSE_EVAL_CAP + 1, 12, 30, seed=5))
     dist = stationary(trans, tol=1e-6)
-    defect = float(np.abs(dist.pi - trans.pi_step(dist.pi)).max())
-    assert dist.residual == defect
+    err = float(np.abs(dist.pi - exact_stationary(trans.dense_p())).sum())
+    assert err <= dist.residual <= 1e-6
+    assert dist.residual > 1e-8
+
+
+def test_stationary_residual_bounds_l1_error():
+    # random chains below and above the dense cap, solved cold and, above
+    # it, also from a random vector and from another chain's measure: the
+    # L1 distance to the exact measure stays within the residual, up to
+    # rounding
+    rng = np.random.default_rng(24)
+    chains = [build_transition(inst, random_strategy(rng, inst))
+              for inst in [random_discrete_instance(rng) for _ in range(6)]
+              + [power_law_instance(n, 10, 20, seed=n, damping=d)
+                 for n, d in ((DENSE_EVAL_CAP, 0.85), (DENSE_EVAL_CAP + 1, 0.85),
+                              (180, 0.95), (240, 0.7))]]
+    # a cycle mixes only by teleporting, so there the bound is tight
+    z = rng.random(150) + 0.1
+    chains.append(build_transition(load_instance({
+        "num_pages": 150, "damping": 0.95, "teleport": (z / z.sum()).tolist(),
+        "obligatory": [[i, (i + 1) % 150] for i in range(150)],
+        "rewards": {"type": "per_page", "values": [0.0] * 150}})))
+    for trans in chains:
+        n = trans.num_pages
+        exact = exact_stationary(trans.dense_p())
+        starts = [None]
+        if n > DENSE_EVAL_CAP:
+            other = build_transition(power_law_instance(n, 10, 20, seed=1))
+            starts += [rng.dirichlet(np.ones(n)), exact_stationary(other.dense_p())]
+        for pi0 in starts:
+            for tol in (1e-4, 1e-8, 1e-12):
+                dist = stationary(trans, tol=tol, pi0=pi0)
+                assert dist.residual <= tol
+                assert float(np.abs(dist.pi - exact).sum()) <= dist.residual + 1e-14
 
 
 def test_stationary_budget_exhaustion_keeps_iterate():

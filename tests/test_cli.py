@@ -127,6 +127,7 @@ def test_optimize_reports_stop_reason(tmp_path, capsys):
     assert code == 0
     assert env["result"]["stop_reason"] == "policy_stable"
     assert env["result"]["residual"] <= 1e-9
+    assert env["result"]["tol"] == 1e-9
 
     # one policy step cannot confirm its own policy: the best pair is
     # still reported, under the iteration-limit status
@@ -140,6 +141,23 @@ def test_optimize_reports_stop_reason(tmp_path, capsys):
     assert env["result"]["residual"] > 1e-9
     assert sorted(p["page"] for p in env["result"]["strategy"]["pages"]) == [0, 1]
     assert not out_path.exists()
+
+
+def test_optimize_stops_at_the_rounding_of_huge_rewards(tmp_path, capsys):
+    # a per-link reward of 1e15 puts the values' own rounding far above
+    # tol 1e-9: the loop stops once its bracket is within that rounding
+    # and stops shrinking, and the envelope states the tolerance it met
+    doc = two_page_doc()
+    doc["rewards"]["entries"][2][2] = 1e15
+    code, env = _run(capsys, ["optimize", _write(tmp_path, "g.json", doc)])
+    assert code == 0
+    result = env["result"]
+    assert result["stop_reason"] == "rounding"
+    assert result["iterations"] <= 5
+    assert result["tol"] == result["residual"] > 1e-9
+    assert result["strategy"]["pages"] == [
+        {"page": 0, "kind": "discrete", "activated": [1]},
+        {"page": 1, "kind": "discrete", "activated": [0]}]
 
 
 def test_optimize_mode_guard(tmp_path, capsys):

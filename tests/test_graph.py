@@ -55,12 +55,12 @@ def test_rewards_accessors():
     inst = two_page_instance()
     r = inst.rewards
     assert not r.is_per_page
-    assert r.at(np.array([0, 1]), np.array([1, 1])).tolist() == [10.0, 2.0]
+    assert r.dense()[[0, 1], [1, 1]].tolist() == [10.0, 2.0]
     assert np.allclose(r.dense(), [[1.0, 10.0], [2.0, 2.0]])
     assert np.allclose(r.row_means(np.array([0.5, 0.5])), [5.5, 2.0])
     per_page = Rewards.per_page(np.array([3.0, -1.0]))
     assert per_page.is_per_page
-    assert per_page.at(np.array([0]), np.array([1])).tolist() == [3.0]
+    assert per_page.dense()[0, 1] == 3.0
 
 
 def test_pi_step_matches_dense_product():

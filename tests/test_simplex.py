@@ -1,12 +1,18 @@
 """Dense LP solver, checked against enumeration of basic solutions."""
 
+import importlib.util
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pro import simplex
 from pro.errors import Infeasible, ProError, Unbounded
-from pro.simplex import _pivot, solve_dense_lp
+from pro.graph import load_instance
+from pro.simplex import _PIVOT_TOL, _pivot, solve_dense_lp
+from pro.solver_coupled import lp_formulate
 
 
 def _vertex_maximum(c, a_ub, b_ub):
@@ -153,3 +159,62 @@ def test_pivot_matches_outer_product_form():
         for a, b in zip(ours, ref):
             assert np.array_equal(a, b)
     assert skipped > 100
+
+
+def _run_with_list_tie_break(tableau, obj, basis, allowed, max_pivots):
+    """``simplex._run`` with its lexicographic tie-break done on rows of
+    keys compared as Python lists: the reference for ``np.lexsort``."""
+    lex = np.append(tableau.shape[1] - 1, basis)
+    for _ in range(max_pivots):
+        masked = np.where(allowed, obj[:-1], 0.0)
+        col = int(np.argmin(masked))
+        if masked[col] >= -_PIVOT_TOL:
+            return "optimal"
+        colvals = tableau[:, col]
+        pos = colvals > _PIVOT_TOL
+        if not np.any(pos):
+            return "unbounded"
+        ratios = np.where(pos, tableau[:, -1] / np.where(pos, colvals, 1.0), np.inf)
+        ties = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+        keys = np.round(tableau[ties[:, None], lex] / (colvals[ties, None] * _PIVOT_TOL))
+        keys = keys.tolist()
+        simplex._pivot(tableau, obj, basis, int(ties[keys.index(min(keys))]), col)
+    raise ProError("simplex pivot limit reached")
+
+
+def _solve_recording(monkeypatch, run, problem):
+    pivots = []
+
+    def record(tableau, obj, basis, row, col):
+        pivots.append((row, col))
+        _pivot(tableau, obj, basis, row, col)
+
+    monkeypatch.setattr(simplex, "_run", run)
+    monkeypatch.setattr(simplex, "_pivot", record)
+    x, val = solve_dense_lp(*problem[:5], maximize=problem[5])
+    return pivots, x, val
+
+
+def test_lexsort_tie_break_matches_list_tie_break(monkeypatch):
+    # the 36 occupation LPs of the benchmark's small-crosscheck documents
+    # (seeds 61-63) and Beale's example pivot alike under both tie-breaks
+    spec = importlib.util.spec_from_file_location(
+        "generate", Path(__file__).resolve().parent.parent / "perfbench" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    problems = [(lp.objective, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, True)
+                for lp in (lp_formulate(load_instance(json.loads(text)))
+                           for seed in (61, 62, 63)
+                           for text in generate.documents("small-crosscheck", seed))]
+    beale = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    problems.append((np.array([-0.75, 20.0, -0.5, 6.0]), None, None, beale,
+                     np.array([0.0, 0.0, 1.0]), False))
+    assert len(problems) == 37
+    lexsorted, pivots = simplex._run, 0
+    for problem in problems:
+        ours = _solve_recording(monkeypatch, lexsorted, problem)
+        ref = _solve_recording(monkeypatch, _run_with_list_tie_break, problem)
+        assert ours[0] == ref[0]
+        assert np.array_equal(ours[1], ref[1]) and ours[2] == ref[2]
+        pivots += len(ours[0])
+    assert pivots > 1000

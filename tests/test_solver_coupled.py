@@ -18,6 +18,7 @@ from helpers import (
     add_active_coupling,
     add_coupling_rows,
     link_web_doc,
+    minus_weighted,
     power_law_instance,
     random_continuous_doc,
     random_discrete_doc,
@@ -38,7 +39,7 @@ from pro.solver_coupled import (
     lp_solve,
     solve_coupled,
 )
-from pro.solver_local import SolverConfig, value_iterate
+from pro.solver_local import CompiledBellman, SolverConfig, value_iterate
 
 
 def _coupled_discrete(rng, **kw):
@@ -89,6 +90,21 @@ def test_weak_duality_against_enumeration():
             assert dual_value(inst, lam).theta >= ref.value - 1e-7
 
 
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False))
+def test_weak_duality_at_random_multipliers(seed, lam):
+    # theta at any lam >= 0 bounds the best income that meets the row
+    rng = np.random.default_rng(seed)
+    inst = _coupled_discrete(rng, n_max=5, fac_budget=8)
+    try:
+        best = brute_force_optimum(inst).value
+    except Infeasible:
+        return
+    theta = dual_value(inst, np.array([lam])).theta
+    assert theta >= best - 1e-9 * max(1.0, abs(best), abs(theta))
+
+
 def test_loose_inner_solve_keeps_theta_an_upper_bound():
     # theta adds the inner solve's certified error, so it stays above
     # the exact Lagrangian optimum even at a loose inner tolerance
@@ -99,7 +115,7 @@ def test_loose_inner_solve_keeps_theta_an_upper_bound():
         lam = rng.exponential(1.0, size=len(inst.coupling))
         weights = [c.weights for c in inst.coupling]
         bounds = np.array([c.bound for c in inst.coupling])
-        modified = inst.rewards.minus_weighted(weights, lam)
+        modified = minus_weighted(inst.rewards, weights, lam)
         exact = brute_force_optimum(inst.local_only(modified)).value
         theta = dual_value(inst, lam, loose).theta
         assert theta >= exact + float(np.dot(lam, bounds))
@@ -178,6 +194,38 @@ def test_solve_run_invariants():
         assert res.dual_bound >= cand.utility - 1e-9
 
 
+def test_one_compile_per_coupled_run(monkeypatch):
+    # every local solve of a run, phase 1's included, reprices one
+    # operator, and each column is evaluated on that operator's own chain
+    compiles, solves = [], []
+    init, solve = CompiledBellman.__init__, solver_coupled.value_iterate
+    monkeypatch.setattr(CompiledBellman, "__init__",
+                        lambda self, *args: (compiles.append(1), init(self, *args))[1])
+    monkeypatch.setattr(solver_coupled, "value_iterate",
+                        lambda *args, **kw: (solves.append(1), solve(*args, **kw))[1])
+    rng = np.random.default_rng(95)
+    docs = [add_active_coupling(link_web_doc(rng, 120, 5, 15), rng)]
+    docs += [add_coupling_rows(random_continuous_doc(rng, n_max=30), rng, 3, 0.4, 0.9)
+             for _ in range(4)]
+    phase1 = 0
+    for doc in docs:
+        inst = load_instance(doc)
+        compiles.clear()
+        solves.clear()
+        try:
+            res = solve_coupled(inst, CoupledConfig(tol=1e-6, max_outer=300))
+        except Infeasible:
+            assert len(compiles) == 1 and len(solves) > 1
+            phase1 += 1
+            continue
+        assert len(compiles) == 1 and res.iterations >= 2
+        phase1 += len(solves) > res.iterations
+        pi, income, _ = _exact(inst, res.best_feasible.strategy)
+        np.testing.assert_allclose(pi, res.best_feasible.pi, atol=1e-10)
+        assert income == pytest.approx(res.best_feasible.value, abs=1e-10)
+    assert phase1 >= 2
+
+
 def test_slack_budget_recovers_local_solution():
     """A bound nobody can reach leaves the local optimum untouched."""
     rng = np.random.default_rng(93)
@@ -225,8 +273,8 @@ def test_three_budget_rows_match_lp_or_certify_infeasibility():
             lam = exc.value.multipliers
             assert lam is not None and float(lam.min()) >= 0.0
             # independent check: min over strategies of lam . (C - b) > 0
-            cost = inst.rewards.scaled(0.0).minus_weighted(
-                [c.weights for c in inst.coupling], lam)
+            cost = minus_weighted(inst.rewards.scaled(0.0),
+                                  [c.weights for c in inst.coupling], lam)
             state, _ = value_iterate(inst.local_only(cost))
             margin = (-state.psi - (1.0 - inst.damping) * state.residual
                       - float(lam @ bounds))
@@ -486,8 +534,7 @@ def test_unreachable_budget_is_infeasible():
     with pytest.raises(Infeasible):
         lp_solve(lp_formulate(inst))
     # certify independently: even minimal spending exceeds the bound
-    cost = inst.rewards.scaled(0.0).minus_weighted(
-        [inst.coupling[0].weights], np.ones(1))
+    cost = minus_weighted(inst.rewards.scaled(0.0), [inst.coupling[0].weights], np.ones(1))
     state, _ = value_iterate(inst.local_only(cost))
     assert -state.psi > inst.coupling[0].bound
     # the dual route raises too, with the multipliers that certify it
