@@ -8,8 +8,9 @@ every optimal link subset, targets strictly below in none.  A strategy
 with no classification violations is therefore optimal, since its value
 vector then solves the improvement operator's fixed-point equation.
 
-The defect audit needs no bar: its defects are ``T(v) - v`` of the local
-solver's improvement operator ``T``, applied once at the chain's own ``v``.
+The defect audit needs no bar, so it takes per-link rewards too: its
+defects are ``T(v) - v`` of the local solver's improvement operator ``T``,
+applied once at the chain's own ``v``.
 """
 
 from __future__ import annotations
@@ -147,17 +148,16 @@ def continuous_optimality_check(instance, transition, tol=1e-7):
     a chain with all defects at most ``tol`` is optimal.  Works for both
     link subsets and weight-constrained pages.
 
-    With one reward per page, ``v = r + damping * S v``, so one sweep of
-    the improvement operator gives exactly that gain:
-    ``T(v)_i - v_i = damping * (best row . v - (S v)_i)``.  The defects
-    are ``max(T(v) - v, 0)``.
+    The chain's value is ``v = rbar + damping * S v``, with ``rbar`` each
+    row's mean reward under the chain, per page or per link alike, so one
+    sweep of the improvement operator gives exactly that gain:
+    ``T(v)_i - v_i`` is the best row's ``rbar + damping * row . v`` minus
+    the chain's own.  The defects are ``max(T(v) - v, 0)``.
 
     Returns
     -------
     (ok, defects) : (bool, ndarray)
     """
-    if not instance.rewards.is_per_page:
-        raise PerLinkRewards("the defect audit needs one reward per page")
     v = mean_reward_before_teleport(transition, instance.rewards,
                                     tol=AUDIT_V_TOL).v
     defects = np.maximum(CompiledBellman(instance, instance.rewards).apply(v) - v, 0.0)

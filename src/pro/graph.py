@@ -31,7 +31,8 @@ import numpy as np
 
 from . import polytopes
 from .errors import InvalidStrategy, ParseError, ValidationError
-from .sparse import RowSparse, _as_indices, _sort_coords, find_sorted, index_csr, locate, row_ids
+from .sparse import (RowSparse, _as_indices, _sort_coords, find_sorted, index_csr, locate,
+                     ranges, row_ids)
 
 STOCHASTIC_TOL = 1e-9
 STRATEGY_TOL = 1e-9
@@ -132,17 +133,26 @@ class WeightRows:
         lo, hi = np.searchsorted(self.banned, [page * n, page * n + n])
         return self.banned[lo:hi] - page * n
 
-    def box(self, page):
-        """Dense ``(lower, upper)`` bounds of a page's outlink row: the
-        floor (0 off the weight pages), and 1 off the banned targets, the
-        floor on them."""
-        cols, floor, _ = self._row(page)
-        lower = np.zeros(self.slack.size)
-        lower[cols] = floor
-        upper = np.ones(self.slack.size)
-        banned = self.banned_of(page)
-        upper[banned] = lower[banned]
+    def bounds(self, pages):
+        """Dense ``(lower, upper)`` bounds of the outlink rows of ``pages``,
+        one row each: the floor (0 off the weight pages), and 1 off the
+        banned targets, the floor on them."""
+        pages = np.asarray(pages, dtype=np.int64)
+        n = self.slack.size
+        k, hit = find_sorted(self.pages, pages)
+        lower = np.zeros((pages.size, n))
+        owner, pos = ranges(self.floor.indptr[k[hit]], self.floor.indptr[k[hit] + 1])
+        lower[np.flatnonzero(hit)[owner], self.floor.indices[pos]] = self.floor.data[pos]
+        upper = np.ones((pages.size, n))
+        owner, pos = ranges(*np.searchsorted(self.banned, [pages * n, pages * n + n]))
+        cols = self.banned[pos] - pages[owner] * n
+        upper[owner, cols] = lower[owner, cols]
         return lower, upper
+
+    def box(self, page):
+        """``bounds`` of one page, as two vectors."""
+        lower, upper = self.bounds([page])
+        return lower[0], upper[0]
 
     def default_choice(self, page):
         """Baseline choice of a weight page.
@@ -622,8 +632,9 @@ def _free_entries(instance, is_weight, pages, picked):
     ``STRATEGY_TOL / damping``, which is ``STRATEGY_TOL`` on the chain
     row.  Each row sums to one.  On a weight page the lift is at least
     ``-tol``, and at most ``tol`` on a banned target (every other cap is
-    1): closed form, for all of them at once.  Any other page is
-    separated against its outlink facets, page by page.
+    1): closed form, for all of them at once.  The other pages' rows are
+    separated against their outlink facets in one dense array, and the
+    error names the page of the worst violation.
     """
     n = instance.num_pages
     if not picked:
@@ -657,14 +668,16 @@ def _free_entries(instance, is_weight, pages, picked):
         k = int(np.argmax(off))
         raise InvalidStrategy(f"row for page {rows[k]} moves x[{cols[k]}] off its floor "
                               f"by {off[k]:.3e}")
-    ends = np.cumsum(sizes)
-    for k in np.flatnonzero(~is_weight[pages]):
-        row = np.zeros(n)
-        row[cols[ends[k] - sizes[k]:ends[k]]] = probs[ends[k] - sizes[k]:ends[k]]
-        verdict = polytopes.separate(_outlink_facets(instance, pages[k]), row, tol=tol)
+    link = ~is_weight[pages]
+    if link.any():
+        # the link pages' rows, scattered into one dense array
+        on = ~is_weight[rows]
+        dense = np.zeros((int(link.sum()), n))
+        dense[np.repeat(np.cumsum(link) - 1, sizes)[on], cols[on]] = probs[on]
+        verdict = polytopes.separate(instance_facets(instance, pages[link]), dense, tol=tol)
         if verdict.violated:
-            raise InvalidStrategy(f"row for page {pages[k]} violates {verdict.description} "
-                                  f"by {verdict.magnitude:.3e}")
+            raise InvalidStrategy(f"row for page {pages[link][verdict.page]} violates "
+                                  f"{verdict.description} by {verdict.magnitude:.3e}")
     return e_rows, np.concatenate([floor.indices, cols]), e_vals
 
 
@@ -700,8 +713,7 @@ def build_transition(instance, strategy=None):
     and a continuous row, ``floor + slack * probs`` clipped at 0 with
     zeros dropped, replaces its page's links.  One sort of all entries
     orders the CSR, finds repeated links and sums each floor entry with
-    the lift at its coordinate.  Only the check of a continuous row
-    against facets runs page by page.
+    the lift at its coordinate.
     """
     n = instance.num_pages
     choices = strategy.choices if strategy is not None else {}
@@ -784,22 +796,19 @@ def build_transition(instance, strategy=None):
                             RowSparse(n, n, indptr, cols, vals), deg == 0)
 
 
-def _outlink_facets(instance, page):
-    if page in instance.skeletons:
-        return polytopes.facets_box(*instance.skeletons.box(page))
-    return polytopes.facets_discrete(instance.obligatory_of(page),
-                                     instance.facultative_of(page),
-                                     instance.dangling_teleport,
-                                     instance.num_pages)
+def instance_facets(instance, pages):
+    """The outlink facet system of ``pages``: row k is page ``pages[k]``'s.
 
-
-def instance_facets(instance):
-    """Every page's outlink facet system, stacked in page order.
-
-    Returns ``(system, page)``: ``page[k]`` is the page that row ``k``
-    belongs to.  Columns stay page-local (``x[j]`` is the page's entry
-    for target j).
+    Built at once from the link CSR arrays, ``dangling_teleport`` and
+    the weight pages' ``bounds``.  Columns stay page-local (``x[j]`` is
+    the page's entry for target j).
     """
-    systems = [_outlink_facets(instance, i) for i in range(instance.num_pages)]
-    return (polytopes.stack_systems(systems),
-            np.repeat(np.arange(len(systems)), [s.coef.num_rows for s in systems]))
+    pages = np.asarray(pages, dtype=np.int64)
+    links = np.zeros((2, pages.size, instance.num_pages), dtype=bool)
+    for mask, indptr, indices in ((links[0], instance.obl_indptr, instance.obl_indices),
+                                  (links[1], instance.fac_indptr, instance.fac_indices)):
+        owner, pos = ranges(indptr[pages], indptr[pages + 1])
+        mask[owner, indices[pos]] = True
+    store = instance.skeletons
+    return polytopes.facet_tables(links[0], links[1], instance.dangling_teleport,
+                                  find_sorted(store.pages, pages)[1], *store.bounds(pages))

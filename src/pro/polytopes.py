@@ -10,12 +10,12 @@ greedy for the uniform family, water filling for the box.  Both are the
 sequential references for the vectorized sweep of
 ``solver_local.CompiledBellman``.
 
-A facet system is a set of arrays: a ``RowSparse`` of coefficients with
-one row per linear relation, and per row its relation, right-hand side
-and facet record.  It lives in outlink space, on rows of S; a caller
-holding a chain row ``P[i] = damping * S[i] + (1 - damping) * teleport``
-checks its outlink part.  ``separate`` checks a row against every
-relation at once.
+Every facet record bounds one coordinate, by a constant or relative to
+one anchor coordinate, so a facet system is a set of per-coordinate bound
+tables with one row per page (``FacetSystem``): one array build serves
+any set of pages and ``separate`` checks them all at once.  The tables
+live in outlink space, on rows of S; a caller holding a chain row ``P[i]
+= damping * S[i] + (1 - damping) * teleport`` checks its outlink part.
 """
 
 from __future__ import annotations
@@ -26,62 +26,66 @@ from typing import Optional
 import numpy as np
 
 from .errors import Infeasible
-from .sparse import RowSparse, segment_sums
+from .sparse import segment_sums
 
 SEPARATION_TOL = 1e-12
-
-# relation codes: row k reads ``rel[k] * (coef[k] . x - rhs[k]) <= 0`` for
-# the inequalities and ``coef[k] . x == rhs[k]`` for EQ
-EQ, LE, GE = 0, 1, -1
-_REL_TEXT = {EQ: "=", LE: "<=", GE: ">="}
 
 
 @dataclass(frozen=True)
 class FacetSystem:
-    """Facet records of one page's action set, plus the simplex equation.
+    """Facet records of the action sets of k pages, plus the simplex equation.
 
-    Row k is the relation ``coef[k] . x  rel[k]  rhs[k]``, with ``rel``
-    one of ``EQ``, ``LE``, ``GE``; ``record[k]`` numbers its facet
-    record, so the two sides of a bound share one record.  The last row
-    is the simplex equation, a record of its own; every other row touches
-    at most two coordinates.
+    ``anchor`` has one entry per page, the tables ``lo_a``, ``lo``,
+    ``hi_a`` and ``hi`` are (k, num_pages).  Coordinate j of page p is
+    one record, ``lo_a x[a] + lo <= x[j] <= hi_a x[a] + hi`` with ``a =
+    anchor[p]``; it is an equation where ``lo_a == hi_a`` and ``lo ==
+    hi``, and has no upper side where ``hi`` is infinite.  The simplex
+    equation is the last record, so a page has ``num_pages + 1``.
     """
 
-    coef: RowSparse
-    rel: np.ndarray
-    rhs: np.ndarray
-    record: np.ndarray
+    anchor: np.ndarray
+    lo_a: np.ndarray
+    lo: np.ndarray
+    hi_a: np.ndarray
+    hi: np.ndarray
 
     @property
     def num_pages(self):
-        return self.coef.num_cols
+        return self.lo.shape[1]
 
     @property
     def constraint_count(self):
-        return int(self.record[-1]) + 1
+        return self.num_pages + 1
 
-    def describe(self, k):
-        """Row ``k`` as text, coordinates ascending, e.g. ``-x[0] + x[2] <= 0``."""
-        terms = []
-        for i, c in zip(*self.coef.row_slice(k)):
-            if c == 1.0:
-                terms.append(f"x[{i}]")
-            elif c == -1.0:
-                terms.append(f"-x[{i}]")
-            else:
-                terms.append(f"{c:g}*x[{i}]")
-        lhs = " + ".join(terms).replace("+ -", "- ") if terms else "0"
-        return f"{lhs} {_REL_TEXT[int(self.rel[k])]} {self.rhs[k]:g}"
+    def describe(self, page, r, mass=1.0):
+        """Side ``r`` of a record of row ``page`` as text, coordinates
+        ascending, e.g. ``-x[0] + x[2] <= 0``: ``r < n`` is the lower side
+        of coordinate r, ``n <= r < 2n`` the upper side of coordinate
+        ``r - n`` (an equation reads the same from both), ``r == 2n`` the
+        simplex equation.  The right-hand side is lifted by ``mass``."""
+        n = self.num_pages
+        if r == 2 * n:
+            return " + ".join(f"x[{i}]" for i in range(n)) + f" = {mass:g}"
+        j = r % n
+        eq = self.lo_a[page, j] == self.hi_a[page, j] and self.lo[page, j] == self.hi[page, j]
+        coef, rhs = (self.hi_a, self.hi) if r >= n and not eq else (self.lo_a, self.lo)
+        terms, a = {j: 1.0}, int(self.anchor[page])
+        if coef[page, j] and a != j:
+            terms[a] = -coef[page, j]
+        lhs = " + ".join(f"x[{i}]" if c == 1.0 else f"-x[{i}]" if c == -1.0 else f"{c:g}*x[{i}]"
+                         for i, c in sorted(terms.items()))
+        rel = "=" if eq else "<=" if r >= n else ">="
+        return f"{lhs.replace('+ -', '- ')} {rel} {rhs[page, j] * mass:g}"
 
 
 @dataclass(frozen=True)
 class SeparationResult:
-    """``row`` is the index of the worst row, ``-1`` when none is violated."""
+    """``page`` is the row of the worst violation, ``-1`` when none is violated."""
 
     violated: bool
     magnitude: float
     description: str = "inside"
-    row: int = -1
+    page: int = -1
 
 
 @dataclass(frozen=True)
@@ -119,152 +123,113 @@ class MaximizeResult:
     support: Optional[tuple]
 
 
-def _system(n, col, rel, rhs, record, anchor=0, pair=None, pair_coef=-1.0):
-    """Rows ``x[col[k]] + pair_coef * x[anchor]  rel[k]  rhs[k]``.
-
-    The anchor term is present only where ``pair`` is set; ``pair_coef``
-    is one number or one per row.  The simplex equation is appended as
-    the last row and record.
-    """
-    m = col.size
-    if pair is None:
-        pair = np.zeros(m, dtype=bool)
-    indptr = np.zeros(m + 2, dtype=np.int64)
-    np.cumsum(1 + pair, out=indptr[1:m + 1])
-    indptr[m + 1] = indptr[m] + n
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.ones(indptr[-1])
-    first = indptr[:m]
-    lead = pair & (anchor < col)  # columns ascend within a row
-    indices[first] = np.where(lead, anchor, col)
-    data[first] = np.where(lead, pair_coef, 1.0)
-    second = first[pair] + 1
-    indices[second] = np.where(lead, col, anchor)[pair]
-    data[second] = np.where(lead, 1.0, pair_coef)[pair]
-    indices[indptr[m]:] = np.arange(n)
-    return FacetSystem(RowSparse(m + 1, n, indptr, indices, data),
-                       np.append(rel, EQ), np.append(rhs, 1.0),
-                       np.append(record, record[-1] + 1))
-
-
-def facets_discrete(obligatory, facultative, dangling_teleport, num_pages):
-    """Facet system of the convex hull of a discrete page's actions.
+def facet_tables(obligatory, facultative, dangling_teleport, box, lower, upper):
+    """Facet system of k pages' action sets, built for all of them at once.
 
     Parameters
     ----------
-    obligatory, facultative : sequences of int
-        The page's link partition; everything else is forbidden.
+    obligatory, facultative : ndarray of bool, shape (k, num_pages)
+        Each discrete page's link partition; everything else is forbidden.
     dangling_teleport : ndarray
         Fallback row used when no link is kept.
-    num_pages : int
+    box : ndarray of bool, shape (k,)
+        The box-with-simplex pages, whose rows ``lower`` and ``upper``
+        (k, num_pages) bound each coordinate; a cap of 1 is no cap.
 
     Returns
     -------
     FacetSystem
-        Outlink-space system with exactly ``num_pages + 1`` records.
 
     Notes
     -----
-    Three shapes arise.  With an obligatory anchor the hull is a product
-    of segments ``0 <= x[j] <= x[anchor]`` over facultative coordinates.
+    Three discrete shapes arise.  With an obligatory anchor the hull is a
+    product of segments ``0 <= x[j] <= x[anchor]`` over facultative
+    coordinates, with ``x[j] = x[anchor]`` on the other obligatory ones.
     Without obligatory links the no-link row joins the hull: if the
     fallback puts mass on some forbidden coordinate the hull is a simplex
-    with the fallback row as apex, otherwise it is the plain probability
-    simplex on the facultative coordinates.
+    with the fallback row as apex, ``x[j] = z[j]/z[anchor] x[anchor]``
+    off the links and ``>=`` on them, otherwise it is the plain
+    probability simplex on the facultative coordinates.  Forbidden
+    coordinates are 0 in all but the apex shape, and the anchor is only
+    held at 0 from below.
     """
-    n = num_pages
-    obligatory = np.sort(np.asarray(obligatory, dtype=np.int64))
-    facultative = np.sort(np.asarray(facultative, dtype=np.int64))
-    member = np.zeros(n, dtype=bool)
-    member[obligatory] = True
-    member[facultative] = True
-    forbidden = np.flatnonzero(~member)
-    f = facultative.size
-
-    if obligatory.size:
-        # x[j] = 0 off the links, x[j] = x[anchor] on the obligatory ones,
-        # 0 <= x[j] <= x[anchor] on the facultative ones, x[anchor] >= 0
-        anchor = obligatory[0]
-        k = forbidden.size + obligatory.size - 1
-        col = np.concatenate([forbidden, obligatory[1:],
-                              np.repeat(facultative, 2), [anchor]])
-        pair = np.zeros(col.size, dtype=bool)
-        pair[forbidden.size:k] = True
-        pair[k + 1:k + 2 * f:2] = True
-        rel = np.concatenate([np.full(k, EQ), np.tile([GE, LE], f), [GE]])
-        record = np.concatenate([np.arange(k), k + np.repeat(np.arange(f), 2),
-                                 [k + f]])
-        return _system(n, col, rel, np.zeros(col.size), record, anchor, pair)
-
+    k, n = obligatory.shape
     z = dangling_teleport
-    massed = forbidden[z[forbidden] > 0.0]
-    if massed.size:
-        # the fallback row is the apex: x[j] = z[j]/z[anchor] * x[anchor]
-        # off the links, >= on the facultative ones, x[anchor] >= 0
-        anchor = massed[0]
-        others = forbidden[forbidden != anchor]
-        col = np.concatenate([others, facultative, [anchor]])
-        pair = np.arange(col.size) < col.size - 1
-        rel = np.concatenate([np.full(others.size, EQ), np.full(f, GE), [GE]])
-        ratio = 1.0 / float(z[anchor])
-        return _system(n, col, rel, np.zeros(col.size), np.arange(col.size),
-                       anchor, pair, -z[col] * ratio)
+    b = box[:, None]
+    # a box page is a plain simplex on every target, then floored and capped
+    linked = obligatory | facultative | b
+    massed = ~linked & (z > 0.0)
+    anchored = obligatory.any(axis=1)
+    apex = ~anchored & massed.any(axis=1)
+    anchor = np.where(anchored, obligatory.argmax(axis=1), massed.argmax(axis=1))
+    # an apex page's ratios z[j] / z[anchor], rounded as z[j] * (1 / z[anchor]);
+    # 0 on the other pages
+    ratio = np.divide(1.0, z[anchor], out=np.zeros(k), where=apex)[:, None] * z
+    on = anchored[:, None]
+    lo_a = np.where(on, obligatory, ratio)
+    hi_a = np.where(on, linked, np.where(linked, 0.0, ratio))
+    hi = np.where(on | ~linked, 0.0, np.inf)
+    held = np.flatnonzero(anchored | apex)
+    lo_a[held, anchor[held]] = hi_a[held, anchor[held]] = 0.0
+    hi[held, anchor[held]] = np.inf
+    return FacetSystem(anchor, lo_a, np.where(b, lower, 0.0), hi_a,
+                       np.where(b & (upper < 1.0), upper, hi))
 
-    col = np.concatenate([forbidden, facultative])
-    rel = np.concatenate([np.full(forbidden.size, EQ), np.full(f, GE)])
-    return _system(n, col, rel, np.zeros(col.size), np.arange(col.size))
+
+def facets_discrete(obligatory, facultative, dangling_teleport, num_pages):
+    """Facet system of the convex hull of one discrete page's actions.
+
+    ``obligatory`` and ``facultative`` are the page's link partition,
+    ``dangling_teleport`` the fallback row used when no link is kept; the
+    one-page call of ``facet_tables``, with exactly ``num_pages + 1``
+    records.
+    """
+    links = np.zeros((2, 1, num_pages), dtype=bool)
+    links[0, 0, np.asarray(obligatory, dtype=np.int64)] = True
+    links[1, 0, np.asarray(facultative, dtype=np.int64)] = True
+    return facet_tables(links[0], links[1], dangling_teleport, np.zeros(1, dtype=bool),
+                        np.zeros((1, num_pages)), np.ones((1, num_pages)))
 
 
 def facets_box(lower, upper):
-    """Facet system of a box-with-simplex set, in outlink space.
-
-    Coordinate j is record j: ``x[j] >= lower[j]``, followed by
-    ``x[j] <= upper[j]`` where that cap is below 1.
-    """
-    n = lower.size
-    capped = upper < 1.0
-    col = np.repeat(np.arange(n), 1 + capped)
-    second = np.flatnonzero(capped) + np.cumsum(capped)[capped]
-    rel = np.full(col.size, GE)
-    rel[second] = LE
-    rhs = lower[col]
-    rhs[second] = upper[capped]
-    return _system(n, col, rel, rhs, col)
+    """Facet system of a box-with-simplex set, in outlink space:
+    ``x[j] >= lower[j]``, and ``x[j] <= upper[j]`` where that cap is
+    below 1; the one-page call of ``facet_tables``."""
+    none = np.zeros((1, lower.size), dtype=bool)
+    return facet_tables(none, none, np.zeros(lower.size), np.ones(1, dtype=bool),
+                        lower[None, :], upper[None, :])
 
 
-def stack_systems(systems):
-    """One facet system holding the rows of ``systems`` in order.
-
-    All systems must share the column count; each keeps its own record
-    numbers.
-    """
-    nnz = np.cumsum([0] + [s.coef.nnz for s in systems[:-1]])
-    coef = RowSparse(sum(s.coef.num_rows for s in systems), systems[0].num_pages,
-                     np.concatenate([[0]] + [s.coef.indptr[1:] + k
-                                             for s, k in zip(systems, nnz)]),
-                     np.concatenate([s.coef.indices for s in systems]),
-                     np.concatenate([s.coef.data for s in systems]))
-    return FacetSystem(coef, *(np.concatenate([getattr(s, f) for s in systems])
-                               for f in ("rel", "rhs", "record")))
-
-
-def separate(system, x, tol=SEPARATION_TOL):
-    """Check membership of ``x``; report the most violated constraint.
+def separate(system, x, tol=SEPARATION_TOL, mass=1.0):
+    """Check each row of ``x`` (a 1-d ``x`` is one row) against its page's
+    records in ``system``, their constants lifted by the row's ``mass``.
 
     Returns
     -------
     SeparationResult
-        ``violated`` is False when every row holds within ``tol``;
-        otherwise ``magnitude`` is the largest violation and
-        ``description`` the first row attaining it.
+        ``violated`` is False when every record holds within ``tol``;
+        otherwise ``magnitude`` is the largest violation, ``page`` its
+        row and ``description`` the first record side attaining it: rows
+        in order, in each the lower sides, the upper sides, the simplex
+        equation.
     """
-    gap = system.coef.rightmul(x) - system.rhs
-    viol = np.where(system.rel == EQ, np.abs(gap), np.maximum(system.rel * gap, 0.0))
-    k = int(np.argmax(viol))
-    worst = float(viol[k])
+    x = np.atleast_2d(x)
+    k, n = x.shape
+    m = np.broadcast_to(np.asarray(mass, dtype=float), (k,))[:, None]
+    xa = x[np.arange(k), system.anchor][:, None]
+    capped = np.isfinite(system.hi)
+    viol = np.zeros((k, 2 * n + 1))
+    viol[:, :n] = system.lo_a * xa + system.lo * m - x
+    np.subtract(x - system.hi_a * xa, np.where(capped, system.hi, 0.0) * m,
+                out=viol[:, n:2 * n], where=capped)
+    # each row summed in index order, as a sparse row product sums
+    viol[:, 2 * n] = np.abs(np.add.reduceat(x.ravel(), np.arange(0, k * n, n)) - m[:, 0])
+    np.maximum(viol, 0.0, out=viol)
+    page, r = divmod(int(np.argmax(viol)), 2 * n + 1)
+    worst = float(viol[page, r])
     if worst <= tol:
         return SeparationResult(False, worst)
-    return SeparationResult(True, worst, system.describe(k), k)
+    return SeparationResult(True, worst, system.describe(page, r, m[page, 0]), page)
 
 
 def greedy_uniform_support(base_sum, base_count, candidates, scores):

@@ -554,10 +554,11 @@ def check_occupation(instance, rho, tol=1e-7):
     Checks to within ``tol``: unit mass, flow balance, ``rho >= 0`` and
     the budget rows.  Each page's outlink part ``sigma_i = (rho_i - (1 -
     alpha) m_i z) / alpha``, with ``m_i = sum(rho_i)``, must then meet
-    the page's outlink facets lifted by its mass, ``a . sigma_i rel rhs *
-    m_i``, to within ``tol / alpha``.  The facet rows of all pages are
-    checked at once (``graph.instance_facets``); the error names the page
-    and the worst row.
+    the page's outlink facets with their constants lifted by its mass,
+    ``lo_a sigma_ia + lo m_i <= sigma_ij <= hi_a sigma_ia + hi m_i`` and
+    ``sum(sigma_i) = m_i``, to within ``tol / alpha``.  All pages' facet
+    tables are checked at once (``graph.instance_facets``); the error
+    names the page and the worst record.
     """
     n = instance.num_pages
     alpha = instance.damping
@@ -570,13 +571,7 @@ def check_occupation(instance, rho, tol=1e-7):
     if worst > tol:
         raise ProError(f"occupation measure violates constraints by {worst:.3e}")
     sigma = (rho - (1.0 - alpha) * mass[:, None] * instance.teleport) / alpha
-    system, page = instance_facets(instance)
-    system = replace(system, rhs=system.rhs * mass[page])
-    # row k reads sigma[page[k]]: one flat gather through the page-local columns
-    flat = replace(system.coef, num_cols=n * n,
-                   indices=page[row_ids(system.coef.indptr)] * n + system.coef.indices)
-    verdict = separate(replace(system, coef=flat), sigma.ravel(), tol / alpha)
+    verdict = separate(instance_facets(instance, np.arange(n)), sigma, tol / alpha, mass)
     if verdict.violated:
-        k = verdict.row
-        raise ProError(f"row {page[k]} of the occupation measure violates "
-                       f"{system.describe(k)} by {verdict.magnitude:.3e}")
+        raise ProError(f"row {verdict.page} of the occupation measure violates "
+                       f"{verdict.description} by {verdict.magnitude:.3e}")

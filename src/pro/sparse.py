@@ -114,6 +114,17 @@ def row_ids(indptr):
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
+def ranges(starts, ends):
+    """``(owner, pos)`` of the index ranges ``[starts[k], ends[k])``, laid
+    end to end: ``pos`` runs through each range in turn and ``owner[t]``
+    is the k whose range holds ``pos[t]``.  With ``indptr[rows]`` and
+    ``indptr[rows + 1]`` these are the entries of some rows of a CSR
+    pattern."""
+    counts = ends - starts
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
 def locate(indptr, indices, num_cols, rows, cols):
     """Find the coordinates ``(rows[k], cols[k])`` in a CSR pattern.
 

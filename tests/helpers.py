@@ -12,7 +12,6 @@ import numpy as np
 
 from pro.graph import Rewards, WebGraphInstance, WeightRows, load_instance
 from pro.oracle import chain_utility, exact_stationary
-from pro.polytopes import EQ
 from pro.sparse import add_sparse, index_csr
 
 
@@ -361,17 +360,30 @@ def weight_web_doc(rng, n, skeletons):
 def facet_vertices(system, tol=1e-8):
     """Vertices of a facet system by exhaustive basis enumeration.
 
-    Collects the equality rows, then tries every subset of inequality
-    rows large enough to pin the remaining degrees of freedom.  Bases
-    are solved in batches; solutions must satisfy every constraint.
+    Reads the first page of the tables by their documented meaning
+    alone: coordinate j is the row ``x[j] - lo_a x[a]`` with ``a`` the
+    anchor, an equation ``= lo`` where ``lo_a == hi_a`` and ``lo == hi``,
+    otherwise ``>= lo``, plus ``x[j] - hi_a x[a] <= hi`` where ``hi`` is
+    finite; then the simplex equation.  Collects the equality rows, then
+    tries every subset of inequality rows large enough to pin the
+    remaining degrees of freedom.  Bases are solved in batches;
+    solutions must satisfy every constraint.
     """
     n = system.num_pages
-    rows = system.coef.to_dense()
-    is_eq = system.rel == EQ
-    eq, erhs = rows[is_eq], system.rhs[is_eq]
-    # LE rows as they stand, GE rows negated into <= form
-    sign = system.rel[~is_eq].astype(float)
-    ub, urhs = sign[:, None] * rows[~is_eq], sign * system.rhs[~is_eq]
+    lo_a, lo, hi_a, hi = (t[0] for t in (system.lo_a, system.lo, system.hi_a, system.hi))
+
+    def rows(coef):
+        out = np.eye(n)
+        out[:, int(system.anchor[0])] -= coef
+        return out
+
+    is_eq = (lo_a == hi_a) & (lo == hi)
+    eq = np.vstack([rows(lo_a)[is_eq], np.ones(n)])
+    erhs = np.append(lo[is_eq], 1.0)
+    # >= rows negated into <= form, then the finite <= rows
+    capped = ~is_eq & np.isfinite(hi)
+    ub = np.vstack([-rows(lo_a)[~is_eq], rows(hi_a)[capped]])
+    urhs = np.concatenate([-lo[~is_eq], hi[capped]])
     rank_eq = int(np.linalg.matrix_rank(eq)) if eq.size else 0
     free = n - rank_eq
     if eq.shape[0] != rank_eq:

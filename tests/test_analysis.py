@@ -160,7 +160,22 @@ def test_continuous_defect_check():
             assert float(defects_other.max()) > 1e-7
 
 
-def test_defect_check_rejects_per_link_rewards():
+def test_defect_check_audits_per_link_rewards():
+    # v = rbar + damping * S v holds for per-link rewards too, so T(v) - v
+    # is still each page's improvement: the optimum passes and a strictly
+    # worse strategy is flagged
+    rng = np.random.default_rng(2024)
+    flagged = 0
+    for _ in range(150):
+        inst = load_instance(random_discrete_doc(rng))
+        assert not inst.rewards.is_per_page
+        state, strat = value_iterate(inst)
+        ok, _ = continuous_optimality_check(inst, build_transition(inst, strat))
+        assert ok
+        other = random_strategy(rng, inst)
+        if exact_utility(inst, other) < state.psi - 1e-6:
+            ok_other, _ = continuous_optimality_check(inst, build_transition(inst, other))
+            assert not ok_other
+            flagged += 1
+    assert flagged >= 100, flagged
     inst = two_page_instance()
-    with pytest.raises(PerLinkRewards):
-        continuous_optimality_check(inst, build_transition(inst, None))

@@ -390,6 +390,23 @@ def test_free_rows_on_link_pages_keep_the_chain_space_tolerance():
                 build_transition(inst, strat)
 
 
+def test_free_rows_on_link_pages_are_checked_together():
+    # page 0 keeps 0->1 and may add 0->2; page 1 keeps 1->2 only, so its
+    # one row is e_2.  All free rows are separated at once, and the error
+    # names the page of the worst violation, not the first violating page
+    doc = {"num_pages": 3, "damping": 0.8, "teleport": "uniform",
+           "obligatory": [[0, 1], [1, 2]], "facultative": [[0, 2]],
+           "rewards": {"type": "per_page", "values": [0.0, 1.0, 0.5]}}
+    inst = load_instance(doc)
+    inside = ContinuousChoice((1, 2), (0.5, 0.5))
+    build_transition(inst, Strategy({0: inside, 1: ContinuousChoice((2,), (1.0,))}))
+    off = ContinuousChoice((0, 2), (0.3, 0.7))  # x[0] = 0.3 on page 1
+    for first in (inside, ContinuousChoice((1, 2), (0.45, 0.55))):  # x[2] > x[1] by 0.1
+        with pytest.raises(InvalidStrategy,
+                           match=r"row for page 1 violates x\[0\] = 0 by 3\.000e-01"):
+            build_transition(inst, Strategy({0: first, 1: off}))
+
+
 def test_weight_strategy_has_one_entry_per_page_and_round_trips():
     # the shape of the web-weights benchmark: 3,000 pages, 30 dense skeletons
     inst = load_instance(weight_web_doc(np.random.default_rng(3020), 3000, 30))
