@@ -25,6 +25,9 @@ from .sparse import row_ids, segment_sums
 
 DENSE_CAP = 2000
 
+# L1 error of a stationary measure that ``stationary`` accepts by default
+STATIONARY_TOL = 1e-12
+
 # Systems on at most this many pages start from one dense solve.  OpenBLAS
 # solves n x n on one thread while n * n < 10000; above, with its pool
 # unpinned on a loaded 2-core host, a few of 200 solves of 100-200 pages
@@ -90,7 +93,7 @@ class MeanRewardVector:
     residual: float
 
 
-def stationary(transition, tol=1e-12, max_iter=None, pi0=None):
+def stationary(transition, tol=STATIONARY_TOL, max_iter=None, pi0=None):
     """Power iteration for the stationary measure, started at the dense
     solution of ``(I - damping S^T) pi = (1 - damping) teleport`` up to
     ``DENSE_EVAL_CAP`` pages and at ``pi0`` or the teleport vector above.

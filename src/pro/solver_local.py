@@ -390,16 +390,11 @@ class CompiledBellman:
         s = np.where(self.use_nl[at], self.hang[col], s)
         return trans, self.alpha * s + (1.0 - self.alpha) * self.z[col]
 
-    def evaluate(self, x0, tol, max_iter):
-        """Value ``v = rbar + damping * S v`` of the last sweep's policy,
-        by ``chain.policy_value``.  A repeated policy was solved densely
-        one step ago, and a second solve would only return that step's
-        vector, so ``x0`` is kept: the loop then goes on as value
-        iteration, whose bracket shrinks past the solve's rounding.
-        """
+    def policy(self):
+        """The last sweep's policy as ``(rbar, apply_s, dense_s)``: its
+        reward vector, ``apply_s(v) = S v`` and the dense ``dense_s()``, the
+        system ``v = rbar + damping * S v`` of ``chain.policy_value``."""
         n, alpha, hang, use_nl = self.n, self.alpha, self.hang, self.use_nl
-        if n <= DENSE_EVAL_CAP and self.repeated:
-            return x0
         rows, cols, weights, rewards = self._entries()
         rbar = np.bincount(rows, weights * rewards, minlength=n).astype(float, copy=False)
         rbar[use_nl] = self.no_link_base[use_nl]
@@ -411,11 +406,24 @@ class CompiledBellman:
             return sv
 
         def dense_s():
-            s = np.bincount(rows * n + cols, weights, minlength=n * n).reshape(n, n)
+            s = np.bincount(rows * n + cols, weights, minlength=n * n).astype(float, copy=False)
+            s = s.reshape(n, n)
             s[use_nl] = hang
             return s
 
-        return policy_value(rbar, alpha, apply_s, dense_s, x0, tol, max_iter)[0]
+        return rbar, apply_s, dense_s
+
+    def evaluate(self, x0, tol, max_iter):
+        """Value ``v = rbar + damping * S v`` of the last sweep's policy,
+        by ``chain.policy_value``.  A repeated policy was solved densely
+        one step ago, and a second solve would only return that step's
+        vector, so ``x0`` is kept: the loop then goes on as value
+        iteration, whose bracket shrinks past the solve's rounding.
+        """
+        if self.n <= DENSE_EVAL_CAP and self.repeated:
+            return x0
+        rbar, apply_s, dense_s = self.policy()
+        return policy_value(rbar, self.alpha, apply_s, dense_s, x0, tol, max_iter)[0]
 
     def extract(self, w):
         """Strategy attaining ``T(w)``, page by page."""
@@ -430,7 +438,7 @@ class CompiledBellman:
         return Strategy(choices)
 
 
-def value_iterate(instance, config=None, w0=None, bellman=None):
+def value_iterate(instance, config=None, w0=None, bellman=None, evaluate=None):
     """Policy iteration for the best local strategy.
 
     Each step sweeps the improvement operator once at ``w``; the sweep's
@@ -455,6 +463,9 @@ def value_iterate(instance, config=None, w0=None, bellman=None):
     bellman : CompiledBellman, optional
         An operator of ``instance`` whose rewards the caller has set
         (``CompiledBellman.reprice``); they replace ``instance.rewards``.
+    evaluate : callable, optional
+        Replaces ``bellman.evaluate`` (same arguments, rescaled units)
+        between sweeps; the next sweep's bracket certifies what it returns.
 
     Returns
     -------
@@ -482,6 +493,7 @@ def value_iterate(instance, config=None, w0=None, bellman=None):
         scale = max(1.0, instance.rewards.max_abs())
         bellman = CompiledBellman(instance, instance.rewards.scaled(1.0 / scale), scale)
     comp, scale = bellman, bellman.scale
+    evaluate = evaluate or comp.evaluate
     tol = config.tol / scale
     theta = tol * (1.0 - alpha) / alpha
     budget = iteration_budget(alpha, min(theta / (2.0 / (1.0 - alpha)), 0.5)) + 10
@@ -489,7 +501,7 @@ def value_iterate(instance, config=None, w0=None, bellman=None):
     w = np.zeros(instance.num_pages) if w0 is None else np.asarray(w0, dtype=float) / scale
     w, done, bound, converged = span_iterate(
         comp.apply, w, alpha, tol, max_iter,
-        between=lambda x, b: comp.evaluate(x, max(tol, EVAL_SHARE * b), budget),
+        between=lambda x, b: evaluate(x, max(tol, EVAL_SHARE * b), budget),
         floor=ROUNDING / (1.0 - alpha))
     allowance = ROUNDING / (1.0 - alpha) * (1.0 + float(np.abs(w).max()))
     stop = ("max_iter" if not converged else "rounding" if bound > tol

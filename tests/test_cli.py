@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pro
-from helpers import two_page_coupled_doc, two_page_doc, weight_web_doc
+from helpers import random_discrete_doc, two_page_coupled_doc, two_page_doc, weight_web_doc
 from pro import graph
 from pro.cli import main
 from pro.errors import ValidationError
@@ -229,6 +229,18 @@ def test_analyze_optimal_versus_default(tmp_path, capsys):
     assert env["status"] == "qualified"
     assert env["result"]["violations"]
     assert all(v["problem"] == "missing" for v in env["result"]["violations"])
+
+
+def test_analyze_per_link_rewards_keeps_the_defect_audit(tmp_path, capsys):
+    # the ordering audit needs per-page rewards; it is skipped, and the
+    # defect audit is still reported
+    doc = random_discrete_doc(np.random.default_rng(3))
+    assert doc["rewards"]["type"] == "per_link"
+    code, env = _run(capsys, ["analyze", _write(tmp_path, "g.json", doc)])
+    assert code in (0, 2)
+    assert env["result"]["ordering"].startswith("skipped")
+    assert isinstance(env["result"]["optimal"], bool)
+    assert env["result"]["max_defect"] >= 0.0
 
 
 def test_verify_local_match(tmp_path, capsys):

@@ -25,7 +25,7 @@ from helpers import (
     two_page_coupled_instance,
     two_page_instance,
 )
-from pro.chain import occupation, stationary, utility_from_chain
+from pro.chain import DENSE_EVAL_CAP, STATIONARY_TOL, occupation, stationary, utility_from_chain
 from pro.errors import Infeasible, ProError, TooLarge, ValidationError
 from pro.graph import CouplingRow, Rewards, build_transition, load_instance
 from pro.oracle import brute_force_optimum, chain_utility, exact_stationary
@@ -224,6 +224,87 @@ def test_one_compile_per_coupled_run(monkeypatch):
         np.testing.assert_allclose(pi, res.best_feasible.pi, atol=1e-10)
         assert income == pytest.approx(res.best_feasible.value, abs=1e-10)
     assert phase1 >= 2
+
+
+def test_eliminated_columns_match_exact_chains():
+    # with 0 < |F| <= DENSE_EVAL_CAP fixed pages, each column's measure,
+    # income and spending come from solves on the controlled pages; they
+    # must agree with a dense solve of the full chain within the certified
+    # L1 bound on pi, and the eliminated evaluation keeps the dual bound
+    # an upper bound on the LP optimum
+    rng = np.random.default_rng(96)
+    for n in (20, 40, 60, 80, 100):
+        inst = load_instance(add_active_coupling(link_web_doc(rng, n, 5, 20), rng))
+        res = solve_coupled(inst)
+        _, lp_value = lp_solve(lp_formulate(inst))
+        assert res.dual_bound >= lp_value - 1e-9 * max(1.0, abs(lp_value)), n
+        run = solver_coupled._Run(inst)
+        assert run.reduced and 0 < run.fixed.size <= DENSE_EVAL_CAP
+        for it in res.iterates:
+            col = dual_value(inst, it.multipliers, run=run)
+            pi, income, spend = _exact(inst, col.strategy)
+            assert float(np.abs(col.pi - pi).sum()) <= STATIONARY_TOL, n
+            scale = max(inst.rewards.max_abs(), inst.coupling[0].weights.max_abs())
+            assert abs(col.primal_value - income) <= STATIONARY_TOL * scale, n
+            np.testing.assert_allclose(col.coupling_values, spend, rtol=0,
+                                       atol=STATIONARY_TOL * scale)
+
+
+def _count_column_work(monkeypatch):
+    """Count compiles, ``CompiledBellman.chain`` calls and ``stationary``
+    calls made outside ``_mixture``."""
+    calls = {"compile": 0, "chain": 0, "stationary": 0}
+    inside = []
+    init, chain_of, mixture = CompiledBellman.__init__, CompiledBellman.chain, solver_coupled._mixture
+    stat = solver_coupled.stationary
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += not (name == "stationary" and inside)
+            return fn(*args, **kw)
+        return wrapper
+
+    def in_mixture(*args, **kw):
+        inside.append(1)
+        try:
+            return mixture(*args, **kw)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(CompiledBellman, "__init__", counted("compile", init))
+    monkeypatch.setattr(CompiledBellman, "chain", counted("chain", chain_of))
+    monkeypatch.setattr(solver_coupled, "stationary", counted("stationary", stat))
+    monkeypatch.setattr(solver_coupled, "_mixture", in_mixture)
+    return calls
+
+
+def test_which_runs_eliminate_the_fixed_pages(monkeypatch):
+    calls = _count_column_work(monkeypatch)
+    rng = np.random.default_rng(97)
+    cases = [
+        # 95 fixed pages: the columns never build a chain
+        (link_web_doc(rng, 100, 5, 20), True),
+        # no fixed page: every page is a weight page
+        (random_continuous_doc(rng, n_max=20), False),
+        # 115 fixed pages, above the cap
+        (link_web_doc(rng, 120, 5, 15), False),
+        # 30 fixed pages but 120 controlled ones, above the cap
+        (link_web_doc(rng, 150, 120, 2), False),
+    ]
+    for doc, reduced in cases:
+        inst = load_instance(add_active_coupling(doc, rng))
+        assert solver_coupled._Run(inst).reduced == reduced
+        calls.update(dict.fromkeys(calls, 0))
+        res = solve_coupled(inst, CoupledConfig(max_outer=300))
+        assert calls["compile"] == 1
+        if reduced:
+            assert calls["chain"] == calls["stationary"] == 0
+        else:
+            # one chain and one stationary solve per new column
+            assert 1 <= calls["chain"] == calls["stationary"] <= res.iterations + 1
+        pi, income, _ = _exact(inst, res.best_feasible.strategy)
+        np.testing.assert_allclose(pi, res.best_feasible.pi, atol=1e-10)
+        assert income == pytest.approx(res.best_feasible.value, abs=1e-10)
 
 
 def test_slack_budget_recovers_local_solution():
