@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -170,8 +171,10 @@ def _cmd_optimize_coupled(args):
     res = solve_coupled(inst, CoupledConfig(tol=args.tol, max_outer=args.max_outer))
     result = {
         "dual_bound": res.dual_bound,
-        "gap": res.gap,
+        # unbounded when no feasible income was found; JSON has no Infinity
+        "gap": res.gap if math.isfinite(res.gap) else None,
         "iterations": res.iterations,
+        "master_pivots": sum(res.master_pivots),
         "stop_reason": res.stop_reason,
         "best_feasible": None,
         "candidate": None,

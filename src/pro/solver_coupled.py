@@ -22,9 +22,7 @@ route.
 
 from __future__ import annotations
 
-import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -46,11 +44,12 @@ INNER = SolverConfig(tol=1e-9)
 # no bans and one budget row, 143 rows by 141 * 141 columns, 1 slack, 143
 # artificials and the right-hand side
 LP_CELL_CAP = 143 * (141 * 141 + 1 + 143 + 1)
-# The master enumerates every basis of its K + 1 rows; 100,000 bases (447
-# columns with one row, 40 with three, 22 with five) take 0.3-0.4 s and 10-51 MB.
-MASTER_BASIS_CAP = 100_000
-# basic solutions are accepted to this share of the master's largest entry
+# the master's bases are certified to this share of its largest entry
 MASTER_TOL = 1e-12
+# rank-one updates of the master's B^-1 between refactorizations
+MASTER_REFACTOR = 8
+# pivots of one master solve, a guard against cycling in floating point
+MASTER_MAX_PIVOTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -81,13 +80,20 @@ class DualIterate:
 class CoupledConfig:
     """Outer-loop knobs.
 
-    ``tol`` is the relative gap between the dual bound and the master
-    value at which the loop stops; ``max_outer`` caps the ``dual_value``
-    calls.  Every local solve runs with ``INNER``.
+    ``tol`` (finite, nonnegative) is the relative gap between the dual
+    bound and the master value at which the loop stops; ``max_outer``
+    (at least 1) caps the ``dual_value`` calls.  Every local solve runs
+    with ``INNER``.
     """
 
     tol: float = 1e-6
     max_outer: int = 200
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValidationError(f"tol must be finite and nonnegative, got {self.tol}")
+        if self.max_outer < 1:
+            raise ValidationError(f"max_outer must be at least 1, got {self.max_outer}")
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,8 @@ class CoupledResult:
     numbers: ``strategy`` and ``pi`` are ``None``, and so is the inner
     ``DpState``'s value vector ``w``.  ``stop_reason`` is "gap" (the
     bound met the master value to ``tol``), "stalled" (a local solve
-    brought no new column) or "max_outer".
+    brought no new column) or "max_outer".  ``master_pivots`` holds, per
+    ``dual_value`` call, the master's pivots until the next one.
     """
 
     dual_bound: float
@@ -137,6 +144,7 @@ class CoupledResult:
     gap: float
     iterations: int
     stop_reason: str
+    master_pivots: tuple
 
 
 class _Run:
@@ -302,7 +310,7 @@ def dual_value(instance, multipliers, inner=None, w0=None, run=None):
     instance : WebGraphInstance
         Must carry at least one coupling row.
     multipliers : ndarray
-        Nonnegative, one entry per coupling row.
+        Finite and nonnegative, one entry per coupling row.
     inner : SolverConfig, optional
         ``INNER`` when omitted.
     w0 : ndarray, optional
@@ -316,70 +324,172 @@ def dual_value(instance, multipliers, inner=None, w0=None, run=None):
         raise ValidationError("instance has no coupling rows")
     if lam.shape != (k,):
         raise ValidationError(f"expected {k} multipliers, got shape {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise ValidationError("multipliers must be finite")
     if lam.size and float(lam.min()) < 0.0:
         raise ValidationError("multipliers must be nonnegative")
     return (run or _Run(instance)).price(1.0, lam, inner or INNER, w0)
 
 
-_Master = collections.namedtuple("_Master", "mu lam value")
+class _Master:
+    """The mixture program of one run, kept optimal by a revised simplex.
 
+    Its K + 1 rows are ``sum mu_t C_t + s - f 1 = b`` and ``sum mu_t =
+    1``; its columns are the K slacks ``s``, the shortfall ``f`` and one
+    ``mu_t`` per policy, in that order, all nonnegative.  Phase 1
+    maximizes ``-f``: its duals (``sum lam <= 1``) price the least
+    worst-row overshoot of any mixture.  Once ``f`` reaches zero it
+    leaves the basis for good, and phase 2 maximizes ``sum mu_t U_t``
+    from the same basis.  Columns are only added, so each ``solve`` goes
+    on from the last optimal basis (Dantzig and Wolfe, 1960).
 
-def _master(income, spending, bounds):
-    """Optimal basis of the mixture program over the columns found so far.
-
-    The program is ``max sum mu_t U_t`` subject to ``sum mu_t C_t + s =
-    b``, ``sum mu_t = 1`` and ``mu, s >= 0``.  Phase 1 (``income`` is
-    ``None``) zeroes the incomes and adds a shortfall column (-1 in every
-    budget row, income -1); its duals (``sum lam <= 1``) price the least
-    worst-row overshoot of any mixture.  All bases of the K + 1 rows are
-    solved in one batched ``np.linalg.solve``.  The best feasible one
-    gives ``mu``; among those reaching its value, the one with the least
-    positive reduced cost gives ``lam``, which at an optimal basis
-    minimizes the cut model ``max_t U_t + lam . (b - C_t)``.  ``None``
-    means no basis is feasible.
-
-    Raises
-    ------
-    TooLarge
-        Above ``MASTER_BASIS_CAP`` bases.
+    The entering column has the largest reduced cost, or the first
+    positive one after a degenerate pivot (Bland's rule, which cannot
+    cycle).  Each pivot updates ``B^-1`` by a rank-one (eta) step; it is
+    refactored every ``MASTER_REFACTOR`` pivots, and when ``B x_B``
+    drifts from ``b``, which the certificate ending each ``solve`` checks.
     """
-    t, k = spending.shape
-    phase1 = income is None
-    a = np.zeros((k + 1, t + k + phase1))
-    a[:k, :t] = spending.T
-    a[k, :t] = 1.0
-    a[:k, t:t + k] = np.eye(k)
-    cost = np.zeros(a.shape[1])
-    if phase1:
-        a[:k, -1] = -1.0
-        cost[-1] = -1.0
-    else:
-        cost[:t] = income
-    rhs = np.append(bounds, 1.0)
-    count = math.comb(a.shape[1], k + 1)
-    if count > MASTER_BASIS_CAP:
-        raise TooLarge(f"master has {count} bases; the cap is {MASTER_BASIS_CAP}")
-    bases = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(range(a.shape[1]), k + 1)),
-        dtype=np.intp, count=count * (k + 1)).reshape(count, k + 1)
-    mats = a[:, bases].transpose(1, 0, 2)
-    keep = np.linalg.det(mats) != 0.0
-    bases, mats = bases[keep], mats[keep]
-    x = np.linalg.solve(mats, rhs[:, None])[..., 0]
-    tol = MASTER_TOL * max(1.0, np.abs(a).max(), np.abs(cost).max(), np.abs(rhs).max())
-    resid = np.abs(np.einsum("bij,bj->bi", mats, x) - rhs).max(axis=1)
-    ok = (x.min(axis=1) >= -tol) & (resid <= tol)
-    if not ok.any():
-        return None
-    values = np.einsum("bj,bj->b", cost[bases], x)
-    top = np.flatnonzero(ok & (values >= values[ok].max() - tol))
-    y = np.linalg.solve(mats[top].transpose(0, 2, 1), cost[bases[top]][..., None])[..., 0]
-    best = int(np.argmin((cost - y @ a).max(axis=1)))
-    cols, xb = bases[top[best]], x[top[best]]
-    mu = np.zeros(t)
-    mu[cols[cols < t]] = np.maximum(xb[cols < t], 0.0)
-    mu /= mu.sum()
-    return _Master(mu, np.maximum(y[best, :k], 0.0), float(mu @ cost[:t]))
+
+    def __init__(self, bounds):
+        self.k = k = bounds.size
+        self.rhs = np.append(bounds, 1.0)
+        # the n columns in use lead arrays that double when full
+        self.n = k + 1
+        self.a = np.zeros((k + 1, 2 * self.n))
+        self.a[:k, :k + 1] = np.hstack([np.eye(k), -np.ones((k, 1))])
+        self.income = np.zeros(2 * self.n)
+        self.shortfall = np.zeros(2 * self.n)  # the phase-1 costs
+        self.shortfall[k] = -1.0
+        self.tol = MASTER_TOL * max(1.0, float(np.abs(self.rhs).max()))
+        self.phase1, self.basis, self.pivots = True, None, 0
+
+    def add(self, income, spending):
+        """Append one policy's column; the first one also sets the basis:
+        ``mu = 1`` with the shortfall, if any, in the most overspent row."""
+        if self.n == self.income.size:
+            self.a, self.income, self.shortfall = (np.concatenate([v, np.zeros_like(v)], axis=-1)
+                                                   for v in (self.a, self.income, self.shortfall))
+        col = [*spending.tolist(), 1.0]
+        self.a[:, self.n] = col
+        self.income[self.n] = income
+        self.n += 1
+        self.tol = max(self.tol, MASTER_TOL * max(abs(income), *map(abs, col)))
+        if self.basis is None:
+            over = spending - self.rhs[:-1]
+            self.basis = np.append(np.arange(self.k), self.k + 1)
+            if over.max() > 0.0:
+                self.basis[over.argmax()] = self.k
+            self._refactor()
+
+    def _refactor(self):
+        self.binv, self.etas = np.linalg.inv(self.a[:, self.basis]), 0
+
+    def _pivot(self, r, q, u):
+        """Column ``q`` replaces basic row ``r``; ``u = B^-1 a_q``."""
+        row = self.binv[r] / u[r]
+        self.binv -= u[:, None] * row
+        self.binv[r] = row
+        self.basis[r] = q
+        self.pivots += 1
+        self.etas += 1
+        if self.etas >= MASTER_REFACTOR:
+            self._refactor()
+
+    def _prices(self):
+        """``c_B``, ``x_B``, the duals ``y`` and every reduced cost."""
+        cost = (self.shortfall if self.phase1 else self.income)[:self.n]
+        c_b = cost[self.basis]
+        y = c_b @ self.binv
+        d = cost - y @ self.a[:, :self.n]
+        if not self.phase1:
+            d[self.k] = 0.0  # the shortfall never re-enters
+        return c_b, self.binv @ self.rhs, y, d
+
+    def _optimize(self):
+        """Pivot to an optimal basis of the phase; returns the last
+        ``_prices``.  Only a wrong ``B^-1`` can leave no leaving row or
+        run out of pivots, and then the certificate fails."""
+        bland = False
+        for _ in range(MASTER_MAX_PIVOTS):
+            prices = self._prices()
+            d = prices[3].copy()
+            d[self.basis] = 0.0
+            q = int((d > self.tol).argmax() if bland else d.argmax())
+            if d[q] <= self.tol:
+                break
+            u = self.binv @ self.a[:, q]
+            # least ratio, then the largest pivot (Bland: the lowest column)
+            ratios = [(max(xi, 0.0) / ui, bi if bland else -ui, i) for i, (xi, ui, bi)
+                      in enumerate(zip(prices[1].tolist(), u.tolist(), self.basis.tolist()))
+                      if ui > self.tol]
+            if not ratios:
+                break
+            ratio, _, r = min(ratios)
+            bland = bland or ratio == 0.0
+            self._pivot(r, q, u)
+        return prices
+
+    def _end_phase1(self):
+        """A basic shortfall, at zero, swaps with the column of largest
+        magnitude in its row."""
+        self.phase1 = False
+        at = np.flatnonzero(self.basis == self.k)
+        if at.size:
+            row = self.binv[at[0]] @ self.a[:, :self.n]
+            row[self.basis] = 0.0
+            q = int(np.abs(row).argmax())
+            self._pivot(at[0], q, self.binv @ self.a[:, q])
+
+    def _certified(self, c_b, x, y, d):
+        """Checks ``x_B >= 0``, ``B x_B = b``, every reduced cost ``c_j - y
+        . a_j <= 0`` (the basic ones too, which checks ``y B = c_B``) and
+        ``c_B . x_B = y . b``, each to ``MASTER_TOL`` times the program's
+        largest entry and the largest ``|x_B|`` or ``|y|``."""
+        xs, ys = x.tolist(), y.tolist()
+        tol = self.tol * max(1.0, max(map(abs, xs)), max(map(abs, ys)))
+        return bool(min(xs) >= -tol and d.max() <= tol
+                    and np.abs(self.a[:, self.basis] @ x - self.rhs).max() <= tol
+                    and abs(c_b @ x - y @ self.rhs) <= tol)
+
+    def solve(self):
+        """Re-optimize after new columns; returns the pivots made.
+
+        Sets ``lam`` (the budget rows' duals, clipped at zero) and, once
+        phase 2 is reached, the mixture ``mu`` over the policies and its
+        ``value``.
+
+        Raises
+        ------
+        ProError
+            When the basis fails its certificate again after a refactor,
+            so that no unchecked ``lam`` reaches the dual.
+        """
+        start = self.pivots
+        for retry in (False, True):
+            if retry:
+                self._refactor()
+            prices = self._optimize()
+            if self.phase1 and prices[0] @ prices[1] >= -self.tol:  # -f is zero
+                self._end_phase1()
+                prices = self._optimize()
+            if self._certified(*prices):
+                break
+        else:
+            raise ProError("the master's basis fails its certificate after a refactor")
+        # lam comes from a fresh solve with the certified basis, its columns
+        # sorted as policies, slacks, shortfall: it depends on the basis
+        # alone, not on the rounding of the pivots that reached it
+        k, n = self.k, self.n
+        cols = sorted(self.basis.tolist(), key=lambda j: (j - k - 1) % n)
+        cost = self.shortfall if self.phase1 else self.income
+        self.lam = np.maximum(np.linalg.solve(self.a[:, cols].T, cost[cols])[:k], 0.0)
+        if not self.phase1:
+            policy = self.basis > k
+            self.mu = np.zeros(n - k - 1)
+            self.mu[self.basis[policy] - k - 1] = np.maximum(prices[1][policy], 0.0)
+            self.mu /= self.mu.sum()
+            self.value = float(self.mu @ self.income[k + 1:n])
+        return self.pivots - start
 
 
 def _free_part(instance, page, choice):
@@ -399,22 +509,23 @@ def _free_part(instance, page, choice):
     return cols, instance.dangling_teleport[cols]
 
 
-def _mixture(instance, mu, table, policies, bounds):
+def _mixture(instance, master, policies):
     """The master's mixture as one strategy, re-evaluated on its own chain.
 
-    Column t has income ``table[t, 0]``, spending ``table[t, 1:]`` and
-    ``policies[t] = (strategy, pi)``.  Where the support's policies
-    differ, page i's chain row is ``sum_t mu_t pi_t(i) P_t,i / sum_t mu_t
-    pi_t(i)``: a point of its convex constraint set (which
-    ``build_transition`` checks) that yields the mixed occupation
-    measure.  A chain row is affine in the free part with the page's own
-    floor and slack, so the page gets the free parts mixed with those
-    weights.
+    ``policies[t] = (strategy, pi)`` belongs to the master's column t.
+    Where the support's policies differ, page i's chain row is ``sum_t
+    mu_t pi_t(i) P_t,i / sum_t mu_t pi_t(i)``: a point of its convex
+    constraint set (which ``build_transition`` checks) that yields the
+    mixed occupation measure.  A chain row is affine in the free part
+    with the page's own floor and slack, so the page gets the free parts
+    mixed with those weights.
     """
+    mu = master.mu
     support = np.flatnonzero(mu > 0.0)
     if support.size == 1:
         strat, pi = policies[support[0]]
-        util, cvals = float(table[support[0], 0]), table[support[0], 1:]
+        t = master.k + 1 + support[0]
+        util, cvals = float(master.income[t]), master.a[:-1, t]
     else:
         strats = [policies[t][0] for t in support]
         weight = mu[support, None] * np.stack([policies[t][1] for t in support])
@@ -435,7 +546,7 @@ def _mixture(instance, mu, table, policies, bounds):
         pi = stationary(trans, pi0=weight.sum(axis=0)).pi
         util = utility_from_chain(trans, pi, instance.rewards)
         cvals = np.array([utility_from_chain(trans, pi, c.weights) for c in instance.coupling])
-    feasible = bool(np.all(cvals <= bounds + FEASIBILITY_TOL))
+    feasible = bool(np.all(cvals <= master.rhs[:-1] + FEASIBILITY_TOL))
     return PrimalCandidate(strat, pi, util, cvals, feasible)
 
 
@@ -453,6 +564,7 @@ def solve_coupled(instance, config=None):
     duals price spending alone, and a cost-only local solve adds a
     column (kept out of ``iterates``) or certifies that every strategy
     overspends.  Then each step calls ``dual_value`` at the master's duals.
+    One ``_Master`` serves the whole run.
 
     Returns
     -------
@@ -465,20 +577,20 @@ def solve_coupled(instance, config=None):
         b) > FEASIBILITY_TOL * sum(lam)`` beyond its certified error, so
         no strategy meets the rows even to ``FEASIBILITY_TOL``; ``lam`` is
         attached as ``multipliers``.
-    TooLarge
-        When the master outgrows ``MASTER_BASIS_CAP``.
+    ProError
+        When the master's basis fails its certificate after a refactor.
     """
     if not instance.coupling:
         raise ValidationError("instance has no coupling rows")
     config = config or CoupledConfig()
     run = _Run(instance)
-    bounds = run.bounds
-    columns, records = {}, []  # (income, *spending) -> (strategy, pi)
-    lam, w_dual, w_cost = np.zeros(bounds.size), None, None
-    dual_bound, master, best, stop = math.inf, None, None, "max_outer"
+    master = _Master(run.bounds)
+    policies, records, pivots = {}, [], []  # (income, *spending) -> (strategy, pi)
+    lam, w_dual, w_cost = np.zeros(run.bounds.size), None, None
+    dual_bound, best, stop = math.inf, None, "max_outer"
     while len(records) < config.max_outer:
-        if columns and master is None:
-            lam = _master(None, table[:, 1:], bounds).lam
+        if policies and master.phase1:
+            lam = master.lam
             col = run.price(0.0, lam, INNER, w_cost)
             if col.theta < -FEASIBILITY_TOL * float(lam.sum()):
                 raise Infeasible(f"every strategy overspends: multipliers {lam.tolist()} "
@@ -489,29 +601,30 @@ def solve_coupled(instance, config=None):
             w_dual = col.dp_state.w
             records.append(replace(col, strategy=None, pi=None,
                                    dp_state=replace(col.dp_state, w=None)))
+            pivots.append(0)
             dual_bound = min(dual_bound, col.theta)
         key = (col.primal_value, *col.coupling_values.tolist())
-        fresh = key not in columns
-        columns.setdefault(key, (col.strategy, col.pi))
+        fresh = key not in policies
+        if fresh:
+            policies[key] = col.strategy, col.pi
+            master.add(col.primal_value, col.coupling_values)
+            pivots[-1] += master.solve()
         if col.feasible and (best is None or col.primal_value > best.value):
             best = FeasibleIncumbent(col.strategy, col.primal_value, col.pi)
-        table = np.array(list(columns))
-        master = _master(table[:, 0], table[:, 1:], bounds)
-        if master is not None and _gap(dual_bound, master.value) <= config.tol:
+        if not master.phase1 and _gap(dual_bound, master.value) <= config.tol:
             stop = "gap"
             break
         if not fresh:
             stop = "stalled"
             break
-        if master is not None:
+        if not master.phase1:
             lam = master.lam
-    candidate = None if master is None else _mixture(
-        instance, master.mu, table, list(columns.values()), bounds)
+    candidate = None if master.phase1 else _mixture(instance, master, list(policies.values()))
     primal = best.value if best else -math.inf
     if candidate is not None and candidate.feasible:
         primal = max(primal, candidate.utility)
     return CoupledResult(dual_bound, best, candidate, tuple(records),
-                         _gap(dual_bound, primal), len(records), stop)
+                         _gap(dual_bound, primal), len(records), stop, tuple(pivots))
 
 
 @dataclass(frozen=True)

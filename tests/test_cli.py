@@ -195,6 +195,34 @@ def test_optimize_coupled_envelope(tmp_path, capsys):
     load_strategy(out_path, load_instance(two_page_coupled_doc()))  # file exists and parses
 
 
+def _strict(text):
+    """Parse JSON that must hold no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_optimize_coupled_output_is_strict_json(tmp_path, capsys):
+    path = _write(tmp_path, "g.json", two_page_coupled_doc())
+    # one dual call finds no feasible income: the gap is unbounded
+    code = main(["--deterministic", "optimize-coupled", path, "--max-outer", "1"])
+    env = _strict(capsys.readouterr().out)
+    assert code == 2 and env["status"] == "qualified"
+    assert env["result"]["gap"] is None and env["result"]["best_feasible"] is None
+    assert env["result"]["iterations"] == 1
+    code = main(["--deterministic", "optimize-coupled", path])
+    env = _strict(capsys.readouterr().out)
+    assert code == 0 and env["result"]["gap"] <= 1e-6
+    assert env["result"]["master_pivots"] >= 1
+    # knobs that cannot end a run are refused in the envelope
+    for flag, value in (("--max-outer", "0"), ("--tol", "-1"), ("--tol", "nan"),
+                        ("--tol", "inf")):
+        code = main(["--deterministic", "optimize-coupled", path, flag, value])
+        env = _strict(capsys.readouterr().out)
+        assert code == 1 and env["status"] == "error", (flag, value)
+        assert env["error"]["type"] == "ValidationError"
+
+
 def test_optimize_coupled_infeasible_budget(tmp_path, capsys):
     # every strategy visits the two pages with total mass 1 > 0.5
     doc = {

@@ -39,6 +39,7 @@ from pro.solver_coupled import (
     lp_solve,
     solve_coupled,
 )
+from pro.simplex import solve_dense_lp
 from pro.solver_local import CompiledBellman, SolverConfig, value_iterate
 
 
@@ -74,6 +75,21 @@ def test_dual_value_validation():
         dual_value(inst, np.array([-0.1]))
     with pytest.raises(ValidationError):
         solve_coupled(two_page_instance())
+
+
+def test_dual_value_refuses_non_finite_multipliers():
+    inst = two_page_coupled_instance()
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="multipliers must be finite"):
+            dual_value(inst, np.array([lam]))
+
+
+def test_coupled_config_refuses_bad_knobs():
+    for kw in ({"max_outer": 0}, {"max_outer": -3}, {"tol": -1.0}, {"tol": np.nan},
+               {"tol": np.inf}):
+        with pytest.raises(ValidationError):
+            CoupledConfig(**kw)
+    assert CoupledConfig(tol=0.0, max_outer=1).tol == 0.0
 
 
 def test_weak_duality_against_enumeration():
@@ -656,11 +672,98 @@ def test_lp_size_cap(monkeypatch):
         lp_formulate(load_instance(_all_weight_doc(142)))
 
 
-def test_master_size_cap():
-    # the master enumerates every basis of its K + 1 rows: 43 columns
-    # (40 policies and 3 slacks) have C(43, 4) = 123,410 bases
-    with pytest.raises(TooLarge):
-        solver_coupled._master(np.zeros(40), np.zeros((40, 3)), np.ones(3))
+def _master_after(income, spending, bounds):
+    """A master fed the columns one at a time, solved after each."""
+    master = solver_coupled._Master(bounds)
+    for u, c in zip(income, spending):
+        master.add(u, c)
+        master.solve()
+    return master
+
+
+def test_master_solves_forty_policies_on_three_rows():
+    # 40 policies and 3 rows have C(43, 4) = 123,410 bases; the simplex
+    # pivots through a few of them
+    master = _master_after(np.zeros(40), np.zeros((40, 3)), np.ones(3))
+    assert not master.phase1
+    assert master.value == 0.0 and master.mu.sum() == pytest.approx(1.0)
+    np.testing.assert_array_equal(master.lam, np.zeros(3))
+    # a random program against the independent dense simplex
+    rng = np.random.default_rng(40)
+    income, spending, bounds = rng.uniform(0, 1, 40), rng.uniform(0, 1, (40, 3)), np.full(3, 0.45)
+    master = _master_after(income, spending, bounds)
+    _, value = solve_dense_lp(income, np.ones((1, 40)), np.ones(1), spending.T, bounds,
+                              maximize=True)
+    assert master.pivots > 3 and not master.phase1
+    assert master.value == pytest.approx(value, abs=1e-12)
+    mu = master.mu
+    assert mu.min() >= 0.0 and mu.sum() == pytest.approx(1.0)
+    assert np.all(mu @ spending <= bounds + 1e-12)
+    assert mu @ income == pytest.approx(value, abs=1e-12)
+    # the duals are optimal: the cut model is as low as the master value
+    assert master.lam.min() >= 0.0
+    assert float(np.max(income + (bounds - spending) @ master.lam)) == pytest.approx(value, abs=1e-12)
+
+
+def test_several_budget_rows_solve_or_certify_infeasibility():
+    # 100-page webs with five and eight budget rows (15 to 39 dual calls):
+    # each solve meets the LP, or raises Infeasible exactly where the LP
+    # is infeasible
+    outcomes = []
+    for k, docs in ((5, 4), (8, 5)):
+        rng = np.random.default_rng(100 + k)
+        for i in range(docs):
+            inst = load_instance(add_coupling_rows(link_web_doc(rng, 100, 5, 20), rng, k, 0.7, 1.0))
+            try:
+                _, lp_value = lp_solve(lp_formulate(inst))
+            except Infeasible:
+                with pytest.raises(Infeasible):
+                    solve_coupled(inst)
+                outcomes.append("infeasible")
+                continue
+            res = solve_coupled(inst)
+            assert res.stop_reason == "gap", (k, i)
+            assert abs(res.dual_bound - lp_value) <= 1e-6 * max(1.0, abs(lp_value)), (k, i)
+            assert len(res.master_pivots) == res.iterations
+            outcomes.append("feasible")
+    assert outcomes.count("feasible") == 6 and outcomes.count("infeasible") == 3
+
+
+def test_corrupted_master_inverse_is_refactored_or_refused(monkeypatch):
+    inst = _coupled_discrete(np.random.default_rng(92), n_max=5, fac_budget=6)
+    clean = solve_coupled(inst)
+    master = solver_coupled._Master
+    refactor, pivot = master._refactor, master._pivot
+
+    def bad_pivot(self, *args):
+        pivot(self, *args)
+        self.binv[0] += 0.5
+
+    # a wrong rank-one update fails the certificate, and the refactor
+    # mends it: the run is unchanged
+    monkeypatch.setattr(master, "_pivot", bad_pivot)
+    res = solve_coupled(inst)
+    assert (res.iterations, res.stop_reason, res.dual_bound) == \
+        (clean.iterations, clean.stop_reason, clean.dual_bound)
+
+    # when every refactor is wrong too, the run raises, and no multiplier
+    # of the broken master reaches a local solve
+    def bad_refactor(self):
+        refactor(self)
+        self.binv[0] += 0.5
+
+    priced = []
+    price = solver_coupled._Run.price
+
+    def spy(self, s, lam, *args):
+        priced.append(lam.copy())
+        return price(self, s, lam, *args)
+
+    monkeypatch.setattr(master, "_refactor", bad_refactor)
+    monkeypatch.setattr(solver_coupled._Run, "price", spy)
+    with pytest.raises(ProError, match="certificate"):
+        solve_coupled(inst)
+    assert len(priced) == 1 and not priced[0].any()
 
 
 def test_large_instance_skips_dense_measure():
