@@ -1,16 +1,15 @@
 """Structure audits: value ordering, link classification, optimality defects.
 
-With one reward per page, the chain's pre-teleport value vector ``v``
-orders the pages by attractiveness, and each page's keep-or-drop
-decisions reduce to comparing target values against a single per-page
-bar ``(v[i] - r[i]) / damping``: targets strictly above the bar sit in
-every optimal link subset, targets strictly below in none.  A strategy
-with no classification violations is therefore optimal, since its value
-vector then solves the improvement operator's fixed-point equation.
+The chain's pre-teleport value vector ``v`` orders the pages, and each
+page's keep-or-drop decisions reduce to one threshold: a link's score
+``r[i, j] + v[j]`` against the page's bar, its chain row's average score.
+By ``v = rbar + damping * S v`` the bar is ``(v[i] - (1 - damping) *
+sum_l z[l] r[i, l]) / damping``, for per-page and per-link rewards alike.
+Links strictly above the bar sit in every optimal link subset, links
+strictly below in none, so a strategy with no violations is optimal.
 
-The defect audit needs no bar, so it takes per-link rewards too: its
-defects are ``T(v) - v`` of the local solver's improvement operator ``T``,
-applied once at the chain's own ``v``.
+The defect audit takes weight pages too: its defects are ``T(v) - v`` of
+the local solver's improvement operator ``T`` at the chain's own ``v``.
 """
 
 from __future__ import annotations
@@ -20,26 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import mean_reward_before_teleport
-from .errors import PerLinkRewards, ValidationError
+from .errors import ValidationError
 from .graph import DiscreteChoice, build_transition
 from .solver_local import CompiledBellman
 from .sparse import locate, row_ids
 
 AUDIT_V_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class LinkClassification:
-    """One facultative link judged against its page's bar.
-
-    ``margin`` is the target's value minus the bar; the kind is
-    "required", "forbidden", or "tie" within the audit tolerance.
-    """
-
-    page: int
-    target: int
-    kind: str
-    margin: float
+KINDS = np.array(["tie", "required", "forbidden"])  # indexed by the margin's sign
 
 
 @dataclass(frozen=True)
@@ -58,12 +44,21 @@ class Violation:
 
 @dataclass(frozen=True)
 class MasterReport:
-    """Value ordering plus per-link audit of one strategy."""
+    """Value ordering plus per-link audit of one strategy.
+
+    ``pages``, ``targets``, ``kinds`` and ``margins`` run over the
+    facultative links in CSR order.  A margin is the link's score minus
+    its page's bar; the kind is "required", "forbidden", or "tie" within
+    the audit tolerance.
+    """
 
     master: int
     ordering: tuple
     values: np.ndarray
-    classifications: tuple
+    pages: np.ndarray
+    targets: np.ndarray
+    kinds: np.ndarray
+    margins: np.ndarray
     violations: tuple
 
     def to_report_dict(self):
@@ -72,9 +67,9 @@ class MasterReport:
             "ordering": [int(i) for i in self.ordering],
             "values": [float(x) for x in self.values],
             "classifications": [
-                {"page": c.page, "target": c.target, "kind": c.kind,
-                 "margin": c.margin}
-                for c in self.classifications
+                {"page": i, "target": j, "kind": kind, "margin": m}
+                for i, j, kind, m in zip(self.pages.tolist(), self.targets.tolist(),
+                                         self.kinds.tolist(), self.margins.tolist())
             ],
             "violations": [
                 {"page": w.page, "target": w.target, "kind": w.kind,
@@ -85,7 +80,7 @@ class MasterReport:
 
 
 def master_ordering(instance, strategy=None, tol=1e-9):
-    """Audit a strategy of a discrete, per-page-reward instance.
+    """Audit a strategy of a discrete instance.
 
     Parameters
     ----------
@@ -101,43 +96,37 @@ def master_ordering(instance, strategy=None, tol=1e-9):
 
     Raises
     ------
-    PerLinkRewards
-        If rewards vary per link, where no single bar exists.
     ValidationError
-        For weight-constrained pages or non-subset choices.
+        For weight-constrained pages, non-subset choices, or a ``tol``
+        that is not finite and nonnegative.
     """
-    if not instance.rewards.is_per_page:
-        raise PerLinkRewards("the ordering audit needs one reward per page")
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
     if instance.skeletons:
         raise ValidationError("the ordering audit handles discrete pages only")
     trans = build_transition(instance, strategy)
-    v = mean_reward_before_teleport(trans, instance.rewards, tol=AUDIT_V_TOL).v
-    n, f_indptr, f_idx = instance.num_pages, instance.fac_indptr, instance.fac_indices
     choices = strategy.choices if strategy is not None else {}
-    picked = [(i, ch) for i, ch in sorted(choices.items()) if f_indptr[i + 1] > f_indptr[i]]
-    for i, ch in picked:
-        if not isinstance(ch, DiscreteChoice):
+    f_indptr, f_idx, alpha = instance.fac_indptr, instance.fac_indices, instance.damping
+    for i, ch in sorted(choices.items()):
+        if f_indptr[i + 1] > f_indptr[i] and not isinstance(ch, DiscreteChoice):
             raise ValidationError(f"page {i} carries a non-subset choice")
-    # build_transition has checked that every activated link is facultative
-    chosen = np.array([(i, j) for i, ch in picked for j in ch.activated], np.int64).reshape(-1, 2)
-    active = np.zeros(f_idx.size, dtype=bool)
-    active[locate(f_indptr, f_idx, n, chosen[:, 0], chosen[:, 1])[0]] = True
+    rewards = instance.rewards
+    v = mean_reward_before_teleport(trans, rewards, tol=AUDIT_V_TOL).v
+    # a facultative link is on exactly when the chain holds it
     f_page = row_ids(f_indptr)
-    bar = ((v - instance.rewards.base) / instance.damping)[f_page]
-    margin = v[f_idx] - bar
+    s = trans.srows
+    active = locate(s.indptr, s.indices, s.num_cols, f_page, f_idx)[1]
+    bar = ((v - (1.0 - alpha) * rewards.row_means(trans.teleport)) / alpha)[f_page]
+    margin = rewards.base[f_page] + rewards.delta.gather_at(f_indptr, f_idx) + v[f_idx] - bar
     scale = tol * np.maximum(1.0, np.abs(bar))
     sign = (margin > scale).astype(np.int8) - (margin < -scale)  # +1 required, -1 forbidden
-    kinds = ("tie", "required", "forbidden")
-    pages = list(range(n))  # the link records of a page share one int object
-    classifications = tuple(map(LinkClassification, map(pages.__getitem__, f_page),
-                                map(int, f_idx), map(kinds.__getitem__, sign),
-                                map(float, margin)))
+    kinds = KINDS[sign]
     wrong = np.flatnonzero(np.where(active, sign == -1, sign == 1))
-    violations = tuple(Violation(int(f_page[k]), int(f_idx[k]), kinds[sign[k]],
+    violations = tuple(Violation(int(f_page[k]), int(f_idx[k]), str(kinds[k]),
                                  "extra" if active[k] else "missing") for k in wrong)
     order = np.argsort(-v, kind="stable")
-    return MasterReport(int(order[0]), tuple(int(i) for i in order), v,
-                        classifications, violations)
+    return MasterReport(int(order[0]), tuple(order.tolist()), v,
+                        f_page, f_idx, kinds, margin, violations)
 
 
 def continuous_optimality_check(instance, transition, tol=1e-7):

@@ -67,7 +67,3 @@ class StepTooLarge(ProError):
 
 class SingularSystem(ProError):
     """A dense linear solve failed or produced an invalid distribution."""
-
-
-class PerLinkRewards(ProError):
-    """An operation requiring per-page rewards received per-link rewards."""

@@ -245,27 +245,38 @@ def test_criterion_8_web_scale_discrete_solve():
           % (elapsed, state.iterations, cap, state.psi))
 
 
-def test_criterion_9_master_page_audit():
-    # per-page-reward twins of the criterion 3 family: the audit finds
-    # no violation on the solver's strategy, and deleting any one
-    # clearly-required link strictly lowers the exact income
-    rng = np.random.default_rng(3009)
+def _required_link_drops(rng, count, reward_kind):
+    """Audit the solver's strategy on ``count`` random discrete documents:
+    no violation, and deleting the first clearly-required link of each
+    strictly lowers the exact income.  Returns the number of deletions."""
     drops = 0
-    for _ in range(200):
-        inst = load_instance(random_discrete_doc(rng, reward_kind="per_page"))
+    for _ in range(count):
+        inst = load_instance(random_discrete_doc(rng, reward_kind=reward_kind))
         _, strat = value_iterate(inst)
         report = master_ordering(inst, strat)
         assert report.violations == ()
-        base = exact_utility(inst, strat)
-        required = [c for c in report.classifications
-                    if c.kind == "required" and c.margin > 1e-6]
-        if required:
-            c = required[0]
+        required = np.flatnonzero((report.kinds == "required") & (report.margins > 1e-6))
+        if required.size:
+            i, target = int(report.pages[required[0]]), int(report.targets[required[0]])
             pruned = dict(strat.choices)
-            keep = tuple(j for j in pruned[c.page].activated if j != c.target)
-            pruned[c.page] = DiscreteChoice(keep)
-            assert exact_utility(inst, Strategy(pruned)) < base - 1e-12
+            pruned[i] = DiscreteChoice(tuple(j for j in pruned[i].activated if j != target))
+            assert exact_utility(inst, Strategy(pruned)) < exact_utility(inst, strat) - 1e-12
             drops += 1
+    return drops
+
+
+def test_criterion_9_master_page_audit():
+    # per-page-reward twins of the criterion 3 family
+    drops = _required_link_drops(np.random.default_rng(3009), 200, "per_page")
     assert drops >= 50
     print("criterion 9: PASS  %d required-link deletions all lost income"
+          % drops)
+
+
+def test_criterion_9_per_link_audit():
+    # the same audit on per-link rewards, where each link's score is
+    # r[i, j] + v[j] against its page's average score
+    drops = _required_link_drops(np.random.default_rng(4009), 100, "per_link")
+    assert drops >= 25
+    print("criterion 9 (per link): PASS  %d required-link deletions all lost income"
           % drops)

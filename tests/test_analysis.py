@@ -11,7 +11,7 @@ from helpers import (
     two_page_instance,
 )
 from pro.analysis import continuous_optimality_check, master_ordering
-from pro.errors import PerLinkRewards, ValidationError
+from pro.errors import ValidationError
 from pro.graph import ContinuousChoice, DiscreteChoice, Strategy, build_transition, load_instance
 from pro.solver_local import value_iterate
 
@@ -39,13 +39,21 @@ def test_optimal_strategy_passes_audit():
         _, strat = value_iterate(inst)
         report = master_ordering(inst, strat)
         assert report.violations == ()
-        for c in report.classifications:
-            active = strat.choices.get(c.page)
-            on = active is not None and c.target in active.activated
-            if c.kind == "required":
+        for i, j, kind in zip(report.pages, report.targets, report.kinds):
+            active = strat.choices.get(i)
+            on = active is not None and j in active.activated
+            if kind == "required":
                 assert on
-            elif c.kind == "forbidden":
+            elif kind == "forbidden":
                 assert not on
+        # with one reward per page the score rule reduces to comparing
+        # v[j] against (v[i] - r[i]) / damping
+        v, r, alpha = report.values, inst.rewards.base, inst.damping
+        i, j = report.pages, report.targets
+        bar = (v[i] - (1.0 - alpha) * r[i]) / alpha
+        np.testing.assert_array_less(
+            np.abs(report.margins - (v[j] - (v[i] - r[i]) / alpha)),
+            1e-12 * np.maximum(1.0, np.abs(bar)))
 
 
 def test_dropping_required_link_costs_income():
@@ -56,12 +64,12 @@ def test_dropping_required_link_costs_income():
         _, strat = value_iterate(inst)
         base_util = exact_utility(inst, strat)
         report = master_ordering(inst, strat)
-        required = [c for c in report.classifications
-                    if c.kind == "required" and c.margin > 1e-6]
-        for c in required[:2]:
+        required = np.flatnonzero((report.kinds == "required") & (report.margins > 1e-6))
+        for k in required[:2]:
+            i, target = int(report.pages[k]), int(report.targets[k])
             pruned = dict(strat.choices)
-            keep = tuple(j for j in pruned[c.page].activated if j != c.target)
-            pruned[c.page] = DiscreteChoice(keep)
+            keep = tuple(j for j in pruned[i].activated if j != target)
+            pruned[i] = DiscreteChoice(keep)
             assert exact_utility(inst, Strategy(pruned)) < base_util - 1e-12
             hits += 1
     assert hits >= 10
@@ -75,12 +83,12 @@ def test_adding_forbidden_link_costs_income():
         _, strat = value_iterate(inst)
         base_util = exact_utility(inst, strat)
         report = master_ordering(inst, strat)
-        forbidden = [c for c in report.classifications
-                     if c.kind == "forbidden" and c.margin < -1e-6]
-        for c in forbidden[:2]:
+        forbidden = np.flatnonzero((report.kinds == "forbidden") & (report.margins < -1e-6))
+        for k in forbidden[:2]:
+            i, target = int(report.pages[k]), int(report.targets[k])
             padded = dict(strat.choices)
-            prev = padded.get(c.page, DiscreteChoice(()))
-            padded[c.page] = DiscreteChoice(tuple(prev.activated) + (c.target,))
+            prev = padded.get(i, DiscreteChoice(()))
+            padded[i] = DiscreteChoice(tuple(prev.activated) + (target,))
             assert exact_utility(inst, Strategy(padded)) < base_util - 1e-12
             hits += 1
     assert hits >= 10
@@ -108,18 +116,26 @@ def test_equal_rewards_make_every_link_a_tie():
     }
     inst = load_instance(doc)
     report = master_ordering(inst, Strategy({0: DiscreteChoice((1,))}))
-    assert {c.kind for c in report.classifications} == {"tie"}
+    assert set(report.kinds) == {"tie"}
     assert report.violations == ()
     np.testing.assert_allclose(report.values, [1.0 / 0.15] * 2, atol=1e-9)
 
 
 def test_audit_rejections():
-    with pytest.raises(PerLinkRewards):
-        master_ordering(two_page_instance())  # per-link incomes
     rng = np.random.default_rng(105)
     cont = load_instance(random_continuous_doc(rng, n_max=4))
     with pytest.raises(ValidationError):
         master_ordering(cont)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_audit_rejects_a_bad_tolerance(tol):
+    # a NaN, infinite or negative tolerance would turn every link into a
+    # tie and hide every violation
+    inst = _per_page_instance(np.random.default_rng(107))
+    assert master_ordering(inst, None, tol=0.0).violations
+    with pytest.raises(ValidationError, match="tol must be finite"):
+        master_ordering(inst, None, tol=tol)
 
 
 def test_audit_rejects_a_row_on_a_subset_page():
@@ -138,7 +154,7 @@ def test_audit_rejects_a_row_on_a_subset_page():
     with pytest.raises(ValidationError, match="page 1 carries a non-subset choice"):
         master_ordering(inst, Strategy({0: DiscreteChoice((2,)), 1: row, 2: row}))
     report = master_ordering(inst, Strategy({0: DiscreteChoice((1, 2)), 2: row}))
-    assert [(c.page, c.target) for c in report.classifications] == [
+    assert list(zip(report.pages.tolist(), report.targets.tolist())) == [
         (0, 1), (0, 2), (1, 0), (1, 2)]
 
 

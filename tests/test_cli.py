@@ -260,15 +260,27 @@ def test_analyze_optimal_versus_default(tmp_path, capsys):
 
 
 def test_analyze_per_link_rewards_keeps_the_defect_audit(tmp_path, capsys):
-    # the ordering audit needs per-page rewards; it is skipped, and the
-    # defect audit is still reported
+    # per-link rewards get both audits: one kind per facultative link,
+    # and the default strategy's violations next to its defects
     doc = random_discrete_doc(np.random.default_rng(3))
     assert doc["rewards"]["type"] == "per_link"
     code, env = _run(capsys, ["analyze", _write(tmp_path, "g.json", doc)])
-    assert code in (0, 2)
-    assert env["result"]["ordering"].startswith("skipped")
-    assert isinstance(env["result"]["optimal"], bool)
-    assert env["result"]["max_defect"] >= 0.0
+    assert code == 2
+    result = env["result"]
+    assert len(result["classifications"]) == len(doc["facultative"])
+    assert result["violations"]
+    assert result["optimal"] is False
+    assert result["max_defect"] > 0.0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_analyze_rejects_a_bad_tolerance(tmp_path, capsys, tol):
+    # such a tolerance would call every link a tie and hide the default
+    # strategy's violations
+    code, env = _run(capsys, ["analyze", _write(tmp_path, "g.json", _audit_doc()),
+                              "--tol", tol])
+    assert code == 1
+    assert env["error"]["type"] == "ValidationError"
 
 
 def test_verify_local_match(tmp_path, capsys):
