@@ -216,11 +216,14 @@ def _cmd_analyze(args):
 
 
 def _cmd_verify(args):
+    from .errors import ValidationError
     from .graph import load_instance
     from .oracle import EnumerationBudget, brute_force_optimum
     from .solver_coupled import solve_coupled
     from .solver_local import SolverConfig, value_iterate
 
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValidationError(f"tol must be finite and nonnegative, got {args.tol}")
     inst = load_instance(args.instance)
     budget = EnumerationBudget(args.budget)
     brute = brute_force_optimum(inst, budget)

@@ -46,8 +46,6 @@ INNER = SolverConfig(tol=1e-9)
 LP_CELL_CAP = 143 * (141 * 141 + 1 + 143 + 1)
 # the master's bases are certified to this share of its largest entry
 MASTER_TOL = 1e-12
-# rank-one updates of the master's B^-1 between refactorizations
-MASTER_REFACTOR = 8
 # pivots of one master solve, a guard against cycling in floating point
 MASTER_MAX_PIVOTS = 10_000
 
@@ -345,20 +343,16 @@ class _Master:
 
     The entering column has the largest reduced cost, or the first
     positive one after a degenerate pivot (Bland's rule, which cannot
-    cycle).  Each pivot updates ``B^-1`` by a rank-one (eta) step; it is
-    refactored every ``MASTER_REFACTOR`` pivots, and when ``B x_B``
-    drifts from ``b``, which the certificate ending each ``solve`` checks.
+    cycle).  The basis has K + 1 columns, so ``B^-1`` is inverted afresh
+    after every pivot; the certificate ending each ``solve`` checks it.
     """
 
     def __init__(self, bounds):
         self.k = k = bounds.size
         self.rhs = np.append(bounds, 1.0)
-        # the n columns in use lead arrays that double when full
-        self.n = k + 1
-        self.a = np.zeros((k + 1, 2 * self.n))
-        self.a[:k, :k + 1] = np.hstack([np.eye(k), -np.ones((k, 1))])
-        self.income = np.zeros(2 * self.n)
-        self.shortfall = np.zeros(2 * self.n)  # the phase-1 costs
+        self.a = np.vstack([np.hstack([np.eye(k), -np.ones((k, 1))]), np.zeros(k + 1)])
+        self.income = np.zeros(k + 1)
+        self.shortfall = np.zeros(k + 1)  # the phase-1 costs
         self.shortfall[k] = -1.0
         self.tol = MASTER_TOL * max(1.0, float(np.abs(self.rhs).max()))
         self.phase1, self.basis, self.pivots = True, None, 0
@@ -366,41 +360,33 @@ class _Master:
     def add(self, income, spending):
         """Append one policy's column; the first one also sets the basis:
         ``mu = 1`` with the shortfall, if any, in the most overspent row."""
-        if self.n == self.income.size:
-            self.a, self.income, self.shortfall = (np.concatenate([v, np.zeros_like(v)], axis=-1)
-                                                   for v in (self.a, self.income, self.shortfall))
         col = [*spending.tolist(), 1.0]
-        self.a[:, self.n] = col
-        self.income[self.n] = income
-        self.n += 1
+        self.a = np.column_stack([self.a, col])
+        self.income = np.append(self.income, income)
+        self.shortfall = np.append(self.shortfall, 0.0)
         self.tol = max(self.tol, MASTER_TOL * max(abs(income), *map(abs, col)))
         if self.basis is None:
             over = spending - self.rhs[:-1]
             self.basis = np.append(np.arange(self.k), self.k + 1)
             if over.max() > 0.0:
                 self.basis[over.argmax()] = self.k
-            self._refactor()
+            self._factor()
 
-    def _refactor(self):
-        self.binv, self.etas = np.linalg.inv(self.a[:, self.basis]), 0
+    def _factor(self):
+        self.binv = np.linalg.inv(self.a[:, self.basis])
 
-    def _pivot(self, r, q, u):
-        """Column ``q`` replaces basic row ``r``; ``u = B^-1 a_q``."""
-        row = self.binv[r] / u[r]
-        self.binv -= u[:, None] * row
-        self.binv[r] = row
+    def _pivot(self, r, q):
+        """Column ``q`` replaces basic row ``r``."""
         self.basis[r] = q
         self.pivots += 1
-        self.etas += 1
-        if self.etas >= MASTER_REFACTOR:
-            self._refactor()
+        self._factor()
 
     def _prices(self):
         """``c_B``, ``x_B``, the duals ``y`` and every reduced cost."""
-        cost = (self.shortfall if self.phase1 else self.income)[:self.n]
+        cost = self.shortfall if self.phase1 else self.income
         c_b = cost[self.basis]
         y = c_b @ self.binv
-        d = cost - y @ self.a[:, :self.n]
+        d = cost - y @ self.a
         if not self.phase1:
             d[self.k] = 0.0  # the shortfall never re-enters
         return c_b, self.binv @ self.rhs, y, d
@@ -426,7 +412,7 @@ class _Master:
                 break
             ratio, _, r = min(ratios)
             bland = bland or ratio == 0.0
-            self._pivot(r, q, u)
+            self._pivot(r, q)
         return prices
 
     def _end_phase1(self):
@@ -435,10 +421,9 @@ class _Master:
         self.phase1 = False
         at = np.flatnonzero(self.basis == self.k)
         if at.size:
-            row = self.binv[at[0]] @ self.a[:, :self.n]
+            row = self.binv[at[0]] @ self.a
             row[self.basis] = 0.0
-            q = int(np.abs(row).argmax())
-            self._pivot(at[0], q, self.binv @ self.a[:, q])
+            self._pivot(at[0], int(np.abs(row).argmax()))
 
     def _certified(self, c_b, x, y, d):
         """Checks ``x_B >= 0``, ``B x_B = b``, every reduced cost ``c_j - y
@@ -461,25 +446,20 @@ class _Master:
         Raises
         ------
         ProError
-            When the basis fails its certificate again after a refactor,
-            so that no unchecked ``lam`` reaches the dual.
+            When the basis fails its certificate, so that no unchecked
+            ``lam`` reaches the dual.
         """
         start = self.pivots
-        for retry in (False, True):
-            if retry:
-                self._refactor()
+        prices = self._optimize()
+        if self.phase1 and prices[0] @ prices[1] >= -self.tol:  # -f is zero
+            self._end_phase1()
             prices = self._optimize()
-            if self.phase1 and prices[0] @ prices[1] >= -self.tol:  # -f is zero
-                self._end_phase1()
-                prices = self._optimize()
-            if self._certified(*prices):
-                break
-        else:
-            raise ProError("the master's basis fails its certificate after a refactor")
-        # lam comes from a fresh solve with the certified basis, its columns
-        # sorted as policies, slacks, shortfall: it depends on the basis
-        # alone, not on the rounding of the pivots that reached it
-        k, n = self.k, self.n
+        if not self._certified(*prices):
+            raise ProError("the master's basis fails its certificate")
+        # lam comes from a solve with the certified basis, its columns
+        # sorted as policies, slacks, shortfall: it depends on the set of
+        # basic columns alone, not on the order the pivots left them in
+        k, n = self.k, self.income.size
         cols = sorted(self.basis.tolist(), key=lambda j: (j - k - 1) % n)
         cost = self.shortfall if self.phase1 else self.income
         self.lam = np.maximum(np.linalg.solve(self.a[:, cols].T, cost[cols])[:k], 0.0)
@@ -488,7 +468,7 @@ class _Master:
             self.mu = np.zeros(n - k - 1)
             self.mu[self.basis[policy] - k - 1] = np.maximum(prices[1][policy], 0.0)
             self.mu /= self.mu.sum()
-            self.value = float(self.mu @ self.income[k + 1:n])
+            self.value = float(self.mu @ self.income[k + 1:])
         return self.pivots - start
 
 
@@ -578,7 +558,7 @@ def solve_coupled(instance, config=None):
         no strategy meets the rows even to ``FEASIBILITY_TOL``; ``lam`` is
         attached as ``multipliers``.
     ProError
-        When the master's basis fails its certificate after a refactor.
+        When the master's basis fails its certificate.
     """
     if not instance.coupling:
         raise ValidationError("instance has no coupling rows")

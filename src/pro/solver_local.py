@@ -25,13 +25,14 @@ is ``chain.policy_value``, whose constants this module re-exports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .chain import DENSE_EVAL_CAP, ROUNDING, iteration_budget, policy_value, span_iterate
-from .errors import CouplingPresent, MaxIterExceeded
+from .errors import CouplingPresent, MaxIterExceeded, ValidationError
 from .graph import ContinuousChoice, DiscreteChoice, Strategy, TransitionMatrix
 from .sparse import RowSparse, _sort_coords, find_sorted, row_ids, segment_sums
 
@@ -55,14 +56,21 @@ class SolverConfig:
     """Knobs of the policy-iteration loop.
 
     The loop stops once the MacQueen–Porteus bracket of one improvement
-    sweep has half-width at most ``tol``, which then bounds the sup-norm
-    error of the returned vector up to rounding.  ``max_iter`` caps the
-    policy steps (one sweep each); it defaults to the sweeps the plain
-    contraction bound would need, a worst case.
+    sweep has half-width at most ``tol`` (finite, positive), which then
+    bounds the sup-norm error of the returned vector up to rounding.
+    ``max_iter`` (at least 1) caps the policy steps (one sweep each); it
+    defaults to the sweeps the plain contraction bound would need, a
+    worst case.
     """
 
     tol: float = 1e-9
     max_iter: Optional[int] = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValidationError(f"tol must be finite and positive, got {self.tol}")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,28 @@ def test_optimize_coupled_output_is_strict_json(tmp_path, capsys):
         assert env["error"]["type"] == "ValidationError"
 
 
+def test_optimize_refuses_bad_knobs(tmp_path, capsys):
+    # before, --tol inf printed "tol": Infinity and --max-iter 0 printed
+    # "residual": Infinity; every bad knob now ends in the error envelope
+    path = _write(tmp_path, "g.json", two_page_doc())
+    for flag, value in (("--tol", "inf"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "-1"),
+                        ("--max-iter", "0"), ("--max-iter", "-3")):
+        code = main(["--deterministic", "optimize", path, flag, value])
+        env = _strict(capsys.readouterr().out)
+        assert code == 1 and env["status"] == "error", (flag, value)
+        assert env["error"]["type"] == "ValidationError"
+
+
+def test_verify_refuses_bad_tolerance(tmp_path, capsys):
+    # --tol inf matched any difference
+    path = _write(tmp_path, "g.json", two_page_doc())
+    for value in ("inf", "nan", "-1"):
+        code = main(["--deterministic", "verify", path, "--tol", value])
+        env = _strict(capsys.readouterr().out)
+        assert code == 1 and env["status"] == "error", value
+        assert env["error"]["type"] == "ValidationError"
+
+
 def test_optimize_coupled_infeasible_budget(tmp_path, capsys):
     # every strategy visits the two pages with total mass 1 > 0.5
     doc = {

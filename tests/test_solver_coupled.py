@@ -681,20 +681,26 @@ def _master_after(income, spending, bounds):
     return master
 
 
-def test_master_solves_forty_policies_on_three_rows():
-    # 40 policies and 3 rows have C(43, 4) = 123,410 bases; the simplex
-    # pivots through a few of them
-    master = _master_after(np.zeros(40), np.zeros((40, 3)), np.ones(3))
+@pytest.mark.parametrize("k", [1, 3, 5, 8])
+def test_master_solves_forty_policies_on_k_rows(k):
+    # 40 policies and 3 rows already have C(43, 4) = 123,410 bases; the
+    # simplex pivots through a few of them
+    master = _master_after(np.zeros(40), np.zeros((40, k)), np.ones(k))
     assert not master.phase1
     assert master.value == 0.0 and master.mu.sum() == pytest.approx(1.0)
-    np.testing.assert_array_equal(master.lam, np.zeros(3))
-    # a random program against the independent dense simplex
-    rng = np.random.default_rng(40)
-    income, spending, bounds = rng.uniform(0, 1, 40), rng.uniform(0, 1, (40, 3)), np.full(3, 0.45)
+    np.testing.assert_array_equal(master.lam, np.zeros(k))
+    # a random program against the independent dense simplex, with
+    # repeated columns and degenerate ones: spending on a bound in some
+    # rows, and one policy on every bound, which makes the program feasible
+    rng = np.random.default_rng(40 + k)
+    income, spending, bounds = rng.uniform(0, 1, 40), rng.uniform(0, 1, (40, k)), np.full(k, 0.45)
+    income[30:35], spending[30:35] = income[5:10], spending[5:10]
+    spending[10:20] = np.where(rng.uniform(size=(10, k)) < 0.5, bounds, spending[10:20])
+    spending[25] = bounds
     master = _master_after(income, spending, bounds)
     _, value = solve_dense_lp(income, np.ones((1, 40)), np.ones(1), spending.T, bounds,
                               maximize=True)
-    assert master.pivots > 3 and not master.phase1
+    assert master.pivots >= k and not master.phase1
     assert master.value == pytest.approx(value, abs=1e-12)
     mu = master.mu
     assert mu.min() >= 0.0 and mu.sum() == pytest.approx(1.0)
@@ -729,29 +735,8 @@ def test_several_budget_rows_solve_or_certify_infeasibility():
     assert outcomes.count("feasible") == 6 and outcomes.count("infeasible") == 3
 
 
-def test_corrupted_master_inverse_is_refactored_or_refused(monkeypatch):
+def test_corrupted_master_inverse_is_refused(monkeypatch):
     inst = _coupled_discrete(np.random.default_rng(92), n_max=5, fac_budget=6)
-    clean = solve_coupled(inst)
-    master = solver_coupled._Master
-    refactor, pivot = master._refactor, master._pivot
-
-    def bad_pivot(self, *args):
-        pivot(self, *args)
-        self.binv[0] += 0.5
-
-    # a wrong rank-one update fails the certificate, and the refactor
-    # mends it: the run is unchanged
-    monkeypatch.setattr(master, "_pivot", bad_pivot)
-    res = solve_coupled(inst)
-    assert (res.iterations, res.stop_reason, res.dual_bound) == \
-        (clean.iterations, clean.stop_reason, clean.dual_bound)
-
-    # when every refactor is wrong too, the run raises, and no multiplier
-    # of the broken master reaches a local solve
-    def bad_refactor(self):
-        refactor(self)
-        self.binv[0] += 0.5
-
     priced = []
     price = solver_coupled._Run.price
 
@@ -759,8 +744,21 @@ def test_corrupted_master_inverse_is_refactored_or_refused(monkeypatch):
         priced.append(lam.copy())
         return price(self, s, lam, *args)
 
-    monkeypatch.setattr(master, "_refactor", bad_refactor)
     monkeypatch.setattr(solver_coupled._Run, "price", spy)
+    solve_coupled(inst)
+    assert len(priced) > 1
+
+    # a wrong factor fails the certificate: the run raises, and no
+    # multiplier of the broken master reaches a local solve
+    master = solver_coupled._Master
+    factor = master._factor
+
+    def bad_factor(self):
+        factor(self)
+        self.binv[0] += 0.5
+
+    monkeypatch.setattr(master, "_factor", bad_factor)
+    priced.clear()
     with pytest.raises(ProError, match="certificate"):
         solve_coupled(inst)
     assert len(priced) == 1 and not priced[0].any()

@@ -207,6 +207,14 @@ def test_budget_exhaustion_carries_best_pair():
     assert set(strat.choices) == {0, 1}
 
 
+def test_solver_config_refuses_bad_knobs():
+    for kw in ({"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf},
+               {"max_iter": 0}, {"max_iter": -3}):
+        with pytest.raises(ValidationError):
+            SolverConfig(**kw)
+    assert SolverConfig(tol=1e-3, max_iter=1).max_iter == 1
+
+
 def test_coupled_instance_is_refused():
     with pytest.raises(CouplingPresent):
         value_iterate(two_page_coupled_instance())
