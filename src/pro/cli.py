@@ -216,6 +216,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_verify(args):
+    from .chain import ROUNDING
     from .errors import ValidationError
     from .graph import load_instance
     from .oracle import EnumerationBudget, brute_force_optimum
@@ -231,7 +232,9 @@ def _cmd_verify(args):
         res = solve_coupled(inst)
         solver_value = res.best_feasible.value if res.best_feasible else None
     else:
-        state, _ = value_iterate(inst, SolverConfig(tol=min(args.tol / 10, 1e-9)))
+        # an exact match (--tol 0) solves down to the rounding floor
+        tol = max(min(args.tol / 10, 1e-9), ROUNDING)
+        state, _ = value_iterate(inst, SolverConfig(tol=tol))
         solver_value = state.psi
     if solver_value is None:
         result = {"brute_value": brute.value, "solver_value": None,

@@ -6,8 +6,8 @@ lexicographic ratio test (Dantzig, Orden and Wolfe, 1955), and a basic
 the minimum ratio by the rows of ``B^-1`` relative to the basis each
 phase starts from, so no basis repeats in exact arithmetic; in floating
 point, entries that differ by less than ``_PIVOT_TOL`` count as equal.
-Problem sizes here are a few thousand variables at most, which a dense
-tableau handles comfortably.
+The programs here have tens of rows (about 150 for a 100-page web), so
+a dense tableau, updated whole at each pivot, handles them comfortably.
 """
 
 from __future__ import annotations
@@ -20,11 +20,13 @@ _PIVOT_TOL = 1e-9
 
 
 def _pivot(tableau, obj, basis, row, col):
-    # only rows with a nonzero factor change, so only those are touched
+    # one rank-one update of the whole tableau: a row whose factor is zero
+    # gets x - 0*y, the same values (a zero may change sign), and at tens
+    # of rows that is cheaper than picking out the rows a pivot changes
     tableau[row] /= tableau[row, col]
-    rows = np.flatnonzero(tableau[:, col])
-    rows = rows[rows != row]
-    tableau[rows] -= tableau[rows, col, None] * tableau[row]
+    factor = tableau[:, col].copy()
+    factor[row] = 0.0
+    tableau -= factor[:, None] * tableau[row]
     obj -= obj[col] * tableau[row]
     basis[row] = col
 
@@ -37,17 +39,19 @@ def _run(tableau, obj, basis, allowed, max_pivots):
     lexicographically positive, as ``(rhs_i, e_i)`` with ``rhs_i >= 0``.
     """
     lex = np.append(tableau.shape[1] - 1, basis)
+    ratios = np.empty(tableau.shape[0])
     for _ in range(max_pivots):
         masked = np.where(allowed, obj[:-1], 0.0)
-        col = int(np.argmin(masked))
+        col = int(masked.argmin())
         if masked[col] >= -_PIVOT_TOL:
             return "optimal"
         colvals = tableau[:, col]
         pos = colvals > _PIVOT_TOL
-        if not np.any(pos):
+        if not pos.any():
             return "unbounded"
-        ratios = np.where(pos, tableau[:, -1] / np.where(pos, colvals, 1.0), np.inf)
-        ties = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+        ratios.fill(np.inf)
+        np.divide(tableau[:, -1], colvals, out=ratios, where=pos)
+        ties = (ratios <= ratios.min() + 1e-12).nonzero()[0]
         row = int(ties[0])
         if ties.size > 1:
             # the lexicographically least (rhs, B^-1 row) / pivot, on a

@@ -35,7 +35,7 @@ from .polytopes import separate
 from .graph import ContinuousChoice, Rewards, Strategy, build_transition, instance_facets
 from .simplex import solve_dense_lp
 from .solver_local import CompiledBellman, SolverConfig, value_iterate
-from .sparse import add_sparse, find_sorted, row_ids, segment_sums
+from .sparse import add_sparse, find_sorted, ranges, row_ids, segment_sums
 
 FEASIBILITY_TOL = 1e-9
 # every local solve of the dual route
@@ -626,63 +626,37 @@ class LpProblem:
     instance: object
 
 
-def _page_block(instance, page):
-    """Column block ``B`` (``rho_i = B @ x_i``) and the ``<= 0`` rows on ``x_i``.
-
-    Every column of ``B`` sums to one (to within the tolerance ``z`` and
-    ``q`` are validated to), so ``sum(rho_i) = sum(x_i)``, the page mass
-    ``m_i``.  A discrete page is ``B = (1 - alpha) z 1' + alpha V``, so
-    ``rho_i = (1 - alpha) m_i z + alpha V @ x_i``.  Each column of ``V``
-    is an admissible outlink row: column 0 is uniform on the obligatory
-    links O (the dangling teleport row when there are none), and each
-    facultative target j adds ``e_j``.  Their cone is the page's outlink
-    hull lifted by mass, once each facultative entry is held to at most
-    an obligatory one, ``|O| x_j - x_0 <= 0``.  A weight page sits on
-    its chain-space floor ``l' = alpha (1 - mu) q + (1 - alpha) z``: with
-    ``c = 1 - sum(l')``, column ``j`` is ``l' + c e_j`` for each
-    non-banned ``j``, so ``rho_i = l' sum(x_i) + c x_i`` and the page
-    needs no row.  A non-banned cap ``alpha + (1 - alpha) z_j`` is never
-    below the ``l'_j + c`` a row reaches, and a banned cap equals its
-    floor.  No division is involved, so ``mu = 0`` is safe.
-    """
-    n = instance.num_pages
-    alpha = instance.damping
-    store = instance.skeletons
-    if page not in store:
-        obligatory, facultative = instance.obligatory_of(page), instance.facultative_of(page)
-        f = facultative.size
-        outlinks = np.zeros((n, 1 + f))
-        if obligatory.size:
-            outlinks[obligatory, 0] = 1.0 / obligatory.size
-        else:
-            outlinks[:, 0] = instance.dangling_teleport
-        outlinks[facultative, 1 + np.arange(f)] = 1.0
-        rows = np.zeros((f if obligatory.size else 0, 1 + f))
-        rows[:, 0] = -1.0
-        rows[:, 1:] = obligatory.size * np.eye(rows.shape[0], f)
-        return (1.0 - alpha) * instance.teleport[:, None] + alpha * outlinks, rows
-    floor = alpha * store.box(page)[0] + (1.0 - alpha) * instance.teleport
-    free = np.ones(n, dtype=bool)
-    free[store.banned_of(page)] = False
-    slack = max(1.0 - float(floor.sum()), 0.0)
-    # banning every coordinate validates only with mu = 0: the floor is the row
-    block = floor[:, None] + slack * np.eye(n)[:, free] if free.any() else floor[:, None]
-    return block, np.zeros((0, block.shape[1]))
-
-
 def lp_formulate(instance):
     """Exact linear program over occupation measures, reduced page by page.
 
     The measure is ``rho[i, j] = pi[i] P[i, j]``, constrained by unit
     mass, flow balance, each page's constraint set and the budget rows.
     Page i contributes a column block ``B_i`` with ``rho_i = B_i @ x_i``
-    and its own ``<= 0`` rows on ``x_i`` (see ``_page_block``); the
-    objective and the mass, flow-balance and budget rows are the
-    unreduced ones times the block-diagonal ``B``.  A discrete page has
-    one column plus one per facultative link, and a weight page one per
-    non-banned target, so an 18-page weight-mode instance with one
-    budget row has 20 rows instead of 366, and a 100-page web with 5
-    controlled pages about 200 columns instead of 10,000.
+    and its own ``<= 0`` rows on ``x_i``; the objective and the mass,
+    flow-balance and budget rows are the unreduced ones times the
+    block-diagonal ``B``.
+
+    Every column of ``B_i`` sums to one (to within the tolerance ``z``
+    and ``q`` are validated to), so ``sum(rho_i) = sum(x_i)``, the page
+    mass ``m_i``.  A discrete page is ``B_i = (1 - alpha) z 1' + alpha
+    V``, so ``rho_i = (1 - alpha) m_i z + alpha V @ x_i``.  Each column of
+    ``V`` is an admissible outlink row: column 0 is uniform on the
+    obligatory links O (the dangling teleport row when there are none),
+    and each facultative target j adds ``e_j``.  Their cone is the page's
+    outlink hull lifted by mass, once each facultative entry is held to
+    at most an obligatory one, ``|O| x_j - x_0 <= 0``.  A weight page sits
+    on its chain-space floor ``l' = alpha (1 - mu) q + (1 - alpha) z``:
+    with ``c = 1 - sum(l')``, column ``j`` is ``l' + c e_j`` for each
+    non-banned ``j``, so ``rho_i = l' sum(x_i) + c x_i`` and the page
+    needs no row.  A non-banned cap ``alpha + (1 - alpha) z_j`` is never
+    below the ``l'_j + c`` a row reaches, and a banned cap equals its
+    floor.  No division is involved, so ``mu = 0`` is safe.
+
+    A discrete page has one column plus one per facultative link, and a
+    weight page one per non-banned target, so an 18-page weight-mode
+    instance with one budget row has 20 rows instead of 366, and a
+    100-page web with 5 controlled pages about 200 columns instead of
+    10,000.
 
     Raises
     ------
@@ -691,36 +665,64 @@ def lp_formulate(instance):
         before any block is built.
     """
     n = instance.num_pages
+    alpha = instance.damping
     store = instance.skeletons
+    obl, fac = np.diff(instance.obl_indptr), np.diff(instance.fac_indptr)
+    on_weight = find_sorted(store.pages, np.arange(n))[1]
     # the tableau solve_dense_lp allocates, from link and ban counts alone:
     # m rows by the columns, slacks, artificials and right-hand side
-    fac = np.diff(instance.fac_indptr)
+    nfree = n - np.bincount(store.banned // n, minlength=n)[store.pages]
     widths = 1 + fac
-    widths[store.pages] = np.maximum(n - np.bincount(store.banned // n, minlength=n)[store.pages], 1)
+    # banning every target validates only with mu = 0: the floor is the row
+    widths[store.pages] = np.maximum(nfree, 1)
     nx = int(widths.sum())
-    m_ub = int(fac[np.diff(instance.obl_indptr) > 0].sum()) + len(instance.coupling)
+    m_ub = int(fac[obl > 0].sum()) + len(instance.coupling)
     m = n + 1 + m_ub
     cells = m * (nx + m_ub + m + 1)
     if cells > LP_CELL_CAP:
         raise TooLarge(f"occupation LP tableau needs {cells} cells, above the cap of "
                        f"{LP_CELL_CAP} (141 weight pages with one budget row)")
-    blocks, rows = zip(*(_page_block(instance, i) for i in range(n)))
-    # page rows placed on their own column slices
-    local = np.zeros((sum(r.shape[0] for r in rows), nx))
-    r0 = c0 = 0
-    for row, w in zip(rows, widths):
-        local[r0:r0 + row.shape[0], c0:c0 + w] = row
-        r0, c0 = r0 + row.shape[0], c0 + w
+    start = np.cumsum(widths) - widths
+
+    # B, all pages' blocks side by side: the teleport part, then a discrete
+    # page's damped outlink rows ...
+    flow = np.repeat((1.0 - alpha) * instance.teleport[:, None], nx, axis=1)
+    src = row_ids(instance.obl_indptr)
+    flow[instance.obl_indices, start[src]] += alpha * (1.0 / obl[src])
+    dangling = np.flatnonzero((obl == 0) & ~on_weight)
+    flow[:, start[dangling]] += alpha * instance.dangling_teleport[:, None]
+    src = row_ids(instance.fac_indptr)
+    fcols = start[src] + 1 + np.arange(src.size) - instance.fac_indptr[src]
+    flow[instance.fac_indices, fcols] += alpha
+    # ... and a weight page's floor l', plus its slack c on each free target
+    floor = alpha * store.bounds(store.pages)[0] + (1.0 - alpha) * instance.teleport
+    slack = np.maximum(1.0 - floor.sum(axis=1), 0.0)
+    owner, cols = ranges(start[store.pages], start[store.pages] + widths[store.pages])
+    flow[:, cols] = floor[owner].T
+    free = np.ones(floor.shape, dtype=bool)
+    free[np.searchsorted(store.pages, store.banned // n), store.banned % n] = False
+    owner, cols = ranges(start[store.pages], start[store.pages] + nfree)
+    flow[np.nonzero(free)[1], cols] += slack[owner]
+    # BLAS rounds the products in ``pulled`` by each block's memory layout;
+    # weight blocks column-major and discrete ones row-major give the
+    # arrays of the page-by-page reference in the tests, bit for bit
+    blocks = tuple(np.asfortranarray(b) if w else np.ascontiguousarray(b)
+                   for b, w in zip(np.split(flow, start[1:], axis=1), on_weight))
+
+    # the rows |O| x_j - x_0 <= 0 of the discrete pages with obligatory links
+    ruled = np.flatnonzero(obl[src] > 0)
+    local = np.zeros((ruled.size, nx))
+    local[np.arange(ruled.size), start[src[ruled]]] = -1.0
+    local[np.arange(ruled.size), fcols[ruled]] = obl[src[ruled]]
 
     # the objective and the budget rows, each an (n, n) coefficient array
     # on rho, pulled back through B page by page
     weights = np.stack([instance.rewards.dense()]
                        + [c.weights.dense() for c in instance.coupling])
     pulled = np.concatenate([weights[:, i] @ b for i, b in enumerate(blocks)], axis=1)
-    flow = np.concatenate(blocks, axis=1)  # inflow into each page ...
-    flow[np.repeat(np.arange(n), widths), np.arange(nx)] -= 1.0  # ... minus outflow
 
-    a_eq = np.vstack([np.ones(nx), flow])
+    a_eq = np.vstack([np.ones(nx), flow])  # inflow into each page ...
+    a_eq[1 + np.repeat(np.arange(n), widths), np.arange(nx)] -= 1.0  # ... minus outflow
     b_eq = np.zeros(a_eq.shape[0])
     b_eq[0] = 1.0
     a_ub = np.vstack([local, pulled[1:]])

@@ -312,6 +312,17 @@ def test_verify_local_match(tmp_path, capsys):
     assert abs(env["result"]["difference"]) <= 1e-8
 
 
+def test_verify_exact_match_on_a_local_instance(tmp_path, capsys):
+    # --tol 0 solves at the rounding floor and reports the difference; it
+    # used to exit 1 on a solve tolerance of 0 the user never passed
+    code, env = _run(capsys, ["verify", _write(tmp_path, "g.json", two_page_doc()),
+                              "--tol", "0"])
+    result = env["result"]
+    assert abs(result["difference"]) <= 1e-12
+    assert result["match"] is (result["difference"] == 0.0)
+    assert (code, env["status"]) == ((0, "ok") if result["match"] else (2, "qualified"))
+
+
 def test_verify_coupled_reports_mismatch(tmp_path, capsys):
     # at a dual kink the best single feasible strategy undershoots the
     # enumerated optimum; verify must say so rather than hide it

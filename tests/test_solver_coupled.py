@@ -6,8 +6,11 @@ duality, the supporting-hyperplane inequality, bound monotonicity) is
 checked on random coupled problems.
 """
 
+import importlib.util
+import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from helpers import (
 )
 from pro.chain import DENSE_EVAL_CAP, STATIONARY_TOL, occupation, stationary, utility_from_chain
 from pro.errors import Infeasible, ProError, TooLarge, ValidationError
-from pro.graph import CouplingRow, Rewards, build_transition, load_instance
+from pro.graph import CouplingRow, Rewards, WeightRows, build_transition, load_instance
 from pro.oracle import brute_force_optimum, chain_utility, exact_stationary
 from pro import solver_coupled
 from pro.polytopes import facets_box, facets_discrete, separate
@@ -450,6 +453,95 @@ def test_lp_matches_local_solver_on_weight_pages():
         assert value == pytest.approx(state.psi, abs=1e-7)
 
 
+def _bench_generator():
+    """The benchmark's seeded document generator, ``perfbench/generate.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "generate", Path(__file__).resolve().parent.parent / "perfbench" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate
+
+
+def _page_by_page_lp(instance):
+    """``lp_formulate``'s arrays and blocks, built one page at a time with
+    each weight page's floor and bans read by ``box`` and ``banned_of``:
+    the reference for its batched reads."""
+    n = instance.num_pages
+    alpha = instance.damping
+    store = instance.skeletons
+    blocks, rows = [], []
+    for page in range(n):
+        if page in store:
+            floor = alpha * store.box(page)[0] + (1.0 - alpha) * instance.teleport
+            free = np.ones(n, dtype=bool)
+            free[store.banned_of(page)] = False
+            slack = max(1.0 - float(floor.sum()), 0.0)
+            block = floor[:, None] + slack * np.eye(n)[:, free] if free.any() else floor[:, None]
+            blocks.append(block)
+            rows.append(np.zeros((0, block.shape[1])))
+            continue
+        obligatory, facultative = instance.obligatory_of(page), instance.facultative_of(page)
+        f = facultative.size
+        outlinks = np.zeros((n, 1 + f))
+        if obligatory.size:
+            outlinks[obligatory, 0] = 1.0 / obligatory.size
+        else:
+            outlinks[:, 0] = instance.dangling_teleport
+        outlinks[facultative, 1 + np.arange(f)] = 1.0
+        row = np.zeros((f if obligatory.size else 0, 1 + f))
+        row[:, 0] = -1.0
+        row[:, 1:] = obligatory.size * np.eye(row.shape[0], f)
+        blocks.append((1.0 - alpha) * instance.teleport[:, None] + alpha * outlinks)
+        rows.append(row)
+    widths = [b.shape[1] for b in blocks]
+    nx = sum(widths)
+    local = np.zeros((sum(r.shape[0] for r in rows), nx))
+    r0 = c0 = 0
+    for row, w in zip(rows, widths):
+        local[r0:r0 + row.shape[0], c0:c0 + w] = row
+        r0, c0 = r0 + row.shape[0], c0 + w
+    weights = np.stack([instance.rewards.dense()]
+                       + [c.weights.dense() for c in instance.coupling])
+    pulled = np.concatenate([weights[:, i] @ b for i, b in enumerate(blocks)], axis=1)
+    flow = np.concatenate(blocks, axis=1)
+    flow[np.repeat(np.arange(n), widths), np.arange(nx)] -= 1.0
+    a_eq = np.vstack([np.ones(nx), flow])
+    b_eq = np.zeros(a_eq.shape[0])
+    b_eq[0] = 1.0
+    a_ub = np.vstack([local, pulled[1:]])
+    b_ub = np.zeros(a_ub.shape[0])
+    b_ub[a_ub.shape[0] - len(instance.coupling):] = [c.bound for c in instance.coupling]
+    return (pulled[0], a_eq, b_eq, a_ub, b_ub), blocks
+
+
+def test_lp_formulate_matches_page_by_page_bounds():
+    # every weight page's floor and bans, read once for all pages, give
+    # the arrays that reading them page by page gives, bit for bit
+    generate = _bench_generator()
+    docs = [json.loads(text) for seed in (61, 62, 63)
+            for text in generate.documents("small-crosscheck", seed)]
+    assert len(docs) == 36
+    # mu = 0 with every target banned; mu = 0 with a one-hot q on a target
+    # that is not banned (floor = cap there); every target banned but one
+    one_hot = _weight_doc([(0.0, [0, 1, 2, 3]), (0.0, [0]), (0.5, [0, 1, 3]), (1.0, [])])
+    one_hot["skeleton"][1]["q"] = [0.0, 0.0, 1.0, 0.0]
+    docs.append(one_hot)
+    docs.append(_weight_doc([(0.5, [1, 2, 3]), (0.0, [1, 3]), (0.0, [0, 1, 2, 3]), (0.3, [3])]))
+    rng = np.random.default_rng(29)
+    docs += [add_active_coupling(_mixed_doc(rng), rng) for _ in range(3)]
+    docs += [add_active_coupling(random_continuous_doc(rng, n_max=10), rng) for _ in range(3)]
+    docs.append(add_coupling_rows(link_web_doc(rng, 30, 3, 5), rng, 2, 0.7, 1.0))
+    for doc in docs:
+        inst = load_instance(doc)
+        problem = lp_formulate(inst)
+        arrays, blocks = _page_by_page_lp(inst)
+        ours = (problem.objective, problem.a_eq, problem.b_eq, problem.a_ub, problem.b_ub)
+        for a, b in zip(ours, arrays):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert len(problem.blocks) == len(blocks)
+        assert all(np.array_equal(a, b) for a, b in zip(problem.blocks, blocks))
+
+
 def _mixed_doc(rng, n=7):
     """Weight pages next to discrete pages with and without obligatory links.
 
@@ -662,14 +754,15 @@ def test_lp_size_cap(monkeypatch):
         cells = (n + 2) * (n * n + 1 + (n + 2) + 1)
         with pytest.raises(TooLarge, match=f"needs {cells} cells, above the cap "):
             lp_formulate(load_instance(_all_weight_doc(n)))
-    # the cap is checked before any page block is built
+    # the cap is checked before any page's bounds are read
 
-    def no_blocks(*args):
-        raise AssertionError("a page block was built")
+    def no_bounds(*args):
+        raise AssertionError("the weight pages' bounds were read")
 
-    monkeypatch.setattr(solver_coupled, "_page_block", no_blocks)
+    inst = load_instance(_all_weight_doc(142))
+    monkeypatch.setattr(WeightRows, "bounds", no_bounds)
     with pytest.raises(TooLarge):
-        lp_formulate(load_instance(_all_weight_doc(142)))
+        lp_formulate(inst)
 
 
 def _master_after(income, spending, bounds):
