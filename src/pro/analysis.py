@@ -1,15 +1,15 @@
 """Structure audits: value ordering, link classification, optimality defects.
 
-The chain's pre-teleport value vector ``v`` orders the pages, and each
-page's keep-or-drop decisions reduce to one threshold: a link's score
-``r[i, j] + v[j]`` against the page's bar, its chain row's average score.
-By ``v = rbar + damping * S v`` the bar is ``(v[i] - (1 - damping) *
-sum_l z[l] r[i, l]) / damping``, for per-page and per-link rewards alike.
-Links strictly above the bar sit in every optimal link subset, links
-strictly below in none, so a strategy with no violations is optimal.
-
-The defect audit takes weight pages too: its defects are ``T(v) - v`` of
-the local solver's improvement operator ``T`` at the chain's own ``v``.
+One pass serves every audit: the chain's pre-teleport value vector ``v``
+and one sweep of the local solver's improvement operator ``T`` at it.
+The defects are ``max(T(v) - v, 0)``, every page type alike, and ``v``
+orders the pages.  Each page's keep-or-drop decisions reduce to one
+threshold: a link's score ``r[i, j] + v[j]`` against the page's bar, its
+chain row's average score.  By ``v = rbar + damping * S v`` the bar is
+``(v[i] - (1 - damping) * sum_l z[l] r[i, l]) / damping``, for per-page
+and per-link rewards alike.  Links strictly above the bar sit in every
+optimal link subset, links strictly below in none, so a strategy with no
+violations is optimal.  Weight pages have no link to classify.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from .chain import mean_reward_before_teleport
 from .errors import ValidationError
 from .graph import DiscreteChoice, build_transition
 from .solver_local import CompiledBellman
-from .sparse import locate, row_ids
+from .sparse import locate
 
 AUDIT_V_TOL = 1e-12
+DEFECT_TOL = 1e-7  # the largest defect an optimal chain may show
 KINDS = np.array(["tie", "required", "forbidden"])  # indexed by the margin's sign
 
 
@@ -44,12 +45,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class MasterReport:
-    """Value ordering plus per-link audit of one strategy.
+    """Value ordering, per-link audit and defects of one strategy.
 
     ``pages``, ``targets``, ``kinds`` and ``margins`` run over the
     facultative links in CSR order.  A margin is the link's score minus
     its page's bar; the kind is "required", "forbidden", or "tie" within
-    the audit tolerance.
+    the audit tolerance.  ``defects`` are ``max(T(v) - v, 0)`` per page.
     """
 
     master: int
@@ -60,9 +61,16 @@ class MasterReport:
     kinds: np.ndarray
     margins: np.ndarray
     violations: tuple
+    defects: np.ndarray
+
+    @property
+    def optimal(self):
+        return bool(self.defects.max() <= DEFECT_TOL)
 
     def to_report_dict(self):
         return {
+            "max_defect": float(self.defects.max()),
+            "optimal": self.optimal,
             "master": self.master,
             "ordering": [int(i) for i in self.ordering],
             "values": [float(x) for x in self.values],
@@ -79,8 +87,15 @@ class MasterReport:
         }
 
 
+def _audit_pass(instance, transition):
+    """The chain's value ``v``, the compiled operator and ``max(T(v) - v, 0)``."""
+    v = mean_reward_before_teleport(transition, instance.rewards, tol=AUDIT_V_TOL).v
+    comp = CompiledBellman(instance, instance.rewards)
+    return v, comp, np.maximum(comp.apply(v) - v, 0.0)
+
+
 def master_ordering(instance, strategy=None, tol=1e-9):
-    """Audit a strategy of a discrete instance.
+    """Audit a strategy: ordering, link classification and defects.
 
     Parameters
     ----------
@@ -97,27 +112,24 @@ def master_ordering(instance, strategy=None, tol=1e-9):
     Raises
     ------
     ValidationError
-        For weight-constrained pages, non-subset choices, or a ``tol``
-        that is not finite and nonnegative.
+        For a non-subset choice on a page with facultative links, or a
+        ``tol`` that is not finite and nonnegative.
     """
     if not 0.0 <= tol < np.inf:
         raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
-    if instance.skeletons:
-        raise ValidationError("the ordering audit handles discrete pages only")
-    trans = build_transition(instance, strategy)
+    f_indptr = instance.fac_indptr
     choices = strategy.choices if strategy is not None else {}
-    f_indptr, f_idx, alpha = instance.fac_indptr, instance.fac_indices, instance.damping
     for i, ch in sorted(choices.items()):
         if f_indptr[i + 1] > f_indptr[i] and not isinstance(ch, DiscreteChoice):
             raise ValidationError(f"page {i} carries a non-subset choice")
-    rewards = instance.rewards
-    v = mean_reward_before_teleport(trans, rewards, tol=AUDIT_V_TOL).v
+    trans = build_transition(instance, strategy)
+    v, comp, defects = _audit_pass(instance, trans)
+    f_page, f_idx = comp.f_page, comp.f_idx
     # a facultative link is on exactly when the chain holds it
-    f_page = row_ids(f_indptr)
     s = trans.srows
     active = locate(s.indptr, s.indices, s.num_cols, f_page, f_idx)[1]
-    bar = ((v - (1.0 - alpha) * rewards.row_means(trans.teleport)) / alpha)[f_page]
-    margin = rewards.base[f_page] + rewards.delta.gather_at(f_indptr, f_idx) + v[f_idx] - bar
+    bar = ((v - comp.const) / comp.alpha)[f_page]
+    margin = comp.r_f + v[f_idx] - bar
     scale = tol * np.maximum(1.0, np.abs(bar))
     sign = (margin > scale).astype(np.int8) - (margin < -scale)  # +1 required, -1 forbidden
     kinds = KINDS[sign]
@@ -126,28 +138,15 @@ def master_ordering(instance, strategy=None, tol=1e-9):
                                  "extra" if active[k] else "missing") for k in wrong)
     order = np.argsort(-v, kind="stable")
     return MasterReport(int(order[0]), tuple(order.tolist()), v,
-                        f_page, f_idx, kinds, margin, violations)
+                        f_page, f_idx, kinds, margin, violations, defects)
 
 
-def continuous_optimality_check(instance, transition, tol=1e-7):
-    """Per-page improvement defects of an admissible chain.
-
-    For each page the defect is the gain available from swapping the
-    page's outlink row for the best one at the chain's own value vector;
-    a chain with all defects at most ``tol`` is optimal.  Works for both
-    link subsets and weight-constrained pages.
-
-    The chain's value is ``v = rbar + damping * S v``, with ``rbar`` each
-    row's mean reward under the chain, per page or per link alike, so one
-    sweep of the improvement operator gives exactly that gain:
-    ``T(v)_i - v_i`` is the best row's ``rbar + damping * row . v`` minus
-    the chain's own.  The defects are ``max(T(v) - v, 0)``.
-
-    Returns
-    -------
-    (ok, defects) : (bool, ndarray)
+def continuous_optimality_check(instance, transition, tol=DEFECT_TOL):
+    """Per-page improvement defects ``max(T(v) - v, 0)`` of an admissible
+    chain, every page type alike.  ``T(v)_i - v_i`` is the gain of swapping
+    page ``i``'s outlink row for the best one at the chain's own ``v``: the
+    best row's ``rbar + damping * row . v`` minus the chain's own.  A chain
+    with all defects at most ``tol`` is optimal.  Returns ``(ok, defects)``.
     """
-    v = mean_reward_before_teleport(transition, instance.rewards,
-                                    tol=AUDIT_V_TOL).v
-    defects = np.maximum(CompiledBellman(instance, instance.rewards).apply(v) - v, 0.0)
+    defects = _audit_pass(instance, transition)[2]
     return bool(defects.max() <= tol), defects

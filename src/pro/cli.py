@@ -199,20 +199,14 @@ def _cmd_optimize_coupled(args):
 
 
 def _cmd_analyze(args):
-    from .analysis import continuous_optimality_check, master_ordering
-    from .graph import build_transition, load_instance, load_strategy
+    from .analysis import master_ordering
+    from .graph import load_instance, load_strategy
 
     inst = load_instance(args.instance)
     strat = load_strategy(args.strategy, inst) if args.strategy else None
-    trans = build_transition(inst, strat)
-    ok, defects = continuous_optimality_check(inst, trans)
-    result = {"max_defect": float(defects.max()), "optimal": bool(ok)}
-    clean = ok
-    if not inst.skeletons:
-        report = master_ordering(inst, strat, tol=args.tol)
-        result.update(report.to_report_dict())
-        clean = clean and not report.violations
-    return inst, result, "ok" if clean else "qualified"
+    report = master_ordering(inst, strat, tol=args.tol)
+    clean = report.optimal and not report.violations
+    return inst, report.to_report_dict(), "ok" if clean else "qualified"
 
 
 def _cmd_verify(args):

@@ -150,6 +150,39 @@ def random_continuous_doc(rng, n_max=30):
     }
 
 
+def mixed_doc(rng, n=7):
+    """Weight pages next to discrete pages with and without obligatory links.
+
+    Pages 0, 3, 6, ... carry a skeleton with one banned coordinate; the
+    others have two facultative links, and pages 1, 4, ... one obligatory
+    link as well.
+    """
+    teleport = rng.random(n) + 0.05
+    teleport /= teleport.sum()
+    obligatory, facultative, skeleton = [], [], []
+    for i in range(n):
+        targets = [int(j) for j in rng.choice(n, size=3, replace=False)]
+        if i % 3 == 0:
+            q = rng.random(n)
+            skeleton.append({"page": i, "q": [float(x) for x in q / q.sum()],
+                             "mu": float(rng.uniform(0.2, 0.9)),
+                             "banned": targets[:1]})
+            continue
+        if i % 3 == 1:
+            obligatory.append([i, targets[0]])
+        facultative += [[i, j] for j in targets[1:]]
+    return {
+        "num_pages": n,
+        "damping": float(rng.uniform(0.5, 0.9)),
+        "teleport": [float(x) for x in teleport],
+        "obligatory": obligatory,
+        "facultative": facultative,
+        "rewards": {"type": "per_page",
+                    "values": [float(x) for x in rng.uniform(-1.0, 1.0, size=n)]},
+        "skeleton": skeleton,
+    }
+
+
 def add_active_coupling(doc, rng, slack=None):
     """Attach one coupling row whose bound bites but stays attainable.
 

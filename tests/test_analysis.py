@@ -5,15 +5,18 @@ import pytest
 
 from helpers import (
     exact_utility,
+    mixed_doc,
     random_continuous_doc,
     random_discrete_doc,
     random_strategy,
     two_page_instance,
 )
-from pro.analysis import continuous_optimality_check, master_ordering
+from pro.analysis import AUDIT_V_TOL, continuous_optimality_check, master_ordering
+from pro.chain import mean_reward_before_teleport
 from pro.errors import ValidationError
 from pro.graph import ContinuousChoice, DiscreteChoice, Strategy, build_transition, load_instance
 from pro.solver_local import value_iterate
+from pro.sparse import row_ids
 
 
 def _per_page_instance(rng, **kw):
@@ -121,11 +124,53 @@ def test_equal_rewards_make_every_link_a_tie():
     np.testing.assert_allclose(report.values, [1.0 / 0.15] * 2, atol=1e-9)
 
 
-def test_audit_rejections():
+def test_audit_takes_weight_pages():
+    # a weight page has no link to classify: at the optimum of an all-weight
+    # or a mixed instance the audit finds nothing wrong, its links are the
+    # facultative CSR in order, and its defects are the defect check's
     rng = np.random.default_rng(105)
-    cont = load_instance(random_continuous_doc(rng, n_max=4))
-    with pytest.raises(ValidationError):
-        master_ordering(cont)
+    docs = [random_continuous_doc(rng, n_max=8) for _ in range(6)]
+    docs += [mixed_doc(rng) for _ in range(6)]
+    for doc in docs:
+        inst = load_instance(doc)
+        _, strat = value_iterate(inst)
+        report = master_ordering(inst, strat)
+        assert report.violations == ()
+        assert report.optimal
+        assert np.array_equal(report.pages, row_ids(inst.fac_indptr))
+        assert np.array_equal(report.targets, inst.fac_indices)
+        _, defects = continuous_optimality_check(inst, build_transition(inst, strat))
+        assert np.array_equal(report.defects, defects)
+
+
+def _reward_gather_audit(inst, strategy):
+    """Values and margins worked out from ``Rewards`` apart from the
+    compiled operator: ``v`` by its own solve, each link's score from the
+    per-link gather and each bar from the teleport row means."""
+    trans = build_transition(inst, strategy)
+    rewards, alpha = inst.rewards, inst.damping
+    f_indptr, f_idx = inst.fac_indptr, inst.fac_indices
+    f_page = row_ids(f_indptr)
+    v = mean_reward_before_teleport(trans, rewards, tol=AUDIT_V_TOL).v
+    bar = ((v - (1.0 - alpha) * rewards.row_means(trans.teleport)) / alpha)[f_page]
+    margins = rewards.base[f_page] + rewards.delta.gather_at(f_indptr, f_idx) + v[f_idx] - bar
+    return v, margins
+
+
+@pytest.mark.parametrize("seed, count, reward_kind", [
+    (3001, 200, "per_link"), (3009, 200, "per_page"), (4009, 100, "per_link")])
+def test_audit_matches_the_reward_gather_bit_for_bit(seed, count, reward_kind):
+    # the criterion 3 and 9 families, audited at the optimum, at the
+    # default and at a random strategy
+    rng, pick = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    for _ in range(count):
+        inst = load_instance(random_discrete_doc(rng, reward_kind=reward_kind))
+        _, strat = value_iterate(inst)
+        for strategy in (strat, None, random_strategy(pick, inst)):
+            report = master_ordering(inst, strategy)
+            v, margins = _reward_gather_audit(inst, strategy)
+            assert np.array_equal(report.values, v)
+            assert np.array_equal(report.margins, margins)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])

@@ -12,8 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pro
-from helpers import random_discrete_doc, two_page_coupled_doc, two_page_doc, weight_web_doc
-from pro import graph
+from helpers import (
+    random_continuous_doc,
+    random_discrete_doc,
+    two_page_coupled_doc,
+    two_page_doc,
+    weight_web_doc,
+)
+from pro import analysis, graph
 from pro.cli import main
 from pro.errors import ValidationError
 from pro.graph import load_instance, load_strategy
@@ -298,11 +304,49 @@ def test_analyze_per_link_rewards_keeps_the_defect_audit(tmp_path, capsys):
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_analyze_rejects_a_bad_tolerance(tmp_path, capsys, tol):
     # such a tolerance would call every link a tie and hide the default
-    # strategy's violations
-    code, env = _run(capsys, ["analyze", _write(tmp_path, "g.json", _audit_doc()),
-                              "--tol", tol])
-    assert code == 1
-    assert env["error"]["type"] == "ValidationError"
+    # strategy's violations; a weight-only instance is refused alike
+    weights = random_continuous_doc(np.random.default_rng(105), n_max=4)
+    for doc in (_audit_doc(), weights):
+        code, env = _run(capsys, ["analyze", _write(tmp_path, "g.json", doc), "--tol", tol])
+        assert code == 1
+        assert env["error"]["type"] == "ValidationError"
+
+
+def test_analyze_audits_a_weight_instance(tmp_path, capsys):
+    # no facultative link to classify, but an ordering and a defect audit
+    doc = random_continuous_doc(np.random.default_rng(105), n_max=4)
+    inst_path = _write(tmp_path, "w.json", doc)
+    out_path = str(tmp_path / "strategy.json")
+    assert _run(capsys, ["optimize", inst_path, "--out", out_path])[0] == 0
+    code, env = _run(capsys, ["analyze", inst_path, "--strategy", out_path])
+    assert code == 0
+    result = env["result"]
+    assert sorted(result["ordering"]) == list(range(doc["num_pages"]))
+    assert len(result["values"]) == doc["num_pages"]
+    assert result["classifications"] == []
+    assert result["violations"] == []
+    assert result["optimal"] is True
+
+
+def test_analyze_builds_one_chain_and_solves_one_value(tmp_path, capsys, monkeypatch):
+    inst_path = _write(tmp_path, "g.json", _audit_doc())
+    out_path = str(tmp_path / "strategy.json")
+    assert _run(capsys, ["optimize", inst_path, "--out", out_path])[0] == 0
+    calls = {"chain": 0, "value": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name, key in ((graph, "build_transition", "chain"),
+                              (analysis, "build_transition", "chain"),
+                              (analysis, "mean_reward_before_teleport", "value")):
+        monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+    code, _ = _run(capsys, ["analyze", inst_path, "--strategy", out_path])
+    assert code == 0
+    assert calls == {"chain": 1, "value": 1}
 
 
 def test_verify_local_match(tmp_path, capsys):

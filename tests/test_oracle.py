@@ -1,5 +1,10 @@
 """Reference-route computations: direct solves and full enumeration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,7 @@ from helpers import (
     two_page_doc,
     two_page_instance,
 )
+import pro
 from pro.errors import (
     BudgetExceeded,
     Infeasible,
@@ -150,3 +156,15 @@ def test_finite_diff_validation_and_agreement():
                                 np.ones_like(q), 1e-6)
     with pytest.raises(StepTooLarge):
         finite_diff_directional(a.dense_p(), inst.rewards, q, 1e3)
+
+
+def test_evidence_modules_load_apart_from_the_fast_path():
+    # the enumeration and the simplex are independent evidence only while
+    # importing them pulls in neither solver nor the audit
+    fast = ("pro.solver_local", "pro.solver_coupled", "pro.analysis")
+    code = ("import sys, pro.oracle, pro.simplex; "
+            f"print([m for m in {fast!r} if m in sys.modules])")
+    src = str(Path(pro.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -22,6 +22,7 @@ from helpers import (
     add_coupling_rows,
     link_web_doc,
     minus_weighted,
+    mixed_doc,
     power_law_instance,
     random_continuous_doc,
     random_discrete_doc,
@@ -528,7 +529,7 @@ def test_lp_formulate_matches_page_by_page_bounds():
     docs.append(one_hot)
     docs.append(_weight_doc([(0.5, [1, 2, 3]), (0.0, [1, 3]), (0.0, [0, 1, 2, 3]), (0.3, [3])]))
     rng = np.random.default_rng(29)
-    docs += [add_active_coupling(_mixed_doc(rng), rng) for _ in range(3)]
+    docs += [add_active_coupling(mixed_doc(rng), rng) for _ in range(3)]
     docs += [add_active_coupling(random_continuous_doc(rng, n_max=10), rng) for _ in range(3)]
     docs.append(add_coupling_rows(link_web_doc(rng, 30, 3, 5), rng, 2, 0.7, 1.0))
     for doc in docs:
@@ -542,39 +543,6 @@ def test_lp_formulate_matches_page_by_page_bounds():
         assert all(np.array_equal(a, b) for a, b in zip(problem.blocks, blocks))
 
 
-def _mixed_doc(rng, n=7):
-    """Weight pages next to discrete pages with and without obligatory links.
-
-    Pages 0, 3, 6, ... carry a skeleton with one banned coordinate; the
-    others have two facultative links, and pages 1, 4, ... one obligatory
-    link as well.
-    """
-    teleport = rng.random(n) + 0.05
-    teleport /= teleport.sum()
-    obligatory, facultative, skeleton = [], [], []
-    for i in range(n):
-        targets = [int(j) for j in rng.choice(n, size=3, replace=False)]
-        if i % 3 == 0:
-            q = rng.random(n)
-            skeleton.append({"page": i, "q": [float(x) for x in q / q.sum()],
-                             "mu": float(rng.uniform(0.2, 0.9)),
-                             "banned": targets[:1]})
-            continue
-        if i % 3 == 1:
-            obligatory.append([i, targets[0]])
-        facultative += [[i, j] for j in targets[1:]]
-    return {
-        "num_pages": n,
-        "damping": float(rng.uniform(0.5, 0.9)),
-        "teleport": [float(x) for x in teleport],
-        "obligatory": obligatory,
-        "facultative": facultative,
-        "rewards": {"type": "per_page",
-                    "values": [float(x) for x in rng.uniform(-1.0, 1.0, size=n)]},
-        "skeleton": skeleton,
-    }
-
-
 def test_lp_on_mixed_pages_maps_back_to_an_occupation_measure():
     # the measure lp_solve maps back from the reduced variables balances
     # its flows, has unit mass, and the outlink part of each of its rows,
@@ -582,7 +550,7 @@ def test_lp_on_mixed_pages_maps_back_to_an_occupation_measure():
     # its value meets the dual bound as in criterion 7
     rng = np.random.default_rng(96)
     for _ in range(4):
-        inst = load_instance(add_active_coupling(_mixed_doc(rng), rng))
+        inst = load_instance(add_active_coupling(mixed_doc(rng), rng))
         rho, lp_value = lp_solve(lp_formulate(inst))
         assert rho.shape == (7, 7)
         assert rho.sum() == pytest.approx(1.0, abs=1e-9)
@@ -684,7 +652,7 @@ def test_occupation_check_catches_one_page_off_its_facets():
     rng = np.random.default_rng(97)
     eps = 1e-4
     for _ in range(3):
-        inst = load_instance(add_active_coupling(_mixed_doc(rng), rng))
+        inst = load_instance(add_active_coupling(mixed_doc(rng), rng))
         rho, _ = lp_solve(lp_formulate(inst))
         check_occupation(inst, rho)
         for i in range(inst.num_pages):
