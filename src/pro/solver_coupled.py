@@ -242,7 +242,7 @@ class _Run:
         """
         comp, f, c = self.comp, self.fixed, self.ctrl
         alpha, z = comp.alpha, comp.z
-        s = comp.policy()[2]()
+        s = comp.dense_s()
         g, s_cf = self._complement(s)
         pi = np.empty(comp.n)
         pi[c] = np.linalg.solve(g.T, (1.0 - alpha) * (z[c] + self.b.T @ z[f]))

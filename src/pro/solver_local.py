@@ -25,6 +25,7 @@ is ``chain.policy_value``, whose constants this module re-exports.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -34,7 +35,7 @@ import numpy as np
 from .chain import DENSE_EVAL_CAP, ROUNDING, iteration_budget, policy_value, span_iterate
 from .errors import CouplingPresent, MaxIterExceeded, ValidationError
 from .graph import ContinuousChoice, DiscreteChoice, Strategy, TransitionMatrix
-from .sparse import RowSparse, _sort_coords, find_sorted, row_ids, segment_sums
+from .sparse import RowSparse, _sort_coords, find_sorted, row_ids
 
 # An iterative evaluation stops once its own bracket is below this share
 # of the improvement sweep's (or at tol): only the sweep certifies, and
@@ -126,9 +127,11 @@ class CompiledBellman:
     ``polytopes.linear_maximize``'s pick, the lowest index on ties.
 
     Each sweep also keeps its greedy policy (active candidates, no-link
-    pages, weight pages' ``j*``), which ``evaluate`` solves for,
-    ``chain`` builds and ``extract`` turns into a ``Strategy``, and sets
-    ``repeated`` when that policy equals the previous sweep's.  One
+    pages, weight pages' ``j*``), and sets ``repeated`` when that policy
+    equals the previous sweep's.  ``policy`` and ``dense_s`` give its
+    system ``v = rbar + damping * S v`` on the sweep's own blocks, which
+    ``evaluate`` solves; ``chain`` builds its ``TransitionMatrix`` from
+    entry lists, and ``extract`` turns it into a ``Strategy``.  One
     instance serves one caller at a time.
     """
 
@@ -182,10 +185,12 @@ class CompiledBellman:
         store = instance.skeletons
         self.sk_page = store.pages
         self.slack = store.slack[self.sk_page]
-        # the floors (1 - mu) q, one CSR segment per weight page
+        # the floors (1 - mu) q, one reduceat segment per nonempty floor
         floor = store.floor
-        self.q_indptr = floor.indptr
         self.q_rows = self.sk_page[row_ids(floor.indptr)]
+        nonempty = floor.indptr[:-1] < floor.indptr[1:]
+        self.qf_rows = self.sk_page[nonempty]
+        self.qf_starts = floor.indptr[:-1][nonempty]
         self.q_idx, self.q_val = floor.indices, floor.data
         self.q_pos = self.slots(self.q_rows, self.q_idx)
         # a page's per-link reward entries score apart from its base; they
@@ -221,6 +226,8 @@ class CompiledBellman:
         self.sk_base = base[self.sk_page]
         self.r_q = base[self.q_rows] + delta[self.q_pos]
         self.d_r = self.sk_base[self.d_k] + delta[self.d_pos]
+        # each row's reward sum over its fixed block, for ``policy``
+        self.r_fixed = self._fixed_sums(self.r_o, self.q_val * self.r_q)
         # the greedy policy of the last sweep, and whether it repeated the
         # one before
         self.active = self.size = self.use_nl = self.jstar = None
@@ -232,13 +239,12 @@ class CompiledBellman:
 
     def _sweep(self, w):
         alpha = self.alpha
-        so = np.zeros(self.n)
-        if self.o_rows.size:
-            so[self.o_rows] = np.add.reduceat(w[self.o_idx] + self.r_o,
-                                              self.o_starts)
+        so = self._fixed_sums(w[self.o_idx] + self.r_o,
+                              self.q_val * (self.r_q + w[self.q_idx]))
         nl = self.no_link_base + float(np.dot(self.hang, w))
-        val = so / np.maximum(self.o_cnt, 1.0)
-        size = self.o_cnt.copy()
+        # a row's divisor: its uniform support, 1 on the other rows
+        size = np.maximum(self.o_cnt, 1.0)
+        val = so / size
         use_nl = self.plain_nl.copy()
         if self.f_rows.size:
             c = w[self.f_idx] + self.r_f
@@ -263,14 +269,24 @@ class CompiledBellman:
         jstar = np.zeros(0, dtype=np.int64)
         if self.sk_page.size:
             top, jstar = self._masters(w)
-            floor = segment_sums(self.q_val * (self.r_q + w[self.q_idx]), self.q_indptr)
             lift = self.slack * np.where(jstar >= 0, top, 0.0)
-            out[self.sk_page] = alpha * (floor + lift) + self.const[self.sk_page]
+            out[self.sk_page] = alpha * (so[self.sk_page] + lift) + self.const[self.sk_page]
         self.repeated = (self.jstar is not None
                          and np.array_equal(active, self.active)
                          and np.array_equal(use_nl, self.use_nl)
                          and np.array_equal(jstar, self.jstar))
         self.active, self.size, self.use_nl, self.jstar = active, size, use_nl, jstar
+        return out
+
+    def _fixed_sums(self, obl, floor):
+        """Per page, the sum of ``obl`` over its obligatory links or of
+        ``floor`` over its weight floor: the rows' fixed blocks, which no
+        page has both of."""
+        out = np.zeros(self.n)
+        if self.o_rows.size:
+            out[self.o_rows] = np.add.reduceat(obl, self.o_starts)
+        if self.qf_rows.size:
+            out[self.qf_rows] = np.add.reduceat(floor, self.qf_starts)
         return out
 
     def _masters(self, w):
@@ -367,7 +383,8 @@ class CompiledBellman:
         return t, active, k
 
     def _entries(self):
-        """Rows, columns, weights and rewards of the policy's entries of S.
+        """Rows, columns, weights and rewards of the policy's entries of S,
+        for ``chain``.
 
         Uniform rows first, then each weight page's floor and its slack on
         the master page; a floor entry and a master entry can share a
@@ -401,25 +418,62 @@ class CompiledBellman:
     def policy(self):
         """The last sweep's policy as ``(rbar, apply_s, dense_s)``: its
         reward vector, ``apply_s(v) = S v`` and the dense ``dense_s()``, the
-        system ``v = rbar + damping * S v`` of ``chain.policy_value``."""
-        n, alpha, hang, use_nl = self.n, self.alpha, self.hang, self.use_nl
-        rows, cols, weights, rewards = self._entries()
-        rbar = np.bincount(rows, weights * rewards, minlength=n).astype(float, copy=False)
-        rbar[use_nl] = self.no_link_base[use_nl]
-        rbar = alpha * rbar + self.const
+        system ``v = rbar + damping * S v`` of ``chain.policy_value``.
+
+        Both sum the sweep's own blocks: the obligatory links and weight
+        floors by segment (``_fixed_sums``; their rewards once per
+        ``reprice``), the active candidates by one small ``bincount``, and
+        each weight page's slack times its master's entry.  Each row is
+        then divided once by its size (1 off the uniform rows), and the
+        no-link row replaces the rows that take it.
+        """
+        n, hang, use_nl, size = self.n, self.hang, self.use_nl, self.size
+        act = np.flatnonzero(self.active)
+        pages, cols = self.f_page[act], self.f_idx[act]
+        has = self.jstar >= 0
+        m_pages, m_cols, lift = self.sk_page[has], self.jstar[has], self.slack[has]
+        r_m = self.sk_base[has] + self.dext[self.slots(m_pages, m_cols)]
+
+        def rows(fixed, cand, master, no_link):
+            out = fixed + np.bincount(pages, cand, minlength=n)
+            if m_pages.size:
+                out[m_pages] += lift * master
+            out /= size
+            return np.where(use_nl, no_link, out)
+
+        rbar = self.alpha * rows(self.r_fixed, self.r_f[act], r_m, self.no_link_base) + self.const
 
         def apply_s(v):
-            sv = np.bincount(rows, weights * v[cols], minlength=n).astype(float, copy=False)
-            sv[use_nl] = float(np.dot(hang, v))
-            return sv
+            return rows(self._fixed_sums(v[self.o_idx], self.q_val * v[self.q_idx]),
+                        v[cols], v[m_cols], float(np.dot(hang, v)))
 
-        def dense_s():
-            s = np.bincount(rows * n + cols, weights, minlength=n * n).astype(float, copy=False)
-            s = s.reshape(n, n)
-            s[use_nl] = hang
-            return s
+        return rbar, apply_s, self.dense_s
 
-        return rbar, apply_s, dense_s
+    @functools.cached_property
+    def _flat(self):
+        """Flat positions ``i * n + j`` of the obligatory, candidate and
+        floor entries, computed on the first ``dense_s``."""
+        n = self.n
+        return (self.o_page * n + self.o_idx, self.f_page * n + self.f_idx,
+                self.q_rows * n + self.q_idx)
+
+    def dense_s(self):
+        """The last sweep's policy's ``S`` as a dense ``(n, n)`` array,
+        entry for entry as ``chain`` sums it."""
+        n = self.n
+        s = np.zeros((n, n))
+        flat = s.reshape(-1)
+        o_flat, f_flat, q_flat = self._flat
+        inv = 1.0 / self.size
+        flat[o_flat] = inv[self.o_page]
+        flat[f_flat[self.active]] = inv[self.f_page[self.active]]
+        if self.sk_page.size:
+            flat[q_flat] = self.q_val
+            has = self.jstar >= 0
+            # a master can share its coordinate with a floor entry
+            flat[self.sk_page[has] * n + self.jstar[has]] += self.slack[has]
+        s[self.use_nl] = self.hang
+        return s
 
     def evaluate(self, x0, tol, max_iter):
         """Value ``v = rbar + damping * S v`` of the last sweep's policy,

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import pro
 from helpers import (
+    link_web_doc,
     random_continuous_doc,
     random_discrete_doc,
     two_page_coupled_doc,
@@ -347,6 +348,31 @@ def test_analyze_builds_one_chain_and_solves_one_value(tmp_path, capsys, monkeyp
     code, _ = _run(capsys, ["analyze", inst_path, "--strategy", out_path])
     assert code == 0
     assert calls == {"chain": 1, "value": 1}
+
+
+def test_analyze_caps_its_lists_on_a_large_web(tmp_path, capsys):
+    # as pagerank and optimize do: above the caps a list is replaced by
+    # its length, and the verdict and violations stay whole
+    doc = link_web_doc(np.random.default_rng(106), 5200, 300, 20)
+    assert len(doc["facultative"]) > 5000
+    code, env = _run(capsys, ["analyze", _write(tmp_path, "web.json", doc)])
+    assert code == 2
+    result = env["result"]
+    assert result["values"] == {"count": 5200, "omitted": True}
+    assert result["ordering"] == {"count": 5200, "omitted": True}
+    assert result["classifications"] == {"count": len(doc["facultative"]), "omitted": True}
+    assert result["violations"]
+    assert result["optimal"] is False
+    assert result["max_defect"] > 0.0
+    assert isinstance(result["master"], int)
+
+
+def test_analyze_envelope_of_a_small_instance_is_the_whole_report(tmp_path, capsys):
+    doc = random_discrete_doc(np.random.default_rng(3))
+    code, env = _run(capsys, ["analyze", _write(tmp_path, "g.json", doc)])
+    assert code == 2
+    report = analysis.master_ordering(load_instance(doc)).to_report_dict()
+    assert env["result"] == json.loads(json.dumps(report))
 
 
 def test_verify_local_match(tmp_path, capsys):

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from helpers import (
     exact_utility,
     free_row,
+    link_web_doc,
+    mixed_doc,
     power_law_instance,
     random_continuous_doc,
     random_discrete_doc,
@@ -27,15 +29,17 @@ from helpers import (
     random_strategy,
     two_page_coupled_instance,
     two_page_instance,
+    weight_web_doc,
 )
 import pro
 from pro import chain, solver_local
-from pro.chain import mean_reward_before_teleport, span_iterate
+from pro.chain import mean_reward_before_teleport, policy_value, span_iterate
 from pro.errors import CouplingPresent, MaxIterExceeded, ValidationError
 from pro.graph import DiscreteChoice, build_transition, load_instance
 from pro.oracle import brute_force_optimum
 from pro.polytopes import BoxSimplex, DiscreteUniform, linear_maximize
 from pro.solver_local import (
+    DENSE_EVAL_CAP,
     ROUNDING,
     CompiledBellman,
     SolverConfig,
@@ -491,3 +495,70 @@ def test_threshold_hint_is_not_state():
             assert got == fresh.extract(w2)
             started_above += int(np.any(hint[fresh.newton] > fresh.hint[fresh.newton]))
     assert started_above >= 40
+
+
+def _evaluation_docs(rng):
+    """Every page type at and below the dense cap, and two webs above it."""
+    docs = [random_discrete_doc(rng, n_max=12, fac_budget=30) for _ in range(12)]
+    docs += [random_discrete_doc(rng, reward_kind="per_page") for _ in range(8)]
+    docs += [random_continuous_doc(rng, n_max=40) for _ in range(6)]
+    docs += [mixed_doc(rng, n=int(rng.integers(4, 99))) for _ in range(6)]
+    # a weight page whose every target is banned keeps its floor (j* = -1)
+    doc = mixed_doc(rng, n=9)
+    doc["skeleton"][0].update(mu=0.0, banned=list(range(9)))
+    docs.append(doc)
+    docs += [link_web_doc(rng, 400, 20, 10), weight_web_doc(rng, 300, 6)]
+    return docs
+
+
+def _entry_form(comp):
+    """The last sweep's policy as ``(rbar, apply_s, dense_s)``, read off
+    its entry lists: ``chain``'s ``TransitionMatrix`` and ``_entries``."""
+    trans, _ = comp.chain()
+    rows, _, weights, rewards = comp._entries()
+    rbar = np.bincount(rows, weights * rewards, minlength=comp.n)
+    rbar[comp.use_nl] = comp.no_link_base[comp.use_nl]
+    return comp.alpha * rbar + comp.const, trans.apply_s, trans.dense_s
+
+
+def test_policy_blocks_match_entry_lists():
+    rng = np.random.default_rng(3014)
+    seen = {"no_link": 0, "no_master": 0, "above_cap": 0}
+    for doc in _evaluation_docs(rng):
+        inst = load_instance(doc)
+        comp = CompiledBellman(inst, inst.rewards)
+        n = comp.n
+        for _ in range(3):
+            comp.apply(rng.normal(size=n) * 3.0)
+            rbar, apply_s, dense_s = comp.policy()
+            ref_rbar, ref_apply, ref_dense = _entry_form(comp)
+            v = rng.normal(size=n) * 10.0
+            r_scale = comp.alpha * inst.rewards.max_abs() + float(np.abs(comp.const).max())
+            assert np.abs(rbar - ref_rbar).max() <= 8 * np.spacing(max(r_scale, 1e-300))
+            assert np.abs(apply_s(v) - ref_apply(v)).max() <= 8 * np.spacing(np.abs(v).max())
+            assert np.array_equal(dense_s(), ref_dense())
+            seen["no_link"] += int(comp.use_nl.any())
+            seen["no_master"] += int(np.any(comp.jstar < 0))
+            seen["above_cap"] += n > DENSE_EVAL_CAP
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_value_iterate_same_with_entry_list_evaluation():
+    rng = np.random.default_rng(3015)
+    for doc in _evaluation_docs(rng):
+        inst = load_instance(doc)
+        state, strat = value_iterate(inst, SolverConfig(tol=1e-10))
+        scale = max(1.0, inst.rewards.max_abs())
+        comp = CompiledBellman(inst, inst.rewards.scaled(1.0 / scale), scale)
+
+        def evaluate(x0, tol, max_iter, comp=comp):
+            if comp.n <= DENSE_EVAL_CAP and comp.repeated:
+                return x0
+            rbar, apply_s, dense_s = _entry_form(comp)
+            return policy_value(rbar, comp.alpha, apply_s, dense_s, x0, tol, max_iter)[0]
+
+        ref, ref_strat = value_iterate(inst, SolverConfig(tol=1e-10), bellman=comp,
+                                       evaluate=evaluate)
+        assert state.iterations == ref.iterations
+        assert strat == ref_strat
+        assert abs(state.psi - ref.psi) <= 1e-12 * max(1.0, abs(ref.psi))
