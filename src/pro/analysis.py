@@ -67,24 +67,37 @@ class MasterReport:
     def optimal(self):
         return bool(self.defects.max() <= DEFECT_TOL)
 
-    def to_report_dict(self):
+    def to_report_dict(self, cap=None, value_cap=None):
+        """The report as JSON types.  ``values`` longer than ``value_cap``,
+        or another list longer than ``cap``, is given only as its length,
+        ``{"count": n, "omitted": true}``, and is never built."""
         return {
             "max_defect": float(self.defects.max()),
             "optimal": self.optimal,
             "master": self.master,
-            "ordering": [int(i) for i in self.ordering],
-            "values": [float(x) for x in self.values],
-            "classifications": [
+            "ordering": _listed(len(self.ordering), cap,
+                                lambda: [int(i) for i in self.ordering]),
+            "values": _listed(self.values.size, value_cap,
+                              lambda: [float(x) for x in self.values]),
+            "classifications": _listed(self.pages.size, cap, lambda: [
                 {"page": i, "target": j, "kind": kind, "margin": m}
                 for i, j, kind, m in zip(self.pages.tolist(), self.targets.tolist(),
                                          self.kinds.tolist(), self.margins.tolist())
-            ],
-            "violations": [
+            ]),
+            "violations": _listed(len(self.violations), cap, lambda: [
                 {"page": w.page, "target": w.target, "kind": w.kind,
                  "problem": w.problem}
                 for w in self.violations
-            ],
+            ]),
         }
+
+
+def _listed(size, cap, build):
+    """``build()``, a report list of ``size`` items, or only its length
+    when a ``cap`` is given and ``size`` is above it."""
+    if cap is not None and size > cap:
+        return {"count": size, "omitted": True}
+    return build()
 
 
 def _audit_pass(instance, transition):

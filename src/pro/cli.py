@@ -94,13 +94,6 @@ def _strategy_payload(strategy):
             "omitted": True}
 
 
-def _capped(items, cap):
-    """A report list, or only its length when it is longer than ``cap``."""
-    if len(items) <= cap:
-        return items
-    return {"count": len(items), "omitted": True}
-
-
 def _write_strategy(path, strategy):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(strategy.to_json_dict(), fh, indent=2, sort_keys=True)
@@ -213,10 +206,7 @@ def _cmd_analyze(args):
     strat = load_strategy(args.strategy, inst) if args.strategy else None
     report = master_ordering(inst, strat, tol=args.tol)
     clean = report.optimal and not report.violations
-    result = report.to_report_dict()
-    result["values"] = _capped(result["values"], _W_CAP)
-    for key in ("ordering", "classifications"):
-        result[key] = _capped(result[key], _STRATEGY_INLINE_CAP)
+    result = report.to_report_dict(cap=_STRATEGY_INLINE_CAP, value_cap=_W_CAP)
     return inst, result, "ok" if clean else "qualified"
 
 

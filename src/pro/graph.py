@@ -4,10 +4,12 @@ An instance describes a set of pages, the hyperlinks a webmaster must keep
 (obligatory), may add or remove (facultative), and the income attached to
 each traversal of the surfer chain.  Pages can instead carry a weight
 skeleton that constrains a fully continuous outlink row; the parser
-reduces every skeleton record to its floor on the nonzeros of ``q``, its
-slack and its bans, all held once in one sparse ``WeightRows``, so a
-weight page costs O(nnz of q) after loading.  Optional coupling rows
-bound linear functionals of the occupation measure across pages.
+reads ``q`` in blocks of at most ``max(n, 4096)`` numbers and reduces
+every skeleton record to its floor on the nonzeros of ``q``, its slack
+and its bans, all held once in one sparse ``WeightRows``, so a weight
+page costs O(nnz of q) after loading.  Links and per-link entries are
+read flat, one array per column.  Optional coupling rows bound linear
+functionals of the occupation measure across pages.
 
 The surfer chain behind an instance is ``P = damping * S + (1 - damping) *
 ones @ teleport`` where ``S`` follows the chosen outlinks uniformly and
@@ -25,14 +27,16 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping, Union
 
 import numpy as np
 
 from . import polytopes
 from .errors import InvalidStrategy, ParseError, ValidationError
-from .sparse import (RowSparse, _as_indices, _sort_coords, find_sorted, index_csr, locate,
-                     ranges, row_ids)
+from .sparse import (RowSparse, _as_indices, _flat_records, _sort_coords, find_sorted,
+                     index_csr, locate, ranges, row_ids)
 
 STOCHASTIC_TOL = 1e-9
 STRATEGY_TOL = 1e-9
@@ -327,18 +331,18 @@ def _number(raw, name):
     return float(raw)
 
 
-def _numbers(raw, name, size=None):
-    """A flat list of JSON numbers, ``size`` of them if given, as a
-    float64 array of finite values."""
+def _numbers(raw, name, size=None, ndim=1):
+    """A flat list of JSON numbers (``ndim`` 2: a list of such lists), ``size``
+    of them per list if given, as a float64 array of finite values."""
     try:
         arr = np.asarray(raw)
     except ValueError as exc:  # ragged nesting
         raise ParseError(f"{name} must be a flat list of numbers") from exc
-    _require(arr.ndim == 1 and (arr.size == 0 or arr.dtype.kind in "iuf"),
+    _require(arr.ndim == ndim and (arr.size == 0 or arr.dtype.kind in "iuf"),
              f"{name} must be a flat list of numbers")
     arr = arr.astype(np.float64, copy=False)
     _require(np.isfinite(arr).all(), f"{name} must be finite", ValidationError)
-    _require(size is None or arr.size == size, f"{name} must have length {size}")
+    _require(size is None or arr.shape[-1] == size, f"{name} must have length {size}")
     return arr
 
 
@@ -354,17 +358,16 @@ def _entries(raw, width, name):
     """``[i, j, v]`` triples (``width`` 3) or ``[j, w]`` pairs (2) as arrays.
 
     Returns ``(index, values)``: one flat, nonnegative int64 array per
-    index position, and the finite float64 values.  The list is
-    transposed once by ``zip``, so no Python loop runs per entry.  The
-    caller checks the indices' upper bound.
+    index position, and the finite float64 values.  The list is read
+    flat, one strided slice per column, so no Python loop runs per entry.
+    The caller checks the indices' upper bound.
     """
     form = "[i, j, v] triples" if width == 3 else "[j, w] pairs"
     _require(isinstance(raw, list), f"{name} must be a list of {form}")
-    _require(set(map(type, raw)) <= {list} and set(map(len, raw)) <= {width},
-             f"{name} must be {form}")
-    columns = list(zip(*raw)) or [()] * width
-    index = [_columns(col, f"{name} indices") for col in columns[:-1]]
-    return index, _numbers(columns[-1], f"{name} values")
+    flat = _flat_records(raw, width) if set(map(type, raw)) <= {list} else None
+    _require(flat is not None, f"{name} must be {form}")
+    index = [_columns(flat[k::width], f"{name} indices") for k in range(width - 1)]
+    return index, _numbers(flat[width - 1::width], f"{name} values")
 
 
 def _distribution(raw, n, name, allow_zero=False, default=None):
@@ -374,10 +377,6 @@ def _distribution(raw, n, name, allow_zero=False, default=None):
     if isinstance(raw, str) and raw == "uniform":
         return np.full(n, 1.0 / n)
     _require(isinstance(raw, list), f'{name} must be "uniform" or a list of numbers')
-    return _as_prob_vector(raw, n, name, allow_zero)
-
-
-def _as_prob_vector(raw, n, name, allow_zero=False):
     vec = _numbers(raw, name, n)
     if allow_zero:
         _require(np.all(vec >= 0.0), f"{name} must be nonnegative", ValidationError)
@@ -444,12 +443,12 @@ def load_instance(source):
     _require(isinstance(fac_pairs, list), "facultative must be a list of pairs")
     obl_indptr, obl_indices = index_csr(n, n, obl_pairs)
     fac_indptr, fac_indices = index_csr(n, n, fac_pairs)
-    _require(not locate(fac_indptr, fac_indices, n, row_ids(obl_indptr), obl_indices)[1].any(),
+    _require(not (obl_indices.size and fac_indices.size and
+                  locate(fac_indptr, fac_indices, n, row_ids(obl_indptr), obl_indices)[1].any()),
              "a link cannot be both obligatory and facultative", ValidationError)
 
     rewards = _parse_rewards(doc["rewards"], n)
-    skeletons = _parse_skeletons(doc.get("skeleton", []), n,
-                                 np.diff(obl_indptr) + np.diff(fac_indptr))
+    skeletons = _parse_skeletons(doc.get("skeleton", []), n, obl_indptr, fac_indptr)
     coupling = _parse_coupling(doc.get("coupling", []), n)
 
     return WebGraphInstance(
@@ -483,49 +482,72 @@ def _parse_rewards(raw, n):
     raise ParseError(f"unknown rewards type {raw['type']!r}")
 
 
-def _parse_skeletons(raw, n, degree):
-    """The skeleton records as one ``WeightRows``; each dense ``q`` is
-    read, reduced to its nonzeros and dropped record by record.
-    ``degree[i]`` counts page i's links; a weight page may have none."""
+def _parse_skeletons(raw, n, obl_indptr, fac_indptr):
+    """The skeleton records, in page order, as one ``WeightRows``: pages,
+    ``mu`` and bans are checked as whole lists, and the dense ``q`` lists
+    read in blocks of at most ``max(n, 4096)`` numbers, one array each,
+    of which only the nonzeros are kept.  A weight page has no links."""
     _require(isinstance(raw, list), "skeleton must be a list of records")
-    rows = {}
-    for rec in raw:
-        _require(isinstance(rec, dict), "skeleton records must be objects")
-        for key in ("page", "q", "mu"):
-            _require(key in rec, f"skeleton record missing {key!r}")
-        page = rec["page"]
-        _require(type(page) is int and 0 <= page < n, "skeleton page out of range")
-        _require(page not in rows, f"page {page} has two skeleton records", ValidationError)
-        _require(not degree[page], f"page {page} carries both links and a skeleton record",
-                 ValidationError)
-        q = _as_prob_vector(rec["q"], n, "skeleton q", allow_zero=True)
-        mu = _number(rec["mu"], "skeleton mu")
-        _require(0.0 <= mu <= 1.0, "skeleton mu must lie in [0, 1]", ValidationError)
-        banned = rec.get("banned", [])
-        _require(isinstance(banned, list), "banned must be a list of pages")
-        for j in banned:
-            _require(type(j) is int and 0 <= j < n, "banned page out of range")
-        banned = sorted(set(banned))
-        lower = (1.0 - mu) * q
-        slack = max(1.0 - float(lower.sum()), 0.0)
-        # a page banning every target has its floor as its only row
-        _require(len(banned) < n or slack <= 1e-12,
-                 f"skeleton on page {page} leaves no feasible row", ValidationError)
-        cols = np.flatnonzero(q)
-        rows[page] = (cols, lower[cols], q[cols], slack,
-                      page * n + np.array(banned, dtype=np.int64))
-    pages = np.array(sorted(rows), dtype=np.int64)
-    parts = [rows[p] for p in pages.tolist()]
-
-    def joined(k, dtype):
-        return np.concatenate([np.zeros(0, dtype=dtype)] + [part[k] for part in parts])
-
-    indptr = np.concatenate([[0], np.cumsum([part[0].size for part in parts], dtype=np.int64)])
-    slack = np.zeros(n)
-    slack[pages] = [part[3] for part in parts]
-    return WeightRows(pages, RowSparse(pages.size, n, indptr, joined(0, np.int64),
-                                       joined(1, np.float64)),
-                      joined(2, np.float64), slack, joined(4, np.int64))
+    if not raw:
+        return WeightRows.empty(n)
+    _require(all(isinstance(rec, dict) and {"page", "q", "mu"} <= rec.keys() for rec in raw),
+             "skeleton records must be objects with page, q and mu")
+    pages = [rec["page"] for rec in raw]
+    _require(set(map(type, pages)) <= {int} and 0 <= min(pages) and max(pages) < n,
+             "skeleton page out of range")
+    raw = sorted(raw, key=itemgetter("page"))  # one pass when the pages ascend
+    pages = np.array(sorted(pages), dtype=np.int64)
+    for bad, message in ((pages[1:][pages[1:] == pages[:-1]], "has two skeleton records"),
+                         (pages[(np.diff(obl_indptr) + np.diff(fac_indptr))[pages] != 0],
+                          "carries both links and a skeleton record")):
+        if bad.size:
+            raise ValidationError(f"page {bad[0]} {message}")
+    mus = [rec["mu"] for rec in raw]
+    _require(all(isinstance(mu, (int, float)) and not isinstance(mu, bool) for mu in mus),
+             "skeleton mu must be a number")
+    # compared exactly, so NaN and ints beyond float range fail
+    _require(all(0.0 <= mu <= 1.0 for mu in mus), "skeleton mu must lie in [0, 1]",
+             ValidationError)
+    keep = 1.0 - np.array(mus, dtype=np.float64)
+    bans = [rec.get("banned", []) for rec in raw]
+    _require(all(isinstance(b, list) for b in bans), "banned must be a list of pages")
+    flat = list(chain.from_iterable(bans))
+    _require(set(map(type, flat)) <= {int} and (not flat or 0 <= min(flat) and max(flat) < n),
+             "banned page out of range")
+    qs, step, parts = [rec["q"] for rec in raw], max(4096 // n, 1), []
+    for lo in range(0, len(qs), step):
+        q = _numbers(qs[lo:lo + step], "skeleton q", n, ndim=2)
+        if len(q) > 1:  # a row may be a q of booleans alone, refused as if read alone
+            top = q.max(axis=1)
+            _require(not any(np.asarray(qs[lo + k]).dtype.kind == "b"
+                             for k in np.flatnonzero((top == 0.0) | (top == 1.0)).tolist()),
+                     "skeleton q must be a flat list of numbers")
+        floor = keep[lo:lo + step, None] * q
+        pos = np.flatnonzero(q)
+        parts.append((pos + lo * n, floor.ravel()[pos], q.ravel()[pos], q.sum(axis=1),
+                      floor.sum(axis=1)))
+    # pos runs over the k x n array of all q; a negative entry is a nonzero
+    pos, floor, q, total, fixed = map(np.concatenate, zip(*parts))
+    del parts  # the blocks' copies, freed before the checks and columns below
+    _require(q.size == 0 or q.min() >= 0.0, "skeleton q must be nonnegative", ValidationError)
+    _require(np.all(np.abs(total - 1.0) <= STOCHASTIC_TOL), "skeleton q must sum to 1",
+             ValidationError)
+    slack = np.maximum(1.0 - fixed, 0.0)
+    # the banned keys page * n + j, sorted, each once; page k bans per[k + 1] - per[k]
+    owner = np.repeat(np.arange(pages.size), list(map(len, bans)))
+    targets = np.array(flat, dtype=np.int64)
+    order, first, per = _sort_coords(pages.size, n, owner, targets)
+    banned = (pages[owner] * n + targets)[order[first]]
+    # a page banning every target has its floor as its only row
+    stuck = pages[(np.diff(per) == n) & (slack > 1e-12)]
+    if stuck.size:
+        raise ValidationError(f"skeleton on page {stuck[0]} leaves no feasible row")
+    indptr = np.searchsorted(pos, np.arange(pages.size + 1) * n)
+    cols = pos  # in place: a flat position less its row's start
+    cols -= np.repeat(np.arange(pages.size) * n, np.diff(indptr))
+    full = np.zeros(n)
+    full[pages] = slack
+    return WeightRows(pages, RowSparse(pages.size, n, indptr, cols, floor), q, full, banned)
 
 
 def _parse_coupling(raw, n):
@@ -533,11 +555,9 @@ def _parse_coupling(raw, n):
     out = []
     for rec in raw:
         _require(isinstance(rec, dict) and "bound" in rec, "coupling rows need a bound")
-        has_entries = "entries" in rec
-        has_per_page = "per_page" in rec
-        _require(has_entries != has_per_page,
+        _require(("entries" in rec) != ("per_page" in rec),
                  "coupling rows carry exactly one of entries, per_page")
-        if has_entries:
+        if "entries" in rec:
             (rows, cols), values = _entries(rec["entries"], 3, "coupling entries")
             weights = Rewards(np.zeros(n), RowSparse.from_entries(n, n, rows, cols, values))
         else:
@@ -576,12 +596,12 @@ def load_strategy(source, instance):
             continue
         _require(kind in ("free", "continuous"), f"unknown strategy kind {kind!r}")
         (cols,), vals = _entries(rec.get("row_entries", []), 2, "row_entries")
-        _require(np.unique(cols).size == cols.size, "row_entries lists a column twice")
+        order = np.argsort(cols)
+        cols, vals = cols[order], vals[order]
+        _require(not np.any(cols[1:] == cols[:-1]), "row_entries lists a column twice")
         _require(np.all(cols < n), f"row_entries columns must be below {n}", ValidationError)
         if kind == "free":
-            order = np.argsort(cols)
-            choices[page] = ContinuousChoice(tuple(cols[order].tolist()),
-                                             tuple(vals[order].tolist()))
+            choices[page] = ContinuousChoice(tuple(cols.tolist()), tuple(vals.tolist()))
         else:
             chain_row = np.zeros(n)
             chain_row[cols] = vals

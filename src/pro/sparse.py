@@ -15,6 +15,7 @@ ascend over a whole matrix.  ``_sort_coords`` is the one sort, dedupe and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -153,6 +154,16 @@ def find_sorted(keys, want):
     return pos, hit
 
 
+def _flat_records(raw, width):
+    """The ``width``-item records of ``raw`` end to end in one list, where
+    column k is ``flat[k::width]``; None if some record is not that long."""
+    try:
+        widths = set(map(len, raw))
+    except TypeError:  # a record without a length
+        return None
+    return list(chain.from_iterable(raw)) if widths <= {width} else None
+
+
 def _as_indices(raw):
     """``raw`` as an int64 array; anything but integers is a ParseError."""
     try:
@@ -204,15 +215,19 @@ def index_csr(num_rows, num_cols, pairs):
     """Index-only CSR (indptr, indices) from ``(row, col)`` pairs.
 
     Indices come out sorted ascending per row; duplicates are rejected,
-    and so are indices that are not integers (ParseError).
+    and so are indices that are not integers (ParseError).  The pairs are
+    read flat, all indices with one dtype, as in a nested array.
     """
     if len(pairs) == 0:
         return np.zeros(num_rows + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    arr = _as_indices(pairs)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    flat = _flat_records(pairs, 2)
+    # a list that is not of pairs ends in the error of its nested array
+    arr = _as_indices(pairs if flat is None else flat)
+    if flat is None or arr.ndim != 1:
         raise ValidationError("link list must contain [page, target] pairs")
-    rows = _in_range(arr[:, 0], num_rows, "link source index out of range")
-    cols = _in_range(arr[:, 1], num_cols, "link target index out of range")
+    del flat  # a list as long as the index array, not needed by the sort
+    rows = _in_range(arr[0::2], num_rows, "link source index out of range")
+    cols = _in_range(arr[1::2], num_cols, "link target index out of range")
     order, first, indptr = _sort_coords(num_rows, num_cols, rows, cols)
     if not first.all():
         raise ValidationError("duplicate link")

@@ -6,13 +6,19 @@ systems, and an exact utility evaluator that goes through the direct
 linear-algebra route rather than the solver under test.
 """
 
+import contextlib
+import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 
+from pro import graph
+from pro.errors import ValidationError
 from pro.graph import Rewards, WebGraphInstance, WeightRows, load_instance
 from pro.oracle import chain_utility, exact_stationary
-from pro.sparse import add_sparse, index_csr
+from pro.sparse import (RowSparse, _as_indices, _in_range, _sort_coords, add_sparse,
+                        index_csr)
 
 
 def minus_weighted(rewards, matrices, lams):
@@ -509,3 +515,105 @@ def same_point_set(first, second, tol=1e-8):
             return False
         used[hits[0]] = True
     return True
+
+
+# The per-record instance reader, kept as the reference that the
+# whole-list reader in ``pro.graph`` and ``pro.sparse`` must match: the
+# same arrays, bit for bit, and the same exception class on bad input.
+
+def reference_index_csr(num_rows, num_cols, pairs):
+    """``index_csr`` reading the pairs as one nested array."""
+    if len(pairs) == 0:
+        return np.zeros(num_rows + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    arr = _as_indices(pairs)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValidationError("link list must contain [page, target] pairs")
+    rows = _in_range(arr[:, 0], num_rows, "link source index out of range")
+    cols = _in_range(arr[:, 1], num_cols, "link target index out of range")
+    order, first, indptr = _sort_coords(num_rows, num_cols, rows, cols)
+    if not first.all():
+        raise ValidationError("duplicate link")
+    return indptr, cols[order]
+
+
+def reference_entries(raw, width, name):
+    """``graph._entries`` transposing the list by ``zip``."""
+    form = "[i, j, v] triples" if width == 3 else "[j, w] pairs"
+    graph._require(isinstance(raw, list), f"{name} must be a list of {form}")
+    graph._require(set(map(type, raw)) <= {list} and set(map(len, raw)) <= {width},
+                   f"{name} must be {form}")
+    columns = list(zip(*raw)) or [()] * width
+    index = [graph._columns(col, f"{name} indices") for col in columns[:-1]]
+    return index, graph._numbers(columns[-1], f"{name} values")
+
+
+def reference_skeletons(raw, n, degree):
+    """``graph._parse_skeletons`` reading, checking and reducing one
+    record at a time; ``degree[i]`` counts page i's links."""
+    require = graph._require
+    require(isinstance(raw, list), "skeleton must be a list of records")
+    rows = {}
+    for rec in raw:
+        require(isinstance(rec, dict), "skeleton records must be objects")
+        for key in ("page", "q", "mu"):
+            require(key in rec, f"skeleton record missing {key!r}")
+        page = rec["page"]
+        require(type(page) is int and 0 <= page < n, "skeleton page out of range")
+        require(page not in rows, f"page {page} has two skeleton records", ValidationError)
+        require(not degree[page], f"page {page} carries both links and a skeleton record",
+                ValidationError)
+        q = graph._numbers(rec["q"], "skeleton q", n)
+        require(np.all(q >= 0.0), "skeleton q must be nonnegative", ValidationError)
+        require(abs(float(q.sum()) - 1.0) <= graph.STOCHASTIC_TOL, "skeleton q must sum to 1",
+                ValidationError)
+        mu = graph._number(rec["mu"], "skeleton mu")
+        require(0.0 <= mu <= 1.0, "skeleton mu must lie in [0, 1]", ValidationError)
+        banned = rec.get("banned", [])
+        require(isinstance(banned, list), "banned must be a list of pages")
+        for j in banned:
+            require(type(j) is int and 0 <= j < n, "banned page out of range")
+        banned = sorted(set(banned))
+        lower = (1.0 - mu) * q
+        slack = max(1.0 - float(lower.sum()), 0.0)
+        require(len(banned) < n or slack <= 1e-12,
+                f"skeleton on page {page} leaves no feasible row", ValidationError)
+        cols = np.flatnonzero(q)
+        rows[page] = (cols, lower[cols], q[cols], slack,
+                      page * n + np.array(banned, dtype=np.int64))
+    pages = np.array(sorted(rows), dtype=np.int64)
+    parts = [rows[p] for p in pages.tolist()]
+
+    def joined(k, dtype):
+        return np.concatenate([np.zeros(0, dtype=dtype)] + [part[k] for part in parts])
+
+    indptr = np.concatenate([[0], np.cumsum([part[0].size for part in parts], dtype=np.int64)])
+    slack = np.zeros(n)
+    slack[pages] = [part[3] for part in parts]
+    return WeightRows(pages, RowSparse(pages.size, n, indptr, joined(0, np.int64),
+                                       joined(1, np.float64)),
+                      joined(2, np.float64), slack, joined(4, np.int64))
+
+
+@contextlib.contextmanager
+def reference_reader():
+    """``load_instance`` and ``load_strategy`` read through the per-record
+    reference functions above, inside the block."""
+    def skeletons(raw, n, obl_indptr, fac_indptr):
+        return reference_skeletons(raw, n, np.diff(obl_indptr) + np.diff(fac_indptr))
+
+    with mock.patch.object(graph, "index_csr", reference_index_csr), \
+            mock.patch.object(graph, "_entries", reference_entries), \
+            mock.patch.object(graph, "_parse_skeletons", skeletons):
+        yield
+
+
+def instance_arrays(obj, name="instance"):
+    """``(path, array)`` for every array inside an instance, recursively."""
+    if isinstance(obj, np.ndarray):
+        return [(name, obj)]
+    if dataclasses.is_dataclass(obj):
+        return [item for f in dataclasses.fields(obj)
+                for item in instance_arrays(getattr(obj, f.name), f"{name}.{f.name}")]
+    if isinstance(obj, tuple):
+        return [item for k, x in enumerate(obj) for item in instance_arrays(x, f"{name}[{k}]")]
+    return []

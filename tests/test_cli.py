@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from helpers import (
     two_page_doc,
     weight_web_doc,
 )
-from pro import analysis, graph
+from pro import analysis, cli, graph
 from pro.cli import main
 from pro.errors import ValidationError
 from pro.graph import load_instance, load_strategy
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def _write(tmp_path, name, doc):
@@ -373,6 +377,33 @@ def test_analyze_envelope_of_a_small_instance_is_the_whole_report(tmp_path, caps
     assert code == 2
     report = analysis.master_ordering(load_instance(doc)).to_report_dict()
     assert env["result"] == json.loads(json.dumps(report))
+
+
+def test_analyze_builds_no_list_above_its_cap(tmp_path, capsys, monkeypatch):
+    # with the caps just below this web's sizes, values, ordering,
+    # classifications and violations are each given by their length alone
+    doc = random_discrete_doc(np.random.default_rng(3))
+    full = analysis.master_ordering(load_instance(doc)).to_report_dict()
+    lists = ("values", "ordering", "classifications", "violations")
+    assert 0 < len(full["violations"]) <= min(len(full[key]) for key in lists)
+    monkeypatch.setattr(cli, "_W_CAP", len(full["values"]) - 1)
+    monkeypatch.setattr(cli, "_STRATEGY_INLINE_CAP", len(full["violations"]) - 1)
+    code, env = _run(capsys, ["analyze", _write(tmp_path, "g.json", doc)])
+    assert code == 2
+    for key in lists:
+        assert env["result"][key] == {"count": len(full[key]), "omitted": True}
+    assert {key: env["result"][key] for key in ("master", "max_defect", "optimal")} == \
+        {key: full[key] for key in ("master", "max_defect", "optimal")}
+
+
+def test_analyze_envelope_of_a_small_instance_is_unchanged(tmp_path, capsys):
+    # the exact standard output of ``pro --deterministic analyze`` on a
+    # small web, as written before the report built its lists capped
+    with open(DATA / "analyze_envelope.json", encoding="utf-8") as fh:
+        case = json.load(fh)
+    assert main(["--deterministic", "analyze",
+                 _write(tmp_path, "g.json", case["instance"])]) == 2
+    assert capsys.readouterr().out == case["stdout"]
 
 
 def test_verify_local_match(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Instance parsing, validation, and chain assembly."""
 
+import contextlib
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -12,8 +13,9 @@ from pro.graph import (ContinuousChoice, DiscreteChoice, Rewards, Strategy,
                        build_transition, load_instance, load_strategy)
 from pro.solver_local import SolverConfig, value_iterate
 
-from helpers import (random_continuous_doc, random_discrete_doc, random_strategy,
-                     two_page_doc, two_page_instance, weight_web_doc)
+from helpers import (instance_arrays, random_continuous_doc, random_discrete_doc,
+                     random_strategy, reference_reader, two_page_doc, two_page_instance,
+                     weight_web_doc)
 
 DATA = Path(__file__).parent / "data"
 
@@ -202,6 +204,18 @@ def test_strategy_round_trip():
     assert again.choices[0].activated == (1,)
     assert np.allclose(again.choices[2].probs, [0.25, 0.5, 0.25])
     assert again == strat
+
+
+def test_strategy_rows_come_sorted_and_name_each_column_once():
+    inst = load_instance({"num_pages": 3, "damping": 0.85, "teleport": "uniform",
+                          "rewards": {"type": "per_page", "values": [0.0, 0.0, 0.0]}})
+    row = {"page": 2, "kind": "free", "row_entries": [[2, 0.25], [0, 0.75]]}
+    choice = load_strategy({"pages": [row]}, inst).choices[2]
+    assert choice == ContinuousChoice((0, 2), (0.75, 0.25))
+    for kind in ("free", "continuous"):
+        row = {"page": 2, "kind": kind, "row_entries": [[1, 0.5], [0, 0.0], [1, 0.5]]}
+        with pytest.raises(ParseError, match="row_entries lists a column twice"):
+            load_strategy({"pages": [row]}, inst)
 
 
 def test_build_transition_rejects_foreign_links():
@@ -442,3 +456,171 @@ def test_chain_space_strategy_files_still_load():
     sizes = {page: len(ch.cols) for page, ch in loaded[0].choices.items()
              if isinstance(ch, ContinuousChoice)}
     assert sizes == {0: 1, 1: 1, 2: 1, 5: 0}
+
+
+def _fault_doc():
+    # every list the reader takes, each valid: links of both kinds,
+    # per-link rewards, a coupling row and two skeleton records
+    return {"num_pages": 4, "damping": 0.85, "teleport": "uniform",
+            "obligatory": [[0, 1]], "facultative": [[0, 2], [1, 0]],
+            "rewards": {"type": "per_link", "default": 0.0,
+                        "entries": [[0, 1, 1.0], [1, 0, 0.5]]},
+            "coupling": [{"entries": [[0, 2, 1.0]], "bound": 0.5}],
+            "skeleton": [{"page": 3, "q": [0.25, 0.25, 0.25, 0.25], "mu": 0.25},
+                         {"page": 2, "q": [0.5, 0.0, 0.25, 0.25], "mu": 0.5, "banned": [1]}]}
+
+
+def _set(*path_value):
+    *path, key, value = path_value
+
+    def fault(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return fault
+
+
+_REWARD, _COUPLING, _SKELETON = ("rewards",), ("coupling", 0), ("skeleton", 1)
+
+# one fault per document, and the exception class the per-record reader
+# raised for it (with the message where another test pins one)
+FAULTS = [
+    ("links-not-a-list", _set("obligatory", {"0": 1}), ParseError, None),
+    ("ragged-links", _set("facultative", [[0, 2], [1]]), ParseError, None),
+    ("wide-link", _set("obligatory", [[0, 1, 2]]), ValidationError, None),
+    ("deeper-link", _set("obligatory", [[[0], [1]]]), ValidationError, None),
+    ("deeper-ragged-link", _set("obligatory", [[[0], 1]]), ParseError, None),
+    ("empty-link", _set("obligatory", [[]]), ValidationError, None),
+    ("scalar-links", _set("obligatory", [0, 1]), ValidationError, None),
+    ("list-and-scalar-links", _set("obligatory", [[0, 1], 3]), ParseError, None),
+    ("string-links", _set("obligatory", ["01"]), ParseError, None),
+    ("object-link", _set("obligatory", [{"i": 0, "j": 1}]), ParseError, None),
+    ("null-link", _set("obligatory", [None]), ParseError, None),
+    ("string-index", _set("obligatory", [["0", 1]]), ParseError, None),
+    ("float-index", _set("facultative", [[0, 2.0], [1, 0]]), ParseError, None),
+    ("bool-link", _set("obligatory", [[True, False]]), ParseError, None),
+    ("huge-index", _set("obligatory", [[0, 2 ** 70]]), ParseError, None),
+    ("negative-index", _set("obligatory", [[-1, 1]]), ValidationError, None),
+    ("out-of-range-link", _set("obligatory", [[0, 4]]), ValidationError, None),
+    ("duplicate-link", _set("facultative", [[0, 2], [1, 0], [0, 2]]), ValidationError, None),
+    ("link-both-kinds", _set("facultative", [[0, 1]]), ValidationError, None),
+    ("reward-entry-short", _set(*_REWARD, "entries", [[0, 1]]), ParseError, None),
+    ("reward-entry-string", _set(*_REWARD, "entries", ["011"]), ParseError, None),
+    ("reward-float-index", _set(*_REWARD, "entries", [[0.0, 1, 1.0]]), ParseError, None),
+    ("reward-string-value", _set(*_REWARD, "entries", [[0, 1, "x"]]), ParseError, None),
+    ("reward-nested-value", _set(*_REWARD, "entries", [[0, 1, [1.0]]]), ParseError, None),
+    ("reward-nan-value", _set(*_REWARD, "entries", [[0, 1, float("nan")]]),
+     ValidationError, None),
+    ("reward-negative-index", _set(*_REWARD, "entries", [[-1, 1, 1.0]]), ValidationError,
+     None),
+    ("reward-out-of-range", _set(*_REWARD, "entries", [[0, 4, 1.0]]), ValidationError, None),
+    ("reward-duplicate", _set(*_REWARD, "entries", [[0, 1, 1.0], [0, 1, 2.0]]),
+     ValidationError, None),
+    ("coupling-entry-wide", _set(*_COUPLING, "entries", [[0, 2, 1.0, 3]]), ParseError, None),
+    ("coupling-string-index", _set(*_COUPLING, "entries", [["0", 2, 1.0]]), ParseError,
+     None),
+    ("coupling-infinite-value", _set(*_COUPLING, "entries", [[0, 2, float("inf")]]),
+     ValidationError, None),
+    ("coupling-out-of-range", _set(*_COUPLING, "entries", [[4, 2, 1.0]]), ValidationError,
+     None),
+    ("coupling-duplicate", _set(*_COUPLING, "entries", [[0, 2, 1.0], [0, 2, 1.0]]),
+     ValidationError, None),
+    ("skeleton-not-a-list", _set("skeleton", {"page": 2}), ParseError, None),
+    ("skeleton-record-not-an-object", _set("skeleton", [[2]]), ParseError, None),
+    ("skeleton-without-q", _set("skeleton", [{"page": 2, "mu": 0.5}]), ParseError, None),
+    ("duplicate-skeleton-page", _set("skeleton", 0, "page", 2), ValidationError,
+     "page 2 has two skeleton records"),
+    ("skeleton-page-with-links", _set(*_SKELETON, "page", 1), ValidationError,
+     "page 1 carries both links"),
+    ("skeleton-page-out-of-range", _set(*_SKELETON, "page", 4), ParseError, None),
+    ("skeleton-page-bool", _set(*_SKELETON, "page", True), ParseError, None),
+    ("skeleton-page-float", _set(*_SKELETON, "page", 2.0), ParseError, None),
+    ("q-short", _set(*_SKELETON, "q", [0.5, 0.25, 0.25]), ParseError, None),
+    ("q-ragged", _set(*_SKELETON, "q", [[0.5], 0.0, 0.25, 0.25]), ParseError, None),
+    ("q-nested", _set(*_SKELETON, "q", [[0.5], [0.0], [0.25], [0.25]]), ParseError, None),
+    ("q-not-a-list", _set(*_SKELETON, "q", "uniform"), ParseError, None),
+    ("q-float-string", _set(*_SKELETON, "q", ["0.5", 0.0, 0.25, 0.25]), ParseError, None),
+    ("q-booleans", _set(*_SKELETON, "q", [False, True, False, False]), ParseError, None),
+    ("q-two-trues", _set(*_SKELETON, "q", [True, True, False, False]), ParseError, None),
+    ("q-huge-integer", _set(*_SKELETON, "q", [10 ** 30, 0, 0, 0]), ParseError, None),
+    ("q-negative", _set(*_SKELETON, "q", [-0.25, 0.75, 0.25, 0.25]), ValidationError, None),
+    ("q-nan", _set(*_SKELETON, "q", [float("nan"), 0.5, 0.25, 0.25]), ValidationError, None),
+    ("q-sum", _set(*_SKELETON, "q", [0.5, 0.5, 0.25, 0.25]), ValidationError, None),
+    ("mu-bool", _set(*_SKELETON, "mu", True), ParseError, None),
+    ("mu-string", _set(*_SKELETON, "mu", "0.5"), ParseError, None),
+    ("mu-null", _set(*_SKELETON, "mu", None), ParseError, None),
+    ("mu-above-one", _set(*_SKELETON, "mu", 1.5), ValidationError, None),
+    ("mu-negative", _set(*_SKELETON, "mu", -0.125), ValidationError, None),
+    ("mu-nan", _set(*_SKELETON, "mu", float("nan")), ValidationError, None),
+    ("mu-beyond-float-range", _set(*_SKELETON, "mu", 10 ** 400), ValidationError, None),
+    ("bans-not-a-list", _set(*_SKELETON, "banned", 1), ParseError, None),
+    ("ban-float", _set(*_SKELETON, "banned", [1.0]), ParseError, None),
+    ("ban-bool", _set(*_SKELETON, "banned", [True]), ParseError, None),
+    ("ban-out-of-range", _set(*_SKELETON, "banned", [4]), ParseError, None),
+    ("ban-negative", _set(*_SKELETON, "banned", [-1]), ParseError, None),
+    ("every-target-banned", _set(*_SKELETON, "banned", [3, 0, 2, 1, 0]), ValidationError,
+     "skeleton on page 2 leaves no feasible row"),
+]
+
+
+def test_fault_document_loads_whole():
+    inst = load_instance(_fault_doc())
+    assert inst.skeletons.pages.tolist() == [2, 3]
+    assert inst.skeletons.banned.tolist() == [2 * 4 + 1]
+
+
+@pytest.mark.parametrize("fault, kind, message", [f[1:] for f in FAULTS],
+                         ids=[f[0] for f in FAULTS])
+def test_one_fault_documents_end_in_the_error_of_the_per_record_reader(fault, kind, message):
+    doc = _fault_doc()
+    fault(doc)
+    for reader in (contextlib.nullcontext, reference_reader):
+        with reader(), pytest.raises((ParseError, ValidationError), match=message) as err:
+            load_instance(doc)
+        assert type(err.value) is kind
+
+
+def _shuffled_doc(rng, n):
+    """Links, per-link rewards, a coupling row and skeleton records, all
+    listed out of order, with bans repeated and unsorted, ``mu`` of 0 and
+    1, zeros in ``q`` and a page banning every target with no slack."""
+    pages, m = rng.permutation(n), min(n // 2, 40)
+    weight, linked = pages[:m], pages[m:]
+    keys = rng.permutation(np.repeat(linked, 3) * n + rng.integers(0, n, 3 * linked.size))
+    keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
+    obl, fac = keys[: keys.size // 2], keys[keys.size // 2:]
+    paid = rng.permutation(keys)[: keys.size // 2]
+    records = []
+    for k, page in enumerate(weight.tolist()):
+        q = rng.random(n) * (rng.random(n) < 0.5)
+        q[rng.integers(0, n)] += 0.5
+        mu = [0.0, 1.0, float(rng.random())][k % 3]
+        banned = rng.integers(0, n, rng.integers(0, 5)).tolist()
+        records.append({"page": page, "q": (q / q.sum()).tolist(), "mu": mu,
+                        "banned": banned + banned[:1]})
+    records[0].update(mu=0.0, banned=rng.permutation(n).tolist())
+    rng.shuffle(records)
+    return {"num_pages": n, "damping": 0.85, "teleport": "uniform",
+            "obligatory": [[int(k // n), int(k % n)] for k in obl],
+            "facultative": [[int(k // n), int(k % n)] for k in fac],
+            "rewards": {"type": "per_link", "default": 0.25,
+                        "entries": [[int(k // n), int(k % n), float(v)]
+                                    for k, v in zip(paid, rng.normal(size=paid.size))]},
+            "coupling": [{"entries": [[int(k // n), int(k % n), 1.0] for k in fac[::2]],
+                          "bound": 0.5}],
+            "skeleton": records}
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda seed=seed, n=n: _shuffled_doc(np.random.default_rng(seed), n)
+      for seed, n in ((0, 6), (1, 17), (2, 40), (3, 300), (4, 5000))),
+    lambda: weight_web_doc(np.random.default_rng(3020), 3000, 30),
+], ids=["6-pages", "17-pages", "40-pages", "300-pages", "5000-pages", "web-weights-shape"])
+def test_whole_list_reader_matches_the_per_record_reader_bit_for_bit(make):
+    doc = make()
+    fast = instance_arrays(load_instance(doc))
+    with reference_reader():
+        slow = instance_arrays(load_instance(doc))
+    assert [name for name, _ in fast] == [name for name, _ in slow]
+    for (name, a), (_, b) in zip(fast, slow):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
