@@ -1,13 +1,14 @@
 """Dense two-phase tableau simplex.
 
-Small and deterministic rather than fast: Dantzig pricing with the
-lexicographic ratio test (Dantzig, Orden and Wolfe, 1955), and a basic
-(vertex) solution is always returned.  The ratio test breaks ties at
-the minimum ratio by the rows of ``B^-1`` relative to the basis each
-phase starts from, so no basis repeats in exact arithmetic; in floating
-point, entries that differ by less than ``_PIVOT_TOL`` count as equal.
-The programs here have tens of rows (about 150 for a 100-page web), so
-a dense tableau, updated whole at each pivot, handles them comfortably.
+Small and deterministic: Dantzig pricing with the lexicographic ratio
+test (Dantzig, Orden and Wolfe, 1955), and a basic (vertex) solution is
+always returned.  The ratio test breaks ties at the minimum ratio by the
+rows of ``B^-1`` relative to the basis each phase starts from, so no
+basis repeats in exact arithmetic; in floating point, entries that
+differ by less than ``_PIVOT_TOL`` count as equal.  A caller that knows
+a feasible basis passes it, and phase 1 is skipped.  The programs here
+have tens of rows (about 150 for a 100-page web), so a dense tableau,
+updated whole at each pivot, handles them comfortably.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _run(tableau, obj, basis, allowed, max_pivots):
 
 
 def solve_dense_lp(objective, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
-                   maximize=False, max_pivots=None):
+                   maximize=False, max_pivots=None, start=None):
     """Solve a dense linear program; returns ``(x, value)``.
 
     Parameters
@@ -73,6 +74,12 @@ def solve_dense_lp(objective, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
     a_ub, b_ub : inequality rows ``a_ub @ x <= b_ub``
     maximize : bool
         Sense of the objective; the returned value follows it.
+    start : ndarray of int, optional
+        A basis, one column per row: ``j`` for ``x_j``, ``nx + i`` for the
+        slack of inequality row i, ``nx + m_ub + r`` for the artificial of
+        equality row r.  Phase 2 starts there when every basic value is
+        at least -1e-12 (then clipped to 0) and every artificial at most
+        1e-12; a singular or infeasible start runs phase 1 as without one.
 
     Raises
     ------
@@ -109,25 +116,34 @@ def solve_dense_lp(objective, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
     if max_pivots is None:
         max_pivots = 5000 + 20 * (m + ntot)
 
-    # phase 1: price the artificial columns only
-    c1 = np.zeros(ntot + 1)
-    c1[nvars + nslack:ntot] = 1.0
-    obj = c1.copy()
-    for i in range(m):
-        if c1[basis[i]] != 0.0:
-            obj -= c1[basis[i]] * tableau[i]
-    allowed = np.ones(ntot, dtype=bool)
-    status = _run(tableau, obj, basis, allowed, max_pivots)
-    if status != "optimal" or -obj[-1] > 1e-7:
-        raise Infeasible("no feasible point satisfies the constraints")
-
-    # drive basic artificials out where a structural pivot exists
     art_start = nvars + nslack
-    for i in range(m):
-        if basis[i] >= art_start:
-            cols = np.flatnonzero(np.abs(tableau[i, :art_start]) > _PIVOT_TOL)
-            if cols.size:
-                _pivot(tableau, obj, basis, i, int(cols[0]))
+    try:  # the tableau relative to the start
+        warm = None if start is None else np.linalg.solve(tableau[:, start], tableau)
+    except np.linalg.LinAlgError:
+        warm = None
+    if (warm is not None and warm[:, -1].min() >= -1e-12
+            and warm[start >= art_start, -1].max(initial=0.0) <= 1e-12):
+        tableau, basis = warm, start.copy()
+        tableau[:, basis] = np.eye(m)  # exactly, as pivots leave them
+        np.maximum(tableau[:, -1], 0.0, out=tableau[:, -1])
+    else:
+        # phase 1: price the artificial columns only
+        c1 = np.zeros(ntot + 1)
+        c1[art_start:ntot] = 1.0
+        obj = c1.copy()
+        for i in range(m):
+            if c1[basis[i]] != 0.0:
+                obj -= c1[basis[i]] * tableau[i]
+        status = _run(tableau, obj, basis, np.ones(ntot, dtype=bool), max_pivots)
+        if status != "optimal" or -obj[-1] > 1e-7:
+            raise Infeasible("no feasible point satisfies the constraints")
+
+        # drive basic artificials out where a structural pivot exists
+        for i in range(m):
+            if basis[i] >= art_start:
+                cols = np.flatnonzero(np.abs(tableau[i, :art_start]) > _PIVOT_TOL)
+                if cols.size:
+                    _pivot(tableau, obj, basis, i, int(cols[0]))
 
     # phase 2 with the real objective; artificial columns stay shut out
     c2 = np.zeros(ntot + 1)

@@ -35,7 +35,7 @@ from .polytopes import separate
 from .graph import ContinuousChoice, Rewards, Strategy, build_transition, instance_facets
 from .simplex import solve_dense_lp
 from .solver_local import CompiledBellman, SolverConfig, value_iterate
-from .sparse import add_sparse, find_sorted, ranges, row_ids, segment_sums
+from .sparse import _sort_coords, add_sparse, find_sorted, ranges, row_ids, segment_sums
 
 FEASIBILITY_TOL = 1e-9
 # every local solve of the dual route
@@ -517,9 +517,13 @@ def _mixture(instance, master, policies):
                 continue
             parts = [_free_part(instance, page, c) for c in picked]
             w = weight[:, page] / weight[:, page].sum()
-            cols, at = np.unique(np.concatenate([c for c, _ in parts]), return_inverse=True)
-            probs = np.bincount(at, np.concatenate([wt * p for wt, (_, p) in zip(w, parts)]))
-            choices[page] = ContinuousChoice(tuple(cols.tolist()), tuple(probs.tolist()))
+            cols = np.concatenate([c for c, _ in parts])
+            # a stable sort keeps each target's summands in their order
+            order, first, _ = _sort_coords(1, instance.num_pages, np.zeros_like(cols), cols)
+            probs = np.bincount(np.cumsum(first) - 1,
+                                np.concatenate([wt * p for wt, (_, p) in zip(w, parts)])[order])
+            choices[page] = ContinuousChoice(tuple(cols[order[first]].tolist()),
+                                             tuple(probs.tolist()))
         strat = Strategy(choices)
         trans = build_transition(instance, strat)
         # the mixed chain's exact measure, up to the columns' own error
@@ -738,10 +742,20 @@ def lp_solve(problem, tol=1e-7):
     which ``check_occupation`` re-checks to within ``tol`` against the
     unreduced constraints; a failed check raises, since it would mean the
     pivoting or the reduction went numerically wrong.
+
+    The simplex starts from the program's own blocks and rows: a discrete
+    page on its column 0, its default row, whose ``<= 0`` rows are slack;
+    a weight page on its free target of least budget spending; each
+    ``<=`` row on its slack; the last flow row, redundant, on its artificial.
     """
+    widths = [b.shape[1] for b in problem.blocks]
+    ends, n, m_ub = np.cumsum(widths), len(widths), problem.b_ub.size
+    spend = problem.a_ub[m_ub - len(problem.instance.coupling):].sum(axis=0)
+    cols, weight = ends - widths, problem.instance.skeletons.pages
+    cols[weight] = np.lexsort((spend, np.repeat(np.arange(n), widths)))[cols[weight]]
+    start = np.concatenate([cols, [ends[-1] + m_ub + n], ends[-1] + np.arange(m_ub)])
     x, value = solve_dense_lp(problem.objective, problem.a_eq, problem.b_eq,
-                              problem.a_ub, problem.b_ub, maximize=True)
-    ends = np.cumsum([b.shape[1] for b in problem.blocks])
+                              problem.a_ub, problem.b_ub, maximize=True, start=start)
     rho = np.stack([b @ xi for b, xi in zip(problem.blocks, np.split(x, ends[:-1]))])
     check_occupation(problem.instance, rho, tol)
     return rho, value

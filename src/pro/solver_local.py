@@ -45,10 +45,10 @@ from .sparse import RowSparse, _sort_coords, find_sorted, row_ids
 # slower.
 EVAL_SHARE = 1e-3
 
-# A weight page's search for its master skips at most this many excluded
-# targets (banned, or scored apart by a per-link reward) at the top of
-# ``w``; a page with more there scores its dense row instead, O(n) and
-# vectorized, rather than one Python-level step per skipped target.
+# Above DENSE_EVAL_CAP pages, a weight page's search for its master skips
+# at most this many excluded targets (banned, or scored apart by a per-link
+# reward) at the top of ``w``; a page with more there scores its dense row,
+# O(n) and vectorized, rather than one Python-level step per skipped target.
 MASTER_WALK = 8
 
 
@@ -122,9 +122,9 @@ class CompiledBellman:
     A weight page's best row keeps its floor ``(1 - mu) q`` and puts the
     whole slack on one target ``j*``, the best non-banned ``r_ij + w_j``
     (every non-banned cap is 1, and the slack is below it).  The floors
-    are one CSR block, scored together by a sparse product; ``j*`` is
-    found without scoring the dense row (see ``_masters``) and matches
-    ``polytopes.linear_maximize``'s pick, the lowest index on ties.
+    are one CSR block, scored together by a sparse product; ``j*``, the
+    argmax of the rows ``r_i + w`` (``_masters_dense``, ``_masters_walk``),
+    matches ``polytopes.linear_maximize``'s pick, the lowest index on ties.
 
     Each sweep also keeps its greedy policy (active candidates, no-link
     pages, weight pages' ``j*``), and sets ``repeated`` when that policy
@@ -198,6 +198,7 @@ class CompiledBellman:
         on = find_sorted(self.sk_page, self.keys // n)[1]
         d_keys = self.keys[on]
         self.ban_keys = store.banned
+        self.ban_at = (np.searchsorted(self.sk_page, store.banned // n), store.banned % n)
         e_keys = np.concatenate([d_keys, store.banned])
         # the stable argsort of sparse._sort_coords: a sort routine already
         # in use, not one more (each first use maps 0.1-0.4 MiB of code)
@@ -226,6 +227,10 @@ class CompiledBellman:
         self.sk_base = base[self.sk_page]
         self.r_q = base[self.q_rows] + delta[self.q_pos]
         self.d_r = self.sk_base[self.d_k] + delta[self.d_pos]
+        if self.n <= DENSE_EVAL_CAP:  # the weight pages' rows r_i, -inf where banned
+            self.sk_r = np.repeat(self.sk_base[:, None], self.n, axis=1)
+            self.sk_r[self.d_k, self.d_col] = self.d_r
+            self.sk_r[self.ban_at] = -np.inf
         # each row's reward sum over its fixed block, for ``policy``
         self.r_fixed = self._fixed_sums(self.r_o, self.q_val * self.r_q)
         # the greedy policy of the last sweep, and whether it repeated the
@@ -268,7 +273,8 @@ class CompiledBellman:
         out = alpha * val + self.const
         jstar = np.zeros(0, dtype=np.int64)
         if self.sk_page.size:
-            top, jstar = self._masters(w)
+            top, jstar = (self._masters_dense(w) if self.n <= DENSE_EVAL_CAP
+                          else self._masters_walk(w))
             lift = self.slack * np.where(jstar >= 0, top, 0.0)
             out[self.sk_page] = alpha * (so[self.sk_page] + lift) + self.const[self.sk_page]
         self.repeated = (self.jstar is not None
@@ -289,11 +295,19 @@ class CompiledBellman:
             out[self.qf_rows] = np.add.reduceat(floor, self.qf_starts)
         return out
 
-    def _masters(self, w):
-        """Per weight page, the best non-banned score ``r_ij + w_j`` and
-        its lowest-index argmax ``j*`` (-1 when every target is banned).
+    def _masters_dense(self, w):
+        """``_masters_walk``'s answer by ``argmax`` over the dense rows ``r_i
+        + w``, for the sweep up to ``DENSE_EVAL_CAP`` pages, where it costs less."""
+        s = self.sk_r + w
+        top = s.max(axis=1)
+        return top, np.where(np.isfinite(top), s.argmax(axis=1), -1)
 
-        Scores round as in the dense row ``r_i + w``.  Off its per-link
+    def _masters_walk(self, w):
+        """Per weight page, the best non-banned score ``r_ij + w_j`` and
+        its lowest-index argmax ``j*`` (-1 when every target is banned),
+        for the sweep above ``DENSE_EVAL_CAP`` pages.
+
+        Scores round as in ``_masters_dense``'s rows.  Off its per-link
         reward entries a page scores ``b + w_j``, whose best is ``b + M``
         for ``M`` the largest ``w_j`` not excluded, found among the top
         ``c`` entries of ``w`` (``c`` is one more than the most excluded

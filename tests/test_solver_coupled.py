@@ -33,7 +33,7 @@ from pro.chain import DENSE_EVAL_CAP, STATIONARY_TOL, occupation, stationary, ut
 from pro.errors import Infeasible, ProError, TooLarge, ValidationError
 from pro.graph import CouplingRow, Rewards, WeightRows, build_transition, load_instance
 from pro.oracle import brute_force_optimum, chain_utility, exact_stationary
-from pro import solver_coupled
+from pro import simplex, solver_coupled
 from pro.polytopes import facets_box, facets_discrete, separate
 from pro.solver_coupled import (
     CoupledConfig,
@@ -862,3 +862,53 @@ def test_memory_does_not_grow_with_max_outer():
         tracemalloc.stop()
         assert res.candidate.feasible
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def _count_simplex_runs(monkeypatch):
+    """Patch ``simplex._run`` to log its calls: two for a solve that runs
+    phase 1, one for a solve that starts at a feasible basis."""
+    runs, run = [], simplex._run
+    monkeypatch.setattr(simplex, "_run", lambda *args: runs.append(1) or run(*args))
+    return runs
+
+
+def test_lp_start_keeps_the_cold_optimum(monkeypatch):
+    # the 36 small-crosscheck LPs of seeds 61-63, the 50 of criterion 7 and
+    # the 12 degenerate discrete draws: lp_solve's start changes the path,
+    # not the value, and its rho passes check_occupation (lp_solve raises
+    # otherwise); some starts overspend the budget row and run phase 1
+    generate = _bench_generator()
+    insts = [load_instance(json.loads(text)) for seed in (61, 62, 63)
+             for text in generate.documents("small-crosscheck", seed)]
+    rng = np.random.default_rng(3007)
+    insts += [load_instance(add_active_coupling(random_continuous_doc(rng, n_max=30), rng))
+              for _ in range(50)]
+    rng = np.random.default_rng(1)
+    docs = [add_active_coupling(random_discrete_doc(rng), rng) for _ in range(300)]
+    insts += [load_instance(docs[k]) for k in _DEGENERATE_DRAWS]
+    runs = _count_simplex_runs(monkeypatch)
+    started = 0
+    for k, inst in enumerate(insts):
+        lp = lp_formulate(inst)
+        _, cold = solve_dense_lp(lp.objective, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub,
+                                 maximize=True)
+        runs.clear()
+        _, value = lp_solve(lp)
+        started += len(runs) == 1
+        assert value == pytest.approx(cold, rel=1e-9, abs=1e-12), k
+    assert 30 <= started < len(insts)
+
+
+@pytest.mark.parametrize("start", [
+    [0, 2],  # x0 = 1 overspends the row x0 <= 0.5: its slack is -0.5
+    [0, 0],  # singular
+    [3, 2],  # the artificial of the equality row, at 1 rather than 0
+])
+def test_lp_start_falls_back_to_phase_one(monkeypatch, start):
+    problem = (np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]),
+               np.array([[1.0, 0.0]]), np.array([0.5]))
+    cold = solve_dense_lp(*problem, maximize=True)
+    runs = _count_simplex_runs(monkeypatch)
+    x, value = solve_dense_lp(*problem, maximize=True, start=np.array(start))
+    assert len(runs) == 2
+    assert np.array_equal(x, cold[0]) and value == cold[1] == 0.5

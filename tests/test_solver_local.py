@@ -358,6 +358,10 @@ def test_weight_page_step_matches_box_maximizer(case):
     comp = CompiledBellman(inst, inst.rewards)
     got = comp.apply(w)[0]
     choice = comp.extract(w).choices[0]
+    # the sweep scores by the dense rows at this size; the walk that
+    # larger instances take must give the same (top, j*), bit for bit
+    dense, walk = comp._masters_dense(w), comp._masters_walk(w)
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(dense, walk))
     score = inst.rewards.dense()[0] + w
     lower, upper = inst.skeletons.box(0)
     res = linear_maximize(BoxSimplex(lower, upper), score)
