@@ -104,7 +104,8 @@ def stationary(transition, tol=STATIONARY_TOL, max_iter=None, pi0=None):
 
     Parameters
     ----------
-    transition : TransitionMatrix
+    transition : TransitionMatrix or ``CompiledBellman.measure()``
+        Read for ``damping``, ``num_pages``, ``teleport``, ``pi_step`` and ``dense_s``.
     tol : float
         Stop once the L1 error bound is at most ``tol``.
     max_iter : int, optional

@@ -59,8 +59,8 @@ class DualIterate:
     fields describe the chain of the priced-out optimal ``strategy``:
     ``pi`` is its stationary measure to ``STATIONARY_TOL`` in L1, found
     by solves on the controlled pages when the run eliminates the fixed
-    ones (see ``_Run``), by ``stationary`` otherwise, and the incomes
-    are ``pi . rbar`` per reward scheme.
+    ones (see ``_Run``), by ``stationary`` on the sweep's own blocks
+    otherwise, and the incomes are ``pi . rbar`` per reward scheme.
     """
 
     multipliers: np.ndarray
@@ -161,7 +161,7 @@ class _Run:
     of ``(I - damping S)^-1``, and its stationary measure one solve with
     ``G^T`` and one product with ``M^-1`` (``_reduced_column``).
     Otherwise each column's measure comes from ``stationary`` on the
-    operator's own chain, started at the last column's.
+    operator's policy (``measure``), started at the last column's.
     """
 
     def __init__(self, instance):
@@ -226,7 +226,7 @@ class _Run:
         return v
 
     def _reduced_column(self):
-        """The stationary measure of the operator's policy, and its ``S``.
+        """The stationary measure of the operator's policy.
 
         ``pi_C`` solves ``G^T pi_C = (1 - damping) (z_C + B^T z_F)``, and
         ``pi_F = ((1 - damping) z_F + damping S_CF^T pi_C) M^-1``.  The
@@ -251,8 +251,7 @@ class _Run:
         if not err <= STATIONARY_TOL:
             raise ProError(f"eliminated stationary solve is certified only to {err:.3e} "
                            f"in L1, above {STATIONARY_TOL:.0e}")
-        keys = comp.keys
-        return pi, alpha * s[keys // comp.n, keys % comp.n] + (1.0 - alpha) * z[keys % comp.n]
+        return pi
 
     def price(self, s, lam, inner, w0):
         """Best local policy for ``s r - lam . w``, evaluated exactly.
@@ -280,12 +279,10 @@ class _Run:
                  + float(np.dot(lam, self.bounds)))
         key = tuple(strat.choices.items())
         if key not in self.seen:
-            if self.reduced:
-                pi, p = self._reduced_column()
-            else:
-                trans, p = self.comp.chain()
-                pi = self.pi = stationary(trans, pi0=self.pi).pi
-            self.seen[key] = pi, np.array([float(np.dot(pi, rbar)) for rbar in self._rbar(p)])
+            pi = self.pi = (self._reduced_column() if self.reduced
+                            else stationary(self.comp.measure(), pi0=self.pi).pi)
+            rbars = self._rbar(self.comp.p_at_keys())
+            self.seen[key] = pi, np.array([float(np.dot(pi, rbar)) for rbar in rbars])
         pi, values = self.seen[key]
         cvals = values[1:]
         feasible = bool(np.all(cvals <= self.bounds + FEASIBILITY_TOL))

@@ -28,14 +28,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from .chain import DENSE_EVAL_CAP, ROUNDING, iteration_budget, policy_value, span_iterate
 from .errors import CouplingPresent, MaxIterExceeded, ValidationError
-from .graph import ContinuousChoice, DiscreteChoice, Strategy, TransitionMatrix
-from .sparse import RowSparse, _sort_coords, find_sorted, row_ids
+from .graph import ContinuousChoice, DiscreteChoice, Strategy
+from .sparse import find_sorted, row_ids
 
 # An iterative evaluation stops once its own bracket is below this share
 # of the improvement sweep's (or at tol): only the sweep certifies, and
@@ -84,11 +85,11 @@ class DpState:
     rewards); ``psi`` is then within ``(1 - damping) * residual`` of
     both the optimal income and the income of the extracted strategy.
     ``iterations`` counts improvement sweeps.  ``stop_reason`` is
-    "policy_stable" when the bracket closed to ``tol`` on a sweep whose
-    greedy policy repeated the one before, "bracket" when it closed while
+    "policy_stable" when ``residual`` is at most ``tol`` on a sweep whose
+    greedy policy repeated the one before, "bracket" when it is so while
     the policy still changed (where incomes tie within ``tol``, or on
-    the first sweep of a warm start), "rounding" when it stopped
-    shrinking within the rounding allowance, above ``tol``, and
+    the first sweep of a warm start), "rounding" when the loop stopped
+    with ``residual``, the allowance included, above ``tol``, and
     "max_iter" otherwise.
     """
 
@@ -130,9 +131,10 @@ class CompiledBellman:
     pages, weight pages' ``j*``), and sets ``repeated`` when that policy
     equals the previous sweep's.  ``policy`` and ``dense_s`` give its
     system ``v = rbar + damping * S v`` on the sweep's own blocks, which
-    ``evaluate`` solves; ``chain`` builds its ``TransitionMatrix`` from
-    entry lists, and ``extract`` turns it into a ``Strategy``.  One
-    instance serves one caller at a time.
+    ``evaluate`` solves; ``measure`` and ``p_at_keys`` give ``stationary``
+    its chain and ``P`` at the pattern keys off the same blocks, and
+    ``extract`` turns it into a ``Strategy``.  One instance serves one
+    caller at a time.
     """
 
     def __init__(self, instance, rewards, scale=1.0):
@@ -396,39 +398,6 @@ class CompiledBellman:
         self.hint = t
         return t, active, k
 
-    def _entries(self):
-        """Rows, columns, weights and rewards of the policy's entries of S,
-        for ``chain``.
-
-        Uniform rows first, then each weight page's floor and its slack on
-        the master page; a floor entry and a master entry can share a
-        coordinate, and both count.
-        """
-        act = np.flatnonzero(self.active)
-        rows = np.concatenate([self.o_page, self.f_page[act]])
-        has = self.jstar >= 0
-        pages, masters = self.sk_page[has], self.jstar[has]
-        return (np.concatenate([rows, self.q_rows, pages]),
-                np.concatenate([self.o_idx, self.f_idx[act], self.q_idx, masters]),
-                np.concatenate([1.0 / self.size[rows], self.q_val, self.slack[has]]),
-                np.concatenate([self.r_o, self.r_f[act], self.r_q,
-                                self.sk_base[has] + self.dext[self.slots(pages, masters)]]))
-
-    def chain(self):
-        """The policy's ``TransitionMatrix``, and its ``P`` at each pattern key."""
-        n = self.n
-        rows, cols, weights, _ = self._entries()
-        order, first, indptr = _sort_coords(n, n, rows, cols)
-        # a shared coordinate sums the floor entry, then the master entry
-        vals = np.bincount(np.cumsum(first) - 1, weights[order])
-        trans = TransitionMatrix(n, self.alpha, self.z, self.hang,
-                                 RowSparse(n, n, indptr, cols[order[first]], vals),
-                                 self.use_nl.copy())
-        at, col = self.keys // n, self.keys % n
-        s = np.bincount(self.slots(rows, cols), weights, minlength=self.keys.size + 1)[:-1]
-        s = np.where(self.use_nl[at], self.hang[col], s)
-        return trans, self.alpha * s + (1.0 - self.alpha) * self.z[col]
-
     def policy(self):
         """The last sweep's policy as ``(rbar, apply_s, dense_s)``: its
         reward vector, ``apply_s(v) = S v`` and the dense ``dense_s()``, the
@@ -463,6 +432,40 @@ class CompiledBellman:
 
         return rbar, apply_s, self.dense_s
 
+    def measure(self):
+        """The last sweep's policy as the chain ``chain.stationary`` reads,
+        until the next sweep: ``pi_step(x) = x P`` sums ``policy``'s blocks
+        transposed (the links on ``x / size``, the floors and masters on
+        ``x`` at their pages, the no-link rows' mass times ``hang``)."""
+        n, alpha, z, size, nl = self.n, self.alpha, self.z, self.size, self.use_nl
+        act, has = np.flatnonzero(self.active), self.jstar >= 0
+        pages, cols = self.f_page[act], self.f_idx[act]
+        m_pages, m_cols, lift = self.sk_page[has], self.jstar[has], self.slack[has]
+
+        def pi_step(x):
+            y = x / size
+            out = (np.bincount(self.o_idx, y[self.o_page], minlength=n)
+                   + np.bincount(cols, y[pages], minlength=n)
+                   + np.bincount(self.q_idx, self.q_val * x[self.q_rows], minlength=n)
+                   + np.bincount(m_cols, lift * x[m_pages], minlength=n)
+                   + float(x[nl].sum()) * self.hang)
+            return alpha * out + (1.0 - alpha) * float(x.sum()) * z
+
+        return SimpleNamespace(damping=alpha, num_pages=n, teleport=z, pi_step=pi_step,
+                               dense_s=self.dense_s)
+
+    def p_at_keys(self):
+        """The last sweep's policy's ``P`` at each pattern key: its blocks'
+        entries summed at their positions in the pattern, a floor entry
+        before a master on its coordinate, as ``dense_s`` sums them."""
+        act, has, inv, col = self.active, self.jstar >= 0, 1.0 / self.size, self.keys % self.n
+        m_pos = self.slots(self.sk_page[has], self.jstar[has])
+        s = np.bincount(np.concatenate([self.o_pos, self.f_pos[act], self.q_pos, m_pos]),
+                        np.concatenate([inv[self.o_page], inv[self.f_page[act]], self.q_val,
+                                        self.slack[has]]), minlength=self.keys.size + 1)[:-1]
+        s = np.where(self.use_nl[self.keys // self.n], self.hang[col], s)
+        return self.alpha * s + (1.0 - self.alpha) * self.z[col]
+
     @functools.cached_property
     def _flat(self):
         """Flat positions ``i * n + j`` of the obligatory, candidate and
@@ -472,8 +475,7 @@ class CompiledBellman:
                 self.q_rows * n + self.q_idx)
 
     def dense_s(self):
-        """The last sweep's policy's ``S`` as a dense ``(n, n)`` array,
-        entry for entry as ``chain`` sums it."""
+        """The last sweep's policy's ``S`` as a dense ``(n, n)`` array."""
         n = self.n
         s = np.zeros((n, n))
         flat = s.reshape(-1)
@@ -579,10 +581,9 @@ def value_iterate(instance, config=None, w0=None, bellman=None, evaluate=None):
         comp.apply, w, alpha, tol, max_iter,
         between=lambda x, b: evaluate(x, max(tol, EVAL_SHARE * b), budget),
         floor=ROUNDING / (1.0 - alpha))
-    allowance = ROUNDING / (1.0 - alpha) * (1.0 + float(np.abs(w).max()))
+    bound += ROUNDING / (1.0 - alpha) * (1.0 + float(np.abs(w).max()))
     stop = ("max_iter" if not converged else "rounding" if bound > tol
             else "policy_stable" if comp.repeated else "bracket")
-    bound += allowance
     w_out = w * scale
     psi = (1.0 - alpha) * float(np.dot(instance.teleport, w_out))
     state = DpState(w_out, psi, done, bound * scale, stop)

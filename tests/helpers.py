@@ -15,7 +15,7 @@ import numpy as np
 
 from pro import graph
 from pro.errors import ValidationError
-from pro.graph import Rewards, WebGraphInstance, WeightRows, load_instance
+from pro.graph import Rewards, TransitionMatrix, WebGraphInstance, WeightRows, load_instance
 from pro.oracle import chain_utility, exact_stationary
 from pro.sparse import (RowSparse, _as_indices, _in_range, _sort_coords, add_sparse,
                         index_csr)
@@ -515,6 +515,45 @@ def same_point_set(first, second, tol=1e-8):
             return False
         used[hits[0]] = True
     return True
+
+
+# The last sweep's policy of a ``CompiledBellman`` as entry lists, kept as
+# the reference that the operator's own blocks (``policy``, ``dense_s``,
+# ``measure`` and ``p_at_keys``) must match.
+
+def policy_entries(comp):
+    """Rows, columns, weights and rewards of the policy's entries of S.
+
+    Uniform rows first, then each weight page's floor and its slack on
+    the master page; a floor entry and a master entry can share a
+    coordinate, and both count.
+    """
+    act = np.flatnonzero(comp.active)
+    rows = np.concatenate([comp.o_page, comp.f_page[act]])
+    has = comp.jstar >= 0
+    pages, masters = comp.sk_page[has], comp.jstar[has]
+    return (np.concatenate([rows, comp.q_rows, pages]),
+            np.concatenate([comp.o_idx, comp.f_idx[act], comp.q_idx, masters]),
+            np.concatenate([1.0 / comp.size[rows], comp.q_val, comp.slack[has]]),
+            np.concatenate([comp.r_o, comp.r_f[act], comp.r_q,
+                            comp.sk_base[has] + comp.dext[comp.slots(pages, masters)]]))
+
+
+def policy_chain(comp):
+    """The policy's ``TransitionMatrix``, sorted from its entry lists, and
+    its ``P`` at each pattern key."""
+    n = comp.n
+    rows, cols, weights, _ = policy_entries(comp)
+    order, first, indptr = _sort_coords(n, n, rows, cols)
+    # a shared coordinate sums the floor entry, then the master entry
+    vals = np.bincount(np.cumsum(first) - 1, weights[order])
+    trans = TransitionMatrix(n, comp.alpha, comp.z, comp.hang,
+                             RowSparse(n, n, indptr, cols[order[first]], vals),
+                             comp.use_nl.copy())
+    at, col = comp.keys // n, comp.keys % n
+    s = np.bincount(comp.slots(rows, cols), weights, minlength=comp.keys.size + 1)[:-1]
+    s = np.where(comp.use_nl[at], comp.hang[col], s)
+    return trans, comp.alpha * s + (1.0 - comp.alpha) * comp.z[col]
 
 
 # The per-record instance reader, kept as the reference that the

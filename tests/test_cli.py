@@ -171,6 +171,21 @@ def test_optimize_stops_at_the_rounding_of_huge_rewards(tmp_path, capsys):
         {"page": 1, "kind": "discrete", "activated": [0]}]
 
 
+@pytest.mark.parametrize("damping", [0.995, 0.999])
+def test_optimize_reports_the_tolerance_it_met(tmp_path, capsys, damping):
+    # at high damping the rounding allowance alone exceeds --tol 1e-9: the
+    # envelope either meets the tolerance asked for or says "rounding" and
+    # reports the bound it met as its tol
+    doc = two_page_doc()
+    doc["damping"] = damping
+    code, env = _run(capsys, ["optimize", _write(tmp_path, "g.json", doc)])
+    assert code == 0 and env["status"] == "ok"
+    result = env["result"]
+    assert result["residual"] <= result["tol"]
+    assert result["tol"] == 1e-9 or (result["stop_reason"] == "rounding"
+                                     and result["tol"] == result["residual"])
+
+
 def test_optimize_mode_guard(tmp_path, capsys):
     code, env = _run(capsys, ["optimize",
                               _write(tmp_path, "g.json", two_page_doc()),

@@ -260,22 +260,46 @@ def test_eliminated_columns_match_exact_chains():
         assert res.dual_bound >= lp_value - 1e-9 * max(1.0, abs(lp_value)), n
         run = solver_coupled._Run(inst)
         assert run.reduced and 0 < run.fixed.size <= DENSE_EVAL_CAP
-        for it in res.iterates:
-            col = dual_value(inst, it.multipliers, run=run)
-            pi, income, spend = _exact(inst, col.strategy)
-            assert float(np.abs(col.pi - pi).sum()) <= STATIONARY_TOL, n
-            scale = max(inst.rewards.max_abs(), inst.coupling[0].weights.max_abs())
-            assert abs(col.primal_value - income) <= STATIONARY_TOL * scale, n
-            np.testing.assert_allclose(col.coupling_values, spend, rtol=0,
-                                       atol=STATIONARY_TOL * scale)
+        _assert_columns_exact(inst, res, run)
+
+
+def _assert_columns_exact(inst, res, run):
+    """Each iterate's column, priced again on ``run``, against a dense
+    solve of its full chain: ``pi`` within ``STATIONARY_TOL`` in L1, and
+    income and spending within that times the reward scale."""
+    scale = max(inst.rewards.max_abs(), *(c.weights.max_abs() for c in inst.coupling))
+    for it in res.iterates:
+        col = dual_value(inst, it.multipliers, run=run)
+        pi, income, spend = _exact(inst, col.strategy)
+        assert float(np.abs(col.pi - pi).sum()) <= STATIONARY_TOL, inst.num_pages
+        assert abs(col.primal_value - income) <= STATIONARY_TOL * scale, inst.num_pages
+        np.testing.assert_allclose(col.coupling_values, spend, rtol=0,
+                                   atol=STATIONARY_TOL * scale)
+
+
+def test_columns_off_the_reduced_path_match_exact_chains():
+    # without a fixed page (all weight pages), or with fixed pages above
+    # the cap, each column's measure is ``stationary`` on the operator's
+    # policy (``CompiledBellman.measure``) and its incomes read P off the
+    # same blocks (``p_at_keys``): the same check as on the reduced path
+    rng = np.random.default_rng(98)
+    docs = [random_continuous_doc(rng, n_max=20) for _ in range(3)]
+    docs.append(link_web_doc(rng, 120, 5, 15))
+    for doc in docs:
+        inst = load_instance(add_active_coupling(doc, rng))
+        res = solve_coupled(inst, CoupledConfig(max_outer=300))
+        run = solver_coupled._Run(inst)
+        assert not run.reduced and res.iterations >= 2
+        _assert_columns_exact(inst, res, run)
 
 
 def _count_column_work(monkeypatch):
-    """Count compiles, ``CompiledBellman.chain`` calls and ``stationary``
+    """Count compiles, ``CompiledBellman.measure`` calls and ``stationary``
     calls made outside ``_mixture``."""
-    calls = {"compile": 0, "chain": 0, "stationary": 0}
+    calls = {"compile": 0, "measure": 0, "stationary": 0}
     inside = []
-    init, chain_of, mixture = CompiledBellman.__init__, CompiledBellman.chain, solver_coupled._mixture
+    init, measure = CompiledBellman.__init__, CompiledBellman.measure
+    mixture = solver_coupled._mixture
     stat = solver_coupled.stationary
 
     def counted(name, fn):
@@ -292,7 +316,7 @@ def _count_column_work(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(CompiledBellman, "__init__", counted("compile", init))
-    monkeypatch.setattr(CompiledBellman, "chain", counted("chain", chain_of))
+    monkeypatch.setattr(CompiledBellman, "measure", counted("measure", measure))
     monkeypatch.setattr(solver_coupled, "stationary", counted("stationary", stat))
     monkeypatch.setattr(solver_coupled, "_mixture", in_mixture)
     return calls
@@ -302,7 +326,7 @@ def test_which_runs_eliminate_the_fixed_pages(monkeypatch):
     calls = _count_column_work(monkeypatch)
     rng = np.random.default_rng(97)
     cases = [
-        # 95 fixed pages: the columns never build a chain
+        # 95 fixed pages: the columns never call measure nor stationary
         (link_web_doc(rng, 100, 5, 20), True),
         # no fixed page: every page is a weight page
         (random_continuous_doc(rng, n_max=20), False),
@@ -318,10 +342,10 @@ def test_which_runs_eliminate_the_fixed_pages(monkeypatch):
         res = solve_coupled(inst, CoupledConfig(max_outer=300))
         assert calls["compile"] == 1
         if reduced:
-            assert calls["chain"] == calls["stationary"] == 0
+            assert calls["measure"] == calls["stationary"] == 0
         else:
-            # one chain and one stationary solve per new column
-            assert 1 <= calls["chain"] == calls["stationary"] <= res.iterations + 1
+            # one measure and one stationary solve per new column
+            assert 1 <= calls["measure"] == calls["stationary"] <= res.iterations + 1
         pi, income, _ = _exact(inst, res.best_feasible.strategy)
         np.testing.assert_allclose(pi, res.best_feasible.pi, atol=1e-10)
         assert income == pytest.approx(res.best_feasible.value, abs=1e-10)

@@ -22,6 +22,8 @@ from helpers import (
     free_row,
     link_web_doc,
     mixed_doc,
+    policy_chain,
+    policy_entries,
     power_law_instance,
     random_continuous_doc,
     random_discrete_doc,
@@ -117,7 +119,8 @@ def _exact_value(s, damping, rbar):
 def test_default_tol_stops_at_high_damping_and_large_rewards():
     # at damping 0.99 and rewards near 100 the rescaled tol, 1e-9 / 110,
     # lies below the rounding allowance of a sweep: the loop must stop on
-    # the bracket itself and carry the allowance in the error bound only
+    # the bracket itself, carry the allowance in the error bound, and say
+    # "rounding", since that bound is above tol
     rng = np.random.default_rng(3014)
     insts = []
     for _ in range(20):
@@ -127,7 +130,8 @@ def test_default_tol_stops_at_high_damping_and_large_rewards():
         insts.append(load_instance(doc))
     for inst in insts:
         state, _ = value_iterate(inst)
-        assert state.stop_reason == "policy_stable"
+        assert state.stop_reason == "rounding" and state.residual > 1e-9
+        assert state.iterations <= 5
         trans = build_transition(inst, brute_force_optimum(inst).strategy)
         rbar = (trans.dense_p() * inst.rewards.dense()).sum(axis=1)
         w_exact = np.linalg.solve(
@@ -142,7 +146,7 @@ def test_default_tol_stops_at_high_damping_and_large_rewards():
     big = power_law_instance(300, 12, 30, seed=4, damping=0.99, reward_frac=0.5)
     big = big.local_only(big.rewards.scaled(100.0 / big.rewards.max_abs()))
     state, _ = value_iterate(big)
-    assert state.stop_reason == "policy_stable"
+    assert state.stop_reason == "rounding" and state.residual > 1e-9
     allowance = ROUNDING / 0.01 * (100.0 + float(np.abs(state.w).max()))
     assert state.residual <= 1e-9 + allowance
 
@@ -517,15 +521,19 @@ def _evaluation_docs(rng):
 
 def _entry_form(comp):
     """The last sweep's policy as ``(rbar, apply_s, dense_s)``, read off
-    its entry lists: ``chain``'s ``TransitionMatrix`` and ``_entries``."""
-    trans, _ = comp.chain()
-    rows, _, weights, rewards = comp._entries()
+    its entry lists: ``policy_chain``'s ``TransitionMatrix`` and
+    ``policy_entries``."""
+    trans, _ = policy_chain(comp)
+    rows, _, weights, rewards = policy_entries(comp)
     rbar = np.bincount(rows, weights * rewards, minlength=comp.n)
     rbar[comp.use_nl] = comp.no_link_base[comp.use_nl]
     return comp.alpha * rbar + comp.const, trans.apply_s, trans.dense_s
 
 
 def test_policy_blocks_match_entry_lists():
+    # the operator's blocks give the policy's system (policy, dense_s), its
+    # chain for stationary (measure) and its P at the pattern keys
+    # (p_at_keys) as the entry lists do
     rng = np.random.default_rng(3014)
     seen = {"no_link": 0, "no_master": 0, "above_cap": 0}
     for doc in _evaluation_docs(rng):
@@ -536,11 +544,20 @@ def test_policy_blocks_match_entry_lists():
             comp.apply(rng.normal(size=n) * 3.0)
             rbar, apply_s, dense_s = comp.policy()
             ref_rbar, ref_apply, ref_dense = _entry_form(comp)
+            ref_chain, ref_p = policy_chain(comp)
             v = rng.normal(size=n) * 10.0
             r_scale = comp.alpha * inst.rewards.max_abs() + float(np.abs(comp.const).max())
             assert np.abs(rbar - ref_rbar).max() <= 8 * np.spacing(max(r_scale, 1e-300))
             assert np.abs(apply_s(v) - ref_apply(v)).max() <= 8 * np.spacing(np.abs(v).max())
             assert np.array_equal(dense_s(), ref_dense())
+            x = rng.random(n)
+            x /= x.sum()
+            ref_step = ref_chain.pi_step(x)
+            chain_view = comp.measure()
+            assert np.abs(chain_view.pi_step(x) - ref_step).max() \
+                <= 8 * np.spacing(np.abs(ref_step).max())
+            assert np.array_equal(chain_view.dense_s(), ref_chain.dense_s())
+            assert np.array_equal(comp.p_at_keys(), ref_p)
             seen["no_link"] += int(comp.use_nl.any())
             seen["no_master"] += int(np.any(comp.jstar < 0))
             seen["above_cap"] += n > DENSE_EVAL_CAP
