@@ -6,10 +6,10 @@ expectation of the per-traversal reward under the occupation measure
 mean reward accumulated before the next teleportation, the vector ``v``
 solving ``v = rbar + damping * S v``; that vector is what the local
 optimizer's fixed point reproduces, so it is the bridge between chain
-evaluation and optimization.  Up to ``DENSE_EVAL_CAP`` pages one dense
-solve starts the loop that certifies ``v`` (``policy_value``, shared
-with ``CompiledBellman``) or ``pi`` (``stationary``, which above the
-cap starts from a given measure and stops on a certified L1 bound).
+evaluation and optimization.  A fixed policy's chain solves its own
+systems for ``v`` and ``pi`` where it can (``solve``), and that answer
+starts the loop that certifies ``v`` (``policy_value``) or ``pi``
+(``stationary``, which otherwise starts from a given measure).
 """
 
 from __future__ import annotations
@@ -20,21 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaxIterExceeded, TooLarge, ValidationError, ZeroRow
-from .graph import Rewards
+from .graph import DENSE_EVAL_CAP, Rewards  # noqa: F401 - DENSE_EVAL_CAP re-exported
 from .sparse import row_ids, segment_sums
 
 DENSE_CAP = 2000
 
 # L1 error of a stationary measure that ``stationary`` accepts by default
 STATIONARY_TOL = 1e-12
-
-# Systems on at most this many pages start from one dense solve.  OpenBLAS
-# solves n x n on one thread while n * n < 10000; above, with its pool
-# unpinned on a loaded 2-core host, a few of 200 solves of 100-200 pages
-# took 68-136 ms, not 0.1-0.6 ms (none did pinned, or at 99 pages).
-# Unpinned, its worker thread ran at 100 pages for solves (56-66 CPU ticks
-# over 3,000) and for ``x @ A`` products (9-10 over 20,000), never at 99.
-DENSE_EVAL_CAP = 99
 
 # Rounding allowance of one sweep, relative to the reward scale plus
 # ``max |v|``: pairwise sums err by less than 32 ulps up to 2**20 terms.
@@ -94,9 +86,10 @@ class MeanRewardVector:
 
 
 def stationary(transition, tol=STATIONARY_TOL, max_iter=None, pi0=None):
-    """Power iteration for the stationary measure, started at the dense
-    solution of ``(I - damping S^T) pi = (1 - damping) teleport`` up to
-    ``DENSE_EVAL_CAP`` pages and at ``pi0`` or the teleport vector above.
+    """Power iteration for the stationary measure, started at the chain's
+    own solve of ``(I - damping S^T) pi = (1 - damping) teleport`` where
+    it gives one (``transition.solve``), and at ``pi0`` or the teleport
+    vector otherwise.
 
     ``e P = damping e S`` for every zero-sum ``e``, so ``damping / (1 -
     damping)`` times the L1 change of a step bounds the L1 error of its
@@ -104,10 +97,10 @@ def stationary(transition, tol=STATIONARY_TOL, max_iter=None, pi0=None):
 
     Parameters
     ----------
-    transition : TransitionMatrix or ``CompiledBellman.measure()``
-        Read for ``damping``, ``num_pages``, ``teleport``, ``pi_step`` and ``dense_s``.
+    transition : TransitionMatrix or ``CompiledBellman.policy()``
+        Read for ``damping``, ``num_pages``, ``teleport``, ``pi_step`` and ``solve``.
     tol : float
-        Stop once the L1 error bound is at most ``tol``.
+        Finite and positive: stop once the L1 error bound is at most ``tol``.
     max_iter : int, optional
         Default: the steps that take an L1 error of 2 below ``tol``.
     pi0 : ndarray, optional
@@ -119,16 +112,21 @@ def stationary(transition, tol=STATIONARY_TOL, max_iter=None, pi0=None):
 
     Raises
     ------
+    ValidationError
+        When ``tol`` is not finite and positive.
     MaxIterExceeded
         With the best iterate attached as ``result``.
     """
-    alpha, n, z = transition.damping, transition.num_pages, transition.teleport
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
+    alpha, z = transition.damping, transition.teleport
     k = alpha / (1.0 - alpha)
     if max_iter is None:
         max_iter = iteration_budget(alpha, min(tol / (4.0 * k), 0.5)) + 50
     it, bound = 0, math.inf
-    pi = (np.linalg.solve(np.eye(n) - alpha * transition.dense_s().T, (1.0 - alpha) * z)
-          if n <= DENSE_EVAL_CAP else z.copy() if pi0 is None else pi0)
+    pi = transition.solve((1.0 - alpha) * z, transpose=True)
+    if pi is None:
+        pi = z.copy() if pi0 is None else pi0
     for it in range(1, max_iter + 1):
         nxt = transition.pi_step(pi)
         bound = k * float(np.abs(nxt - pi).sum())
@@ -236,21 +234,20 @@ def span_iterate(step, x, damping, tol, max_iter, between=None, floor=0.0):
     return x, max_iter, bound, False
 
 
-def policy_value(rbar, damping, apply_s, dense_s, x0, tol, max_iter):
-    """Value ``v = rbar + damping * S v`` of a fixed policy ``S``, given
-    as ``apply_s(v) = S v`` and the dense ``dense_s()``.
+def policy_value(transition, rbar, x0, tol, max_iter):
+    """Value ``v = rbar + damping * S v`` of a fixed policy's chain.
 
-    Up to ``DENSE_EVAL_CAP`` pages a dense solve replaces the start
-    ``x0``.  ``span_iterate`` then runs to half-width ``tol``, at most
-    ``max_iter`` products with ``S``.  Returns ``(v, iterations,
-    residual, converged)``; ``residual`` adds to the last half-width the
-    rounding allowance ``ROUNDING * (max |rbar| + max |v|) / (1 - damping)``.
+    ``transition.solve(rbar)``, where it gives an answer, replaces the
+    start ``x0``.  ``span_iterate`` on ``transition.apply_s`` then runs to
+    half-width ``tol``, at most ``max_iter`` products with ``S``.  Returns
+    ``(v, iterations, residual, converged)``; ``residual`` adds to the
+    last half-width the rounding allowance ``ROUNDING * (max |rbar| + max
+    |v|) / (1 - damping)``.
     """
-    n = rbar.size
-    if n <= DENSE_EVAL_CAP:
-        x0 = np.linalg.solve(np.eye(n) - damping * dense_s(), rbar)
+    damping, exact = transition.damping, transition.solve(rbar)
     v, it, bound, converged = span_iterate(
-        lambda x: rbar + damping * apply_s(x), x0, damping, tol, max_iter)
+        lambda x: rbar + damping * transition.apply_s(x), x0 if exact is None else exact,
+        damping, tol, max_iter)
     scale = float(np.abs(rbar).max()) + float(np.abs(v).max())
     return v, it, bound + ROUNDING / (1.0 - damping) * scale, converged
 
@@ -270,8 +267,7 @@ def mean_reward_before_teleport(transition, rewards, tol=1e-9, max_iter=None):
     if max_iter is None:
         reach = max(1.0, float(np.abs(rbar).max()) / (1.0 - alpha))
         max_iter = iteration_budget(alpha, min(tol * (1.0 - alpha) / alpha / reach, 0.5)) + 50
-    v, it, bound, converged = policy_value(rbar, alpha, transition.apply_s, transition.dense_s,
-                                           np.zeros(rbar.size), tol, max_iter)
+    v, it, bound, converged = policy_value(transition, rbar, np.zeros(rbar.size), tol, max_iter)
     result = MeanRewardVector(v, rbar, it, bound)
     if not converged:
         raise MaxIterExceeded(

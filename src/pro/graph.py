@@ -46,6 +46,13 @@ FREE_NOISE = 8 * float(np.finfo(float).eps)
 # Link keys ``row * num_pages + col`` are int64; above this page count
 # they would wrap.
 MAX_PAGES = math.isqrt(2 ** 63 - 1)
+# Systems on at most this many pages are solved densely.  OpenBLAS
+# solves n x n on one thread while n * n < 10000; above, with its pool
+# unpinned on a loaded 2-core host, a few of 200 solves of 100-200 pages
+# took 68-136 ms, not 0.1-0.6 ms (none did pinned, or at 99 pages).
+# Unpinned, its worker thread ran at 100 pages for solves (56-66 CPU ticks
+# over 3,000) and for ``x @ A`` products (9-10 over 20,000), never at 99.
+DENSE_EVAL_CAP = 99
 
 
 @dataclass(frozen=True)
@@ -312,6 +319,16 @@ class TransitionMatrix:
         out[self.dangling] = self.dangling_teleport
         return out
 
+    def solve(self, rhs, transpose=False):
+        """``x`` with ``(I - damping S) x = rhs``, or ``(I - damping S)^T x
+        = rhs`` if ``transpose``: one dense solve up to ``DENSE_EVAL_CAP``
+        pages, ``None`` above."""
+        n = self.num_pages
+        if n > DENSE_EVAL_CAP:
+            return None
+        s = self.dense_s()
+        return np.linalg.solve(np.eye(n) - self.damping * (s.T if transpose else s), rhs)
+
     def dense_p(self):
         return self.damping * self.dense_s() + (1.0 - self.damping) * self.teleport[None, :]
 
@@ -570,8 +587,9 @@ def load_strategy(source, instance):
     """Parse a strategy document (path or dict) for ``instance``.
 
     A ``row_entries`` column must lie below the page count; it is checked
-    before anything is allocated.  Two row kinds are read: ``"free"``,
-    the ``ContinuousChoice`` entries as they are, and the older
+    before anything is allocated.  Links, columns and weights must not be
+    JSON booleans, which numpy would read as 0 and 1.  Two row kinds are
+    read: ``"free"``, the ``ContinuousChoice`` entries as they are, and the older
     ``"continuous"``, a chain-space row ``P[page]``, which is converted
     once through ``free_choice`` (that needs the instance's damping,
     teleport and floors).  Pages, links and rows are checked against the
@@ -592,10 +610,14 @@ def load_strategy(source, instance):
         if kind == "discrete":
             acts = rec.get("activated", [])
             _require(isinstance(acts, list), "activated must be a list")
+            _require(bool not in map(type, acts), "activated must hold integers, not booleans")
             choices[page] = DiscreteChoice(tuple(np.sort(_columns(acts, "activated")).tolist()))
             continue
         _require(kind in ("free", "continuous"), f"unknown strategy kind {kind!r}")
-        (cols,), vals = _entries(rec.get("row_entries", []), 2, "row_entries")
+        entries = rec.get("row_entries", [])
+        (cols,), vals = _entries(entries, 2, "row_entries")
+        _require(bool not in map(type, chain.from_iterable(entries)),
+                 "row_entries must hold numbers, not booleans")
         order = np.argsort(cols)
         cols, vals = cols[order], vals[order]
         _require(not np.any(cols[1:] == cols[:-1]), "row_entries lists a column twice")

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import DENSE_EVAL_CAP, STATIONARY_TOL, stationary, utility_from_chain
+from .chain import stationary, utility_from_chain
 from .errors import Infeasible, ProError, TooLarge, ValidationError
 from .polytopes import separate
 from .graph import ContinuousChoice, Rewards, Strategy, build_transition, instance_facets
@@ -57,10 +57,9 @@ class DualIterate:
     ``theta`` never falls below the exact dual objective (see
     ``dual_value``); ``subgradient`` is ``spending - bound``.  The other
     fields describe the chain of the priced-out optimal ``strategy``:
-    ``pi`` is its stationary measure to ``STATIONARY_TOL`` in L1, found
-    by solves on the controlled pages when the run eliminates the fixed
-    ones (see ``_Run``), by ``stationary`` on the sweep's own blocks
-    otherwise, and the incomes are ``pi . rbar`` per reward scheme.
+    ``pi`` is its stationary measure, certified to ``STATIONARY_TOL`` in
+    L1 by ``stationary`` on the sweep's own blocks (see ``_Run``), and
+    the incomes are ``pi . rbar`` per reward scheme.
     """
 
     multipliers: np.ndarray
@@ -150,18 +149,9 @@ class _Run:
     run, on the union of the per-link patterns of ``r`` and the rows
     ``w``, and each distinct policy's column computed once.
 
-    When the fixed pages F (no facultative link, no weight row) number
-    between 1 and ``DENSE_EVAL_CAP``, and so do the controlled pages C,
-    F is eliminated once per run (the stochastic complement; Meyer,
-    *SIAM Review*, 1989).  With ``M = I - damping S_FF``, one dense
-    inverse gives ``B = damping M^-1 S_FC`` and ``a_k = M^-1 rbar_F^k``
-    per reward scheme, so that ``v_F = a + B v_C`` for any policy and
-    ``a`` is priced like the rewards.  A policy's value is then one solve
-    with ``G = I - damping (S_CC + S_CF B)``, whose inverse is the C block
-    of ``(I - damping S)^-1``, and its stationary measure one solve with
-    ``G^T`` and one product with ``M^-1`` (``_reduced_column``).
-    Otherwise each column's measure comes from ``stationary`` on the
-    operator's policy (``measure``), started at the last column's.
+    A column's measure is ``stationary`` on the operator's policy, from
+    that policy's own solve or else the last column's measure; its
+    incomes read ``P`` off the same blocks.
     """
 
     def __init__(self, instance):
@@ -174,31 +164,6 @@ class _Run:
         self.at = [comp.slots(row_ids(r.delta.indptr), r.delta.indices) for r in self.schemes]
         self.instance, self.pi, self.seen = instance, None, {}
         self.bounds = np.array([c.bound for c in instance.coupling])
-        fixed = np.ones(comp.n, dtype=bool)
-        fixed[comp.f_rows] = fixed[comp.sk_page] = False
-        self.fixed, self.ctrl = np.flatnonzero(fixed), np.flatnonzero(~fixed)
-        self.a = np.zeros((len(self.schemes), 0))
-        self.reduced = 0 < self.fixed.size <= DENSE_EVAL_CAP and self.ctrl.size <= DENSE_EVAL_CAP
-        if self.reduced:
-            self._eliminate()
-
-    def _eliminate(self):
-        """``M^-1``, ``B`` and one ``a_k`` per scheme (the rows of ``a``)."""
-        comp, f, c = self.comp, self.fixed, self.ctrl
-        alpha = comp.alpha
-        # S_F: uniform on the obligatory links, or the no-link row
-        s_f = np.zeros((f.size, comp.n))
-        at, on = find_sorted(f, comp.o_page)
-        s_f[at[on], comp.o_idx[on]] = 1.0 / comp.o_cnt[comp.o_page[on]]
-        s_f[comp.o_cnt[f] == 0] = comp.hang
-        # P at the pattern keys on F's rows gives rbar_F
-        at, on = find_sorted(f, comp.keys // comp.n)
-        col = comp.keys[on] % comp.n
-        p = np.zeros(comp.keys.size)
-        p[on] = alpha * s_f[at[on], col] + (1.0 - alpha) * comp.z[col]
-        self.minv = np.linalg.inv(np.eye(f.size) - alpha * s_f[:, f])
-        self.b = alpha * (self.minv @ s_f[:, c])
-        self.a = np.stack(self._rbar(p))[:, f] @ self.minv.T
 
     def _rbar(self, p):
         """Each scheme's ``rbar_i = sum_j P_ij r_ij`` from ``P`` at the
@@ -206,82 +171,28 @@ class _Run:
         return [r.base + segment_sums(p[at] * r.delta.data, r.delta.indptr)
                 for r, at in zip(self.schemes, self.at)]
 
-    def _complement(self, s):
-        """``G`` and ``S_CF`` of a policy's dense ``S``."""
-        s_c = s[self.ctrl]
-        s_cf = s_c[:, self.fixed]
-        g = np.eye(self.ctrl.size) - self.comp.alpha * (s_c[:, self.ctrl] + s_cf @ self.b)
-        return g, s_cf
-
-    def _reduced_value(self, x0, tol, max_iter):
-        """``CompiledBellman.evaluate`` by one solve on the controlled pages."""
-        comp = self.comp
-        if comp.repeated:
-            return x0
-        rbar, _, dense_s = comp.policy()
-        g, s_cf = self._complement(dense_s())
-        v_c = np.linalg.solve(g, rbar[self.ctrl] + comp.alpha * (s_cf @ self.priced))
-        v = np.empty(comp.n)
-        v[self.ctrl], v[self.fixed] = v_c, self.priced + self.b @ v_c
-        return v
-
-    def _reduced_column(self):
-        """The stationary measure of the operator's policy.
-
-        ``pi_C`` solves ``G^T pi_C = (1 - damping) (z_C + B^T z_F)``, and
-        ``pi_F = ((1 - damping) z_F + damping S_CF^T pi_C) M^-1``.  The
-        inverse of ``I - damping S^T`` has L1 norm at most ``1 / (1 -
-        damping)``, so the full system's residual over ``1 - damping``
-        bounds the L1 error of ``pi``, which must be within
-        ``STATIONARY_TOL``.
-
-        Raises
-        ------
-        ProError
-            When that bound is above ``STATIONARY_TOL``.
-        """
-        comp, f, c = self.comp, self.fixed, self.ctrl
-        alpha, z = comp.alpha, comp.z
-        s = comp.dense_s()
-        g, s_cf = self._complement(s)
-        pi = np.empty(comp.n)
-        pi[c] = np.linalg.solve(g.T, (1.0 - alpha) * (z[c] + self.b.T @ z[f]))
-        pi[f] = ((1.0 - alpha) * z[f] + alpha * (pi[c] @ s_cf)) @ self.minv
-        err = float(np.abs((1.0 - alpha) * z - pi + alpha * (pi @ s)).sum()) / (1.0 - alpha)
-        if not err <= STATIONARY_TOL:
-            raise ProError(f"eliminated stationary solve is certified only to {err:.3e} "
-                           f"in L1, above {STATIONARY_TOL:.0e}")
-        return pi
-
     def price(self, s, lam, inner, w0):
         """Best local policy for ``s r - lam . w``, evaluated exactly.
 
         ``theta`` adds the inner solve's certified income error and prices
         the bounds back in, so it upper-bounds ``max_pi [s R(pi) + lam .
-        (b - C(pi))]``.  With F eliminated, the priced ``a`` is summed
-        like the rewards, and the inner solve evaluates each greedy policy
-        on the controlled pages; the improvement sweeps, which certify,
-        still run over the whole web.
+        (b - C(pi))]``.
         """
         base, data = s * self.columns[0].base, s * self.columns[0].delta.data
-        a = s * self.a[0]
-        for c, r, ak in zip(lam, self.columns[1:], self.a[1:]):  # one axpy per scheme
+        for c, r in zip(lam, self.columns[1:]):  # one axpy per scheme
             base += -c * r.base
             data += -c * r.delta.data
-            a += -c * ak
         priced = Rewards(base, replace(self.columns[0].delta, data=data))
         scale = max(1.0, priced.max_abs())
         self.comp.reprice(priced.scaled(1.0 / scale), scale)
-        self.priced = a / scale
-        state, strat = value_iterate(self.instance, inner, w0=w0, bellman=self.comp,
-                                     evaluate=self._reduced_value if self.reduced else None)
+        state, strat = value_iterate(self.instance, inner, w0=w0, bellman=self.comp)
         theta = (state.psi + (1.0 - self.instance.damping) * state.residual
                  + float(np.dot(lam, self.bounds)))
         key = tuple(strat.choices.items())
         if key not in self.seen:
-            pi = self.pi = (self._reduced_column() if self.reduced
-                            else stationary(self.comp.measure(), pi0=self.pi).pi)
-            rbars = self._rbar(self.comp.p_at_keys())
+            chain = self.comp.policy()
+            pi = self.pi = stationary(chain, pi0=self.pi).pi
+            rbars = self._rbar(chain.p_at_keys())
             self.seen[key] = pi, np.array([float(np.dot(pi, rbar)) for rbar in rbars])
         pi, values = self.seen[key]
         cvals = values[1:]

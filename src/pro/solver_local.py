@@ -20,7 +20,9 @@ admissible row sums to one, so ``T(w + c) = T(w) + damping * c`` and
 each sweep yields the MacQueen–Porteus bracket of ``chain.span_iterate``;
 the loop is that function's, with the evaluation run between sweeps, and
 stops once the bracket's half-width is at most ``tol``.  The evaluation
-is ``chain.policy_value``, whose constants this module re-exports.
+is the policy's own solve where its chain has one, and
+``chain.policy_value`` otherwise; this module re-exports ``chain``'s
+constants.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from .chain import DENSE_EVAL_CAP, ROUNDING, iteration_budget, policy_value, span_iterate
 from .errors import CouplingPresent, MaxIterExceeded, ValidationError
-from .graph import ContinuousChoice, DiscreteChoice, Strategy
+from .graph import ContinuousChoice, DiscreteChoice, Strategy, TransitionMatrix
 from .sparse import find_sorted, row_ids
 
 # An iterative evaluation stops once its own bracket is below this share
@@ -129,12 +130,13 @@ class CompiledBellman:
 
     Each sweep also keeps its greedy policy (active candidates, no-link
     pages, weight pages' ``j*``), and sets ``repeated`` when that policy
-    equals the previous sweep's.  ``policy`` and ``dense_s`` give its
-    system ``v = rbar + damping * S v`` on the sweep's own blocks, which
-    ``evaluate`` solves; ``measure`` and ``p_at_keys`` give ``stationary``
-    its chain and ``P`` at the pattern keys off the same blocks, and
-    ``extract`` turns it into a ``Strategy``.  One instance serves one
-    caller at a time.
+    equals the previous sweep's.  ``policy`` gives it as a chain on the
+    sweep's own blocks, which ``evaluate`` and ``chain.stationary`` solve,
+    and ``extract`` turns it into a ``Strategy``.  The fixed pages F (no
+    facultative link, no weight row) have one row in every policy; with
+    0 < |F| and |F|, |C| at most ``DENSE_EVAL_CAP``, ``eliminates`` is set
+    and each policy is solved on the controlled pages C.  One instance
+    serves one caller at a time.
     """
 
     def __init__(self, instance, rewards, scale=1.0):
@@ -172,6 +174,11 @@ class CompiledBellman:
         # pages that always take the no-link row: no links, no skeleton
         self.plain_nl = (o_cnt == 0) & (f_cnt == 0)
         self.plain_nl[self.sk_page] = False
+        # the fixed pages F and the controlled pages C
+        fixed = np.ones(n, dtype=bool)
+        fixed[self.f_rows] = fixed[self.sk_page] = False
+        self.fixed, self.ctrl = np.flatnonzero(fixed), np.flatnonzero(~fixed)
+        self.eliminates = 0 < self.fixed.size <= DENSE_EVAL_CAP and self.ctrl.size <= DENSE_EVAL_CAP
         self.reprice(rewards, scale)
 
     def slots(self, rows, cols):
@@ -399,72 +406,9 @@ class CompiledBellman:
         return t, active, k
 
     def policy(self):
-        """The last sweep's policy as ``(rbar, apply_s, dense_s)``: its
-        reward vector, ``apply_s(v) = S v`` and the dense ``dense_s()``, the
-        system ``v = rbar + damping * S v`` of ``chain.policy_value``.
-
-        Both sum the sweep's own blocks: the obligatory links and weight
-        floors by segment (``_fixed_sums``; their rewards once per
-        ``reprice``), the active candidates by one small ``bincount``, and
-        each weight page's slack times its master's entry.  Each row is
-        then divided once by its size (1 off the uniform rows), and the
-        no-link row replaces the rows that take it.
-        """
-        n, hang, use_nl, size = self.n, self.hang, self.use_nl, self.size
-        act = np.flatnonzero(self.active)
-        pages, cols = self.f_page[act], self.f_idx[act]
-        has = self.jstar >= 0
-        m_pages, m_cols, lift = self.sk_page[has], self.jstar[has], self.slack[has]
-        r_m = self.sk_base[has] + self.dext[self.slots(m_pages, m_cols)]
-
-        def rows(fixed, cand, master, no_link):
-            out = fixed + np.bincount(pages, cand, minlength=n)
-            if m_pages.size:
-                out[m_pages] += lift * master
-            out /= size
-            return np.where(use_nl, no_link, out)
-
-        rbar = self.alpha * rows(self.r_fixed, self.r_f[act], r_m, self.no_link_base) + self.const
-
-        def apply_s(v):
-            return rows(self._fixed_sums(v[self.o_idx], self.q_val * v[self.q_idx]),
-                        v[cols], v[m_cols], float(np.dot(hang, v)))
-
-        return rbar, apply_s, self.dense_s
-
-    def measure(self):
-        """The last sweep's policy as the chain ``chain.stationary`` reads,
-        until the next sweep: ``pi_step(x) = x P`` sums ``policy``'s blocks
-        transposed (the links on ``x / size``, the floors and masters on
-        ``x`` at their pages, the no-link rows' mass times ``hang``)."""
-        n, alpha, z, size, nl = self.n, self.alpha, self.z, self.size, self.use_nl
-        act, has = np.flatnonzero(self.active), self.jstar >= 0
-        pages, cols = self.f_page[act], self.f_idx[act]
-        m_pages, m_cols, lift = self.sk_page[has], self.jstar[has], self.slack[has]
-
-        def pi_step(x):
-            y = x / size
-            out = (np.bincount(self.o_idx, y[self.o_page], minlength=n)
-                   + np.bincount(cols, y[pages], minlength=n)
-                   + np.bincount(self.q_idx, self.q_val * x[self.q_rows], minlength=n)
-                   + np.bincount(m_cols, lift * x[m_pages], minlength=n)
-                   + float(x[nl].sum()) * self.hang)
-            return alpha * out + (1.0 - alpha) * float(x.sum()) * z
-
-        return SimpleNamespace(damping=alpha, num_pages=n, teleport=z, pi_step=pi_step,
-                               dense_s=self.dense_s)
-
-    def p_at_keys(self):
-        """The last sweep's policy's ``P`` at each pattern key: its blocks'
-        entries summed at their positions in the pattern, a floor entry
-        before a master on its coordinate, as ``dense_s`` sums them."""
-        act, has, inv, col = self.active, self.jstar >= 0, 1.0 / self.size, self.keys % self.n
-        m_pos = self.slots(self.sk_page[has], self.jstar[has])
-        s = np.bincount(np.concatenate([self.o_pos, self.f_pos[act], self.q_pos, m_pos]),
-                        np.concatenate([inv[self.o_page], inv[self.f_page[act]], self.q_val,
-                                        self.slack[has]]), minlength=self.keys.size + 1)[:-1]
-        s = np.where(self.use_nl[self.keys // self.n], self.hang[col], s)
-        return self.alpha * s + (1.0 - self.alpha) * self.z[col]
+        """The last sweep's policy as a ``PolicyChain``, until the next
+        sweep or ``reprice``."""
+        return PolicyChain(self)
 
     @functools.cached_property
     def _flat(self):
@@ -474,34 +418,27 @@ class CompiledBellman:
         return (self.o_page * n + self.o_idx, self.f_page * n + self.f_idx,
                 self.q_rows * n + self.q_idx)
 
-    def dense_s(self):
-        """The last sweep's policy's ``S`` as a dense ``(n, n)`` array."""
-        n = self.n
-        s = np.zeros((n, n))
-        flat = s.reshape(-1)
-        o_flat, f_flat, q_flat = self._flat
-        inv = 1.0 / self.size
-        flat[o_flat] = inv[self.o_page]
-        flat[f_flat[self.active]] = inv[self.f_page[self.active]]
-        if self.sk_page.size:
-            flat[q_flat] = self.q_val
-            has = self.jstar >= 0
-            # a master can share its coordinate with a floor entry
-            flat[self.sk_page[has] * n + self.jstar[has]] += self.slack[has]
-        s[self.use_nl] = self.hang
-        return s
+    @functools.cached_property
+    def fixed_blocks(self):
+        """``M^-1`` for ``M = I - damping S_FF`` and ``B = damping M^-1
+        S_FC``, read off the last sweep's ``S``: F's rows are the same in
+        every policy."""
+        s_f = self.policy().dense_s()[self.fixed]
+        m_inv = np.linalg.inv(np.eye(self.fixed.size) - self.alpha * s_f[:, self.fixed])
+        return m_inv, self.alpha * (m_inv @ s_f[:, self.ctrl])
 
     def evaluate(self, x0, tol, max_iter):
-        """Value ``v = rbar + damping * S v`` of the last sweep's policy,
-        by ``chain.policy_value``.  A repeated policy was solved densely
-        one step ago, and a second solve would only return that step's
-        vector, so ``x0`` is kept: the loop then goes on as value
-        iteration, whose bracket shrinks past the solve's rounding.
-        """
-        if self.n <= DENSE_EVAL_CAP and self.repeated:
+        """Value ``v = rbar + damping * S v`` of the last sweep's policy:
+        its chain's own solve where there is one, as it is (only the sweep
+        certifies), and ``chain.policy_value`` from ``x0`` otherwise.  A
+        repeated policy's solve would only return ``x0``, which is kept:
+        the loop goes on as value iteration, past the solve's rounding."""
+        if self.repeated and (self.eliminates or self.n <= DENSE_EVAL_CAP):
             return x0
-        rbar, apply_s, dense_s = self.policy()
-        return policy_value(rbar, self.alpha, apply_s, dense_s, x0, tol, max_iter)[0]
+        chain = self.policy()
+        rbar = chain.rbar()
+        v = chain.solve(rbar)
+        return policy_value(chain, rbar, x0, tol, max_iter)[0] if v is None else v
 
     def extract(self, w):
         """Strategy attaining ``T(w)``, page by page."""
@@ -516,7 +453,118 @@ class CompiledBellman:
         return Strategy(choices)
 
 
-def value_iterate(instance, config=None, w0=None, bellman=None, evaluate=None):
+class PolicyChain:
+    """The greedy policy of a ``CompiledBellman``'s last sweep, as its chain.
+
+    It has ``TransitionMatrix``'s protocol, plus ``rbar`` and
+    ``p_at_keys``, on the sweep's own blocks, derived once, here: the
+    obligatory links and floors by segment, the active candidates and
+    each weight page's slack on its master by ``bincount``.  Each row is
+    divided once by its size (1 off the uniform rows), and the no-link
+    row replaces the rows that take it.
+    """
+
+    def __init__(self, comp):
+        self.comp = comp
+        self.damping, self.num_pages, self.teleport = comp.alpha, comp.n, comp.z
+        self.size, self.use_nl = comp.size, comp.use_nl
+        self.act, self.has = np.flatnonzero(comp.active), comp.jstar >= 0
+        self.pages, self.cols = comp.f_page[self.act], comp.f_idx[self.act]
+        self.m_pages, self.m_cols = comp.sk_page[self.has], comp.jstar[self.has]
+        self.lift, self.m_pos = comp.slack[self.has], comp.slots(self.m_pages, self.m_cols)
+
+    def _rows(self, fixed, cand, master, no_link):
+        out = fixed + np.bincount(self.pages, cand, minlength=self.num_pages)
+        if self.m_pages.size:
+            out[self.m_pages] += self.lift * master
+        out /= self.size
+        return np.where(self.use_nl, no_link, out)
+
+    def rbar(self):
+        """Expected reward of one step, ``rbar_i = sum_j P_ij r_ij``, of
+        the operator's rewards: the ``rbar`` of ``v = rbar + damping * S v``."""
+        comp = self.comp
+        r_m = comp.sk_base[self.has] + comp.dext[self.m_pos]
+        return (comp.alpha * self._rows(comp.r_fixed, comp.r_f[self.act], r_m,
+                                        comp.no_link_base) + comp.const)
+
+    def apply_s(self, v):
+        """``S v``."""
+        comp = self.comp
+        return self._rows(comp._fixed_sums(v[comp.o_idx], comp.q_val * v[comp.q_idx]),
+                          v[self.cols], v[self.m_cols], float(np.dot(comp.hang, v)))
+
+    def pi_step(self, x):
+        """``x P``: the blocks of ``apply_s`` transposed (the links on ``x /
+        size``, the floors and masters on ``x`` at their pages, the no-link
+        rows' mass times the dangling teleport)."""
+        comp, n, alpha = self.comp, self.num_pages, self.damping
+        y = x / self.size
+        out = (np.bincount(comp.o_idx, y[comp.o_page], minlength=n)
+               + np.bincount(self.cols, y[self.pages], minlength=n)
+               + np.bincount(comp.q_idx, comp.q_val * x[comp.q_rows], minlength=n)
+               + np.bincount(self.m_cols, self.lift * x[self.m_pages], minlength=n)
+               + float(x[self.use_nl].sum()) * comp.hang)
+        return alpha * out + (1.0 - alpha) * float(x.sum()) * self.teleport
+
+    def dense_s(self):
+        """``S`` as a dense ``(n, n)`` array."""
+        comp, n = self.comp, self.num_pages
+        s = np.zeros((n, n))
+        flat = s.reshape(-1)
+        o_flat, f_flat, q_flat = comp._flat
+        inv = 1.0 / self.size
+        flat[o_flat] = inv[comp.o_page]
+        flat[f_flat[self.act]] = inv[self.pages]
+        if comp.sk_page.size:
+            flat[q_flat] = comp.q_val
+            # a master can share its coordinate with a floor entry
+            flat[self.m_pages * n + self.m_cols] += self.lift
+        s[self.use_nl] = comp.hang
+        return s
+
+    def p_at_keys(self):
+        """``P`` at each key of the operator's reward pattern: the blocks'
+        entries summed at their positions in it, a floor entry before a
+        master on its coordinate, as ``dense_s`` sums them."""
+        comp, alpha = self.comp, self.damping
+        inv, col = 1.0 / self.size, comp.keys % comp.n
+        s = np.bincount(np.concatenate([comp.o_pos, comp.f_pos[self.act], comp.q_pos, self.m_pos]),
+                        np.concatenate([inv[comp.o_page], inv[self.pages], comp.q_val, self.lift]),
+                        minlength=comp.keys.size + 1)[:-1]
+        s = np.where(self.use_nl[comp.keys // comp.n], comp.hang[col], s)
+        return alpha * s + (1.0 - alpha) * self.teleport[col]
+
+    def solve(self, rhs, transpose=False):
+        """``TransitionMatrix.solve``, but on the controlled pages C when
+        the operator eliminates the fixed pages F (the stochastic
+        complement; Meyer, *SIAM Review*, 1989).  With ``M``, ``B`` from
+        ``fixed_blocks`` and ``G = I - damping (S_CC + S_CF B)``, and ``a =
+        M^-1 rhs_F``: ``G x_C = rhs_C + damping S_CF a``, ``x_F = a + B
+        x_C``; transposed, ``G^T x_C = rhs_C + B^T rhs_F``, ``x_F = (rhs_F
+        + damping S_CF^T x_C) M^-1``.
+        """
+        comp = self.comp
+        if not comp.eliminates:  # the dense route, on this view's dense_s
+            return TransitionMatrix.solve(self, rhs, transpose)
+        alpha, f, c = self.damping, comp.fixed, comp.ctrl
+        m_inv, b = comp.fixed_blocks
+        s = self.dense_s()
+        s_c = s[c]
+        s_cf = s_c[:, f]
+        g = np.eye(c.size) - alpha * (s_c[:, c] + s_cf @ b)
+        x = np.empty(self.num_pages)
+        if transpose:
+            x[c] = np.linalg.solve(g.T, rhs[c] + b.T @ rhs[f])
+            x[f] = (rhs[f] + alpha * (x[c] @ s_cf)) @ m_inv
+        else:
+            a = m_inv @ rhs[f]
+            x[c] = np.linalg.solve(g, rhs[c] + alpha * (s_cf @ a))
+            x[f] = a + b @ x[c]
+        return x
+
+
+def value_iterate(instance, config=None, w0=None, bellman=None):
     """Policy iteration for the best local strategy.
 
     Each step sweeps the improvement operator once at ``w``; the sweep's
@@ -541,9 +589,6 @@ def value_iterate(instance, config=None, w0=None, bellman=None, evaluate=None):
     bellman : CompiledBellman, optional
         An operator of ``instance`` whose rewards the caller has set
         (``CompiledBellman.reprice``); they replace ``instance.rewards``.
-    evaluate : callable, optional
-        Replaces ``bellman.evaluate`` (same arguments, rescaled units)
-        between sweeps; the next sweep's bracket certifies what it returns.
 
     Returns
     -------
@@ -571,7 +616,6 @@ def value_iterate(instance, config=None, w0=None, bellman=None, evaluate=None):
         scale = max(1.0, instance.rewards.max_abs())
         bellman = CompiledBellman(instance, instance.rewards.scaled(1.0 / scale), scale)
     comp, scale = bellman, bellman.scale
-    evaluate = evaluate or comp.evaluate
     tol = config.tol / scale
     theta = tol * (1.0 - alpha) / alpha
     budget = iteration_budget(alpha, min(theta / (2.0 / (1.0 - alpha)), 0.5)) + 10
@@ -579,7 +623,7 @@ def value_iterate(instance, config=None, w0=None, bellman=None, evaluate=None):
     w = np.zeros(instance.num_pages) if w0 is None else np.asarray(w0, dtype=float) / scale
     w, done, bound, converged = span_iterate(
         comp.apply, w, alpha, tol, max_iter,
-        between=lambda x, b: evaluate(x, max(tol, EVAL_SHARE * b), budget),
+        between=lambda x, b: comp.evaluate(x, max(tol, EVAL_SHARE * b), budget),
         floor=ROUNDING / (1.0 - alpha))
     bound += ROUNDING / (1.0 - alpha) * (1.0 + float(np.abs(w).max()))
     stop = ("max_iter" if not converged else "rounding" if bound > tol

@@ -261,6 +261,19 @@ def test_optimize_refuses_bad_knobs(tmp_path, capsys):
         assert env["error"]["type"] == "ValidationError"
 
 
+def test_pagerank_refuses_bad_tolerance(tmp_path, capsys):
+    # --tol inf stopped after one step with status ok, and nan and -1 were
+    # refused with a bound derived from the flag, not the flag's value
+    path = _write(tmp_path, "g.json", two_page_doc())
+    for value in ("inf", "nan", "-1", "0"):
+        code = main(["--deterministic", "pagerank", path, "--tol", value])
+        env = _strict(capsys.readouterr().out)
+        assert code == 1 and env["status"] == "error", value
+        assert env["error"]["type"] == "ValidationError"
+        assert env["error"]["message"] == \
+            f"tol must be finite and positive, got {float(value)}"
+
+
 def test_verify_refuses_bad_tolerance(tmp_path, capsys):
     # --tol inf matched any difference
     path = _write(tmp_path, "g.json", two_page_doc())
@@ -534,8 +547,14 @@ def test_bad_instance_numbers_end_in_the_envelope(tmp_path, capsys, doc, kind):
     {"page": 0, "kind": "continuous", "row_entries": [[0.0, 0.5], [1, 0.5]]},
     {"page": 0, "kind": "continuous", "row_entries": [[0, float("nan")], [1, 0.5]]},
     {"page": 0, "kind": "continuous", "row_entries": [[2 ** 40, 0.5], [0, 0.5]]},
+    # numpy reads a boolean among numbers as 0 or 1: links 0 and 1, column
+    # 1, weight 1.0 on page 0
+    {"page": 0, "kind": "discrete", "activated": [0, True]},
+    {"page": 0, "kind": "free", "row_entries": [[0, 0.5], [True, 0.5]]},
+    {"page": 0, "kind": "free", "row_entries": [[0, True], [1, 0.0]]},
 ], ids=["float-link", "bool-link", "bool-page", "negative-column",
-        "float-column", "nan-weight", "huge-column"])
+        "float-column", "nan-weight", "huge-column", "bool-among-links",
+        "bool-column", "bool-weight"])
 def test_strict_strategy_documents(tmp_path, capsys, record):
     code, env = _run(capsys, ["pagerank", _write(tmp_path, "g.json", two_page_doc()),
                               "--strategy", _write(tmp_path, "s.json", {"pages": [record]})])

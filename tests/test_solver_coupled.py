@@ -247,11 +247,12 @@ def test_one_compile_per_coupled_run(monkeypatch):
 
 
 def test_eliminated_columns_match_exact_chains():
-    # with 0 < |F| <= DENSE_EVAL_CAP fixed pages, each column's measure,
-    # income and spending come from solves on the controlled pages; they
-    # must agree with a dense solve of the full chain within the certified
-    # L1 bound on pi, and the eliminated evaluation keeps the dual bound
-    # an upper bound on the LP optimum
+    # with 0 < |F| <= DENSE_EVAL_CAP fixed pages, the operator solves each
+    # policy on the controlled pages, and each column's measure starts
+    # there; measure, income and spending must agree with a dense solve of
+    # the full chain within the certified L1 bound on pi, and the
+    # eliminated evaluation keeps the dual bound an upper bound on the LP
+    # optimum
     rng = np.random.default_rng(96)
     for n in (20, 40, 60, 80, 100):
         inst = load_instance(add_active_coupling(link_web_doc(rng, n, 5, 20), rng))
@@ -259,7 +260,7 @@ def test_eliminated_columns_match_exact_chains():
         _, lp_value = lp_solve(lp_formulate(inst))
         assert res.dual_bound >= lp_value - 1e-9 * max(1.0, abs(lp_value)), n
         run = solver_coupled._Run(inst)
-        assert run.reduced and 0 < run.fixed.size <= DENSE_EVAL_CAP
+        assert run.comp.eliminates and 0 < run.comp.fixed.size <= DENSE_EVAL_CAP
         _assert_columns_exact(inst, res, run)
 
 
@@ -279,9 +280,10 @@ def _assert_columns_exact(inst, res, run):
 
 def test_columns_off_the_reduced_path_match_exact_chains():
     # without a fixed page (all weight pages), or with fixed pages above
-    # the cap, each column's measure is ``stationary`` on the operator's
-    # policy (``CompiledBellman.measure``) and its incomes read P off the
-    # same blocks (``p_at_keys``): the same check as on the reduced path
+    # the cap, the operator does not eliminate: each column's measure is
+    # ``stationary`` on the operator's policy from its dense solve or the
+    # last column's measure, and its incomes read P off the same blocks
+    # (``p_at_keys``): the same check as on the eliminated path
     rng = np.random.default_rng(98)
     docs = [random_continuous_doc(rng, n_max=20) for _ in range(3)]
     docs.append(link_web_doc(rng, 120, 5, 15))
@@ -289,17 +291,15 @@ def test_columns_off_the_reduced_path_match_exact_chains():
         inst = load_instance(add_active_coupling(doc, rng))
         res = solve_coupled(inst, CoupledConfig(max_outer=300))
         run = solver_coupled._Run(inst)
-        assert not run.reduced and res.iterations >= 2
+        assert not run.comp.eliminates and res.iterations >= 2
         _assert_columns_exact(inst, res, run)
 
 
 def _count_column_work(monkeypatch):
-    """Count compiles, ``CompiledBellman.measure`` calls and ``stationary``
-    calls made outside ``_mixture``."""
-    calls = {"compile": 0, "measure": 0, "stationary": 0}
+    """Count compiles and the ``stationary`` calls made outside ``_mixture``."""
+    calls = {"compile": 0, "stationary": 0}
     inside = []
-    init, measure = CompiledBellman.__init__, CompiledBellman.measure
-    mixture = solver_coupled._mixture
+    init, mixture = CompiledBellman.__init__, solver_coupled._mixture
     stat = solver_coupled.stationary
 
     def counted(name, fn):
@@ -316,7 +316,6 @@ def _count_column_work(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(CompiledBellman, "__init__", counted("compile", init))
-    monkeypatch.setattr(CompiledBellman, "measure", counted("measure", measure))
     monkeypatch.setattr(solver_coupled, "stationary", counted("stationary", stat))
     monkeypatch.setattr(solver_coupled, "_mixture", in_mixture)
     return calls
@@ -326,7 +325,7 @@ def test_which_runs_eliminate_the_fixed_pages(monkeypatch):
     calls = _count_column_work(monkeypatch)
     rng = np.random.default_rng(97)
     cases = [
-        # 95 fixed pages: the columns never call measure nor stationary
+        # 95 fixed pages and 5 controlled ones
         (link_web_doc(rng, 100, 5, 20), True),
         # no fixed page: every page is a weight page
         (random_continuous_doc(rng, n_max=20), False),
@@ -335,17 +334,14 @@ def test_which_runs_eliminate_the_fixed_pages(monkeypatch):
         # 30 fixed pages but 120 controlled ones, above the cap
         (link_web_doc(rng, 150, 120, 2), False),
     ]
-    for doc, reduced in cases:
+    for doc, eliminates in cases:
         inst = load_instance(add_active_coupling(doc, rng))
-        assert solver_coupled._Run(inst).reduced == reduced
+        assert solver_coupled._Run(inst).comp.eliminates == eliminates
         calls.update(dict.fromkeys(calls, 0))
         res = solve_coupled(inst, CoupledConfig(max_outer=300))
         assert calls["compile"] == 1
-        if reduced:
-            assert calls["measure"] == calls["stationary"] == 0
-        else:
-            # one measure and one stationary solve per new column
-            assert 1 <= calls["measure"] == calls["stationary"] <= res.iterations + 1
+        # one stationary solve per new column, on either path
+        assert 1 <= calls["stationary"] <= res.iterations + 1
         pi, income, _ = _exact(inst, res.best_feasible.strategy)
         np.testing.assert_allclose(pi, res.best_feasible.pi, atol=1e-10)
         assert income == pytest.approx(res.best_feasible.value, abs=1e-10)

@@ -506,7 +506,8 @@ def test_threshold_hint_is_not_state():
 
 
 def _evaluation_docs(rng):
-    """Every page type at and below the dense cap, and two webs above it."""
+    """Every page type at and below the dense cap, two webs above it, and
+    one above it whose fixed pages the operator eliminates."""
     docs = [random_discrete_doc(rng, n_max=12, fac_budget=30) for _ in range(12)]
     docs += [random_discrete_doc(rng, reward_kind="per_page") for _ in range(8)]
     docs += [random_continuous_doc(rng, n_max=40) for _ in range(6)]
@@ -516,24 +517,25 @@ def _evaluation_docs(rng):
     doc["skeleton"][0].update(mu=0.0, banned=list(range(9)))
     docs.append(doc)
     docs += [link_web_doc(rng, 400, 20, 10), weight_web_doc(rng, 300, 6)]
+    # 90 fixed pages and 60 controlled ones
+    docs.append(link_web_doc(rng, 150, 60, 5))
     return docs
 
 
 def _entry_form(comp):
-    """The last sweep's policy as ``(rbar, apply_s, dense_s)``, read off
-    its entry lists: ``policy_chain``'s ``TransitionMatrix`` and
-    ``policy_entries``."""
+    """The last sweep's policy as ``(rbar, trans)``, read off its entry
+    lists: its reward vector and ``policy_chain``'s ``TransitionMatrix``."""
     trans, _ = policy_chain(comp)
     rows, _, weights, rewards = policy_entries(comp)
     rbar = np.bincount(rows, weights * rewards, minlength=comp.n)
     rbar[comp.use_nl] = comp.no_link_base[comp.use_nl]
-    return comp.alpha * rbar + comp.const, trans.apply_s, trans.dense_s
+    return comp.alpha * rbar + comp.const, trans
 
 
 def test_policy_blocks_match_entry_lists():
-    # the operator's blocks give the policy's system (policy, dense_s), its
-    # chain for stationary (measure) and its P at the pattern keys
-    # (p_at_keys) as the entry lists do
+    # the operator's policy view gives the policy's system (rbar, apply_s,
+    # dense_s), its chain for stationary (pi_step) and its P at the
+    # pattern keys (p_at_keys) as the entry lists do
     rng = np.random.default_rng(3014)
     seen = {"no_link": 0, "no_master": 0, "above_cap": 0}
     for doc in _evaluation_docs(rng):
@@ -542,44 +544,81 @@ def test_policy_blocks_match_entry_lists():
         n = comp.n
         for _ in range(3):
             comp.apply(rng.normal(size=n) * 3.0)
-            rbar, apply_s, dense_s = comp.policy()
-            ref_rbar, ref_apply, ref_dense = _entry_form(comp)
-            ref_chain, ref_p = policy_chain(comp)
+            view = comp.policy()
+            ref_rbar, ref_chain = _entry_form(comp)
+            ref_p = policy_chain(comp)[1]
+            assert (view.damping, view.num_pages) == (ref_chain.damping, ref_chain.num_pages)
+            assert view.teleport is comp.z
             v = rng.normal(size=n) * 10.0
             r_scale = comp.alpha * inst.rewards.max_abs() + float(np.abs(comp.const).max())
-            assert np.abs(rbar - ref_rbar).max() <= 8 * np.spacing(max(r_scale, 1e-300))
-            assert np.abs(apply_s(v) - ref_apply(v)).max() <= 8 * np.spacing(np.abs(v).max())
-            assert np.array_equal(dense_s(), ref_dense())
+            assert np.abs(view.rbar() - ref_rbar).max() <= 8 * np.spacing(max(r_scale, 1e-300))
+            assert np.abs(view.apply_s(v) - ref_chain.apply_s(v)).max() \
+                <= 8 * np.spacing(np.abs(v).max())
+            assert np.array_equal(view.dense_s(), ref_chain.dense_s())
             x = rng.random(n)
             x /= x.sum()
             ref_step = ref_chain.pi_step(x)
-            chain_view = comp.measure()
-            assert np.abs(chain_view.pi_step(x) - ref_step).max() \
+            assert np.abs(view.pi_step(x) - ref_step).max() \
                 <= 8 * np.spacing(np.abs(ref_step).max())
-            assert np.array_equal(chain_view.dense_s(), ref_chain.dense_s())
-            assert np.array_equal(comp.p_at_keys(), ref_p)
+            assert np.array_equal(view.p_at_keys(), ref_p)
             seen["no_link"] += int(comp.use_nl.any())
             seen["no_master"] += int(np.any(comp.jstar < 0))
             seen["above_cap"] += n > DENSE_EVAL_CAP
     assert all(count > 0 for count in seen.values()), seen
 
 
+def test_policy_solve_matches_a_dense_solve_of_its_chain():
+    # both orientations of the view's solve against a dense solve of the
+    # entry lists' TransitionMatrix: the same dense solve bit for bit when
+    # the operator does not eliminate, within rounding when it does, and
+    # None, like TransitionMatrix.solve, above the cap otherwise
+    rng = np.random.default_rng(3016)
+    seen = dict.fromkeys(["dense", "eliminated", "eliminated_above_cap", "none"], 0)
+    for doc in _evaluation_docs(rng):
+        inst = load_instance(doc)
+        comp = CompiledBellman(inst, inst.rewards)
+        n = comp.n
+        for _ in range(2):
+            comp.apply(rng.normal(size=n) * 3.0)
+            view = comp.policy()
+            trans = policy_chain(comp)[0]
+            s = trans.dense_s()
+            for transpose in (False, True):
+                rhs = rng.normal(size=n)
+                got, ref = view.solve(rhs, transpose), trans.solve(rhs, transpose)
+                assert (ref is None) == (n > DENSE_EVAL_CAP)
+                if not comp.eliminates:
+                    assert (got is None and ref is None) or np.array_equal(got, ref)
+                    seen["dense" if n <= DENSE_EVAL_CAP else "none"] += 1
+                    continue
+                exact = np.linalg.solve(np.eye(n) - comp.alpha * (s.T if transpose else s), rhs)
+                assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+                seen["eliminated" if n <= DENSE_EVAL_CAP else "eliminated_above_cap"] += 1
+    assert all(count > 0 for count in seen.values()), seen
+
+
 def test_value_iterate_same_with_entry_list_evaluation():
+    # the operator's evaluation swapped for one on the entry lists: the
+    # dense solve of the full chain wherever the operator solves exactly
+    # (densely or on the controlled pages), policy_value otherwise
     rng = np.random.default_rng(3015)
     for doc in _evaluation_docs(rng):
         inst = load_instance(doc)
         state, strat = value_iterate(inst, SolverConfig(tol=1e-10))
         scale = max(1.0, inst.rewards.max_abs())
         comp = CompiledBellman(inst, inst.rewards.scaled(1.0 / scale), scale)
+        exact = comp.eliminates or comp.n <= DENSE_EVAL_CAP
 
-        def evaluate(x0, tol, max_iter, comp=comp):
-            if comp.n <= DENSE_EVAL_CAP and comp.repeated:
+        def evaluate(x0, tol, max_iter, comp=comp, exact=exact):
+            if exact and comp.repeated:
                 return x0
-            rbar, apply_s, dense_s = _entry_form(comp)
-            return policy_value(rbar, comp.alpha, apply_s, dense_s, x0, tol, max_iter)[0]
+            rbar, trans = _entry_form(comp)
+            if exact:
+                return np.linalg.solve(np.eye(comp.n) - comp.alpha * trans.dense_s(), rbar)
+            return policy_value(trans, rbar, x0, tol, max_iter)[0]
 
-        ref, ref_strat = value_iterate(inst, SolverConfig(tol=1e-10), bellman=comp,
-                                       evaluate=evaluate)
+        comp.evaluate = evaluate
+        ref, ref_strat = value_iterate(inst, SolverConfig(tol=1e-10), bellman=comp)
         assert state.iterations == ref.iterations
         assert strat == ref_strat
         assert abs(state.psi - ref.psi) <= 1e-12 * max(1.0, abs(ref.psi))
