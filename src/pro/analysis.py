@@ -124,18 +124,22 @@ def master_ordering(instance, strategy=None, tol=1e-9):
 
     Raises
     ------
+    InvalidStrategy
+        From ``build_transition``, before any other strategy check: a
+        page out of range or an inadmissible choice.
     ValidationError
         For a non-subset choice on a page with facultative links, or a
         ``tol`` that is not finite and nonnegative.
     """
     if not 0.0 <= tol < np.inf:
         raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
+    # first, so that a page out of range is refused before f_indptr is read
+    trans = build_transition(instance, strategy)
     f_indptr = instance.fac_indptr
     choices = strategy.choices if strategy is not None else {}
     for i, ch in sorted(choices.items()):
         if f_indptr[i + 1] > f_indptr[i] and not isinstance(ch, DiscreteChoice):
             raise ValidationError(f"page {i} carries a non-subset choice")
-    trans = build_transition(instance, strategy)
     v, comp, defects = _audit_pass(instance, trans)
     f_page, f_idx = comp.f_page, comp.f_idx
     # a facultative link is on exactly when the chain holds it

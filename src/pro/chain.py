@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxIterExceeded, TooLarge, ValidationError, ZeroRow
-from .graph import DENSE_EVAL_CAP, Rewards  # noqa: F401 - DENSE_EVAL_CAP re-exported
+from .errors import MaxIterExceeded, TooLarge, ValidationError
+from .graph import DENSE_EVAL_CAP  # noqa: F401 - re-exported
 from .sparse import row_ids, segment_sums
 
 DENSE_CAP = 2000
@@ -33,6 +33,12 @@ STATIONARY_TOL = 1e-12
 # It is added to the reported error bound, and a tol below it stops once
 # the bracket closes or stops shrinking within it (span_iterate's floor).
 ROUNDING = 32 * float(np.finfo(float).eps)
+
+
+def check_tol(tol):
+    """Refuse a stop tolerance that is not finite and positive."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
 
 
 def iteration_budget(damping, tol):
@@ -117,8 +123,7 @@ def stationary(transition, tol=STATIONARY_TOL, max_iter=None, pi0=None):
     MaxIterExceeded
         With the best iterate attached as ``result``.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol must be finite and positive, got {tol}")
+    check_tol(tol)
     alpha, z = transition.damping, transition.teleport
     k = alpha / (1.0 - alpha)
     if max_iter is None:
@@ -147,26 +152,6 @@ def occupation(transition, pi):
         raise TooLarge(f"occupation measure is dense; cap is {DENSE_CAP} pages")
     rho = pi[:, None] * transition.dense_p()
     return OccupationMeasure(rho)
-
-
-def recover(measure):
-    """Invert the occupation map: rows renormalize to the chain.
-
-    Returns
-    -------
-    (P, pi) : (ndarray, ndarray)
-
-    Raises
-    ------
-    ZeroRow
-        If some page carries no mass, so its row cannot be recovered.
-    """
-    rho = measure.rho if isinstance(measure, OccupationMeasure) else np.asarray(measure)
-    pi = rho.sum(axis=1)
-    if np.any(pi <= 0.0):
-        bad = int(np.argmin(pi))
-        raise ZeroRow(f"occupation measure has an empty row at page {bad}")
-    return rho / pi[:, None], pi
 
 
 def utility(measure, rewards):
@@ -259,9 +244,12 @@ def mean_reward_before_teleport(transition, rewards, tol=1e-9, max_iter=None):
 
     Raises
     ------
+    ValidationError
+        When ``tol`` is not finite and positive.
     MaxIterExceeded
         With the best iterate attached as ``result``.
     """
+    check_tol(tol)
     alpha = transition.damping
     rbar = _mean_row_rewards(transition, rewards)
     if max_iter is None:
@@ -274,25 +262,6 @@ def mean_reward_before_teleport(transition, rewards, tol=1e-9, max_iter=None):
             f"mean reward vector not converged after {max_iter} sweeps",
             result=result)
     return result
-
-
-def reward_transform(rewards, teleport, damping):
-    """Shift follow-only rewards so teleport steps can be priced at zero.
-
-    A reward scheme paid on every transition of ``P`` is equivalent to
-    one paid only when an actual outlink is followed; this returns the
-    equivalent scheme ``r[i, j] - (1 - damping) * sum_l r[i, l] teleport[l]``.
-    """
-    row_price = rewards.row_means(teleport)
-    return Rewards(rewards.base - (1.0 - damping) * row_price, rewards.delta)
-
-
-def truncation_error_bound(damping, horizon, rbar_sup):
-    """Sup-norm error of ``v`` when sums stop after ``horizon`` hops.
-
-    Valid for chains where every page has an outlink.
-    """
-    return damping ** (horizon + 1) * 2.0 / (1.0 - damping) * rbar_sup
 
 
 def utility_gradient(transition, rewards, tol=1e-12):

@@ -17,10 +17,6 @@ class InvalidStrategy(ProError):
     """A strategy is incompatible with the instance it is applied to."""
 
 
-class ZeroRow(ProError):
-    """An occupation measure has a zero row, so no chain can be recovered."""
-
-
 class MaxIterExceeded(ProError):
     """An iteration exhausted its sweep budget before meeting its tolerance.
 
@@ -59,10 +55,6 @@ class TooLarge(ProError):
 
 class BudgetExceeded(ProError):
     """An enumeration would exceed the configured facultative-link budget."""
-
-
-class StepTooLarge(ProError):
-    """A finite-difference step leaves the admissible domain."""
 
 
 class SingularSystem(ProError):

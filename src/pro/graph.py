@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -40,9 +40,6 @@ from .sparse import (RowSparse, _as_indices, _flat_records, _sort_coords, find_s
 
 STOCHASTIC_TOL = 1e-9
 STRATEGY_TOL = 1e-9
-# Outlink mass at most this small is rounding noise when ``free_choice``
-# converts a dense row: 8 ulps of 1, far below ``STRATEGY_TOL``.
-FREE_NOISE = 8 * float(np.finfo(float).eps)
 # Link keys ``row * num_pages + col`` are int64; above this page count
 # they would wrap.
 MAX_PAGES = math.isqrt(2 ** 63 - 1)
@@ -128,9 +125,6 @@ class WeightRows:
     def __len__(self):
         return self.pages.size
 
-    def __contains__(self, page):
-        return bool(find_sorted(self.pages, [page])[1][0])
-
     def _row(self, page):
         """``(cols, floor, q)`` of a page on the nonzeros of q, empty off
         the weight pages."""
@@ -159,11 +153,6 @@ class WeightRows:
         cols = self.banned[pos] - pages[owner] * n
         upper[owner, cols] = lower[owner, cols]
         return lower, upper
-
-    def box(self, page):
-        """``bounds`` of one page, as two vectors."""
-        lower, upper = self.bounds([page])
-        return lower[0], upper[0]
 
     def default_choice(self, page):
         """Baseline choice of a weight page.
@@ -221,10 +210,6 @@ class WebGraphInstance:
 
     def facultative_of(self, i):
         return self.fac_indices[self.fac_indptr[i]:self.fac_indptr[i + 1]]
-
-    def local_only(self, rewards=None):
-        """Copy without coupling rows, optionally swapping the rewards."""
-        return replace(self, coupling=(), rewards=rewards or self.rewards)
 
 
 @dataclass(frozen=True)
@@ -588,12 +573,10 @@ def load_strategy(source, instance):
 
     A ``row_entries`` column must lie below the page count; it is checked
     before anything is allocated.  Links, columns and weights must not be
-    JSON booleans, which numpy would read as 0 and 1.  Two row kinds are
-    read: ``"free"``, the ``ContinuousChoice`` entries as they are, and the older
-    ``"continuous"``, a chain-space row ``P[page]``, which is converted
-    once through ``free_choice`` (that needs the instance's damping,
-    teleport and floors).  Pages, links and rows are checked against the
-    instance by ``build_transition``.
+    JSON booleans, which numpy would read as 0 and 1.  Two kinds of record
+    are read: ``"discrete"``, a ``DiscreteChoice``'s activated links, and
+    ``"free"``, a ``ContinuousChoice``'s entries as they are.  Pages,
+    links and rows are checked against the instance by ``build_transition``.
     """
     n = instance.num_pages
     doc = _read_document(source, "strategy")
@@ -613,7 +596,7 @@ def load_strategy(source, instance):
             _require(bool not in map(type, acts), "activated must hold integers, not booleans")
             choices[page] = DiscreteChoice(tuple(np.sort(_columns(acts, "activated")).tolist()))
             continue
-        _require(kind in ("free", "continuous"), f"unknown strategy kind {kind!r}")
+        _require(kind == "free", f"unknown strategy kind {kind!r}")
         entries = rec.get("row_entries", [])
         (cols,), vals = _entries(entries, 2, "row_entries")
         _require(bool not in map(type, chain.from_iterable(entries)),
@@ -622,42 +605,8 @@ def load_strategy(source, instance):
         cols, vals = cols[order], vals[order]
         _require(not np.any(cols[1:] == cols[:-1]), "row_entries lists a column twice")
         _require(np.all(cols < n), f"row_entries columns must be below {n}", ValidationError)
-        if kind == "free":
-            choices[page] = ContinuousChoice(tuple(cols.tolist()), tuple(vals.tolist()))
-        else:
-            chain_row = np.zeros(n)
-            chain_row[cols] = vals
-            alpha = instance.damping
-            srow = (chain_row - (1.0 - alpha) * instance.teleport) / alpha
-            choices[page] = free_choice(instance, page, srow)
+        choices[page] = ContinuousChoice(tuple(cols.tolist()), tuple(vals.tolist()))
     return Strategy(choices)
-
-
-def free_choice(instance, page, srow):
-    """The ``ContinuousChoice`` whose outlink row is the dense ``srow``.
-
-    On a skeleton page the free part is ``(srow - floor) / slack``.  With
-    no slack the floor is the only row; ``srow`` must then match it to
-    the strategy tolerance, or ``InvalidStrategy`` is raised.  Entries
-    whose outlink mass is at most ``FREE_NOISE`` are dropped: the
-    rounding of a conversion, which would keep an optimal row, one
-    entry, dense.
-    """
-    store = instance.skeletons
-    if page not in store:
-        probs = np.asarray(srow, dtype=float)
-        lift = probs
-    elif store.slack[page] > 0.0:
-        probs = (srow - store.box(page)[0]) / store.slack[page]
-        lift = store.slack[page] * probs
-    else:
-        gap = float(np.abs(srow - store.box(page)[0]).max())
-        if gap > STRATEGY_TOL / instance.damping:
-            raise InvalidStrategy(
-                f"row for page {page} leaves its floor, its only row, by {gap:.3e}")
-        return ContinuousChoice((), ())
-    cols = np.flatnonzero(np.abs(lift) > FREE_NOISE)
-    return ContinuousChoice(tuple(cols.tolist()), tuple(probs[cols].tolist()))
 
 
 def _free_entries(instance, is_weight, pages, picked):

@@ -2,7 +2,7 @@
 
 Everything here takes the dumb route on purpose: stationary measures
 come from a dense linear solve, optima from full enumeration of the
-activation patterns, derivatives from symmetric differences.  None of
+activation patterns.  None of
 it shares code with the value-iteration path, so agreement between the
 two is evidence, not tautology.
 """
@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BudgetExceeded, Infeasible, SingularSystem, StepTooLarge,
-                     TooLarge, ValidationError)
+from .errors import BudgetExceeded, Infeasible, SingularSystem, TooLarge, ValidationError
 from .graph import DiscreteChoice, Strategy
 
 DEFAULT_MAX_FACULTATIVE = 20
@@ -89,49 +88,6 @@ def enumerate_discrete_actions(obligatory, facultative, no_link_row, budget=None
             row = np.asarray(no_link_row, dtype=float).copy()
         out.append((bits, row))
     return out
-
-
-def exact_stationary(p):
-    """Stationary measure of a dense chain by direct linear solve.
-
-    Replaces the last balance equation with the normalization and
-    verifies the result to within ``1e-12``.
-
-    Raises
-    ------
-    TooLarge
-        Beyond the dense cap of 500 pages.
-    SingularSystem
-        When the solve fails or the residual check does not pass, which
-        signals a chain without a unique stationary measure.
-    """
-    p = np.asarray(p, dtype=float)
-    n = p.shape[0]
-    if n > STATIONARY_CAP:
-        raise TooLarge(f"dense stationary solve is capped at {STATIONARY_CAP} pages")
-    a = (np.eye(n) - p).T
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if float(np.abs(pi - pi @ p).max()) > 1e-12 or float(pi.min()) < -1e-12:
-        raise SingularSystem("stationary residual check failed")
-    return pi
-
-
-def chain_utility(p, pi, rewards):
-    """Income ``sum_ij pi[i] P[i, j] r[i, j]`` of a dense chain."""
-    p = np.asarray(p, dtype=float)
-    rbar = rewards.base.copy()
-    delta = rewards.delta
-    if delta.nnz:
-        rows = np.repeat(np.arange(p.shape[0]), delta.row_counts())
-        rbar += np.bincount(rows, weights=p[rows, delta.indices] * delta.data,
-                            minlength=p.shape[0])
-    return float(np.dot(pi, rbar))
 
 
 def _dense_rows(weights, n):
@@ -256,29 +212,3 @@ def brute_force_optimum(instance, budget=None, keep_table=False):
             choices[i] = DiscreteChoice(tuple(j for j, b in zip(fac_lists[i], bits) if b))
     return BruteForceResult(best_value, Strategy(choices),
                             tuple(table) if table is not None else None)
-
-
-def finite_diff_directional(p, rewards, direction, step):
-    """Symmetric difference quotient of income along a row-change direction.
-
-    ``direction`` must have zero row sums so the perturbed matrices stay
-    stochastic; both of them must stay nonnegative.
-
-    Raises
-    ------
-    ValidationError
-        If a row of ``direction`` does not sum to zero.
-    StepTooLarge
-        If a perturbed chain leaves the admissible set.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(direction, dtype=float)
-    if float(np.abs(q.sum(axis=1)).max()) > 1e-9:
-        raise ValidationError("direction rows must sum to zero")
-    lo = p - step * q
-    hi = p + step * q
-    if float(lo.min()) < 0.0 or float(hi.min()) < 0.0:
-        raise StepTooLarge("perturbed chain has a negative entry")
-    u_hi = chain_utility(hi, exact_stationary(hi), rewards)
-    u_lo = chain_utility(lo, exact_stationary(lo), rewards)
-    return (u_hi - u_lo) / (2.0 * step)

@@ -53,10 +53,6 @@ class FacetSystem:
     def num_pages(self):
         return self.lo.shape[1]
 
-    @property
-    def constraint_count(self):
-        return self.num_pages + 1
-
     def describe(self, page, r, mass=1.0):
         """Side ``r`` of a record of row ``page`` as text, coordinates
         ascending, e.g. ``-x[0] + x[2] <= 0``: ``r < n`` is the lower side

@@ -28,13 +28,13 @@ constants.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .chain import DENSE_EVAL_CAP, ROUNDING, iteration_budget, policy_value, span_iterate
+from .chain import (DENSE_EVAL_CAP, ROUNDING, check_tol, iteration_budget, policy_value,
+                    span_iterate)
 from .errors import CouplingPresent, MaxIterExceeded, ValidationError
 from .graph import ContinuousChoice, DiscreteChoice, Strategy, TransitionMatrix
 from .sparse import find_sorted, row_ids
@@ -70,8 +70,7 @@ class SolverConfig:
     max_iter: Optional[int] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValidationError(f"tol must be finite and positive, got {self.tol}")
+        check_tol(self.tol)
         if self.max_iter is not None and self.max_iter < 1:
             raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
 

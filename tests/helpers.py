@@ -3,7 +3,10 @@
 Hand-written tiny instances with known optima, seeded random instance
 generators at several scales, a dense vertex enumerator for small facet
 systems, and an exact utility evaluator that goes through the direct
-linear-algebra route rather than the solver under test.
+linear-algebra route rather than the solver under test.  Names that
+only tests use live here, not in the package: the dense stationary
+solve, finite differences, the occupation map's inverse, the conversion
+of a dense outlink row to free mass (``free_choice``) and a few more.
 """
 
 import contextlib
@@ -13,10 +16,9 @@ from unittest import mock
 
 import numpy as np
 
-from pro import graph
-from pro.errors import ValidationError
+from pro import graph, oracle
+from pro.errors import InvalidStrategy, SingularSystem, TooLarge, ValidationError
 from pro.graph import Rewards, TransitionMatrix, WebGraphInstance, WeightRows, load_instance
-from pro.oracle import chain_utility, exact_stationary
 from pro.sparse import (RowSparse, _as_indices, _in_range, _sort_coords, add_sparse,
                         index_csr)
 
@@ -209,7 +211,7 @@ def add_active_coupling(doc, rng, slack=None):
     spend_at_opt = utility_from_chain(trans, stationary(trans, tol=1e-12).pi,
                                       weights)
 
-    flipped = inst.local_only(weights.scaled(-1.0))
+    flipped = local_only(inst, weights.scaled(-1.0))
     _, strat_min = value_iterate(flipped, SolverConfig(tol=1e-10))
     trans_min = build_transition(inst, strat_min)
     spend_min = utility_from_chain(trans_min,
@@ -233,6 +235,107 @@ def add_coupling_rows(doc, rng, count, low, high):
     rows = [add_active_coupling(doc, rng, slack=float(rng.uniform(low, high)))
             ["coupling"][0] for _ in range(count)]
     return dict(doc, coupling=rows)
+
+
+def exact_stationary(p):
+    """Stationary measure of a dense chain by direct linear solve.
+
+    Replaces the last balance equation with the normalization and
+    verifies the result to within ``1e-12``.
+
+    Raises
+    ------
+    TooLarge
+        Beyond the dense cap of 500 pages.
+    SingularSystem
+        When the solve fails or the residual check does not pass, which
+        signals a chain without a unique stationary measure.
+    """
+    p = np.asarray(p, dtype=float)
+    n = p.shape[0]
+    if n > oracle.STATIONARY_CAP:
+        raise TooLarge(f"dense stationary solve is capped at {oracle.STATIONARY_CAP} pages")
+    a = (np.eye(n) - p).T
+    a[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        pi = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+    if float(np.abs(pi - pi @ p).max()) > 1e-12 or float(pi.min()) < -1e-12:
+        raise SingularSystem("stationary residual check failed")
+    return pi
+
+
+def chain_utility(p, pi, rewards):
+    """Income ``sum_ij pi[i] P[i, j] r[i, j]`` of a dense chain."""
+    p = np.asarray(p, dtype=float)
+    rbar = rewards.base.copy()
+    delta = rewards.delta
+    if delta.nnz:
+        rows = np.repeat(np.arange(p.shape[0]), delta.row_counts())
+        rbar += np.bincount(rows, weights=p[rows, delta.indices] * delta.data,
+                            minlength=p.shape[0])
+    return float(np.dot(pi, rbar))
+
+
+def local_only(instance, rewards=None):
+    """Copy of ``instance`` without coupling rows, optionally with other rewards."""
+    return dataclasses.replace(instance, coupling=(), rewards=rewards or instance.rewards)
+
+
+def recover(measure):
+    """Invert the occupation map: ``(P, pi)`` with rows renormalized to the
+    chain.  A page without mass has no row to recover (``ValueError``)."""
+    rho = getattr(measure, "rho", measure)
+    pi = rho.sum(axis=1)
+    if np.any(pi <= 0.0):
+        raise ValueError(f"occupation measure has an empty row at page {int(np.argmin(pi))}")
+    return rho / pi[:, None], pi
+
+
+def reward_transform(rewards, teleport, damping):
+    """Shift follow-only rewards so teleport steps can be priced at zero.
+
+    A reward scheme paid on every transition of ``P`` is equivalent to
+    one paid only when an actual outlink is followed; this returns the
+    equivalent scheme ``r[i, j] - (1 - damping) * sum_l r[i, l] teleport[l]``.
+    """
+    row_price = rewards.row_means(teleport)
+    return Rewards(rewards.base - (1.0 - damping) * row_price, rewards.delta)
+
+
+def truncation_error_bound(damping, horizon, rbar_sup):
+    """Sup-norm error of ``v`` when sums stop after ``horizon`` hops, on
+    chains where every page has an outlink."""
+    return damping ** (horizon + 1) * 2.0 / (1.0 - damping) * rbar_sup
+
+
+def finite_diff_directional(p, rewards, direction, step):
+    """Symmetric difference quotient of income along a row-change direction.
+
+    ``direction`` must have zero row sums, and both perturbed matrices
+    must stay nonnegative; ``ValueError`` otherwise.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(direction, dtype=float)
+    if float(np.abs(q.sum(axis=1)).max()) > 1e-9:
+        raise ValueError("direction rows must sum to zero")
+    lo, hi = p - step * q, p + step * q
+    if float(lo.min()) < 0.0 or float(hi.min()) < 0.0:
+        raise ValueError("perturbed chain has a negative entry")
+    u_hi = chain_utility(hi, exact_stationary(hi), rewards)
+    u_lo = chain_utility(lo, exact_stationary(lo), rewards)
+    return (u_hi - u_lo) / (2.0 * step)
+
+
+def constraint_count(system):
+    """Facet records of one page of a ``FacetSystem``: one per coordinate
+    of its bound tables, which share one width, plus the simplex equation."""
+    widths = {table.shape[1] for table in (system.lo_a, system.lo, system.hi_a, system.hi)}
+    assert len(widths) == 1
+    return widths.pop() + 1
 
 
 def exact_utility(instance, strategy):
@@ -268,26 +371,64 @@ def random_box_row(rng, lower, upper):
 
 def random_strategy(rng, instance):
     """Random admissible strategy: link subsets and feasible skeleton rows."""
-    from pro.graph import DiscreteChoice, Strategy, free_choice
+    from pro.graph import DiscreteChoice, Strategy
 
     choices = {}
     controlled = np.union1d(np.flatnonzero(np.diff(instance.fac_indptr)),
                             instance.skeletons.pages)
     for page in controlled.tolist():
-        if page not in instance.skeletons:
+        if page not in instance.skeletons.pages:
             fac = instance.facultative_of(page)
             keep = tuple(int(j) for j in fac if rng.random() < 0.5)
             choices[page] = DiscreteChoice(keep)
         else:
-            srow = random_box_row(rng, *instance.skeletons.box(page))
+            srow = random_box_row(rng, *weight_box(instance.skeletons, page))
             choices[page] = free_choice(instance, page, srow)
     return Strategy(choices)
 
 
+def weight_box(store, page):
+    """``WeightRows.bounds`` of one page, as two vectors."""
+    lower, upper = store.bounds([page])
+    return lower[0], upper[0]
+
+
+# Outlink mass at most this small is rounding noise when ``free_choice``
+# converts a dense row: 8 ulps of 1, far below ``STRATEGY_TOL``.
+FREE_NOISE = 8 * float(np.finfo(float).eps)
+
+
+def free_choice(instance, page, srow):
+    """The ``ContinuousChoice`` whose outlink row is the dense ``srow``.
+
+    On a skeleton page the free part is ``(srow - floor) / slack``.  With
+    no slack the floor is the only row; ``srow`` must then match it to
+    the strategy tolerance, or ``InvalidStrategy`` is raised.  Entries
+    whose outlink mass is at most ``FREE_NOISE`` are dropped: the
+    rounding of a conversion, which would keep an optimal row, one
+    entry, dense.
+    """
+    store = instance.skeletons
+    if page not in store.pages:
+        probs = np.asarray(srow, dtype=float)
+        lift = probs
+    elif store.slack[page] > 0.0:
+        probs = (srow - weight_box(store, page)[0]) / store.slack[page]
+        lift = store.slack[page] * probs
+    else:
+        gap = float(np.abs(srow - weight_box(store, page)[0]).max())
+        if gap > graph.STRATEGY_TOL / instance.damping:
+            raise InvalidStrategy(
+                f"row for page {page} leaves its floor, its only row, by {gap:.3e}")
+        return graph.ContinuousChoice((), ())
+    cols = np.flatnonzero(np.abs(lift) > FREE_NOISE)
+    return graph.ContinuousChoice(tuple(cols.tolist()), tuple(probs[cols].tolist()))
+
+
 def free_row(instance, page, choice):
     """Dense outlink row ``floor + slack * probs`` of a ``ContinuousChoice``."""
-    weight = page in instance.skeletons
-    row = instance.skeletons.box(page)[0] if weight else np.zeros(instance.num_pages)
+    weight = page in instance.skeletons.pages
+    row = weight_box(instance.skeletons, page)[0] if weight else np.zeros(instance.num_pages)
     slack = max(1.0 - float(row.sum()), 0.0) if weight else 1.0
     row[list(choice.cols)] += slack * np.array(choice.probs)
     return row

@@ -12,6 +12,8 @@ import numpy as np
 
 from helpers import (
     add_active_coupling,
+    chain_utility,
+    exact_stationary,
     exact_utility,
     facet_vertices,
     power_law_instance,
@@ -25,7 +27,7 @@ from helpers import (
 from pro.analysis import master_ordering
 from pro.chain import utility_gradient
 from pro.graph import DiscreteChoice, Strategy, build_transition, load_instance
-from pro.oracle import brute_force_optimum, chain_utility, exact_stationary
+from pro.oracle import brute_force_optimum
 from pro.polytopes import facets_discrete
 from pro.solver_coupled import (CoupledConfig, lp_formulate, lp_solve,
                                 solve_coupled)

@@ -10,11 +10,18 @@ import numpy as np
 import pytest
 
 from helpers import (
+    link_web_doc,
+    chain_utility,
+    exact_stationary,
+    local_only,
     power_law_instance,
     random_continuous_doc,
     random_discrete_doc,
     random_discrete_instance,
     random_strategy,
+    recover,
+    reward_transform,
+    truncation_error_bound,
     two_page_doc,
     two_page_instance,
 )
@@ -22,17 +29,13 @@ from pro.chain import (
     DENSE_EVAL_CAP,
     mean_reward_before_teleport,
     occupation,
-    recover,
-    reward_transform,
     stationary,
-    truncation_error_bound,
     utility,
     utility_from_chain,
     utility_gradient,
 )
-from pro.errors import MaxIterExceeded, TooLarge, ZeroRow
+from pro.errors import MaxIterExceeded, TooLarge, ValidationError
 from pro.graph import DiscreteChoice, Strategy, build_transition, load_instance
-from pro.oracle import chain_utility, exact_stationary
 from pro.solver_local import value_iterate
 
 CROSS_STRATEGY = Strategy({0: DiscreteChoice((1,)), 1: DiscreteChoice((0,))})
@@ -144,7 +147,7 @@ def test_occupation_recover_round_trip():
 
 
 def test_recover_rejects_empty_row():
-    with pytest.raises(ZeroRow):
+    with pytest.raises(ValueError, match="empty row at page 1"):
         recover(np.array([[0.5, 0.5], [0.0, 0.0]]))
 
 
@@ -198,6 +201,16 @@ def test_mean_reward_tol_is_true_error():
         # fixed-point identity of the converged iterate
         defect = mr.rbar + inst.damping * trans.apply_s(mr.v) - mr.v
         assert float(np.abs(defect).max()) <= 1e-8
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0, 0.0])
+def test_mean_reward_refuses_bad_tolerance(tol):
+    # above the dense cap, where tol = inf would stop the span loop after
+    # one step with v far from its fixed point
+    inst = load_instance(link_web_doc(np.random.default_rng(1), 300, 10, 5))
+    trans = build_transition(inst)
+    with pytest.raises(ValidationError, match=f"tol must be finite and positive, got {tol}"):
+        mean_reward_before_teleport(trans, inst.rewards, tol=tol)
 
 
 def test_mean_reward_budget_exhaustion_keeps_iterate():
@@ -285,7 +298,7 @@ def test_reward_transform_optimizers_agree():
     for _ in range(8):
         inst = random_discrete_instance(rng, n_max=4, fac_budget=6)
         moved = reward_transform(inst.rewards, inst.teleport, inst.damping)
-        state, strat = value_iterate(inst.local_only(rewards=moved))
+        state, strat = value_iterate(local_only(inst, moved))
         ref_val, ref_strat = _follow_only_brute_force(inst)
         assert abs(state.psi - ref_val) <= 1e-7
         trans = build_transition(inst, strat)

@@ -25,6 +25,8 @@ from pro import analysis, cli, graph
 from pro.cli import main
 from pro.errors import ValidationError
 from pro.graph import load_instance, load_strategy
+from pro.solver_coupled import solve_coupled
+from pro.solver_local import value_iterate
 
 
 DATA = Path(__file__).parent / "data"
@@ -543,10 +545,10 @@ def test_bad_instance_numbers_end_in_the_envelope(tmp_path, capsys, doc, kind):
     {"page": 0, "kind": "discrete", "activated": [1.5]},
     {"page": 0, "kind": "discrete", "activated": [True]},
     {"page": True, "kind": "discrete", "activated": [1]},
-    {"page": 0, "kind": "continuous", "row_entries": [[-1, 0.5], [0, 0.5]]},
-    {"page": 0, "kind": "continuous", "row_entries": [[0.0, 0.5], [1, 0.5]]},
-    {"page": 0, "kind": "continuous", "row_entries": [[0, float("nan")], [1, 0.5]]},
-    {"page": 0, "kind": "continuous", "row_entries": [[2 ** 40, 0.5], [0, 0.5]]},
+    {"page": 0, "kind": "free", "row_entries": [[-1, 0.5], [0, 0.5]]},
+    {"page": 0, "kind": "free", "row_entries": [[0.0, 0.5], [1, 0.5]]},
+    {"page": 0, "kind": "free", "row_entries": [[0, float("nan")], [1, 0.5]]},
+    {"page": 0, "kind": "free", "row_entries": [[2 ** 40, 0.5], [0, 0.5]]},
     # numpy reads a boolean among numbers as 0 or 1: links 0 and 1, column
     # 1, weight 1.0 on page 0
     {"page": 0, "kind": "discrete", "activated": [0, True]},
@@ -561,6 +563,26 @@ def test_strict_strategy_documents(tmp_path, capsys, record):
     assert code == 1
     assert env["status"] == "error"
     assert env["error"]["type"] in ("ParseError", "ValidationError")
+
+
+def test_chain_space_strategy_kind_is_refused(tmp_path, capsys):
+    # "free" rows are the one row form; the older chain-space rows are not read
+    record = {"page": 0, "kind": "continuous", "row_entries": [[0, 0.5], [1, 0.5]]}
+    code, env = _run(capsys, ["pagerank", _write(tmp_path, "g.json", two_page_doc()),
+                              "--strategy", _write(tmp_path, "s.json", {"pages": [record]})])
+    assert code == 1
+    assert env["error"] == {"type": "ParseError",
+                            "message": "unknown strategy kind 'continuous'"}
+
+
+@pytest.mark.parametrize("page", [2, 3, 10 ** 15, 10 ** 30])
+def test_analyze_refuses_a_strategy_page_out_of_range(tmp_path, capsys, page):
+    strategy = {"pages": [{"page": page, "kind": "discrete", "activated": []}]}
+    code, env = _run(capsys, ["analyze", _write(tmp_path, "g.json", two_page_doc()),
+                              "--strategy", _write(tmp_path, "s.json", strategy)])
+    assert code == 1
+    assert env["error"] == {"type": "InvalidStrategy",
+                            "message": f"strategy page {page} out of range"}
 
 
 def test_threads_flag_pins_env(tmp_path, capsys):
@@ -658,3 +680,43 @@ def test_fuzzed_documents_end_in_one_envelope(slot, value):
             envelope = json.loads(out.getvalue())  # one JSON document
             assert envelope["command"] == command
             assert code == {"ok": 0, "error": 1, "qualified": 2, "limit": 3}[envelope["status"]]
+
+
+def _solved_strategy(doc):
+    """The solver's own strategy document for ``doc``: the local optimum,
+    or the coupled solver's candidate where budget rows are present."""
+    inst = load_instance(doc)
+    if inst.coupling:
+        return solve_coupled(inst).candidate.strategy.to_json_dict()
+    return value_iterate(inst)[1].to_json_dict()
+
+
+def test_fuzzed_strategy_documents_end_in_one_envelope(tmp_path):
+    # every field and list element of each base's solved strategy, set to
+    # every value of the pool, through both commands that read a strategy
+    failures = []
+    for base, doc in enumerate(_fuzz_bases()):
+        inst_path = _write(tmp_path, f"g{base}.json", doc)
+        solved = _solved_strategy(doc)
+        for path in _slots(solved):
+            for value in _FUZZ_POOL:
+                strategy = json.loads(json.dumps(solved))
+                node = strategy
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                strat_path = _write(tmp_path, "s.json", strategy)
+                for command in ("pagerank", "analyze"):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        try:
+                            code = main(["--deterministic", command, inst_path,
+                                         "--strategy", strat_path])
+                        except Exception as exc:  # noqa: BLE001 - collected below
+                            failures.append((base, path, value, command, repr(exc)))
+                            continue
+                    envelope = json.loads(out.getvalue())  # one JSON document
+                    assert envelope["command"] == command
+                    assert code == {"ok": 0, "error": 1, "qualified": 2,
+                                    "limit": 3}[envelope["status"]]
+    assert failures == []

@@ -8,7 +8,7 @@ same verdict and the bit-identical worst magnitude on every page.
 
 import numpy as np
 
-from helpers import random_box_row
+from helpers import random_box_row, weight_box
 from pro.graph import instance_facets, load_instance
 from pro.oracle import enumerate_discrete_actions
 from pro.polytopes import FacetSystem, separate
@@ -136,8 +136,8 @@ def _points(rng, inst, page):
     rows), then the same pushed off by small and large moves, and random
     rows, normalized and not."""
     n = inst.num_pages
-    if page in inst.skeletons:
-        lower, upper = inst.skeletons.box(page)
+    if page in inst.skeletons.pages:
+        lower, upper = weight_box(inst.skeletons, page)
         hull = [random_box_row(rng, lower, upper) for _ in range(3)] + [lower]
     else:
         hull = [row for _, row in enumerate_discrete_actions(
@@ -164,8 +164,8 @@ def test_tables_match_the_sparse_rows():
         z = inst.dangling_teleport
         full = instance_facets(inst, np.arange(n))
         for page in range(n):
-            if page in inst.skeletons:
-                lower, upper = inst.skeletons.box(page)
+            if page in inst.skeletons.pages:
+                lower, upper = weight_box(inst.skeletons, page)
                 ref = _ref_box(lower, upper)
                 shapes["all banned" if np.all(upper < 1.0) else "box"] += 1
             else:

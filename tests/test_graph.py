@@ -11,10 +11,12 @@ import pytest
 from pro.errors import InvalidStrategy, ParseError, ValidationError
 from pro.graph import (ContinuousChoice, DiscreteChoice, Rewards, Strategy,
                        build_transition, load_instance, load_strategy)
+from pro.solver_coupled import solve_coupled
 from pro.solver_local import SolverConfig, value_iterate
 
-from helpers import (instance_arrays, random_continuous_doc, random_discrete_doc,
-                     random_strategy, reference_reader, two_page_doc, two_page_instance,
+from helpers import (add_active_coupling, instance_arrays, link_web_doc, local_only,
+                     random_continuous_doc, random_discrete_doc, random_strategy,
+                     reference_reader, two_page_doc, two_page_instance, weight_box,
                      weight_web_doc)
 
 DATA = Path(__file__).parent / "data"
@@ -170,16 +172,16 @@ def test_weight_pages_are_stored_sparse():
     assert store.floor.data.tolist() == [0.1875, 0.375, 0.1875, 0.125, 0.25, 0.125]
     assert store.slack[[1, 3]].tolist() == [0.25, 0.5]
     assert store.default_choice(3) == ContinuousChoice((70_000, n - 1), (0.5 / 0.75, 0.25 / 0.75))
-    lower, upper = store.box(3)
+    lower, upper = weight_box(store, 3)
     assert np.flatnonzero(lower).tolist() == [5, 70_000, n - 1]
     assert np.flatnonzero(upper < 1.0).tolist() == [5] and upper[5] == lower[5]
-    lower, upper = store.box(2)
-    assert 2 not in store and not lower.any() and upper.all()
+    lower, upper = weight_box(store, 2)
+    assert 2 not in store.pages and not lower.any() and upper.all()
 
 
 def test_local_only_shares_the_weight_store():
     inst = load_instance(random_continuous_doc(np.random.default_rng(31)))
-    copy = inst.local_only(inst.rewards.scaled(2.0))
+    copy = local_only(inst, inst.rewards.scaled(2.0))
     assert len(inst.skeletons) > 0
     assert copy.skeletons is inst.skeletons
 
@@ -212,10 +214,9 @@ def test_strategy_rows_come_sorted_and_name_each_column_once():
     row = {"page": 2, "kind": "free", "row_entries": [[2, 0.25], [0, 0.75]]}
     choice = load_strategy({"pages": [row]}, inst).choices[2]
     assert choice == ContinuousChoice((0, 2), (0.75, 0.25))
-    for kind in ("free", "continuous"):
-        row = {"page": 2, "kind": kind, "row_entries": [[1, 0.5], [0, 0.0], [1, 0.5]]}
-        with pytest.raises(ParseError, match="row_entries lists a column twice"):
-            load_strategy({"pages": [row]}, inst)
+    row = {"page": 2, "kind": "free", "row_entries": [[1, 0.5], [0, 0.0], [1, 0.5]]}
+    with pytest.raises(ParseError, match="row_entries lists a column twice"):
+        load_strategy({"pages": [row]}, inst)
 
 
 def test_build_transition_rejects_foreign_links():
@@ -258,26 +259,15 @@ def test_continuous_choice_checked_against_facets():
     inst = load_instance(doc)
     lo = 0.6 * 0.5  # retained share per coordinate, damped floor below
     floor = 0.85 * lo + 0.15 * 0.5
-
-    def chain_row(row):
-        # a chain-space row, in the older strategy-file form
-        return load_strategy({"pages": [{"page": 0, "kind": "continuous", "row_entries":
-                                         [[j, v] for j, v in enumerate(row)]}]}, inst)
-
-    # free mass as fractions of the slack 0.4: all on page 1 is the good row
+    # free mass as fractions of the slack 0.4: all on page 1 is the good row,
+    # and the bad one puts the chain row's x[0] at half the damped floor
     bad_probs = ((floor / 2 - 0.15 * 0.5) / 0.85 - lo) / 0.4
-    for good, bad, not_stochastic in (
-            (chain_row([floor, 1.0 - floor]), chain_row([floor / 2, 1.0 - floor / 2]),
-             chain_row([0.5, 0.4])),
-            (Strategy({0: ContinuousChoice((1,), (1.0,))}),
-             Strategy({0: ContinuousChoice((0, 1), (bad_probs, 1.0 - bad_probs))}),
-             Strategy({0: ContinuousChoice((0, 1), (0.5, 0.4))}))):
-        trans = build_transition(inst, good)
-        assert np.allclose(trans.dense_p()[0], [floor, 1.0 - floor], atol=1e-12)
+    trans = build_transition(inst, Strategy({0: ContinuousChoice((1,), (1.0,))}))
+    assert np.allclose(trans.dense_p()[0], [floor, 1.0 - floor], atol=1e-12)
+    for bad in (ContinuousChoice((0, 1), (bad_probs, 1.0 - bad_probs)),
+                ContinuousChoice((0, 1), (0.5, 0.4))):  # not stochastic
         with pytest.raises(InvalidStrategy):
-            build_transition(inst, bad)
-        with pytest.raises(InvalidStrategy):
-            build_transition(inst, not_stochastic)
+            build_transition(inst, Strategy({0: bad}))
 
 
 def _reference_outlink_rows(inst, strategy):
@@ -287,11 +277,11 @@ def _reference_outlink_rows(inst, strategy):
     dangling = np.zeros(n, dtype=bool)
     for i in range(n):
         ch = strategy.choices.get(i)
-        weight = i in inst.skeletons
+        weight = i in inst.skeletons.pages
         if weight or isinstance(ch, ContinuousChoice):
             # the floor plus the slack spread as the free mass says
             ch = ch or inst.skeletons.default_choice(i)
-            floor = inst.skeletons.box(i)[0] if weight else np.zeros(n)
+            floor = weight_box(inst.skeletons, i)[0] if weight else np.zeros(n)
             slack = max(1.0 - float(floor.sum()), 0.0) if weight else 1.0
             floor[list(ch.cols)] += slack * np.array(ch.probs)
             s[i] = np.maximum(floor, 0.0)
@@ -328,17 +318,11 @@ def test_continuous_choice_replaces_a_link_row():
            "obligatory": [[0, 1], [1, 2]], "facultative": [[0, 2]],
            "rewards": {"type": "per_page", "values": [0.0, 1.0, 0.5]}}
     inst = load_instance(doc)
-    outlinks = np.array([0.0, 0.75, 0.25])
-    row = 0.8 * outlinks + 0.2 * inst.teleport
-    legacy = {"pages": [{"page": 0, "kind": "continuous",
-                         "row_entries": [[j, float(v)] for j, v in enumerate(row)]}]}
-    for strat in (Strategy({0: ContinuousChoice((1, 2), (0.75, 0.25))}),
-                  load_strategy(legacy, inst)):
-        trans = build_transition(inst, strat)
-        s = trans.dense_s()
-        assert np.allclose(s[0], outlinks, atol=1e-12)
-        assert s[1].tolist() == [0.0, 0.0, 1.0]
-        assert trans.dangling.tolist() == [False, False, True]
+    trans = build_transition(inst, Strategy({0: ContinuousChoice((1, 2), (0.75, 0.25))}))
+    s = trans.dense_s()
+    assert np.allclose(s[0], [0.0, 0.75, 0.25], atol=1e-12)
+    assert s[1].tolist() == [0.0, 0.0, 1.0]
+    assert trans.dangling.tolist() == [False, False, True]
 
 
 def test_skeleton_default_row_respects_bounds():
@@ -352,7 +336,7 @@ def test_skeleton_default_row_respects_bounds():
     inst = load_instance(doc)
     trans = build_transition(inst)
     row = trans.dense_p()[0]
-    lower, upper = inst.skeletons.box(0)
+    lower, upper = weight_box(inst.skeletons, 0)
     damped_lo = 0.85 * lower + 0.15 * inst.teleport
     damped_up = 0.85 * upper + 0.15 * inst.teleport
     assert np.all(row >= damped_lo - 1e-12)
@@ -377,13 +361,9 @@ def test_free_rows_are_checked_in_closed_form():
                         ((0, 3), (0.5, 0.5))):  # not a page
         with pytest.raises(InvalidStrategy):
             build_transition(inst, Strategy({0: ContinuousChoice(cols, probs)}))
-    # with mu = 0 the floor is the only row; an old chain-space row off it
-    # cannot be expressed as free mass and is refused on loading
-    off = {"pages": [{"page": 2, "kind": "continuous",
-                      "row_entries": [[0, 0.85 * 0.9 + 0.05], [1, 0.85 * 0.1 + 0.05],
-                                      [2, 0.05]]}]}
-    with pytest.raises(InvalidStrategy):
-        load_strategy(off, inst)
+    # with mu = 0 the floor is the only row: there is no free mass to move
+    trans = build_transition(inst, Strategy({2: ContinuousChoice((1,), (1.0,))}))
+    assert trans.dense_s()[2].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_free_rows_on_link_pages_keep_the_chain_space_tolerance():
@@ -435,24 +415,44 @@ def test_weight_strategy_has_one_entry_per_page_and_round_trips():
     assert np.array_equal(first.dangling, again.dangling)
 
 
-def test_chain_space_strategy_files_still_load():
-    # strategies saved in the older chain-space form, with the outlink rows
-    # that the release writing them built: weight pages at a local optimum
-    # (banned targets, mu = 0 and mu = 1) and a coupled mixture on link pages
+def test_coupled_candidate_round_trips_to_the_same_chain():
+    # the candidate mixes two link subsets on a page, a free row on a link
+    # page; written and read back it builds the bit-identical chain
+    rng = np.random.default_rng(5)
+    inst = load_instance(add_active_coupling(link_web_doc(rng, 100, 10, 5), rng))
+    res = solve_coupled(inst)
+    for strat in (res.candidate.strategy, res.best_feasible.strategy):
+        doc = json.loads(json.dumps(strat.to_json_dict()))
+        again = load_strategy(doc, inst)
+        assert again == strat
+        first, second = build_transition(inst, strat), build_transition(inst, again)
+        for field in ("indptr", "indices", "data"):
+            assert getattr(first.srows, field).tobytes() == getattr(second.srows, field).tobytes()
+        assert np.array_equal(first.dangling, second.dangling)
+    mixed = [page for page, ch in res.candidate.strategy.choices.items()
+             if isinstance(ch, ContinuousChoice)]
+    assert mixed and not np.isin(mixed, inst.skeletons.pages).any()
+
+
+def test_recorded_strategy_files_load():
+    # strategies of an earlier release, converted to free rows, with the
+    # outlink rows that the release writing them built: weight pages at a
+    # local optimum (banned targets, mu = 0 and mu = 1) and a coupled
+    # mixture on link pages
     with open(DATA / "legacy_strategies.json", encoding="utf-8") as fh:
         cases = json.load(fh)
     assert len(cases) == 2
     loaded = []
     for case in cases:
         inst = load_instance(case["instance"])
-        assert {p["kind"] for p in case["strategy"]["pages"]} >= {"continuous"}
+        assert {p["kind"] for p in case["strategy"]["pages"]} >= {"free"}
         loaded.append(load_strategy(case["strategy"], inst))
         trans = build_transition(inst, loaded[-1])
         np.testing.assert_allclose(trans.srows.to_dense(), case["outlink_rows"],
                                    rtol=0.0, atol=1e-12)
         assert trans.dangling.tolist() == case["dangling"]
-    # the conversion's rounding leaves no entries behind: each weight page
-    # of the optimum loads with its master alone (none where mu = 0)
+    # each weight page of the optimum holds its master alone (none where
+    # mu = 0): the conversion's rounding left no entries behind
     sizes = {page: len(ch.cols) for page, ch in loaded[0].choices.items()
              if isinstance(ch, ContinuousChoice)}
     assert sizes == {0: 1, 1: 1, 2: 1, 5: 0}

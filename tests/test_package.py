@@ -1,0 +1,68 @@
+"""The package's layout: every public name in ``src/pro`` is one the program uses."""
+
+import ast
+from pathlib import Path
+
+import pro
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Public names that nothing in the program calls, kept on purpose
+KEPT = {
+    "facets_discrete": "the closed-form facet system of a discrete page's action hull "
+                       "(acceptance criterion 4)",
+    "facets_box": "facets_discrete's twin for a weight page's box-with-simplex set",
+    "utility_gradient": "the derivative of income in the chain rows (acceptance criterion 6)",
+    "DiscreteUniform": "the sequential reference action set of the vectorized sweep, "
+                       "read by linear_maximize",
+}
+
+
+def _docstrings(tree):
+    """The string constants that are docstrings, by identity."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                out.add(id(body[0].value))
+    return out
+
+
+def _references(tree):
+    """Names the code of a module uses: names, attributes, imported names
+    and string constants other than docstrings (a binding table names its
+    targets as strings)."""
+    skip = _docstrings(tree)
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip):
+            out.add(node.value)
+    return out
+
+
+def test_every_public_name_is_used_by_the_program():
+    # a module-level public function or class that only tests call belongs
+    # in tests/helpers.py, not in the package
+    defined, used = {}, set()
+    for path in sorted((ROOT / "src" / "pro").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= _references(tree)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined[node.name] = path.stem
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        if not path.name.startswith("test_"):
+            used |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    assert set(KEPT) <= set(defined)
+    unused = sorted(f"{module}.{name}" for name, module in defined.items()
+                    if name not in used and name not in pro._EXPORTS and name not in KEPT)
+    assert unused == []

@@ -9,7 +9,7 @@ from pro.polytopes import (BoxSimplex, DiscreteUniform, facets_box, facets_discr
                            greedy_uniform_support, linear_maximize, separate)
 from pro.simplex import solve_dense_lp
 
-from helpers import facet_vertices, random_box_row, same_point_set
+from helpers import constraint_count, facet_vertices, random_box_row, same_point_set
 
 
 def random_split(rng, n, fac_max=6):
@@ -54,7 +54,7 @@ def test_record_count_is_pages_plus_one():
         obl, fac = random_split(rng, n)
         hang = random_hang(rng, n)
         system = facets_discrete(obl, fac, hang, n)
-        assert system.constraint_count == n + 1
+        assert constraint_count(system) == n + 1
 
 
 def test_every_action_is_inside_its_facet_system():

@@ -20,7 +20,10 @@ from hypothesis import strategies as st
 from helpers import (
     add_active_coupling,
     add_coupling_rows,
+    chain_utility,
+    exact_stationary,
     link_web_doc,
+    local_only,
     minus_weighted,
     mixed_doc,
     power_law_instance,
@@ -28,11 +31,12 @@ from helpers import (
     random_discrete_doc,
     two_page_coupled_instance,
     two_page_instance,
+    weight_box,
 )
 from pro.chain import DENSE_EVAL_CAP, STATIONARY_TOL, occupation, stationary, utility_from_chain
 from pro.errors import Infeasible, ProError, TooLarge, ValidationError
 from pro.graph import CouplingRow, Rewards, WeightRows, build_transition, load_instance
-from pro.oracle import brute_force_optimum, chain_utility, exact_stationary
+from pro.oracle import brute_force_optimum
 from pro import simplex, solver_coupled
 from pro.polytopes import facets_box, facets_discrete, separate
 from pro.solver_coupled import (
@@ -136,7 +140,7 @@ def test_loose_inner_solve_keeps_theta_an_upper_bound():
         weights = [c.weights for c in inst.coupling]
         bounds = np.array([c.bound for c in inst.coupling])
         modified = minus_weighted(inst.rewards, weights, lam)
-        exact = brute_force_optimum(inst.local_only(modified)).value
+        exact = brute_force_optimum(local_only(inst, modified)).value
         theta = dual_value(inst, lam, loose).theta
         assert theta >= exact + float(np.dot(lam, bounds))
 
@@ -396,7 +400,7 @@ def test_three_budget_rows_match_lp_or_certify_infeasibility():
             # independent check: min over strategies of lam . (C - b) > 0
             cost = minus_weighted(inst.rewards.scaled(0.0),
                                   [c.weights for c in inst.coupling], lam)
-            state, _ = value_iterate(inst.local_only(cost))
+            state, _ = value_iterate(local_only(inst, cost))
             margin = (-state.psi - (1.0 - inst.damping) * state.residual
                       - float(lam @ bounds))
             assert margin > 0.0, k
@@ -492,8 +496,8 @@ def _page_by_page_lp(instance):
     store = instance.skeletons
     blocks, rows = [], []
     for page in range(n):
-        if page in store:
-            floor = alpha * store.box(page)[0] + (1.0 - alpha) * instance.teleport
+        if page in store.pages:
+            floor = alpha * weight_box(store, page)[0] + (1.0 - alpha) * instance.teleport
             free = np.ones(n, dtype=bool)
             free[store.banned_of(page)] = False
             slack = max(1.0 - float(floor.sum()), 0.0)
@@ -580,8 +584,8 @@ def test_lp_on_mixed_pages_maps_back_to_an_occupation_measure():
             mass = rho[i].sum()
             assert mass > 0.0
             sigma = (rho[i] / mass - (1.0 - alpha) * inst.teleport) / alpha
-            if i in inst.skeletons:
-                system = facets_box(*inst.skeletons.box(i))
+            if i in inst.skeletons.pages:
+                system = facets_box(*weight_box(inst.skeletons, i))
             else:
                 system = facets_discrete(inst.obligatory_of(i), inst.facultative_of(i),
                                          inst.dangling_teleport, 7)
@@ -621,7 +625,7 @@ def test_lp_on_link_webs_matches_dual_bound():
         assert problem.objective.size == n + inst.fac_indices.size
         _, lp_value = lp_solve(problem)
         res = solve_coupled(inst)
-        state, _ = value_iterate(inst.local_only())
+        state, _ = value_iterate(local_only(inst))
         assert lp_value < state.psi - 1e-6  # the budget row bites
         assert abs(lp_value - res.dual_bound) <= 1e-6 * max(1.0, abs(lp_value)), n
 
@@ -676,7 +680,7 @@ def test_occupation_check_catches_one_page_off_its_facets():
         rho, _ = lp_solve(lp_formulate(inst))
         check_occupation(inst, rho)
         for i in range(inst.num_pages):
-            if i in inst.skeletons:
+            if i in inst.skeletons.pages:
                 k = int(inst.skeletons.banned_of(i)[0])
             else:
                 links = set(inst.obligatory_of(i)) | set(inst.facultative_of(i))
@@ -712,7 +716,7 @@ def test_unreachable_budget_is_infeasible():
         lp_solve(lp_formulate(inst))
     # certify independently: even minimal spending exceeds the bound
     cost = minus_weighted(inst.rewards.scaled(0.0), [inst.coupling[0].weights], np.ones(1))
-    state, _ = value_iterate(inst.local_only(cost))
+    state, _ = value_iterate(local_only(inst, cost))
     assert -state.psi > inst.coupling[0].bound
     # the dual route raises too, with the multipliers that certify it
     with pytest.raises(Infeasible) as exc:
@@ -868,7 +872,7 @@ def test_memory_does_not_grow_with_max_outer():
     weights = Rewards.per_page(np.random.default_rng(21).uniform(0.0, 1.0, 50_000))
 
     def spending(rewards):
-        _, strat = value_iterate(inst.local_only(rewards))
+        _, strat = value_iterate(local_only(inst, rewards))
         trans = build_transition(inst, strat)
         return utility_from_chain(trans, stationary(trans).pi, weights)
 

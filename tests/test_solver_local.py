@@ -21,6 +21,7 @@ from helpers import (
     exact_utility,
     free_row,
     link_web_doc,
+    local_only,
     mixed_doc,
     policy_chain,
     policy_entries,
@@ -31,6 +32,7 @@ from helpers import (
     random_strategy,
     two_page_coupled_instance,
     two_page_instance,
+    weight_box,
     weight_web_doc,
 )
 import pro
@@ -144,7 +146,7 @@ def test_default_tol_stops_at_high_damping_and_large_rewards():
         assert max(abs(Fraction(x) - e) for x, e in zip(mr.v.tolist(), v_exact)) <= mr.residual
     # above the dense cap the policies are evaluated iteratively
     big = power_law_instance(300, 12, 30, seed=4, damping=0.99, reward_frac=0.5)
-    big = big.local_only(big.rewards.scaled(100.0 / big.rewards.max_abs()))
+    big = local_only(big, big.rewards.scaled(100.0 / big.rewards.max_abs()))
     state, _ = value_iterate(big)
     assert state.stop_reason == "rounding" and state.residual > 1e-9
     allowance = ROUNDING / 0.01 * (100.0 + float(np.abs(state.w).max()))
@@ -282,8 +284,8 @@ def test_sweep_matches_sequential_reference():
         got_t, got = comp.apply(w), comp.extract(w)
         for i in range(n):
             score = r[i] + w
-            if i in inst.skeletons:
-                res = linear_maximize(BoxSimplex(*inst.skeletons.box(i)), score)
+            if i in inst.skeletons.pages:
+                res = linear_maximize(BoxSimplex(*weight_box(inst.skeletons, i)), score)
                 assert np.array_equal(free_row(inst, i, got.choices[i]), res.row)
                 seen["skeleton"] += 1
             else:
@@ -367,7 +369,7 @@ def test_weight_page_step_matches_box_maximizer(case):
     dense, walk = comp._masters_dense(w), comp._masters_walk(w)
     assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(dense, walk))
     score = inst.rewards.dense()[0] + w
-    lower, upper = inst.skeletons.box(0)
+    lower, upper = weight_box(inst.skeletons, 0)
     res = linear_maximize(BoxSimplex(lower, upper), score)
     assert np.array_equal(free_row(inst, 0, choice), res.row)
     if 1.0 - float(lower.sum()) > 0.0:
