@@ -22,7 +22,6 @@ from .chain import mean_reward_before_teleport
 from .errors import ValidationError
 from .graph import DiscreteChoice, build_transition
 from .solver_local import CompiledBellman
-from .sparse import locate
 
 AUDIT_V_TOL = 1e-12
 DEFECT_TOL = 1e-7  # the largest defect an optimal chain may show
@@ -142,17 +141,14 @@ def master_ordering(instance, strategy=None, tol=1e-9):
             raise ValidationError(f"page {i} carries a non-subset choice")
     v, comp, defects = _audit_pass(instance, trans)
     f_page, f_idx = comp.f_page, comp.f_idx
-    # a facultative link is on exactly when the chain holds it
-    s = trans.srows
-    active = locate(s.indptr, s.indices, s.num_cols, f_page, f_idx)[1]
     bar = ((v - comp.const) / comp.alpha)[f_page]
     margin = comp.r_f + v[f_idx] - bar
     scale = tol * np.maximum(1.0, np.abs(bar))
     sign = (margin > scale).astype(np.int8) - (margin < -scale)  # +1 required, -1 forbidden
     kinds = KINDS[sign]
-    wrong = np.flatnonzero(np.where(active, sign == -1, sign == 1))
+    wrong = np.flatnonzero(np.where(trans.activated, sign == -1, sign == 1))
     violations = tuple(Violation(int(f_page[k]), int(f_idx[k]), str(kinds[k]),
-                                 "extra" if active[k] else "missing") for k in wrong)
+                                 "extra" if trans.activated[k] else "missing") for k in wrong)
     order = np.argsort(-v, kind="stable")
     return MasterReport(int(order[0]), tuple(order.tolist()), v,
                         f_page, f_idx, kinds, margin, violations, defects)

@@ -103,8 +103,8 @@ def stationary(transition, tol=STATIONARY_TOL, max_iter=None, pi0=None):
 
     Parameters
     ----------
-    transition : TransitionMatrix or ``CompiledBellman.policy()``
-        Read for ``damping``, ``num_pages``, ``teleport``, ``pi_step`` and ``solve``.
+    transition : TransitionMatrix
+        Read for ``damping``, ``teleport``, ``pi_step`` and ``solve``.
     tol : float
         Finite and positive: stop once the L1 error bound is at most ``tol``.
     max_iter : int, optional
@@ -176,12 +176,7 @@ def _mean_row_rewards(transition, rewards):
     rbar = rewards.base.copy()
     delta = rewards.delta
     if delta.nnz:
-        alpha = transition.damping
-        # dangling rows store no entries and jump by dangling_teleport
-        svals = np.where(transition.dangling[row_ids(delta.indptr)],
-                         transition.dangling_teleport[delta.indices],
-                         transition.srows.gather_at(delta.indptr, delta.indices))
-        pvals = alpha * svals + (1.0 - alpha) * transition.teleport[delta.indices]
+        pvals = transition.p_at(row_ids(delta.indptr) * transition.num_pages + delta.indices)
         rbar += segment_sums(pvals * delta.data, delta.indptr)
     return rbar
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -264,58 +264,131 @@ class Strategy:
 class TransitionMatrix:
     """Surfer chain ``P = damping * S + (1 - damping) * ones @ teleport``.
 
-    Only the outlink part ``S`` is stored: a CSR block for rows with
-    outlinks plus a flag vector for rows that jump via
-    ``dangling_teleport``.  The dense rank-one teleport term is applied on
-    the fly and never materialized.
+    ``S`` is the entries a strategy picks, in blocks laid end to end in
+    ``rows``, ``cols`` and ``vals``, never merged: up to ``ends[0]`` the
+    obligatory links of the rows that keep them (value 1), up to
+    ``ends[1]`` the weight floors, then the activated facultative links
+    (value 1; ``activated`` masks the facultative CSR) and the lifts
+    ``slack * probs``.  Row i of ``S`` is its entries' sum divided once by
+    ``size[i]``, its link count on a uniform row and 1 elsewhere; a lift
+    adds to a floor entry on its coordinate, floor first, and no such sum
+    is below 0.  The ``dangling`` rows jump by ``dangling_teleport``.  The
+    teleport term is applied on the fly.  ``eliminate``, if given, is ``(F,
+    C, M^-1, B)`` for pages F whose rows every policy of one operator
+    shares (``solve``).
     """
 
     num_pages: int
     damping: float
     teleport: np.ndarray
     dangling_teleport: np.ndarray
-    srows: RowSparse
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    ends: tuple
+    size: np.ndarray
     dangling: np.ndarray
+    activated: np.ndarray
+    eliminate: Optional[tuple] = None
 
     @cached_property
-    def row_counts(self):
-        """Stored entries of ``S`` per row, counted once per chain."""
-        return self.srows.row_counts()
+    def _runs(self):
+        """``(starts, rows, counts)`` of the runs of one row's entries in a block."""
+        new = np.ones(self.rows.size + 1, dtype=bool)
+        new[1:-1] = self.rows[1:] != self.rows[:-1]
+        new[self.ends[0]] = new[self.ends[1]] = True
+        starts = np.flatnonzero(new)
+        return starts[:-1], self.rows[starts[:-1]], np.diff(starts)
+
+    @cached_property
+    def _keys(self):
+        """Each entry's flat key ``i * n + j``."""
+        return self.rows * self.num_pages + self.cols
+
+    @cached_property
+    def _weights(self):
+        """Each entry's share of ``S``: its value over its row's size."""
+        return self.vals / self.size[self.rows]
+
+    def row_sums(self, fixed, chosen, no_link):
+        """Per row, ``(fixed + its chosen entries' vals * chosen) / size``, or ``no_link``."""
+        b = self.ends[1]
+        out = fixed + np.bincount(self.rows[b:], self.vals[b:] * chosen,
+                                  minlength=self.num_pages)
+        out /= self.size
+        return np.where(self.dangling, no_link, out)
+
+    def apply_s(self, v):
+        """``S v``: each row's fixed entries summed in order, then its chosen ones."""
+        a, b = self.ends
+        starts, rows, _ = self._runs
+        k = np.searchsorted(starts, b)
+        e = v[self.cols[:b]]
+        e[a:] *= self.vals[a:b]
+        fixed = np.zeros(self.num_pages)
+        if k:
+            fixed[rows[:k]] = np.add.reduceat(e, starts[:k])
+        return self.row_sums(fixed, v[self.cols[b:]], float(np.dot(self.dangling_teleport, v)))
 
     def pi_step(self, pi):
         """One application ``pi -> pi P`` for a probability vector pi."""
-        s = self.srows
-        out = np.bincount(s.indices, pi.repeat(self.row_counts) * s.data,
+        _, rows, counts = self._runs
+        out = np.bincount(self.cols, pi[rows].repeat(counts) * self._weights,
                           minlength=self.num_pages)
         hang = float(pi[self.dangling].sum())
         if hang != 0.0:
             out = out + hang * self.dangling_teleport
         return self.damping * out + (1.0 - self.damping) * float(pi.sum()) * self.teleport
 
-    def apply_s(self, v):
-        """Outlink part applied to a column vector, ``S v``."""
-        out = self.srows.rightmul(v)
-        if np.any(self.dangling):
-            out[self.dangling] = float(np.dot(self.dangling_teleport, v))
-        return out
-
     def dense_s(self):
-        out = self.srows.to_dense()
-        out[self.dangling] = self.dangling_teleport
-        return out
-
-    def solve(self, rhs, transpose=False):
-        """``x`` with ``(I - damping S) x = rhs``, or ``(I - damping S)^T x
-        = rhs`` if ``transpose``: one dense solve up to ``DENSE_EVAL_CAP``
-        pages, ``None`` above."""
+        """``S`` as a dense ``(n, n)`` array."""
         n = self.num_pages
-        if n > DENSE_EVAL_CAP:
-            return None
-        s = self.dense_s()
-        return np.linalg.solve(np.eye(n) - self.damping * (s.T if transpose else s), rhs)
+        # bincount counts in int64 when there is no entry at all
+        s = np.bincount(self._keys, self._weights, minlength=n * n)
+        s = s.astype(float, copy=False).reshape(n, n)
+        s[self.dangling] = self.dangling_teleport
+        return s
 
     def dense_p(self):
         return self.damping * self.dense_s() + (1.0 - self.damping) * self.teleport[None, :]
+
+    def p_at(self, keys):
+        """``P`` at the ascending flat keys ``i * n + j``, summed as ``dense_s``."""
+        n, alpha = self.num_pages, self.damping
+        pos, hit = find_sorted(keys, self._keys)
+        s = np.bincount(pos[hit], self._weights[hit], minlength=keys.size)
+        col = keys % n
+        s = np.where(self.dangling[keys // n], self.dangling_teleport[col], s)
+        return alpha * s + (1.0 - alpha) * self.teleport[col]
+
+    def solve(self, rhs, transpose=False):
+        """``x`` with ``(I - damping S) x = rhs``, or its transpose: dense up
+        to ``DENSE_EVAL_CAP`` pages and ``None`` above, or, given
+        ``eliminate``, on the pages C outside F (the stochastic complement;
+        Meyer, *SIAM Review*, 1989).  With ``G = I - damping (S_CC + S_CF
+        B)`` and ``a = M^-1 rhs_F``: ``G x_C = rhs_C + damping S_CF a``,
+        ``x_F = a + B x_C``; transposed, ``G^T x_C = rhs_C + B^T rhs_F``,
+        ``x_F = (rhs_F + damping S_CF^T x_C) M^-1``.
+        """
+        n, alpha = self.num_pages, self.damping
+        if self.eliminate is None:
+            if n > DENSE_EVAL_CAP:
+                return None
+            s = self.dense_s()
+            return np.linalg.solve(np.eye(n) - alpha * (s.T if transpose else s), rhs)
+        f, c, m_inv, b = self.eliminate
+        s_c = self.dense_s()[c]
+        s_cf = s_c[:, f]
+        g = np.eye(c.size) - alpha * (s_c[:, c] + s_cf @ b)
+        x = np.empty(n)
+        if transpose:
+            x[c] = np.linalg.solve(g.T, rhs[c] + b.T @ rhs[f])
+            x[f] = (rhs[f] + alpha * (x[c] @ s_cf)) @ m_inv
+        else:
+            a = m_inv @ rhs[f]
+            x[c] = np.linalg.solve(g, rhs[c] + alpha * (s_cf @ a))
+            x[f] = a + b @ x[c]
+        return x
 
 
 def _require(cond, message, exc=ParseError):
@@ -594,7 +667,9 @@ def load_strategy(source, instance):
             acts = rec.get("activated", [])
             _require(isinstance(acts, list), "activated must be a list")
             _require(bool not in map(type, acts), "activated must hold integers, not booleans")
-            choices[page] = DiscreteChoice(tuple(np.sort(_columns(acts, "activated")).tolist()))
+            acts = np.sort(_columns(acts, "activated"))
+            _require(not np.any(acts[1:] == acts[:-1]), "activated lists a link twice")
+            choices[page] = DiscreteChoice(tuple(acts.tolist()))
             continue
         _require(kind == "free", f"unknown strategy kind {kind!r}")
         entries = rec.get("row_entries", [])
@@ -610,22 +685,21 @@ def load_strategy(source, instance):
 
 
 def _free_entries(instance, is_weight, pages, picked):
-    """Entries ``(rows, cols, vals)`` of checked continuous rows, unmerged.
+    """The lifts ``(rows, cols, slack * probs)`` of checked continuous rows.
 
     ``picked[k]`` is the ``ContinuousChoice`` of page ``pages[k]``, and
     every weight page (``is_weight``, a mask over pages) is among
     ``pages``.  A row is ``floor + slack * probs`` with floor and slack
-    from ``instance.skeletons`` (0 and 1 off the weight pages).  The
-    entries are every floor's, then every lift ``slack * probs``; a
-    floor entry and a lift may share a coordinate, and the caller sums
-    them, floor first.  The caller also rejects a column that one choice
-    names twice.  Every check reads the outlink row with tolerance
-    ``STRATEGY_TOL / damping``, which is ``STRATEGY_TOL`` on the chain
-    row.  Each row sums to one.  On a weight page the lift is at least
-    ``-tol``, and at most ``tol`` on a banned target (every other cap is
-    1): closed form, for all of them at once.  The other pages' rows are
-    separated against their outlink facets in one dense array, and the
-    error names the page of the worst violation.
+    from ``instance.skeletons`` (0 and 1 off the weight pages).  A lift
+    below minus the floor entry at its coordinate is raised to it, so no
+    sum is below 0.  Every check reads the outlink row with tolerance
+    ``STRATEGY_TOL / damping``, ``STRATEGY_TOL`` on the chain row.  Each
+    row sums to one, and no choice names a column twice.  On a weight
+    page the lift is at least ``-tol``, and at most ``tol`` on a banned
+    target (every other cap is 1); with no slack, the weights are none,
+    or sum to one with none below ``-tol``, as on a link page.  The link
+    pages' rows are separated against their outlink facets at once, and
+    the error names the page of the worst violation.
     """
     n = instance.num_pages
     if not picked:
@@ -646,9 +720,9 @@ def _free_entries(instance, is_weight, pages, picked):
     if not np.all(np.isfinite(probs)):
         raise InvalidStrategy("a continuous choice has a weight that is not finite")
     lift = np.where(is_weight[rows], store.slack[rows], 1.0) * probs
-    e_rows = np.concatenate([store.pages[row_ids(floor.indptr)], rows])
-    e_vals = np.concatenate([floor.data, lift])
-    mass = np.bincount(e_rows, e_vals, minlength=n)[pages]
+    f_rows = store.pages[row_ids(floor.indptr)]
+    mass = np.bincount(np.concatenate([f_rows, rows]), np.concatenate([floor.data, lift]),
+                       minlength=n)[pages]
     bad = np.flatnonzero(np.abs(mass - 1.0) > tol)
     if bad.size:
         raise InvalidStrategy(f"row for page {pages[bad[0]]} is not stochastic")
@@ -659,6 +733,14 @@ def _free_entries(instance, is_weight, pages, picked):
         k = int(np.argmax(off))
         raise InvalidStrategy(f"row for page {rows[k]} moves x[{cols[k]}] off its floor "
                               f"by {off[k]:.3e}")
+    owner = np.repeat(np.arange(pages.size), sizes)
+    wrong = (np.abs(np.bincount(owner, probs, minlength=pages.size) - 1.0) > tol) \
+        | (np.bincount(owner, probs < -tol, minlength=pages.size) > 0)
+    bad = np.flatnonzero(is_weight[pages] & (store.slack[pages] == 0.0) & wrong
+                         & (np.asarray(sizes) > 0))
+    if bad.size:
+        raise InvalidStrategy(f"page {pages[bad[0]]} has no free mass, and its weights "
+                              "are not a distribution")
     link = ~is_weight[pages]
     if link.any():
         # the link pages' rows, scattered into one dense array
@@ -669,7 +751,13 @@ def _free_entries(instance, is_weight, pages, picked):
         if verdict.violated:
             raise InvalidStrategy(f"row for page {pages[link][verdict.page]} violates "
                                   f"{verdict.description} by {verdict.magnitude:.3e}")
-    return e_rows, np.concatenate([floor.indices, cols]), e_vals
+    keys = np.sort(rows * n + cols)
+    if np.any(keys[1:] == keys[:-1]):
+        raise InvalidStrategy("a continuous choice names a column twice")
+    least = np.zeros(lift.size)
+    at, on = find_sorted(f_rows * n + floor.indices, rows * n + cols)
+    least[on] = -floor.data[at[on]]
+    return rows, cols, np.maximum(lift, least)
 
 
 def build_transition(instance, strategy=None):
@@ -688,23 +776,19 @@ def build_transition(instance, strategy=None):
     Raises
     ------
     InvalidStrategy
-        If a choice activates a non-facultative link, hands a discrete
-        choice to a skeleton page, or supplies a row outside the page's
-        constraint set.  A continuous choice's outlink row (see
-        ``ContinuousChoice``) is checked within ``STRATEGY_TOL / damping``:
-        in closed form on a skeleton page, against the outlink facets
-        elsewhere.
+        If a choice activates a non-facultative link or one link twice,
+        hands a discrete choice to a skeleton page, or supplies a row
+        outside the page's constraint set.  A continuous choice's outlink
+        row (see ``ContinuousChoice``) is checked within ``STRATEGY_TOL /
+        damping``: in closed form on a skeleton page, against the outlink
+        facets elsewhere.
 
     Notes
     -----
-    Deterministic: identical inputs produce bit-identical CSR arrays.
-    The chain is assembled with array operations: activated links are
-    looked up in the facultative CSR by flat key, uniform rows (value
-    ``1 / degree``) come from the sorted obligatory and activated keys,
-    and a continuous row, ``floor + slack * probs`` clipped at 0 with
-    zeros dropped, replaces its page's links.  One sort of all entries
-    orders the CSR, finds repeated links and sums each floor entry with
-    the lift at its coordinate.
+    Deterministic: identical inputs produce bit-identical arrays.  The
+    blocks are assembled with array operations: activated links are
+    looked up in the facultative CSR by flat key, and a continuous row's
+    lifts replace its page's links.
     """
     n = instance.num_pages
     choices = strategy.choices if strategy is not None else {}
@@ -730,61 +814,42 @@ def build_transition(instance, strategy=None):
         else:
             raise InvalidStrategy(f"unsupported choice type for page {page}")
 
-    act_rows = np.asarray(act_pages, dtype=np.int64)
-    act_cols = np.asarray(act_links)
-    _, hit = locate(instance.fac_indptr, instance.fac_indices, n, act_rows, act_cols)
+    pos, hit = locate(instance.fac_indptr, instance.fac_indices, n,
+                      np.asarray(act_pages, dtype=np.int64), np.asarray(act_links))
     if not hit.all():
         k = int(np.argmin(hit))
         raise InvalidStrategy(f"link ({act_pages[k]}, {act_links[k]}) is not facultative")
+    activated = np.zeros(instance.fac_indices.size, dtype=bool)
+    activated[pos] = True
+    if np.count_nonzero(activated) < pos.size:
+        k = int(np.argmax(np.bincount(pos)[pos] > 1))
+        raise InvalidStrategy(f"link ({act_pages[k]}, {act_links[k]}) is activated twice")
 
     for page in store.pages.tolist():
         if page not in choices:
             free_pages.append(page)
             free.append(store.default_choice(page))
-    c_rows, c_cols, c_vals = _free_entries(instance, is_weight, free_pages, free)
+    l_rows, l_cols, lift = _free_entries(instance, is_weight, free_pages, free)
 
-    # obligatory plus activated links give uniform rows; a continuous row
-    # replaces its page's links
+    # a continuous row replaces its page's links; the other rows keep
+    # their obligatory links and add the activated ones
     is_cont = np.zeros(n, dtype=bool)
     is_cont[free_pages] = True
-    rows = np.concatenate([row_ids(instance.obl_indptr), act_rows])
-    cols = np.concatenate([instance.obl_indices, act_cols.astype(np.int64)])
-    keep = ~is_cont[rows]
-    u_size, f_size = int(keep.sum()), store.floor.nnz
-    rows = np.concatenate([rows[keep], c_rows])
-    cols = np.concatenate([cols[keep], c_cols])
-    vals = np.concatenate([np.ones(u_size), c_vals])  # uniform: 1 / degree below
-    # drop each array once copied: held, they put a call with dense
-    # default rows on a web-weights document at 13.9 MB, not 10.4 MB
-    del c_rows, c_cols, c_vals
-    order, first, _ = _sort_coords(n, n, rows, cols)
-    # a coordinate may repeat only as a floor entry then a lift; the sort
-    # is stable, so the floor entry comes first in the sum
-    rep = np.flatnonzero(~first)
-    prev = order[rep - 1]
-    bad = np.flatnonzero((prev < u_size) | (prev >= u_size + f_size))
-    if bad.size:
-        if is_cont[rows[prev[bad[0]]]]:
-            raise InvalidStrategy("a continuous choice names a column twice")
-        raise ValidationError("duplicate link")
-    vals = vals[order]
-    vals[rep - 1] += vals[rep]
-    vals = vals[first]
-    sel = order[first]
-    del order
-    rows, cols = rows[sel], cols[sel]
-    # continuous rows are clipped at 0 and lose their zeros
-    kept = vals > 0.0
-    if not kept.all():
-        sel, rows, cols, vals = sel[kept], rows[kept], cols[kept], vals[kept]
-    deg = np.bincount(rows, minlength=n)
-    uniform = sel < u_size
-    vals[uniform] = 1.0 / deg[rows[uniform]]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
+    o_rows = row_ids(instance.obl_indptr)
+    keep = ~is_cont[o_rows]
+    o_rows = o_rows[keep]
+    a_rows = row_ids(instance.fac_indptr)[activated]
+    deg = np.bincount(o_rows, minlength=n) + np.bincount(a_rows, minlength=n)
+    floor = store.floor
+    ends = (o_rows.size, o_rows.size + floor.nnz)
     # every continuous row has outlink mass, so only link pages can dangle
-    return TransitionMatrix(n, instance.damping, instance.teleport, instance.dangling_teleport,
-                            RowSparse(n, n, indptr, cols, vals), deg == 0)
+    return TransitionMatrix(
+        n, instance.damping, instance.teleport, instance.dangling_teleport,
+        np.concatenate([o_rows, store.pages[row_ids(floor.indptr)], a_rows, l_rows]),
+        np.concatenate([instance.obl_indices[keep], floor.indices,
+                        instance.fac_indices[activated], l_cols]),
+        np.concatenate([np.ones(ends[0]), floor.data, np.ones(a_rows.size), lift]),
+        ends, np.maximum(deg, 1).astype(float), (deg == 0) & ~is_cont, activated)
 
 
 def instance_facets(instance, pages):

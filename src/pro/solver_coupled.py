@@ -23,6 +23,7 @@ route.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -35,7 +36,7 @@ from .polytopes import separate
 from .graph import ContinuousChoice, Rewards, Strategy, build_transition, instance_facets
 from .simplex import solve_dense_lp
 from .solver_local import CompiledBellman, SolverConfig, value_iterate
-from .sparse import _sort_coords, add_sparse, find_sorted, ranges, row_ids, segment_sums
+from .sparse import _sort_coords, add_sparse, find_sorted, ranges, row_ids
 
 FEASIBILITY_TOL = 1e-9
 # every local solve of the dual route
@@ -151,7 +152,7 @@ class _Run:
 
     A column's measure is ``stationary`` on the operator's policy, from
     that policy's own solve or else the last column's measure; its
-    incomes read ``P`` off the same blocks.
+    incomes are ``utility_from_chain`` on the same chain.
     """
 
     def __init__(self, instance):
@@ -159,17 +160,9 @@ class _Run:
         union = functools.reduce(add_sparse, [r.delta.scaled(0.0) for r in self.schemes])
         self.columns = [Rewards(r.base, replace(union, data=r.delta.gather_at(
             union.indptr, union.indices))) for r in self.schemes]
-        self.comp = comp = CompiledBellman(instance, self.columns[0])
-        # where each scheme's own pattern sits in the union
-        self.at = [comp.slots(row_ids(r.delta.indptr), r.delta.indices) for r in self.schemes]
+        self.comp = CompiledBellman(instance, self.columns[0])
         self.instance, self.pi, self.seen = instance, None, {}
         self.bounds = np.array([c.bound for c in instance.coupling])
-
-    def _rbar(self, p):
-        """Each scheme's ``rbar_i = sum_j P_ij r_ij`` from ``P`` at the
-        pattern keys, summed as ``utility_from_chain`` does."""
-        return [r.base + segment_sums(p[at] * r.delta.data, r.delta.indptr)
-                for r, at in zip(self.schemes, self.at)]
 
     def price(self, s, lam, inner, w0):
         """Best local policy for ``s r - lam . w``, evaluated exactly.
@@ -192,8 +185,7 @@ class _Run:
         if key not in self.seen:
             chain = self.comp.policy()
             pi = self.pi = stationary(chain, pi0=self.pi).pi
-            rbars = self._rbar(chain.p_at_keys())
-            self.seen[key] = pi, np.array([float(np.dot(pi, rbar)) for rbar in rbars])
+            self.seen[key] = pi, np.array([utility_from_chain(chain, pi, r) for r in self.schemes])
         pi, values = self.seen[key]
         cvals = values[1:]
         feasible = bool(np.all(cvals <= self.bounds + FEASIBILITY_TOL))
@@ -380,21 +372,28 @@ class _Master:
         return self.pivots - start
 
 
-def _free_part(instance, page, choice):
-    """``(cols, probs)`` of the free mass that one page choice sends.
-
+def _free_parts(instance, pages, picked, share):
+    """``(rows, cols, share[rows] * probs)`` of the free mass that the
+    choice ``picked[k]`` of page ``pages[k]`` sends, for every k at once.
     A link subset's free part is its outlink row (a discrete page has no
-    floor): uniform on the links, or the dangling teleport row.
-    """
-    if isinstance(choice, ContinuousChoice):
-        return np.asarray(choice.cols, dtype=np.int64), np.asarray(choice.probs, dtype=float)
-    # the solver activates facultative links only, which are never obligatory
-    links = np.sort(np.concatenate([instance.obligatory_of(page),
-                                    np.asarray(choice.activated, dtype=np.int64)]))
-    if links.size:
-        return links, np.full(links.size, 1.0 / links.size)
-    cols = np.flatnonzero(instance.dangling_teleport)
-    return cols, instance.dangling_teleport[cols]
+    floor): uniform on its links, obligatory and activated (no link is
+    both), or the dangling teleport row."""
+    pages = np.asarray(pages, dtype=np.int64)
+    free = np.array([isinstance(c, ContinuousChoice) for c in picked], dtype=bool)
+    listed = [c.cols if f else c.activated for c, f in zip(picked, free.tolist())]
+    link = np.flatnonzero(~free)
+    at, pos = ranges(instance.obl_indptr[pages[link]], instance.obl_indptr[pages[link] + 1])
+    owner = np.concatenate([np.repeat(np.arange(pages.size), list(map(len, listed))), link[at]])
+    cols = np.concatenate([np.fromiter(itertools.chain.from_iterable(listed), np.int64),
+                           instance.obl_indices[pos]])
+    deg = np.bincount(owner, minlength=pages.size)
+    probs = 1.0 / deg[owner]
+    probs[free[owner]] = [p for c in picked if isinstance(c, ContinuousChoice) for p in c.probs]
+    hang, empty = np.flatnonzero(instance.dangling_teleport), link[deg[link] == 0]
+    owner = np.concatenate([owner, np.repeat(empty, hang.size)])
+    cols = np.concatenate([cols, np.tile(hang, empty.size)])
+    probs = np.concatenate([probs, np.tile(instance.dangling_teleport[hang], empty.size)])
+    return pages[owner], cols, share[pages[owner]] * probs
 
 
 def _mixture(instance, master, policies):
@@ -406,7 +405,8 @@ def _mixture(instance, master, policies):
     constraint set (which ``build_transition`` checks) that yields the
     mixed occupation measure.  A chain row is affine in the free part
     with the page's own floor and slack, so the page gets the free parts
-    mixed with those weights.
+    mixed with those weights: those of every such page merged at once,
+    each target's summands in support order.
     """
     mu = master.mu
     support = np.flatnonzero(mu > 0.0)
@@ -415,23 +415,24 @@ def _mixture(instance, master, policies):
         t = master.k + 1 + support[0]
         util, cvals = float(master.income[t]), master.a[:-1, t]
     else:
+        n = instance.num_pages
         strats = [policies[t][0] for t in support]
         weight = mu[support, None] * np.stack([policies[t][1] for t in support])
-        choices = {}
-        for page, first in strats[0].choices.items():
-            picked = [s.choices[page] for s in strats]
-            if all(first == c for c in picked[1:]):
-                choices[page] = first
-                continue
-            parts = [_free_part(instance, page, c) for c in picked]
-            w = weight[:, page] / weight[:, page].sum()
-            cols = np.concatenate([c for c, _ in parts])
-            # a stable sort keeps each target's summands in their order
-            order, first, _ = _sort_coords(1, instance.num_pages, np.zeros_like(cols), cols)
-            probs = np.bincount(np.cumsum(first) - 1,
-                                np.concatenate([wt * p for wt, (_, p) in zip(w, parts)])[order])
-            choices[page] = ContinuousChoice(tuple(cols[order[first]].tolist()),
-                                             tuple(probs.tolist()))
+        choices = dict(strats[0].choices)
+        mixed = [page for page, ch in choices.items()
+                 if any(s.choices[page] != ch for s in strats[1:])]
+        share = np.zeros(weight.shape)
+        share[:, mixed] = weight[:, mixed] / weight[:, mixed].sum(axis=0)
+        rows, cols, vals = map(np.concatenate, zip(*(
+            _free_parts(instance, mixed, [s.choices[page] for page in mixed], w)
+            for s, w in zip(strats, share))))
+        # a stable sort keeps each target's summands in support order
+        order, first, indptr = _sort_coords(n, n, rows, cols)
+        probs = np.bincount(np.cumsum(first) - 1, vals[order]).tolist()
+        cols, indptr = cols[order[first]].tolist(), indptr.tolist()
+        for page in mixed:
+            lo, hi = indptr[page], indptr[page + 1]
+            choices[page] = ContinuousChoice(tuple(cols[lo:hi]), tuple(probs[lo:hi]))
         strat = Strategy(choices)
         trans = build_transition(instance, strat)
         # the mixed chain's exact measure, up to the columns' own error

@@ -129,8 +129,9 @@ class CompiledBellman:
 
     Each sweep also keeps its greedy policy (active candidates, no-link
     pages, weight pages' ``j*``), and sets ``repeated`` when that policy
-    equals the previous sweep's.  ``policy`` gives it as a chain on the
-    sweep's own blocks, which ``evaluate`` and ``chain.stationary`` solve,
+    equals the previous sweep's.  ``policy`` gives it as a
+    ``TransitionMatrix`` on the sweep's own blocks and ``rbar`` as its
+    one-step rewards, which ``evaluate`` and ``chain.stationary`` solve,
     and ``extract`` turns it into a ``Strategy``.  The fixed pages F (no
     facultative link, no weight row) have one row in every policy; with
     0 < |F| and |F|, |C| at most ``DENSE_EVAL_CAP``, ``eliminates`` is set
@@ -239,11 +240,11 @@ class CompiledBellman:
             self.sk_r = np.repeat(self.sk_base[:, None], self.n, axis=1)
             self.sk_r[self.d_k, self.d_col] = self.d_r
             self.sk_r[self.ban_at] = -np.inf
-        # each row's reward sum over its fixed block, for ``policy``
+        # each row's reward sum over its fixed block, for ``rbar``
         self.r_fixed = self._fixed_sums(self.r_o, self.q_val * self.r_q)
         # the greedy policy of the last sweep, and whether it repeated the
         # one before
-        self.active = self.size = self.use_nl = self.jstar = None
+        self.active = self.size = self.use_nl = self.jstar = self.chain = None
         self.repeated = False
 
     def apply(self, w):
@@ -290,6 +291,7 @@ class CompiledBellman:
                          and np.array_equal(use_nl, self.use_nl)
                          and np.array_equal(jstar, self.jstar))
         self.active, self.size, self.use_nl, self.jstar = active, size, use_nl, jstar
+        self.chain = None
         return out
 
     def _fixed_sums(self, obl, floor):
@@ -405,26 +407,39 @@ class CompiledBellman:
         return t, active, k
 
     def policy(self):
-        """The last sweep's policy as a ``PolicyChain``, until the next
-        sweep or ``reprice``."""
-        return PolicyChain(self)
-
-    @functools.cached_property
-    def _flat(self):
-        """Flat positions ``i * n + j`` of the obligatory, candidate and
-        floor entries, computed on the first ``dense_s``."""
-        n = self.n
-        return (self.o_page * n + self.o_idx, self.f_page * n + self.f_idx,
-                self.q_rows * n + self.q_idx)
+        """The last sweep's policy as a ``TransitionMatrix``, built once until
+        the next sweep or ``reprice``: the obligatory links and floors, then
+        the active candidates and each weight page's slack on its master."""
+        if self.chain is None:
+            act, has, o = np.flatnonzero(self.active), self.jstar >= 0, self.o_idx.size
+            self.chain = TransitionMatrix(
+                self.n, self.alpha, self.z, self.hang,
+                np.concatenate([self.o_page, self.q_rows, self.f_page[act], self.sk_page[has]]),
+                np.concatenate([self.o_idx, self.q_idx, self.f_idx[act], self.jstar[has]]),
+                np.concatenate([np.ones(o), self.q_val, np.ones(act.size), self.slack[has]]),
+                (o, o + self.q_idx.size), self.size, self.use_nl, self.active,
+                self.fixed_blocks if self.eliminates else None)
+        return self.chain
 
     @functools.cached_property
     def fixed_blocks(self):
-        """``M^-1`` for ``M = I - damping S_FF`` and ``B = damping M^-1
-        S_FC``, read off the last sweep's ``S``: F's rows are the same in
-        every policy."""
-        s_f = self.policy().dense_s()[self.fixed]
-        m_inv = np.linalg.inv(np.eye(self.fixed.size) - self.alpha * s_f[:, self.fixed])
-        return m_inv, self.alpha * (m_inv @ s_f[:, self.ctrl])
+        """``(F, C, M^-1, B)`` for ``M = I - damping S_FF`` and ``B = damping
+        M^-1 S_FC``: F's rows, uniform on the obligatory links or the no-link
+        row, are the same in every policy."""
+        f, s = self.fixed, np.zeros((self.n, self.n))
+        s[self.o_page, self.o_idx] = 1.0 / self.o_cnt[self.o_page]
+        s[self.plain_nl] = self.hang
+        s_f = s[f]
+        m_inv = np.linalg.inv(np.eye(f.size) - self.alpha * s_f[:, f])
+        return f, self.ctrl, m_inv, self.alpha * (m_inv @ s_f[:, self.ctrl])
+
+    def rbar(self):
+        """``rbar_i = sum_j P_ij r_ij`` of the last sweep's policy and the
+        operator's rewards, summed on the policy's blocks."""
+        chain, has = self.policy(), self.jstar >= 0
+        r_m = self.sk_base[has] + self.dext[self.slots(self.sk_page[has], self.jstar[has])]
+        chosen = np.concatenate([self.r_f[self.active], r_m])
+        return self.alpha * chain.row_sums(self.r_fixed, chosen, self.no_link_base) + self.const
 
     def evaluate(self, x0, tol, max_iter):
         """Value ``v = rbar + damping * S v`` of the last sweep's policy:
@@ -434,8 +449,7 @@ class CompiledBellman:
         the loop goes on as value iteration, past the solve's rounding."""
         if self.repeated and (self.eliminates or self.n <= DENSE_EVAL_CAP):
             return x0
-        chain = self.policy()
-        rbar = chain.rbar()
+        chain, rbar = self.policy(), self.rbar()
         v = chain.solve(rbar)
         return policy_value(chain, rbar, x0, tol, max_iter)[0] if v is None else v
 
@@ -450,117 +464,6 @@ class CompiledBellman:
             choices[page] = (ContinuousChoice((j,), (1.0,)) if j >= 0
                              else ContinuousChoice((), ()))
         return Strategy(choices)
-
-
-class PolicyChain:
-    """The greedy policy of a ``CompiledBellman``'s last sweep, as its chain.
-
-    It has ``TransitionMatrix``'s protocol, plus ``rbar`` and
-    ``p_at_keys``, on the sweep's own blocks, derived once, here: the
-    obligatory links and floors by segment, the active candidates and
-    each weight page's slack on its master by ``bincount``.  Each row is
-    divided once by its size (1 off the uniform rows), and the no-link
-    row replaces the rows that take it.
-    """
-
-    def __init__(self, comp):
-        self.comp = comp
-        self.damping, self.num_pages, self.teleport = comp.alpha, comp.n, comp.z
-        self.size, self.use_nl = comp.size, comp.use_nl
-        self.act, self.has = np.flatnonzero(comp.active), comp.jstar >= 0
-        self.pages, self.cols = comp.f_page[self.act], comp.f_idx[self.act]
-        self.m_pages, self.m_cols = comp.sk_page[self.has], comp.jstar[self.has]
-        self.lift, self.m_pos = comp.slack[self.has], comp.slots(self.m_pages, self.m_cols)
-
-    def _rows(self, fixed, cand, master, no_link):
-        out = fixed + np.bincount(self.pages, cand, minlength=self.num_pages)
-        if self.m_pages.size:
-            out[self.m_pages] += self.lift * master
-        out /= self.size
-        return np.where(self.use_nl, no_link, out)
-
-    def rbar(self):
-        """Expected reward of one step, ``rbar_i = sum_j P_ij r_ij``, of
-        the operator's rewards: the ``rbar`` of ``v = rbar + damping * S v``."""
-        comp = self.comp
-        r_m = comp.sk_base[self.has] + comp.dext[self.m_pos]
-        return (comp.alpha * self._rows(comp.r_fixed, comp.r_f[self.act], r_m,
-                                        comp.no_link_base) + comp.const)
-
-    def apply_s(self, v):
-        """``S v``."""
-        comp = self.comp
-        return self._rows(comp._fixed_sums(v[comp.o_idx], comp.q_val * v[comp.q_idx]),
-                          v[self.cols], v[self.m_cols], float(np.dot(comp.hang, v)))
-
-    def pi_step(self, x):
-        """``x P``: the blocks of ``apply_s`` transposed (the links on ``x /
-        size``, the floors and masters on ``x`` at their pages, the no-link
-        rows' mass times the dangling teleport)."""
-        comp, n, alpha = self.comp, self.num_pages, self.damping
-        y = x / self.size
-        out = (np.bincount(comp.o_idx, y[comp.o_page], minlength=n)
-               + np.bincount(self.cols, y[self.pages], minlength=n)
-               + np.bincount(comp.q_idx, comp.q_val * x[comp.q_rows], minlength=n)
-               + np.bincount(self.m_cols, self.lift * x[self.m_pages], minlength=n)
-               + float(x[self.use_nl].sum()) * comp.hang)
-        return alpha * out + (1.0 - alpha) * float(x.sum()) * self.teleport
-
-    def dense_s(self):
-        """``S`` as a dense ``(n, n)`` array."""
-        comp, n = self.comp, self.num_pages
-        s = np.zeros((n, n))
-        flat = s.reshape(-1)
-        o_flat, f_flat, q_flat = comp._flat
-        inv = 1.0 / self.size
-        flat[o_flat] = inv[comp.o_page]
-        flat[f_flat[self.act]] = inv[self.pages]
-        if comp.sk_page.size:
-            flat[q_flat] = comp.q_val
-            # a master can share its coordinate with a floor entry
-            flat[self.m_pages * n + self.m_cols] += self.lift
-        s[self.use_nl] = comp.hang
-        return s
-
-    def p_at_keys(self):
-        """``P`` at each key of the operator's reward pattern: the blocks'
-        entries summed at their positions in it, a floor entry before a
-        master on its coordinate, as ``dense_s`` sums them."""
-        comp, alpha = self.comp, self.damping
-        inv, col = 1.0 / self.size, comp.keys % comp.n
-        s = np.bincount(np.concatenate([comp.o_pos, comp.f_pos[self.act], comp.q_pos, self.m_pos]),
-                        np.concatenate([inv[comp.o_page], inv[self.pages], comp.q_val, self.lift]),
-                        minlength=comp.keys.size + 1)[:-1]
-        s = np.where(self.use_nl[comp.keys // comp.n], comp.hang[col], s)
-        return alpha * s + (1.0 - alpha) * self.teleport[col]
-
-    def solve(self, rhs, transpose=False):
-        """``TransitionMatrix.solve``, but on the controlled pages C when
-        the operator eliminates the fixed pages F (the stochastic
-        complement; Meyer, *SIAM Review*, 1989).  With ``M``, ``B`` from
-        ``fixed_blocks`` and ``G = I - damping (S_CC + S_CF B)``, and ``a =
-        M^-1 rhs_F``: ``G x_C = rhs_C + damping S_CF a``, ``x_F = a + B
-        x_C``; transposed, ``G^T x_C = rhs_C + B^T rhs_F``, ``x_F = (rhs_F
-        + damping S_CF^T x_C) M^-1``.
-        """
-        comp = self.comp
-        if not comp.eliminates:  # the dense route, on this view's dense_s
-            return TransitionMatrix.solve(self, rhs, transpose)
-        alpha, f, c = self.damping, comp.fixed, comp.ctrl
-        m_inv, b = comp.fixed_blocks
-        s = self.dense_s()
-        s_c = s[c]
-        s_cf = s_c[:, f]
-        g = np.eye(c.size) - alpha * (s_c[:, c] + s_cf @ b)
-        x = np.empty(self.num_pages)
-        if transpose:
-            x[c] = np.linalg.solve(g.T, rhs[c] + b.T @ rhs[f])
-            x[f] = (rhs[f] + alpha * (x[c] @ s_cf)) @ m_inv
-        else:
-            a = m_inv @ rhs[f]
-            x[c] = np.linalg.solve(g, rhs[c] + alpha * (s_cf @ a))
-            x[f] = a + b @ x[c]
-        return x
 
 
 def value_iterate(instance, config=None, w0=None, bellman=None):

@@ -18,9 +18,10 @@ import numpy as np
 
 from pro import graph, oracle
 from pro.errors import InvalidStrategy, SingularSystem, TooLarge, ValidationError
-from pro.graph import Rewards, TransitionMatrix, WebGraphInstance, WeightRows, load_instance
+from pro.graph import (DENSE_EVAL_CAP, ContinuousChoice, Rewards, WebGraphInstance, WeightRows,
+                       load_instance)
 from pro.sparse import (RowSparse, _as_indices, _in_range, _sort_coords, add_sparse,
-                        index_csr)
+                        index_csr, locate, row_ids)
 
 
 def minus_weighted(rewards, matrices, lams):
@@ -58,6 +59,23 @@ def two_page_coupled_doc():
     doc["rewards"] = {"type": "per_page", "values": [0.0, 1.0]}
     doc["coupling"] = [{"per_page": [-1.0, 1.0], "bound": 0.0}]
     return doc
+
+
+def uniform_doc():
+    """Uniform teleport, per-link rewards and single-entry lists."""
+    return {"num_pages": 3, "damping": 0.85, "teleport": "uniform",
+            "obligatory": [[1, 2]], "facultative": [[2, 0]],
+            "rewards": {"type": "per_link", "default": 0.5, "entries": [[2, 0, 1.0]]},
+            "coupling": [{"entries": [[2, 0, 1.0]], "bound": 0.3}]}
+
+
+def fuzz_bases():
+    """The small documents whose fields the command-line fuzz tests vary."""
+    weights = {"num_pages": 3, "damping": 0.85, "teleport": [0.2, 0.3, 0.5],
+               "dangling_teleport": [0.0, 0.5, 0.5], "obligatory": [[1, 2]],
+               "rewards": {"type": "per_page", "values": [0.0, 1.0, 2.0]},
+               "skeleton": [{"page": 0, "q": [0.25, 0.5, 0.25], "mu": 0.5, "banned": [1]}]}
+    return [two_page_doc(), two_page_coupled_doc(), uniform_doc(), weights]
 
 
 def two_page_instance():
@@ -658,9 +676,92 @@ def same_point_set(first, second, tol=1e-8):
     return True
 
 
-# The last sweep's policy of a ``CompiledBellman`` as entry lists, kept as
-# the reference that the operator's own blocks (``policy``, ``dense_s``,
-# ``measure`` and ``p_at_keys``) must match.
+# A chain whose S is one merged, sorted CSR, built from entry lists: the
+# reference that the blocks of ``graph.TransitionMatrix``, from
+# ``build_transition`` or ``CompiledBellman.policy``, must match.
+
+@dataclasses.dataclass(frozen=True)
+class CsrChain:
+    """``TransitionMatrix``'s protocol on ``S`` as one CSR ``srows``, the
+    no-link rows ``dangling`` holding no entry."""
+
+    num_pages: int
+    damping: float
+    teleport: np.ndarray
+    dangling_teleport: np.ndarray
+    srows: RowSparse
+    dangling: np.ndarray
+
+    def pi_step(self, pi):
+        s = self.srows
+        out = np.bincount(s.indices, pi.repeat(s.row_counts()) * s.data, minlength=self.num_pages)
+        out = out + float(pi[self.dangling].sum()) * self.dangling_teleport
+        return self.damping * out + (1.0 - self.damping) * float(pi.sum()) * self.teleport
+
+    def apply_s(self, v):
+        out = self.srows.rightmul(v)
+        out[self.dangling] = float(np.dot(self.dangling_teleport, v))
+        return out
+
+    def dense_s(self):
+        out = self.srows.to_dense()
+        out[self.dangling] = self.dangling_teleport
+        return out
+
+    def dense_p(self):
+        return self.damping * self.dense_s() + (1.0 - self.damping) * self.teleport[None, :]
+
+    def solve(self, rhs, transpose=False):
+        n = self.num_pages
+        if n > DENSE_EVAL_CAP:
+            return None
+        s = self.dense_s()
+        return np.linalg.solve(np.eye(n) - self.damping * (s.T if transpose else s), rhs)
+
+    def p_at(self, keys):
+        n, alpha = self.num_pages, self.damping
+        rows, cols = keys // n, keys % n
+        pos, hit = locate(self.srows.indptr, self.srows.indices, n, rows, cols)
+        s = np.zeros(keys.size)
+        s[hit] = self.srows.data[pos[hit]]
+        s = np.where(self.dangling[rows], self.dangling_teleport[cols], s)
+        return alpha * s + (1.0 - alpha) * self.teleport[cols]
+
+
+def csr_transition(instance, strategy=None):
+    """``strategy``'s chain, unchecked, as ``build_transition`` built it
+    before its blocks: the obligatory and activated links of the link
+    rows, then every weight floor and every lift ``slack * probs``, merged
+    by one sort, a floor entry before a lift on its coordinate."""
+    n, store = instance.num_pages, instance.skeletons
+    choices = {p: store.default_choice(p) for p in store.pages.tolist()}
+    choices.update(strategy.choices if strategy is not None else {})
+    free = {p: ch for p, ch in sorted(choices.items()) if isinstance(ch, ContinuousChoice)}
+    links = [(i, j) for i in range(n) if i not in free
+             for j in [*instance.obligatory_of(i).tolist(),
+                       *getattr(choices.get(i), "activated", ())]]
+    lifts = [(i, j, (store.slack[i] if i in store.pages else 1.0) * p)
+             for i, ch in free.items() for j, p in zip(ch.cols, ch.probs)]
+    links = np.array(links, dtype=np.int64).reshape(-1, 2)
+    lifts = np.array(lifts, dtype=float).reshape(-1, 3)
+    floor = store.floor
+    rows = np.concatenate([links[:, 0], store.pages[row_ids(floor.indptr)],
+                           lifts[:, 0].astype(np.int64)])
+    cols = np.concatenate([links[:, 1], floor.indices, lifts[:, 1].astype(np.int64)])
+    vals = np.concatenate([np.zeros(len(links)), floor.data, lifts[:, 2]])
+    order, first, _ = _sort_coords(n, n, rows, cols)
+    vals = np.bincount(np.cumsum(first) - 1, vals[order])
+    sel = order[first]
+    # a continuous row is clipped at 0 and loses its zeros; a link is
+    # worth 1 / degree
+    keep = (sel < len(links)) | (vals > 0.0)
+    rows, cols, vals, link = rows[sel][keep], cols[sel][keep], vals[keep], sel[keep] < len(links)
+    deg = np.bincount(rows, minlength=n)
+    vals[link] = 1.0 / deg[rows[link]]
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    return CsrChain(n, instance.damping, instance.teleport, instance.dangling_teleport,
+                    RowSparse(n, n, indptr, cols, vals), deg == 0)
+
 
 def policy_entries(comp):
     """Rows, columns, weights and rewards of the policy's entries of S.
@@ -681,16 +782,15 @@ def policy_entries(comp):
 
 
 def policy_chain(comp):
-    """The policy's ``TransitionMatrix``, sorted from its entry lists, and
-    its ``P`` at each pattern key."""
+    """The policy's ``CsrChain``, sorted from its entry lists, and its
+    ``P`` at each pattern key."""
     n = comp.n
     rows, cols, weights, _ = policy_entries(comp)
     order, first, indptr = _sort_coords(n, n, rows, cols)
     # a shared coordinate sums the floor entry, then the master entry
     vals = np.bincount(np.cumsum(first) - 1, weights[order])
-    trans = TransitionMatrix(n, comp.alpha, comp.z, comp.hang,
-                             RowSparse(n, n, indptr, cols[order[first]], vals),
-                             comp.use_nl.copy())
+    trans = CsrChain(n, comp.alpha, comp.z, comp.hang,
+                     RowSparse(n, n, indptr, cols[order[first]], vals), comp.use_nl.copy())
     at, col = comp.keys // n, comp.keys % n
     s = np.bincount(comp.slots(rows, cols), weights, minlength=comp.keys.size + 1)[:-1]
     s = np.where(comp.use_nl[at], comp.hang[col], s)

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 import pro
 from helpers import (
+    fuzz_bases,
     link_web_doc,
     random_continuous_doc,
     random_discrete_doc,
     two_page_coupled_doc,
     two_page_doc,
+    uniform_doc,
     weight_web_doc,
 )
 from pro import analysis, cli, graph
@@ -113,6 +115,37 @@ def test_pagerank_default_row_of_a_page_that_bans_every_target(tmp_path, capsys)
     code, env = _run(capsys, ["pagerank", path])
     assert code == 0
     assert env["result"]["utility"] == pytest.approx(income, abs=1e-9)
+
+
+def test_pagerank_checks_the_weights_of_a_page_without_free_mass(tmp_path, capsys):
+    # with mu = 0 page 2's floor is its whole row, and its weights, which
+    # move no mass, are still checked as a link page's row: no weights, or
+    # a distribution
+    doc = {"num_pages": 3, "damping": 0.85, "teleport": "uniform",
+           "obligatory": [[0, 1], [1, 2]],
+           "rewards": {"type": "per_page", "values": [0.0, 1.0, 2.0]},
+           "skeleton": [{"page": 2, "q": [1.0, 0.0, 0.0], "mu": 0.0}]}
+    path = _write(tmp_path, "g.json", doc)
+    for entries, status in (([[1, 1e300], [2, -5.0]], "error"), ([[1, 1.5]], "error"),
+                            ([[1, 1.0 + 1e-7], [2, -1e-7]], "error"),
+                            ([[1, 0.5], [2, 0.5]], "ok"), ([], "ok")):
+        strategy = {"pages": [{"page": 2, "kind": "free", "row_entries": entries}]}
+        code, env = _run(capsys, ["pagerank", path, "--strategy",
+                                  _write(tmp_path, "s.json", strategy)])
+        assert env["status"] == status, entries
+        if status == "error":
+            assert code == 1
+            assert env["error"]["type"] == "InvalidStrategy"
+            assert "page 2 has no free mass" in env["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["pagerank", "analyze"])
+def test_a_link_activated_twice_is_a_parse_error(tmp_path, capsys, command):
+    strategy = {"pages": [{"page": 0, "kind": "discrete", "activated": [1, 1]}]}
+    code, env = _run(capsys, [command, _write(tmp_path, "g.json", two_page_doc()),
+                              "--strategy", _write(tmp_path, "s.json", strategy)])
+    assert code == 1
+    assert env["error"] == {"type": "ParseError", "message": "activated lists a link twice"}
 
 
 def test_optimize_inlines_a_weight_strategy(tmp_path, capsys):
@@ -603,16 +636,8 @@ def test_threads_flag_pins_env(tmp_path, capsys):
                 os.environ[k] = v
 
 
-def _uniform_doc():
-    # uniform teleport, per-link rewards and single-entry lists
-    return {"num_pages": 3, "damping": 0.85, "teleport": "uniform",
-            "obligatory": [[1, 2]], "facultative": [[2, 0]],
-            "rewards": {"type": "per_link", "default": 0.5, "entries": [[2, 0, 1.0]]},
-            "coupling": [{"entries": [[2, 0, 1.0]], "bound": 0.3}]}
-
-
 def test_page_count_above_the_int64_key_cap_is_refused(tmp_path, capsys):
-    doc = _uniform_doc()
+    doc = uniform_doc()
     doc["num_pages"] = 10 ** 30
     code, env = _run(capsys, ["pagerank", _write(tmp_path, "g.json", doc)])
     assert code == 1
@@ -633,14 +658,6 @@ def test_memory_error_is_a_limit(tmp_path, capsys, monkeypatch):
     assert env["error"]["type"] == "MemoryError"
 
 
-def _fuzz_bases():
-    weights = {"num_pages": 3, "damping": 0.85, "teleport": [0.2, 0.3, 0.5],
-               "dangling_teleport": [0.0, 0.5, 0.5], "obligatory": [[1, 2]],
-               "rewards": {"type": "per_page", "values": [0.0, 1.0, 2.0]},
-               "skeleton": [{"page": 0, "q": [0.25, 0.5, 0.25], "mu": 0.5, "banned": [1]}]}
-    return [two_page_doc(), two_page_coupled_doc(), _uniform_doc(), weights]
-
-
 def _slots(node, path=()):
     """Paths to every field and list element below ``node``."""
     if isinstance(node, list):
@@ -650,7 +667,7 @@ def _slots(node, path=()):
         yield from _slots(child, path + (key,))
 
 
-_FUZZ_SLOTS = [(b, path) for b, doc in enumerate(_fuzz_bases()) for path in _slots(doc)]
+_FUZZ_SLOTS = [(b, path) for b, doc in enumerate(fuzz_bases()) for path in _slots(doc)]
 # no value here is huge but valid: a page count between 10**4 and the cap
 # would allocate gigabytes, a damping above 0.99 run ~10**8 sweeps
 _FUZZ_POOL = [None, True, "x", -1, 0, 1.5, 10 ** 15, 10 ** 30, [], [[0]], [[0, 1]], {"a": 1}]
@@ -664,7 +681,7 @@ _FUZZ_POOL = [None, True, "x", -1, 0, 1.5, 10 ** 15, 10 ** 30, [], [[0]], [[0, 1
 @example((2, ("coupling", 0, "entries", 0, 0)), [[0, 1]])
 def test_fuzzed_documents_end_in_one_envelope(slot, value):
     base, path = slot
-    doc = _fuzz_bases()[base]
+    doc = fuzz_bases()[base]
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -695,7 +712,7 @@ def test_fuzzed_strategy_documents_end_in_one_envelope(tmp_path):
     # every field and list element of each base's solved strategy, set to
     # every value of the pool, through both commands that read a strategy
     failures = []
-    for base, doc in enumerate(_fuzz_bases()):
+    for base, doc in enumerate(fuzz_bases()):
         inst_path = _write(tmp_path, f"g{base}.json", doc)
         solved = _solved_strategy(doc)
         for path in _slots(solved):

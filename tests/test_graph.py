@@ -11,13 +11,14 @@ import pytest
 from pro.errors import InvalidStrategy, ParseError, ValidationError
 from pro.graph import (ContinuousChoice, DiscreteChoice, Rewards, Strategy,
                        build_transition, load_instance, load_strategy)
+from pro.chain import utility_from_chain
 from pro.solver_coupled import solve_coupled
 from pro.solver_local import SolverConfig, value_iterate
 
-from helpers import (add_active_coupling, instance_arrays, link_web_doc, local_only,
-                     random_continuous_doc, random_discrete_doc, random_strategy,
-                     reference_reader, two_page_doc, two_page_instance, weight_box,
-                     weight_web_doc)
+from helpers import (add_active_coupling, csr_transition, fuzz_bases, instance_arrays,
+                     link_web_doc, local_only, mixed_doc, random_continuous_doc,
+                     random_discrete_doc, random_strategy, reference_reader, two_page_doc,
+                     two_page_instance, weight_box, weight_web_doc)
 
 DATA = Path(__file__).parent / "data"
 
@@ -235,7 +236,8 @@ def test_build_transition_rejects_repeated_columns():
            "obligatory": [[0, 1], [1, 2]], "facultative": [[0, 2]],
            "rewards": {"type": "per_page", "values": [0.0, 1.0, 0.5]}}
     inst = load_instance(doc)
-    with pytest.raises(ValidationError):
+    # a link activated twice is the strategy's fault, named with its page
+    with pytest.raises(InvalidStrategy, match=r"link \(0, 2\) is activated twice"):
         build_transition(inst, Strategy({0: DiscreteChoice((2, 2))}))
     # the row read with the column once is admissible
     build_transition(inst, Strategy({0: ContinuousChoice((1,), (1.0,))}))
@@ -303,12 +305,106 @@ def test_build_transition_matches_page_by_page_reference():
         for strategy in (Strategy({}), random_strategy(rng, inst)):
             trans = build_transition(inst, strategy)
             s, dangling = _reference_outlink_rows(inst, strategy)
-            srows = trans.srows
-            assert np.array_equal(srows.to_dense(), s)
-            assert srows.nnz == np.count_nonzero(s)
-            for i in range(inst.num_pages):
-                assert np.all(np.diff(srows.row_slice(i)[0]) > 0)
+            expect = np.where(dangling[:, None], inst.dangling_teleport, s)
+            assert np.array_equal(trans.dense_s(), expect)
             assert np.array_equal(trans.dangling, dangling)
+
+
+def _extract_cases(rng):
+    docs = [random_discrete_doc(rng) for _ in range(6)]
+    docs += [random_continuous_doc(rng, n_max=20) for _ in range(4)]
+    docs += [mixed_doc(rng, n=int(rng.integers(4, 40))) for _ in range(4)]
+    docs += [link_web_doc(rng, 150, 20, 10), weight_web_doc(rng, 120, 6)]
+    return [(inst, value_iterate(inst)[1]) for inst in map(load_instance, docs)]
+
+
+def _mixture_cases(rng):
+    cases = []
+    for doc in (link_web_doc(rng, 100, 10, 5), link_web_doc(rng, 60, 8, 6),
+                random_continuous_doc(rng, n_max=12), mixed_doc(rng, n=9)):
+        inst = load_instance(add_active_coupling(doc, rng))
+        res = solve_coupled(inst)
+        cases += [(inst, r.strategy) for r in (res.candidate, res.best_feasible) if r]
+    # some candidate mixes link subsets into a free row
+    assert any(isinstance(ch, ContinuousChoice) and page not in inst.skeletons.pages
+               for inst, strat in cases for page, ch in strat.choices.items())
+    return cases
+
+
+def _default_cases(rng):
+    # a weight page whose every target is banned keeps its floor alone
+    banned = mixed_doc(rng, n=9)
+    banned["skeleton"][0].update(mu=0.0, banned=list(range(9)))
+    docs = [random_continuous_doc(rng, n_max=20), mixed_doc(rng, n=12),
+            weight_web_doc(rng, 120, 6), banned]
+    return [(load_instance(doc), None) for doc in docs]
+
+
+def _random_cases(rng):
+    docs = [random_discrete_doc(rng) for _ in range(6)]
+    docs += [random_continuous_doc(rng, n_max=12) for _ in range(4)]
+    docs += [mixed_doc(rng, n=int(rng.integers(4, 20))) for _ in range(4)]
+    return [(inst, random_strategy(rng, inst)) for inst in map(load_instance, docs)]
+
+
+def _fuzz_cases(rng):
+    cases = []
+    for inst in map(load_instance, fuzz_bases()):
+        solved = (solve_coupled(inst).candidate.strategy if inst.coupling
+                  else value_iterate(inst)[1])
+        cases += [(inst, solved), (inst, None)]
+    return cases
+
+
+def _floor_cases(rng):
+    # page 0's floor is (0.3, 0.3 - 6e-13, 6e-13, 0) and its slack 0.4;
+    # page 1 keeps 1->2 and may add 1->3
+    doc = {"num_pages": 4, "damping": 0.8, "teleport": "uniform",
+           "obligatory": [[1, 2], [2, 0]], "facultative": [[1, 3]],
+           "rewards": {"type": "per_page", "values": [0.0, 1.0, 0.5, 0.2]},
+           "skeleton": [{"page": 0, "q": [0.5, 0.5 - 1e-12, 1e-12, 0.0], "mu": 0.4}]}
+    inst = load_instance(doc)
+    return [(inst, Strategy(choices)) for choices in (
+        # lifts on floor entries' coordinates
+        {0: ContinuousChoice((0, 1), (0.25, 0.75))},
+        # a lift below minus its floor entry, and one below 0 off the
+        # floor: both sums are clipped at 0
+        {0: ContinuousChoice((0, 2, 3), (1.0 + 3e-12 + 1e-10, -3e-12, -1e-10))},
+        # a free row on a link page, clipped at 0
+        {0: ContinuousChoice((1,), (1.0,)), 1: ContinuousChoice((2, 3), (1.0 + 1e-10, -1e-10))},
+    )]
+
+
+_CHAIN_SOURCES = {"extract": _extract_cases, "mixture": _mixture_cases,
+                  "default": _default_cases, "random": _random_cases,
+                  "fuzz": _fuzz_cases, "floor": _floor_cases}
+
+
+@pytest.mark.parametrize("source", sorted(_CHAIN_SOURCES))
+def test_blocks_match_the_merged_csr_reference(source):
+    # the chain's blocks against one merged, sorted CSR built from the same
+    # strategy: S and the no-link rows bit for bit, and so each dense solve
+    # and each income; the products within rounding
+    rng = np.random.default_rng(3031)
+    for inst, strat in _CHAIN_SOURCES[source](rng):
+        trans, ref = build_transition(inst, strat), csr_transition(inst, strat)
+        n = inst.num_pages
+        assert np.array_equal(trans.dangling, ref.dangling)
+        s = trans.dense_s()
+        assert np.array_equal(s, ref.dense_s())
+        assert s.min() >= 0.0
+        x = rng.random(n)
+        x /= x.sum()
+        step = ref.pi_step(x)
+        assert np.abs(trans.pi_step(x) - step).max() <= 8 * np.spacing(np.abs(step).max())
+        v = rng.normal(size=n) * 10.0
+        assert np.abs(trans.apply_s(v) - ref.apply_s(v)).max() <= 8 * np.spacing(np.abs(v).max())
+        for transpose in (False, True):
+            rhs = rng.normal(size=n)
+            got, want = trans.solve(rhs, transpose), ref.solve(rhs, transpose)
+            assert (got is None and want is None) or np.array_equal(got, want)
+        for rewards in (inst.rewards, *(c.weights for c in inst.coupling)):
+            assert utility_from_chain(trans, x, rewards) == utility_from_chain(ref, x, rewards)
 
 
 def test_continuous_choice_replaces_a_link_row():
@@ -401,6 +497,13 @@ def test_free_rows_on_link_pages_are_checked_together():
             build_transition(inst, Strategy({0: first, 1: off}))
 
 
+def _assert_same_blocks(first, second):
+    """Two chains hold the same blocks, bit for bit."""
+    assert first.ends == second.ends
+    for field in ("rows", "cols", "vals", "size", "dangling", "activated"):
+        assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
+
+
 def test_weight_strategy_has_one_entry_per_page_and_round_trips():
     # the shape of the web-weights benchmark: 3,000 pages, 30 dense skeletons
     inst = load_instance(weight_web_doc(np.random.default_rng(3020), 3000, 30))
@@ -408,11 +511,8 @@ def test_weight_strategy_has_one_entry_per_page_and_round_trips():
     doc = json.loads(json.dumps(strat.to_json_dict()))
     assert [p["page"] for p in doc["pages"]] == inst.skeletons.pages.tolist()
     assert all(p["kind"] == "free" and len(p["row_entries"]) <= 1 for p in doc["pages"])
-    first = build_transition(inst, strat)
-    again = build_transition(inst, load_strategy(doc, inst))
-    for field in ("indptr", "indices", "data"):
-        assert getattr(first.srows, field).tobytes() == getattr(again.srows, field).tobytes()
-    assert np.array_equal(first.dangling, again.dangling)
+    _assert_same_blocks(build_transition(inst, strat),
+                        build_transition(inst, load_strategy(doc, inst)))
 
 
 def test_coupled_candidate_round_trips_to_the_same_chain():
@@ -425,10 +525,7 @@ def test_coupled_candidate_round_trips_to_the_same_chain():
         doc = json.loads(json.dumps(strat.to_json_dict()))
         again = load_strategy(doc, inst)
         assert again == strat
-        first, second = build_transition(inst, strat), build_transition(inst, again)
-        for field in ("indptr", "indices", "data"):
-            assert getattr(first.srows, field).tobytes() == getattr(second.srows, field).tobytes()
-        assert np.array_equal(first.dangling, second.dangling)
+        _assert_same_blocks(build_transition(inst, strat), build_transition(inst, again))
     mixed = [page for page, ch in res.candidate.strategy.choices.items()
              if isinstance(ch, ContinuousChoice)]
     assert mixed and not np.isin(mixed, inst.skeletons.pages).any()
@@ -448,8 +545,8 @@ def test_recorded_strategy_files_load():
         assert {p["kind"] for p in case["strategy"]["pages"]} >= {"free"}
         loaded.append(load_strategy(case["strategy"], inst))
         trans = build_transition(inst, loaded[-1])
-        np.testing.assert_allclose(trans.srows.to_dense(), case["outlink_rows"],
-                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.where(trans.dangling[:, None], 0.0, trans.dense_s()),
+                                   case["outlink_rows"], rtol=0.0, atol=1e-12)
         assert trans.dangling.tolist() == case["dangling"]
     # each weight page of the optimum holds its master alone (none where
     # mu = 0): the conversion's rounding left no entries behind

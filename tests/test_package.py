@@ -1,6 +1,9 @@
 """The package's layout: every public name in ``src/pro`` is one the program uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pro
@@ -66,3 +69,13 @@ def test_every_public_name_is_used_by_the_program():
     unused = sorted(f"{module}.{name}" for name, module in defined.items()
                     if name not in used and name not in pro._EXPORTS and name not in KEPT)
     assert unused == []
+
+
+def test_graph_loads_apart_from_the_solvers():
+    # the chain class lives in pro.graph, which the enumeration and the
+    # simplex import: it must pull in neither solver nor the audit
+    fast = ("pro.solver_local", "pro.solver_coupled", "pro.analysis")
+    code = f"import sys, pro.graph; print([m for m in {fast!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"

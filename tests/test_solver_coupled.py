@@ -287,7 +287,7 @@ def test_columns_off_the_reduced_path_match_exact_chains():
     # the cap, the operator does not eliminate: each column's measure is
     # ``stationary`` on the operator's policy from its dense solve or the
     # last column's measure, and its incomes read P off the same blocks
-    # (``p_at_keys``): the same check as on the eliminated path
+    # (``p_at``): the same check as on the eliminated path
     rng = np.random.default_rng(98)
     docs = [random_continuous_doc(rng, n_max=20) for _ in range(3)]
     docs.append(link_web_doc(rng, 120, 5, 15))

@@ -526,7 +526,7 @@ def _evaluation_docs(rng):
 
 def _entry_form(comp):
     """The last sweep's policy as ``(rbar, trans)``, read off its entry
-    lists: its reward vector and ``policy_chain``'s ``TransitionMatrix``."""
+    lists: its reward vector and ``policy_chain``'s ``CsrChain``."""
     trans, _ = policy_chain(comp)
     rows, _, weights, rewards = policy_entries(comp)
     rbar = np.bincount(rows, weights * rewards, minlength=comp.n)
@@ -535,9 +535,9 @@ def _entry_form(comp):
 
 
 def test_policy_blocks_match_entry_lists():
-    # the operator's policy view gives the policy's system (rbar, apply_s,
-    # dense_s), its chain for stationary (pi_step) and its P at the
-    # pattern keys (p_at_keys) as the entry lists do
+    # the operator's policy chain gives the policy's system (the
+    # operator's rbar, apply_s, dense_s), its steps for stationary
+    # (pi_step) and its P at the pattern keys (p_at) as the entry lists do
     rng = np.random.default_rng(3014)
     seen = {"no_link": 0, "no_master": 0, "above_cap": 0}
     for doc in _evaluation_docs(rng):
@@ -553,7 +553,7 @@ def test_policy_blocks_match_entry_lists():
             assert view.teleport is comp.z
             v = rng.normal(size=n) * 10.0
             r_scale = comp.alpha * inst.rewards.max_abs() + float(np.abs(comp.const).max())
-            assert np.abs(view.rbar() - ref_rbar).max() <= 8 * np.spacing(max(r_scale, 1e-300))
+            assert np.abs(comp.rbar() - ref_rbar).max() <= 8 * np.spacing(max(r_scale, 1e-300))
             assert np.abs(view.apply_s(v) - ref_chain.apply_s(v)).max() \
                 <= 8 * np.spacing(np.abs(v).max())
             assert np.array_equal(view.dense_s(), ref_chain.dense_s())
@@ -562,7 +562,7 @@ def test_policy_blocks_match_entry_lists():
             ref_step = ref_chain.pi_step(x)
             assert np.abs(view.pi_step(x) - ref_step).max() \
                 <= 8 * np.spacing(np.abs(ref_step).max())
-            assert np.array_equal(view.p_at_keys(), ref_p)
+            assert np.array_equal(view.p_at(comp.keys), ref_p)
             seen["no_link"] += int(comp.use_nl.any())
             seen["no_master"] += int(np.any(comp.jstar < 0))
             seen["above_cap"] += n > DENSE_EVAL_CAP
@@ -570,10 +570,10 @@ def test_policy_blocks_match_entry_lists():
 
 
 def test_policy_solve_matches_a_dense_solve_of_its_chain():
-    # both orientations of the view's solve against a dense solve of the
-    # entry lists' TransitionMatrix: the same dense solve bit for bit when
+    # both orientations of the policy chain's solve against a dense solve
+    # of the entry lists' CsrChain: the same dense solve bit for bit when
     # the operator does not eliminate, within rounding when it does, and
-    # None, like TransitionMatrix.solve, above the cap otherwise
+    # None, like CsrChain.solve, above the cap otherwise
     rng = np.random.default_rng(3016)
     seen = dict.fromkeys(["dense", "eliminated", "eliminated_above_cap", "none"], 0)
     for doc in _evaluation_docs(rng):
