@@ -260,81 +260,116 @@ class Strategy:
         return {"pages": pages}
 
 
+def _runs(rows):
+    """The rows of the runs of equal ``rows``, and where each run starts,
+    then ``rows.size``."""
+    new = np.ones(rows.size + 1, dtype=bool)
+    new[1:-1] = rows[1:] != rows[:-1]
+    starts = np.flatnonzero(new)
+    return rows[starts[:-1]], starts
+
+
 @dataclass(frozen=True)
+class FixedPart:
+    """The entries of ``S`` that no policy chooses, held once and shared:
+    the obligatory links of the rows that keep them (value 1), then the
+    weight floors ``(1 - mu) q``, each block in row order; no row has
+    both.  ``blocks``, if given, is ``(F, C, M^-1, B)`` for pages F whose
+    rows every chain on this part shares (``TransitionMatrix.solve``)."""
+
+    num_pages: int
+    obl_rows: np.ndarray
+    obl_cols: np.ndarray
+    floor_rows: np.ndarray
+    floor_cols: np.ndarray
+    floor_vals: np.ndarray
+    blocks: Optional[tuple] = None
+
+    @cached_property
+    def runs(self):
+        """``_runs`` of the obligatory block, then of the floors."""
+        return [_runs(self.obl_rows), _runs(self.floor_rows)]
+
+    @cached_property
+    def keys(self):
+        """Each entry's flat key ``i * n + j``, the obligatory links first."""
+        n = self.num_pages
+        return np.append(self.obl_rows * n + self.obl_cols, self.floor_rows * n + self.floor_cols)
+
+    def sums(self, obl, floor):
+        """Per row, the sum of ``obl`` over its obligatory links or of
+        ``floor`` over its floor, in order; 0 on the other rows."""
+        out = np.zeros(self.num_pages)
+        for (rows, starts), x in zip(self.runs, (obl, floor)):
+            out[rows] = np.add.reduceat(x, starts[:-1])
+        return out
+
+
+@dataclass(eq=False)
 class TransitionMatrix:
     """Surfer chain ``P = damping * S + (1 - damping) * ones @ teleport``.
 
-    ``S`` is the entries a strategy picks, in blocks laid end to end in
-    ``rows``, ``cols`` and ``vals``, never merged: up to ``ends[0]`` the
-    obligatory links of the rows that keep them (value 1), up to
-    ``ends[1]`` the weight floors, then the activated facultative links
-    (value 1; ``activated`` masks the facultative CSR) and the lifts
-    ``slack * probs``.  Row i of ``S`` is its entries' sum divided once by
-    ``size[i]``, its link count on a uniform row and 1 elsewhere; a lift
-    adds to a floor entry on its coordinate, floor first, and no such sum
-    is below 0.  The ``dangling`` rows jump by ``dangling_teleport``.  The
-    teleport term is applied on the fly.  ``eliminate``, if given, is ``(F,
-    C, M^-1, B)`` for pages F whose rows every policy of one operator
-    shares (``solve``).
+    ``S`` is a ``fixed`` part, held by reference (``FixedPart``), and the
+    entries a strategy chooses, laid end to end in ``rows``, ``cols`` and
+    ``vals``: the activated facultative links (value 1; ``activated``
+    masks the facultative CSR), then the lifts ``slack * probs``.  Row i
+    of ``S`` is its entries' sum divided once by ``size[i]``, its link
+    count on a uniform row and 1 elsewhere; a lift adds to a floor entry
+    on its coordinate, floor first, and no such sum is below 0.  No
+    coordinate has two fixed or two chosen entries.  The ``dangling``
+    rows jump by ``dangling_teleport``.  The teleport term is applied on
+    the fly.
     """
 
     num_pages: int
     damping: float
     teleport: np.ndarray
     dangling_teleport: np.ndarray
+    fixed: FixedPart
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    ends: tuple
     size: np.ndarray
     dangling: np.ndarray
     activated: np.ndarray
-    eliminate: Optional[tuple] = None
 
     @cached_property
-    def _runs(self):
-        """``(starts, rows, counts)`` of the runs of one row's entries in a block."""
-        new = np.ones(self.rows.size + 1, dtype=bool)
-        new[1:-1] = self.rows[1:] != self.rows[:-1]
-        new[self.ends[0]] = new[self.ends[1]] = True
-        starts = np.flatnonzero(new)
-        return starts[:-1], self.rows[starts[:-1]], np.diff(starts)
+    def _step_entries(self):
+        """``pi_step``'s entries, fixed then chosen: their columns and shares
+        of ``S``, and the rows and lengths of their runs of one row."""
+        f = self.fixed
+        run_rows, starts = _runs(np.concatenate([f.obl_rows, f.floor_rows, self.rows]))
+        return (np.concatenate([f.obl_cols, f.floor_cols, self.cols]), self._shares, run_rows,
+                np.diff(starts))
+
+    @cached_property
+    def _shares(self):
+        """Each entry's share of ``S``, fixed then chosen (a floor row's size is 1)."""
+        f = self.fixed
+        return np.concatenate([1.0 / self.size[f.obl_rows], f.floor_vals,
+                               self.vals / self.size[self.rows]])
 
     @cached_property
     def _keys(self):
-        """Each entry's flat key ``i * n + j``."""
-        return self.rows * self.num_pages + self.cols
-
-    @cached_property
-    def _weights(self):
-        """Each entry's share of ``S``: its value over its row's size."""
-        return self.vals / self.size[self.rows]
+        """Each entry's flat key ``i * n + j``, fixed then chosen, for ``p_at``."""
+        return np.concatenate([self.fixed.keys, self.rows * self.num_pages + self.cols])
 
     def row_sums(self, fixed, chosen, no_link):
         """Per row, ``(fixed + its chosen entries' vals * chosen) / size``, or ``no_link``."""
-        b = self.ends[1]
-        out = fixed + np.bincount(self.rows[b:], self.vals[b:] * chosen,
-                                  minlength=self.num_pages)
+        out = fixed + np.bincount(self.rows, self.vals * chosen, minlength=self.num_pages)
         out /= self.size
         return np.where(self.dangling, no_link, out)
 
     def apply_s(self, v):
         """``S v``: each row's fixed entries summed in order, then its chosen ones."""
-        a, b = self.ends
-        starts, rows, _ = self._runs
-        k = np.searchsorted(starts, b)
-        e = v[self.cols[:b]]
-        e[a:] *= self.vals[a:b]
-        fixed = np.zeros(self.num_pages)
-        if k:
-            fixed[rows[:k]] = np.add.reduceat(e, starts[:k])
-        return self.row_sums(fixed, v[self.cols[b:]], float(np.dot(self.dangling_teleport, v)))
+        f = self.fixed
+        return self.row_sums(f.sums(v[f.obl_cols], v[f.floor_cols] * f.floor_vals),
+                             v[self.cols], float(np.dot(self.dangling_teleport, v)))
 
     def pi_step(self, pi):
         """One application ``pi -> pi P`` for a probability vector pi."""
-        _, rows, counts = self._runs
-        out = np.bincount(self.cols, pi[rows].repeat(counts) * self._weights,
-                          minlength=self.num_pages)
+        cols, shares, rows, counts = self._step_entries
+        out = np.bincount(cols, pi[rows].repeat(counts) * shares, minlength=self.num_pages)
         hang = float(pi[self.dangling].sum())
         if hang != 0.0:
             out = out + hang * self.dangling_teleport
@@ -342,10 +377,11 @@ class TransitionMatrix:
 
     def dense_s(self):
         """``S`` as a dense ``(n, n)`` array."""
-        n = self.num_pages
-        # bincount counts in int64 when there is no entry at all
-        s = np.bincount(self._keys, self._weights, minlength=n * n)
-        s = s.astype(float, copy=False).reshape(n, n)
+        n, f = self.num_pages, self.fixed
+        s = np.zeros((n, n))
+        # the fixed entries, then the chosen ones: each coordinate once per part
+        s.ravel()[f.keys] += self._shares[:f.keys.size]
+        s.ravel()[self.rows * n + self.cols] += self._shares[f.keys.size:]
         s[self.dangling] = self.dangling_teleport
         return s
 
@@ -356,27 +392,27 @@ class TransitionMatrix:
         """``P`` at the ascending flat keys ``i * n + j``, summed as ``dense_s``."""
         n, alpha = self.num_pages, self.damping
         pos, hit = find_sorted(keys, self._keys)
-        s = np.bincount(pos[hit], self._weights[hit], minlength=keys.size)
+        s = np.bincount(pos[hit], self._shares[hit], minlength=keys.size)
         col = keys % n
         s = np.where(self.dangling[keys // n], self.dangling_teleport[col], s)
         return alpha * s + (1.0 - alpha) * self.teleport[col]
 
     def solve(self, rhs, transpose=False):
         """``x`` with ``(I - damping S) x = rhs``, or its transpose: dense up
-        to ``DENSE_EVAL_CAP`` pages and ``None`` above, or, given
-        ``eliminate``, on the pages C outside F (the stochastic complement;
-        Meyer, *SIAM Review*, 1989).  With ``G = I - damping (S_CC + S_CF
-        B)`` and ``a = M^-1 rhs_F``: ``G x_C = rhs_C + damping S_CF a``,
-        ``x_F = a + B x_C``; transposed, ``G^T x_C = rhs_C + B^T rhs_F``,
-        ``x_F = (rhs_F + damping S_CF^T x_C) M^-1``.
+        to ``DENSE_EVAL_CAP`` pages and ``None`` above, or, given the fixed
+        part's ``blocks``, on the pages C outside F (the stochastic
+        complement; Meyer, *SIAM Review*, 1989).  With ``G = I - damping
+        (S_CC + S_CF B)`` and ``a = M^-1 rhs_F``: ``G x_C = rhs_C + damping
+        S_CF a``, ``x_F = a + B x_C``; transposed, ``G^T x_C = rhs_C + B^T
+        rhs_F``, ``x_F = (rhs_F + damping S_CF^T x_C) M^-1``.
         """
         n, alpha = self.num_pages, self.damping
-        if self.eliminate is None:
+        if self.fixed.blocks is None:
             if n > DENSE_EVAL_CAP:
                 return None
             s = self.dense_s()
             return np.linalg.solve(np.eye(n) - alpha * (s.T if transpose else s), rhs)
-        f, c, m_inv, b = self.eliminate
+        f, c, m_inv, b = self.fixed.blocks
         s_c = self.dense_s()[c]
         s_cf = s_c[:, f]
         g = np.eye(c.size) - alpha * (s_c[:, c] + s_cf @ b)
@@ -684,29 +720,29 @@ def load_strategy(source, instance):
     return Strategy(choices)
 
 
-def _free_entries(instance, is_weight, pages, picked):
+def _free_entries(instance, fixed, is_weight, pages, picked):
     """The lifts ``(rows, cols, slack * probs)`` of checked continuous rows.
 
     ``picked[k]`` is the ``ContinuousChoice`` of page ``pages[k]``, and
     every weight page (``is_weight``, a mask over pages) is among
-    ``pages``.  A row is ``floor + slack * probs`` with floor and slack
-    from ``instance.skeletons`` (0 and 1 off the weight pages).  A lift
-    below minus the floor entry at its coordinate is raised to it, so no
-    sum is below 0.  Every check reads the outlink row with tolerance
+    ``pages``.  A row is ``floor + slack * probs``, its floor in ``fixed``
+    and slack in ``instance.skeletons`` (0 and 1 off the weight pages).  A
+    lift below minus the floor entry at its coordinate is raised to it, so
+    no sum is below 0.  Every check reads the outlink row with tolerance
     ``STRATEGY_TOL / damping``, ``STRATEGY_TOL`` on the chain row.  Each
     row sums to one, and no choice names a column twice.  On a weight
     page the lift is at least ``-tol``, and at most ``tol`` on a banned
-    target (every other cap is 1); with no slack, the weights are none,
-    or sum to one with none below ``-tol``, as on a link page.  The link
-    pages' rows are separated against their outlink facets at once, and
-    the error names the page of the worst violation.
+    target (every other cap is 1); with a slack of at most ``tol`` (none or
+    a rounding residue), the weights are none, or sum to one with none
+    below ``-tol``, as on a link page.  The link pages' rows are separated
+    against their outlink facets at once, and the error names the page of
+    the worst violation.
     """
     n = instance.num_pages
     if not picked:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     tol = STRATEGY_TOL / instance.damping
     store = instance.skeletons
-    floor = store.floor
     sizes = [len(ch.cols) for ch in picked]
     if sizes != [len(ch.probs) for ch in picked]:
         raise InvalidStrategy("a continuous choice needs one weight per column")
@@ -720,9 +756,8 @@ def _free_entries(instance, is_weight, pages, picked):
     if not np.all(np.isfinite(probs)):
         raise InvalidStrategy("a continuous choice has a weight that is not finite")
     lift = np.where(is_weight[rows], store.slack[rows], 1.0) * probs
-    f_rows = store.pages[row_ids(floor.indptr)]
-    mass = np.bincount(np.concatenate([f_rows, rows]), np.concatenate([floor.data, lift]),
-                       minlength=n)[pages]
+    mass = np.bincount(np.concatenate([fixed.floor_rows, rows]),
+                       np.concatenate([fixed.floor_vals, lift]), minlength=n)[pages]
     bad = np.flatnonzero(np.abs(mass - 1.0) > tol)
     if bad.size:
         raise InvalidStrategy(f"row for page {pages[bad[0]]} is not stochastic")
@@ -736,7 +771,7 @@ def _free_entries(instance, is_weight, pages, picked):
     owner = np.repeat(np.arange(pages.size), sizes)
     wrong = (np.abs(np.bincount(owner, probs, minlength=pages.size) - 1.0) > tol) \
         | (np.bincount(owner, probs < -tol, minlength=pages.size) > 0)
-    bad = np.flatnonzero(is_weight[pages] & (store.slack[pages] == 0.0) & wrong
+    bad = np.flatnonzero(is_weight[pages] & (store.slack[pages] <= tol) & wrong
                          & (np.asarray(sizes) > 0))
     if bad.size:
         raise InvalidStrategy(f"page {pages[bad[0]]} has no free mass, and its weights "
@@ -755,8 +790,8 @@ def _free_entries(instance, is_weight, pages, picked):
     if np.any(keys[1:] == keys[:-1]):
         raise InvalidStrategy("a continuous choice names a column twice")
     least = np.zeros(lift.size)
-    at, on = find_sorted(f_rows * n + floor.indices, rows * n + cols)
-    least[on] = -floor.data[at[on]]
+    at, on = find_sorted(fixed.floor_rows * n + fixed.floor_cols, rows * n + cols)
+    least[on] = -fixed.floor_vals[at[on]]
     return rows, cols, np.maximum(lift, least)
 
 
@@ -829,8 +864,6 @@ def build_transition(instance, strategy=None):
         if page not in choices:
             free_pages.append(page)
             free.append(store.default_choice(page))
-    l_rows, l_cols, lift = _free_entries(instance, is_weight, free_pages, free)
-
     # a continuous row replaces its page's links; the other rows keep
     # their obligatory links and add the activated ones
     is_cont = np.zeros(n, dtype=bool)
@@ -838,18 +871,18 @@ def build_transition(instance, strategy=None):
     o_rows = row_ids(instance.obl_indptr)
     keep = ~is_cont[o_rows]
     o_rows = o_rows[keep]
+    floor = store.floor
+    fixed = FixedPart(n, o_rows, instance.obl_indices[keep], store.pages[row_ids(floor.indptr)],
+                      floor.indices, floor.data)
+    l_rows, l_cols, lift = _free_entries(instance, fixed, is_weight, free_pages, free)
     a_rows = row_ids(instance.fac_indptr)[activated]
     deg = np.bincount(o_rows, minlength=n) + np.bincount(a_rows, minlength=n)
-    floor = store.floor
-    ends = (o_rows.size, o_rows.size + floor.nnz)
     # every continuous row has outlink mass, so only link pages can dangle
     return TransitionMatrix(
-        n, instance.damping, instance.teleport, instance.dangling_teleport,
-        np.concatenate([o_rows, store.pages[row_ids(floor.indptr)], a_rows, l_rows]),
-        np.concatenate([instance.obl_indices[keep], floor.indices,
-                        instance.fac_indices[activated], l_cols]),
-        np.concatenate([np.ones(ends[0]), floor.data, np.ones(a_rows.size), lift]),
-        ends, np.maximum(deg, 1).astype(float), (deg == 0) & ~is_cont, activated)
+        n, instance.damping, instance.teleport, instance.dangling_teleport, fixed,
+        np.concatenate([a_rows, l_rows]), np.concatenate([instance.fac_indices[activated], l_cols]),
+        np.concatenate([np.ones(a_rows.size), lift]),
+        np.maximum(deg, 1).astype(float), (deg == 0) & ~is_cont, activated)
 
 
 def instance_facets(instance, pages):

@@ -27,7 +27,6 @@ constants.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +35,7 @@ import numpy as np
 from .chain import (DENSE_EVAL_CAP, ROUNDING, check_tol, iteration_budget, policy_value,
                     span_iterate)
 from .errors import CouplingPresent, MaxIterExceeded, ValidationError
-from .graph import ContinuousChoice, DiscreteChoice, Strategy, TransitionMatrix
+from .graph import ContinuousChoice, DiscreteChoice, FixedPart, Strategy, TransitionMatrix
 from .sparse import find_sorted, row_ids
 
 # An iterative evaluation stops once its own bracket is below this share
@@ -130,13 +129,15 @@ class CompiledBellman:
     Each sweep also keeps its greedy policy (active candidates, no-link
     pages, weight pages' ``j*``), and sets ``repeated`` when that policy
     equals the previous sweep's.  ``policy`` gives it as a
-    ``TransitionMatrix`` on the sweep's own blocks and ``rbar`` as its
-    one-step rewards, which ``evaluate`` and ``chain.stationary`` solve,
+    ``TransitionMatrix``: its chosen entries on the operator's one
+    ``FixedPart`` (``part``: the obligatory links and floors, which the
+    sweep, ``reprice`` and ``rbar`` sum by ``part.sums``).  ``evaluate``
+    and ``chain.stationary`` solve it with ``rbar``, its one-step rewards,
     and ``extract`` turns it into a ``Strategy``.  The fixed pages F (no
     facultative link, no weight row) have one row in every policy; with
-    0 < |F| and |F|, |C| at most ``DENSE_EVAL_CAP``, ``eliminates`` is set
-    and each policy is solved on the controlled pages C.  One instance
-    serves one caller at a time.
+    0 < |F| and |F|, |C| at most ``DENSE_EVAL_CAP``, ``eliminates`` is set,
+    ``part.blocks`` holds ``fixed_blocks`` and each policy is solved on the
+    controlled pages C.  One instance serves one caller at a time.
     """
 
     def __init__(self, instance, rewards, scale=1.0):
@@ -156,8 +157,6 @@ class CompiledBellman:
         self.keys = row_ids(rewards.delta.indptr) * n + rewards.delta.indices
         self.o_pos = self.slots(self.o_page, self.o_idx)
         self.f_pos = self.slots(self.f_page, self.f_idx)
-        self.o_rows = np.flatnonzero(o_cnt > 0)
-        self.o_starts = o_indptr[self.o_rows]
         # facultative blocks, one reduceat segment per page that has one
         self.f_rows = np.flatnonzero(f_cnt > 0)
         self.f_starts = f_indptr[self.f_rows]
@@ -179,6 +178,8 @@ class CompiledBellman:
         fixed[self.f_rows] = fixed[self.sk_page] = False
         self.fixed, self.ctrl = np.flatnonzero(fixed), np.flatnonzero(~fixed)
         self.eliminates = 0 < self.fixed.size <= DENSE_EVAL_CAP and self.ctrl.size <= DENSE_EVAL_CAP
+        self.part = FixedPart(n, self.o_page, self.o_idx, self.q_rows, self.q_idx, self.q_val,
+                              self.fixed_blocks() if self.eliminates else None)
         self.reprice(rewards, scale)
 
     def slots(self, rows, cols):
@@ -194,12 +195,9 @@ class CompiledBellman:
         store = instance.skeletons
         self.sk_page = store.pages
         self.slack = store.slack[self.sk_page]
-        # the floors (1 - mu) q, one reduceat segment per nonempty floor
+        # the floors (1 - mu) q
         floor = store.floor
         self.q_rows = self.sk_page[row_ids(floor.indptr)]
-        nonempty = floor.indptr[:-1] < floor.indptr[1:]
-        self.qf_rows = self.sk_page[nonempty]
-        self.qf_starts = floor.indptr[:-1][nonempty]
         self.q_idx, self.q_val = floor.indices, floor.data
         self.q_pos = self.slots(self.q_rows, self.q_idx)
         # a page's per-link reward entries score apart from its base; they
@@ -241,7 +239,7 @@ class CompiledBellman:
             self.sk_r[self.d_k, self.d_col] = self.d_r
             self.sk_r[self.ban_at] = -np.inf
         # each row's reward sum over its fixed block, for ``rbar``
-        self.r_fixed = self._fixed_sums(self.r_o, self.q_val * self.r_q)
+        self.r_fixed = self.part.sums(self.r_o, self.q_val * self.r_q)
         # the greedy policy of the last sweep, and whether it repeated the
         # one before
         self.active = self.size = self.use_nl = self.jstar = self.chain = None
@@ -253,8 +251,7 @@ class CompiledBellman:
 
     def _sweep(self, w):
         alpha = self.alpha
-        so = self._fixed_sums(w[self.o_idx] + self.r_o,
-                              self.q_val * (self.r_q + w[self.q_idx]))
+        so = self.part.sums(w[self.o_idx] + self.r_o, self.q_val * (self.r_q + w[self.q_idx]))
         nl = self.no_link_base + float(np.dot(self.hang, w))
         # a row's divisor: its uniform support, 1 on the other rows
         size = np.maximum(self.o_cnt, 1.0)
@@ -292,17 +289,6 @@ class CompiledBellman:
                          and np.array_equal(jstar, self.jstar))
         self.active, self.size, self.use_nl, self.jstar = active, size, use_nl, jstar
         self.chain = None
-        return out
-
-    def _fixed_sums(self, obl, floor):
-        """Per page, the sum of ``obl`` over its obligatory links or of
-        ``floor`` over its weight floor: the rows' fixed blocks, which no
-        page has both of."""
-        out = np.zeros(self.n)
-        if self.o_rows.size:
-            out[self.o_rows] = np.add.reduceat(obl, self.o_starts)
-        if self.qf_rows.size:
-            out[self.qf_rows] = np.add.reduceat(floor, self.qf_starts)
         return out
 
     def _masters_dense(self, w):
@@ -408,20 +394,21 @@ class CompiledBellman:
 
     def policy(self):
         """The last sweep's policy as a ``TransitionMatrix``, built once until
-        the next sweep or ``reprice``: the obligatory links and floors, then
-        the active candidates and each weight page's slack on its master."""
+        the next sweep or ``reprice``: the operator's fixed part, then the
+        active candidates and each weight page's slack on its master."""
         if self.chain is None:
-            act, has, o = np.flatnonzero(self.active), self.jstar >= 0, self.o_idx.size
-            self.chain = TransitionMatrix(
-                self.n, self.alpha, self.z, self.hang,
-                np.concatenate([self.o_page, self.q_rows, self.f_page[act], self.sk_page[has]]),
-                np.concatenate([self.o_idx, self.q_idx, self.f_idx[act], self.jstar[has]]),
-                np.concatenate([np.ones(o), self.q_val, np.ones(act.size), self.slack[has]]),
-                (o, o + self.q_idx.size), self.size, self.use_nl, self.active,
-                self.fixed_blocks if self.eliminates else None)
+            act = self.active
+            rows, cols = self.f_page[act], self.f_idx[act]
+            vals = np.ones(rows.size)
+            if self.sk_page.size:
+                has = self.jstar >= 0
+                rows = np.concatenate([rows, self.sk_page[has]])
+                cols = np.concatenate([cols, self.jstar[has]])
+                vals = np.concatenate([vals, self.slack[has]])
+            self.chain = TransitionMatrix(self.n, self.alpha, self.z, self.hang, self.part,
+                                          rows, cols, vals, self.size, self.use_nl, act)
         return self.chain
 
-    @functools.cached_property
     def fixed_blocks(self):
         """``(F, C, M^-1, B)`` for ``M = I - damping S_FF`` and ``B = damping
         M^-1 S_FC``: F's rows, uniform on the obligatory links or the no-link

@@ -139,6 +139,30 @@ def test_pagerank_checks_the_weights_of_a_page_without_free_mass(tmp_path, capsy
             assert "page 2 has no free mass" in env["error"]["message"]
 
 
+def test_pagerank_checks_the_weights_of_a_page_whose_slack_is_a_rounding_residue(tmp_path,
+                                                                                capsys):
+    # with mu = 0 the floor q sums to 1 - 1.1e-16, so the free mass is a
+    # rounding residue, and lifts of 1e6 times it would still pass the
+    # lift checks: the weights are checked as a distribution instead
+    q = [1 / 7, 4 / 7, 2 / 7]
+    assert 0.0 < 1.0 - sum(q) <= 1e-15
+    doc = {"num_pages": 3, "damping": 0.85, "teleport": "uniform",
+           "obligatory": [[0, 1], [1, 2]],
+           "rewards": {"type": "per_page", "values": [0.0, 1.0, 2.0]},
+           "skeleton": [{"page": 2, "q": q, "mu": 0.0}]}
+    path = _write(tmp_path, "g.json", doc)
+    for entries, status in (([[0, 1e6], [1, -999999.0]], "error"), ([[1, 2.0]], "error"),
+                            ([[0, 0.25], [1, 0.75]], "ok"), ([], "ok")):
+        strategy = {"pages": [{"page": 2, "kind": "free", "row_entries": entries}]}
+        code, env = _run(capsys, ["pagerank", path, "--strategy",
+                                  _write(tmp_path, "s.json", strategy)])
+        assert env["status"] == status, entries
+        if status == "error":
+            assert code == 1
+            assert env["error"]["type"] == "InvalidStrategy"
+            assert "page 2 has no free mass" in env["error"]["message"]
+
+
 @pytest.mark.parametrize("command", ["pagerank", "analyze"])
 def test_a_link_activated_twice_is_a_parse_error(tmp_path, capsys, command):
     strategy = {"pages": [{"page": 0, "kind": "discrete", "activated": [1, 1]}]}

@@ -10,6 +10,7 @@ where the scores of neighbouring pages differ by fourteen orders of
 magnitude, and its warm-started threshold must not change any result.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -597,6 +598,25 @@ def test_policy_solve_matches_a_dense_solve_of_its_chain():
                 assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
                 seen["eliminated" if n <= DENSE_EVAL_CAP else "eliminated_above_cap"] += 1
     assert all(count > 0 for count in seen.values()), seen
+
+
+def test_policy_borrows_the_operators_fixed_part():
+    # a policy's chain holds the operator's obligatory links and floors by
+    # reference, so building it allocates its chosen entries alone
+    inst = load_instance(link_web_doc(np.random.default_rng(3131), 20000, 100, 10))
+    comp = CompiledBellman(inst, inst.rewards)
+    comp.apply(np.zeros(comp.n))
+    tracemalloc.start()
+    try:
+        view = comp.policy()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert view.fixed is comp.part
+    chosen = int(comp.active.sum() + (comp.jstar >= 0).sum())
+    assert chosen > 0
+    assert view.rows.size == view.cols.size == view.vals.size == chosen
+    assert peak < comp.o_idx.nbytes
 
 
 def test_value_iterate_same_with_entry_list_evaluation():
