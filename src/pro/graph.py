@@ -4,7 +4,7 @@ An instance describes a set of pages, the hyperlinks a webmaster must keep
 (obligatory), may add or remove (facultative), and the income attached to
 each traversal of the surfer chain.  Pages can instead carry a weight
 skeleton that constrains a fully continuous outlink row; the parser
-reads ``q`` in blocks of at most ``max(n, 4096)`` numbers and reduces
+reads ``q`` in blocks of at most ``max(n, 65536)`` numbers and reduces
 every skeleton record to its floor on the nonzeros of ``q``, its slack
 and its bans, all held once in one sparse ``WeightRows``, so a weight
 page costs O(nnz of q) after loading.  Links and per-link entries are
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import polytopes
 from .errors import InvalidStrategy, ParseError, ValidationError
-from .sparse import (RowSparse, _as_indices, _flat_records, _sort_coords, find_sorted,
+from .sparse import (RowSparse, _flat_records, _sort_coords, find_sorted, flat_array,
                      index_csr, locate, ranges, row_ids)
 
 STOCHASTIC_TOL = 1e-9
@@ -226,10 +226,10 @@ class ContinuousChoice:
     The page's outlink row is ``floor + slack * probs``.
     On a skeleton page the floor is the retained profile ``(1 - mu) q``
     and ``slack = 1 - sum(floor)``; on any other page the floor is 0 and
-    the slack 1, so ``probs`` is the row itself.  ``probs`` sums to one
-    and ``cols`` holds distinct pages.  An optimal weight-mode row sends
-    all free mass to one target, the page's master:
-    ``ContinuousChoice((j,), (1.0,))``.
+    the slack 1, so ``probs`` is the row itself.  ``probs`` is a
+    distribution (``build_transition`` divides it by its sum) and ``cols``
+    holds distinct pages.  An optimal weight-mode row sends all free mass
+    to one target, the page's master: ``ContinuousChoice((j,), (1.0,))``.
     """
 
     cols: tuple
@@ -442,25 +442,18 @@ def _number(raw, name):
     return float(raw)
 
 
-def _numbers(raw, name, size=None, ndim=1):
-    """A flat list of JSON numbers (``ndim`` 2: a list of such lists), ``size``
-    of them per list if given, as a float64 array of finite values."""
-    try:
-        arr = np.asarray(raw)
-    except ValueError as exc:  # ragged nesting
-        raise ParseError(f"{name} must be a flat list of numbers") from exc
-    _require(arr.ndim == ndim and (arr.size == 0 or arr.dtype.kind in "iuf"),
-             f"{name} must be a flat list of numbers")
-    arr = arr.astype(np.float64, copy=False)
+def _numbers(raw, name, size=None):
+    """A flat list of JSON numbers, ``size`` of them if given, as a float64
+    array of finite values."""
+    arr = flat_array(raw, {int, float}, name)
     _require(np.isfinite(arr).all(), f"{name} must be finite", ValidationError)
-    _require(size is None or arr.shape[-1] == size, f"{name} must have length {size}")
+    _require(size is None or arr.size == size, f"{name} must have length {size}")
     return arr
 
 
 def _columns(raw, name):
-    """A list of JSON integers, none negative, as an int64 array."""
-    idx = _as_indices(raw)
-    _require(idx.ndim == 1, f"{name} must be a flat list of integers")
+    """A flat list of JSON integers, none negative, as an int64 array."""
+    idx = flat_array(raw, {int}, name)
     _require(np.all(idx >= 0), f"{name} must be nonnegative", ValidationError)
     return idx
 
@@ -474,9 +467,8 @@ def _entries(raw, width, name):
     The caller checks the indices' upper bound.
     """
     form = "[i, j, v] triples" if width == 3 else "[j, w] pairs"
-    _require(isinstance(raw, list), f"{name} must be a list of {form}")
-    flat = _flat_records(raw, width) if set(map(type, raw)) <= {list} else None
-    _require(flat is not None, f"{name} must be {form}")
+    flat = _flat_records(raw, width) if isinstance(raw, list) else None
+    _require(flat is not None, f"{name} must be a list of {form}")
     index = [_columns(flat[k::width], f"{name} indices") for k in range(width - 1)]
     return index, _numbers(flat[width - 1::width], f"{name} values")
 
@@ -487,7 +479,6 @@ def _distribution(raw, n, name, allow_zero=False, default=None):
         return default
     if isinstance(raw, str) and raw == "uniform":
         return np.full(n, 1.0 / n)
-    _require(isinstance(raw, list), f'{name} must be "uniform" or a list of numbers')
     vec = _numbers(raw, name, n)
     if allow_zero:
         _require(np.all(vec >= 0.0), f"{name} must be nonnegative", ValidationError)
@@ -595,44 +586,39 @@ def _parse_rewards(raw, n):
 
 def _parse_skeletons(raw, n, obl_indptr, fac_indptr):
     """The skeleton records, in page order, as one ``WeightRows``: pages,
-    ``mu`` and bans are checked as whole lists, and the dense ``q`` lists
-    read in blocks of at most ``max(n, 4096)`` numbers, one array each,
-    of which only the nonzeros are kept.  A weight page has no links."""
+    ``mu`` and bans are read as whole lists, and the dense ``q`` lists
+    flat in blocks of at most ``max(n, 65536)`` numbers, one array
+    each, of which only the nonzeros are kept.  A weight page has no
+    links."""
     _require(isinstance(raw, list), "skeleton must be a list of records")
     if not raw:
         return WeightRows.empty(n)
     _require(all(isinstance(rec, dict) and {"page", "q", "mu"} <= rec.keys() for rec in raw),
              "skeleton records must be objects with page, q and mu")
-    pages = [rec["page"] for rec in raw]
-    _require(set(map(type, pages)) <= {int} and 0 <= min(pages) and max(pages) < n,
-             "skeleton page out of range")
+    pages = flat_array([rec["page"] for rec in raw], {int}, "skeleton page")
+    _require(pages.min() >= 0 and pages.max() < n, "skeleton page out of range")
     raw = sorted(raw, key=itemgetter("page"))  # one pass when the pages ascend
-    pages = np.array(sorted(pages), dtype=np.int64)
+    pages = np.sort(pages)
     for bad, message in ((pages[1:][pages[1:] == pages[:-1]], "has two skeleton records"),
                          (pages[(np.diff(obl_indptr) + np.diff(fac_indptr))[pages] != 0],
                           "carries both links and a skeleton record")):
         if bad.size:
             raise ValidationError(f"page {bad[0]} {message}")
-    mus = [rec["mu"] for rec in raw]
-    _require(all(isinstance(mu, (int, float)) and not isinstance(mu, bool) for mu in mus),
-             "skeleton mu must be a number")
-    # compared exactly, so NaN and ints beyond float range fail
-    _require(all(0.0 <= mu <= 1.0 for mu in mus), "skeleton mu must lie in [0, 1]",
+    # an integer mu beyond 64 bits lies outside [0, 1]; NaN fails the range
+    mus = flat_array([rec["mu"] for rec in raw], {int, float}, "skeleton mu", ValidationError)
+    _require(np.all((mus >= 0.0) & (mus <= 1.0)), "skeleton mu must lie in [0, 1]",
              ValidationError)
-    keep = 1.0 - np.array(mus, dtype=np.float64)
+    keep = 1.0 - mus
     bans = [rec.get("banned", []) for rec in raw]
     _require(all(isinstance(b, list) for b in bans), "banned must be a list of pages")
-    flat = list(chain.from_iterable(bans))
-    _require(set(map(type, flat)) <= {int} and (not flat or 0 <= min(flat) and max(flat) < n),
+    targets = flat_array(list(chain.from_iterable(bans)), {int}, "banned page")
+    _require(targets.size == 0 or targets.min() >= 0 and targets.max() < n,
              "banned page out of range")
-    qs, step, parts = [rec["q"] for rec in raw], max(4096 // n, 1), []
+    qs, step, parts = [rec["q"] for rec in raw], max(2 ** 16 // n, 1), []
     for lo in range(0, len(qs), step):
-        q = _numbers(qs[lo:lo + step], "skeleton q", n, ndim=2)
-        if len(q) > 1:  # a row may be a q of booleans alone, refused as if read alone
-            top = q.max(axis=1)
-            _require(not any(np.asarray(qs[lo + k]).dtype.kind == "b"
-                             for k in np.flatnonzero((top == 0.0) | (top == 1.0)).tolist()),
-                     "skeleton q must be a flat list of numbers")
+        flat = _flat_records(qs[lo:lo + step], n)
+        _require(flat is not None, f"skeleton q must be a list of {n} numbers")
+        q = _numbers(flat, "skeleton q").reshape(-1, n)
         floor = keep[lo:lo + step, None] * q
         pos = np.flatnonzero(q)
         parts.append((pos + lo * n, floor.ravel()[pos], q.ravel()[pos], q.sum(axis=1),
@@ -646,7 +632,6 @@ def _parse_skeletons(raw, n, obl_indptr, fac_indptr):
     slack = np.maximum(1.0 - fixed, 0.0)
     # the banned keys page * n + j, sorted, each once; page k bans per[k + 1] - per[k]
     owner = np.repeat(np.arange(pages.size), list(map(len, bans)))
-    targets = np.array(flat, dtype=np.int64)
     order, first, per = _sort_coords(pages.size, n, owner, targets)
     banned = (pages[owner] * n + targets)[order[first]]
     # a page banning every target has its floor as its only row
@@ -681,8 +666,8 @@ def load_strategy(source, instance):
     """Parse a strategy document (path or dict) for ``instance``.
 
     A ``row_entries`` column must lie below the page count; it is checked
-    before anything is allocated.  Links, columns and weights must not be
-    JSON booleans, which numpy would read as 0 and 1.  Two kinds of record
+    before anything is allocated.  Links and columns are JSON integers and
+    weights JSON numbers, never booleans.  Two kinds of record
     are read: ``"discrete"``, a ``DiscreteChoice``'s activated links, and
     ``"free"``, a ``ContinuousChoice``'s entries as they are.  Pages,
     links and rows are checked against the instance by ``build_transition``.
@@ -700,18 +685,12 @@ def load_strategy(source, instance):
         _require(page not in choices, f"page {page} listed twice in strategy")
         kind = rec["kind"]
         if kind == "discrete":
-            acts = rec.get("activated", [])
-            _require(isinstance(acts, list), "activated must be a list")
-            _require(bool not in map(type, acts), "activated must hold integers, not booleans")
-            acts = np.sort(_columns(acts, "activated"))
+            acts = np.sort(_columns(rec.get("activated", []), "activated"))
             _require(not np.any(acts[1:] == acts[:-1]), "activated lists a link twice")
             choices[page] = DiscreteChoice(tuple(acts.tolist()))
             continue
         _require(kind == "free", f"unknown strategy kind {kind!r}")
-        entries = rec.get("row_entries", [])
-        (cols,), vals = _entries(entries, 2, "row_entries")
-        _require(bool not in map(type, chain.from_iterable(entries)),
-                 "row_entries must hold numbers, not booleans")
+        (cols,), vals = _entries(rec.get("row_entries", []), 2, "row_entries")
         order = np.argsort(cols)
         cols, vals = cols[order], vals[order]
         _require(not np.any(cols[1:] == cols[:-1]), "row_entries lists a column twice")
@@ -720,23 +699,22 @@ def load_strategy(source, instance):
     return Strategy(choices)
 
 
-def _free_entries(instance, fixed, is_weight, pages, picked):
+def _free_entries(instance, is_weight, pages, picked):
     """The lifts ``(rows, cols, slack * probs)`` of checked continuous rows.
 
     ``picked[k]`` is the ``ContinuousChoice`` of page ``pages[k]``, and
     every weight page (``is_weight``, a mask over pages) is among
-    ``pages``.  A row is ``floor + slack * probs``, its floor in ``fixed``
-    and slack in ``instance.skeletons`` (0 and 1 off the weight pages).  A
-    lift below minus the floor entry at its coordinate is raised to it, so
-    no sum is below 0.  Every check reads the outlink row with tolerance
-    ``STRATEGY_TOL / damping``, ``STRATEGY_TOL`` on the chain row.  Each
-    row sums to one, and no choice names a column twice.  On a weight
-    page the lift is at least ``-tol``, and at most ``tol`` on a banned
-    target (every other cap is 1); with a slack of at most ``tol`` (none or
-    a rounding residue), the weights are none, or sum to one with none
-    below ``-tol``, as on a link page.  The link pages' rows are separated
-    against their outlink facets at once, and the error names the page of
-    the worst violation.
+    ``pages``.  A row is ``floor + slack * probs``, its slack in
+    ``instance.skeletons`` (1 off the weight pages).  Every check reads
+    with tolerance ``tol = STRATEGY_TOL / damping``, ``STRATEGY_TOL`` on
+    the chain row.  Each choice's weights are a distribution (sum one,
+    none below ``-tol``); only a weight page whose slack is at most
+    ``tol`` may have none.  They are used clipped at 0 and divided by
+    their sum, so each row is nonnegative with mass one up to rounding.
+    No choice names a column twice, and a weight page's lift on a banned
+    target is at most ``tol``.  The link pages' rows are separated
+    against their outlink facets at once, and the error names the page
+    of the worst violation.
     """
     n = instance.num_pages
     if not picked:
@@ -755,27 +733,27 @@ def _free_entries(instance, fixed, is_weight, pages, picked):
     cols = cols.astype(np.int64)
     if not np.all(np.isfinite(probs)):
         raise InvalidStrategy("a continuous choice has a weight that is not finite")
-    lift = np.where(is_weight[rows], store.slack[rows], 1.0) * probs
-    mass = np.bincount(np.concatenate([fixed.floor_rows, rows]),
-                       np.concatenate([fixed.floor_vals, lift]), minlength=n)[pages]
-    bad = np.flatnonzero(np.abs(mass - 1.0) > tol)
+    owner = np.repeat(np.arange(pages.size), sizes)
+    total = np.bincount(owner, probs, minlength=pages.size)
+    idle = is_weight[pages] & (store.slack[pages] <= tol)
+    bad = np.flatnonzero(((np.abs(total - 1.0) > tol)
+                          | (np.bincount(owner, probs < -tol, minlength=pages.size) > 0))
+                         & ~(idle & (np.asarray(sizes) == 0)))
     if bad.size:
-        raise InvalidStrategy(f"row for page {pages[bad[0]]} is not stochastic")
-    # below the floor anywhere, or above it on a banned page
-    off = np.where(find_sorted(store.banned, rows * n + cols)[1], np.abs(lift), -lift)
-    off[~is_weight[rows]] = 0.0
+        page = pages[bad[0]]
+        raise InvalidStrategy(f"page {page} has no free mass, and its weights are not a "
+                              "distribution" if idle[bad[0]] else
+                              f"the weights of page {page} are not a distribution")
+    # a weight below 0 is used as 0, and the rest divided by their sum
+    used = np.maximum(probs, 0.0)
+    used /= np.bincount(owner, used, minlength=pages.size)[owner]
+    lift = np.where(is_weight[rows], store.slack[rows], 1.0) * used
+    # mass on a banned target (only weight pages ban)
+    off = np.where(find_sorted(store.banned, rows * n + cols)[1], lift, 0.0)
     if off.size and off.max() > tol:
         k = int(np.argmax(off))
         raise InvalidStrategy(f"row for page {rows[k]} moves x[{cols[k]}] off its floor "
                               f"by {off[k]:.3e}")
-    owner = np.repeat(np.arange(pages.size), sizes)
-    wrong = (np.abs(np.bincount(owner, probs, minlength=pages.size) - 1.0) > tol) \
-        | (np.bincount(owner, probs < -tol, minlength=pages.size) > 0)
-    bad = np.flatnonzero(is_weight[pages] & (store.slack[pages] <= tol) & wrong
-                         & (np.asarray(sizes) > 0))
-    if bad.size:
-        raise InvalidStrategy(f"page {pages[bad[0]]} has no free mass, and its weights "
-                              "are not a distribution")
     link = ~is_weight[pages]
     if link.any():
         # the link pages' rows, scattered into one dense array
@@ -789,10 +767,7 @@ def _free_entries(instance, fixed, is_weight, pages, picked):
     keys = np.sort(rows * n + cols)
     if np.any(keys[1:] == keys[:-1]):
         raise InvalidStrategy("a continuous choice names a column twice")
-    least = np.zeros(lift.size)
-    at, on = find_sorted(fixed.floor_rows * n + fixed.floor_cols, rows * n + cols)
-    least[on] = -fixed.floor_vals[at[on]]
-    return rows, cols, np.maximum(lift, least)
+    return rows, cols, lift
 
 
 def build_transition(instance, strategy=None):
@@ -874,7 +849,7 @@ def build_transition(instance, strategy=None):
     floor = store.floor
     fixed = FixedPart(n, o_rows, instance.obl_indices[keep], store.pages[row_ids(floor.indptr)],
                       floor.indices, floor.data)
-    l_rows, l_cols, lift = _free_entries(instance, fixed, is_weight, free_pages, free)
+    l_rows, l_cols, lift = _free_entries(instance, is_weight, free_pages, free)
     a_rows = row_ids(instance.fac_indptr)[activated]
     deg = np.bincount(o_rows, minlength=n) + np.bincount(a_rows, minlength=n)
     # every continuous row has outlink mass, so only link pages can dangle

@@ -10,6 +10,8 @@ ascend over a whole matrix.  ``_sort_coords`` is the one sort, dedupe and
 ``indptr`` core behind ``index_csr``, ``RowSparse.from_entries`` and
 ``add_sparse``; ``locate`` finds coordinates in a CSR pattern with one
 ``searchsorted`` on that key, and ``RowSparse.gather_at`` reads through it.
+``flat_array`` is the one reader of a document's lists: it checks every
+item's type once and converts at a known dtype.
 """
 
 from __future__ import annotations
@@ -164,15 +166,23 @@ def _flat_records(raw, width):
     return list(chain.from_iterable(raw)) if widths <= {width} else None
 
 
-def _as_indices(raw):
-    """``raw`` as an int64 array; anything but integers is a ParseError."""
+def flat_array(raw, kinds, name, overflow=ParseError):
+    """``raw``, a flat JSON list, as an int64 array (``kinds`` ``{int}``:
+    pages and indices) or a float64 one (``{int, float}``: values).
+
+    Every item's type is checked once, so a bool, string, None or nested
+    list is a ParseError.  An integer must fit in int64 in either kind;
+    one that does not is raised as ``overflow``.
+    """
+    if not isinstance(raw, list) or not (seen := set(map(type, raw))) <= kinds:
+        raise ParseError(f"{name} must be a flat list of "
+                         f"{'numbers' if float in kinds else 'integers'}")
     try:
-        arr = np.asarray(raw)
-    except ValueError as exc:  # ragged nesting
-        raise ParseError(f"malformed index list: {exc}") from exc
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ParseError("indices must be integers")
-    return arr.astype(np.int64, copy=False)
+        if float in kinds and int in seen:  # the integers among the numbers, too
+            np.fromiter([x for x in raw if type(x) is int], np.int64)
+        return np.fromiter(raw, np.float64 if float in kinds else np.int64, len(raw))
+    except OverflowError as exc:
+        raise overflow(f"{name} holds an integer beyond 64 bits") from exc
 
 
 def _in_range(idx, bound, message):
@@ -214,16 +224,22 @@ def segment_sums(values, indptr):
 def index_csr(num_rows, num_cols, pairs):
     """Index-only CSR (indptr, indices) from ``(row, col)`` pairs.
 
-    Indices come out sorted ascending per row; duplicates are rejected,
-    and so are indices that are not integers (ParseError).  The pairs are
-    read flat, all indices with one dtype, as in a nested array.
+    Indices come out sorted ascending per row; duplicates are rejected.
+    The pairs are read flat, one ``flat_array`` of integers.  A list of
+    anything but pairs is unnested one level of equal-length lists at a
+    time, as a nested array would be: integers in another shape are a
+    ValidationError, ragged nesting a ParseError.
     """
     if len(pairs) == 0:
         return np.zeros(num_rows + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    flat = _flat_records(pairs, 2)
-    # a list that is not of pairs ends in the error of its nested array
-    arr = _as_indices(pairs if flat is None else flat)
-    if flat is None or arr.ndim != 1:
+    flat, shape = pairs, [len(pairs)]
+    while flat and type(flat[0]) is list:
+        shape.append(len(flat[0]))
+        flat = _flat_records(flat, shape[-1])
+        if flat is None:
+            raise ParseError("malformed index list: ragged nesting")
+    arr = flat_array(flat, {int}, "indices")
+    if shape[1:] != [2]:
         raise ValidationError("link list must contain [page, target] pairs")
     del flat  # a list as long as the index array, not needed by the sort
     rows = _in_range(arr[0::2], num_rows, "link source index out of range")

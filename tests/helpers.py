@@ -17,11 +17,10 @@ from unittest import mock
 import numpy as np
 
 from pro import graph, oracle
-from pro.errors import InvalidStrategy, SingularSystem, TooLarge, ValidationError
+from pro.errors import InvalidStrategy, ParseError, SingularSystem, TooLarge, ValidationError
 from pro.graph import (DENSE_EVAL_CAP, ContinuousChoice, Rewards, WebGraphInstance, WeightRows,
                        load_instance)
-from pro.sparse import (RowSparse, _as_indices, _in_range, _sort_coords, add_sparse,
-                        index_csr, locate, row_ids)
+from pro.sparse import RowSparse, _in_range, _sort_coords, add_sparse, locate, row_ids
 
 
 def minus_weighted(rewards, matrices, lams):
@@ -452,6 +451,13 @@ def free_row(instance, page, choice):
     return row
 
 
+def _key_csr(n, keys):
+    """Index-only CSR ``(indptr, indices)`` of the ascending flat keys ``i * n + j``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n
+
+
 def power_law_instance(n, n_controlled, fac_each, seed, damping=0.85,
                        reward_frac=0.01):
     """Synthetic web instance assembled directly from CSR arrays.
@@ -477,8 +483,8 @@ def power_law_instance(n, n_controlled, fac_each, seed, damping=0.85,
     fdst = rng.integers(0, n, fsrc.size, dtype=np.int64)
     fkey = np.unique(fsrc * n + fdst)
     fkey = fkey[~np.isin(fkey, okey)]
-    o_indptr, o_idx = index_csr(n, n, np.stack([okey // n, okey % n], axis=1))
-    f_indptr, f_idx = index_csr(n, n, np.stack([fkey // n, fkey % n], axis=1))
+    o_indptr, o_idx = _key_csr(n, okey)
+    f_indptr, f_idx = _key_csr(n, fkey)
     values = np.zeros(n)
     paid = rng.choice(n, max(1, int(reward_frac * n)), replace=False)
     values[paid] = rng.uniform(0.5, 1.5, paid.size)
@@ -731,8 +737,9 @@ class CsrChain:
 def csr_transition(instance, strategy=None):
     """``strategy``'s chain, unchecked, as ``build_transition`` built it
     before its blocks: the obligatory and activated links of the link
-    rows, then every weight floor and every lift ``slack * probs``, merged
-    by one sort, a floor entry before a lift on its coordinate."""
+    rows, then every weight floor and every lift ``slack * probs /
+    sum(probs)`` (weights clipped at 0), merged by one sort, a floor
+    entry before a lift on its coordinate."""
     n, store = instance.num_pages, instance.skeletons
     choices = {p: store.default_choice(p) for p in store.pages.tolist()}
     choices.update(strategy.choices if strategy is not None else {})
@@ -740,7 +747,8 @@ def csr_transition(instance, strategy=None):
     links = [(i, j) for i in range(n) if i not in free
              for j in [*instance.obligatory_of(i).tolist(),
                        *getattr(choices.get(i), "activated", ())]]
-    lifts = [(i, j, (store.slack[i] if i in store.pages else 1.0) * p)
+    lifts = [(i, j, (store.slack[i] if i in store.pages else 1.0)
+              * (max(p, 0.0) / sum(max(x, 0.0) for x in ch.probs)))
              for i, ch in free.items() for j, p in zip(ch.cols, ch.probs)]
     links = np.array(links, dtype=np.int64).reshape(-1, 2)
     lifts = np.array(lifts, dtype=float).reshape(-1, 3)
@@ -801,11 +809,22 @@ def policy_chain(comp):
 # whole-list reader in ``pro.graph`` and ``pro.sparse`` must match: the
 # same arrays, bit for bit, and the same exception class on bad input.
 
+def _holds_bool(raw):
+    return type(raw) is bool or isinstance(raw, list) and any(map(_holds_bool, raw))
+
+
 def reference_index_csr(num_rows, num_cols, pairs):
-    """``index_csr`` reading the pairs as one nested array."""
+    """``index_csr`` reading the pairs as one nested array, with a boolean
+    anywhere in them refused before numpy reads it as 0 or 1."""
     if len(pairs) == 0:
         return np.zeros(num_rows + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    arr = _as_indices(pairs)
+    try:
+        arr = np.asarray(pairs)
+    except ValueError as exc:  # ragged nesting
+        raise ParseError(f"malformed index list: {exc}") from exc
+    if arr.size and arr.dtype.kind not in "iu" or _holds_bool(pairs):
+        raise ParseError("indices must be integers")
+    arr = arr.astype(np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValidationError("link list must contain [page, target] pairs")
     rows = _in_range(arr[:, 0], num_rows, "link source index out of range")
@@ -822,7 +841,7 @@ def reference_entries(raw, width, name):
     graph._require(isinstance(raw, list), f"{name} must be a list of {form}")
     graph._require(set(map(type, raw)) <= {list} and set(map(len, raw)) <= {width},
                    f"{name} must be {form}")
-    columns = list(zip(*raw)) or [()] * width
+    columns = [list(col) for col in zip(*raw)] or [[]] * width
     index = [graph._columns(col, f"{name} indices") for col in columns[:-1]]
     return index, graph._numbers(columns[-1], f"{name} values")
 

@@ -163,6 +163,32 @@ def test_pagerank_checks_the_weights_of_a_page_whose_slack_is_a_rounding_residue
             assert "page 2 has no free mass" in env["error"]["message"]
 
 
+def test_pagerank_normalizes_a_row_accepted_within_tolerance(tmp_path, capsys):
+    # link page 0's free rows are off unit mass, or below 0, by 1e-10,
+    # inside the check's 1.18e-9, so they are used clipped at 0 and divided
+    # by their sum, and the chain solves to 1e-12; weight page 2's slack
+    # 1.5e-9 is above that tolerance, so its weights must sum to one
+    doc = {"num_pages": 3, "damping": 0.85, "teleport": "uniform",
+           "obligatory": [[0, 1], [1, 2]],
+           "rewards": {"type": "per_page", "values": [0.0, 1.0, 2.0]},
+           "skeleton": [{"page": 2, "q": [0.5, 0.5, 0.0], "mu": 1.5e-9}]}
+    path = _write(tmp_path, "g.json", doc)
+    for page, entries, status in ((0, [[1, 1.0000000001]], "ok"),
+                                  (0, [[0, -1e-10], [1, 1.0000000001]], "ok"),
+                                  (2, [[0, 0.4]], "error"), (2, [[0, 1.5]], "error"),
+                                  (2, [[0, 1.0]], "ok")):
+        strategy = {"pages": [{"page": page, "kind": "free", "row_entries": entries}]}
+        code, env = _run(capsys, ["pagerank", path, "--strategy",
+                                  _write(tmp_path, "s.json", strategy)])
+        assert env["status"] == status, entries
+        if status == "ok":
+            assert code == 0
+            assert abs(sum(env["result"]["pi"]) - 1.0) <= 1e-12
+        else:
+            assert code == 1
+            assert env["error"]["type"] == "InvalidStrategy"
+
+
 @pytest.mark.parametrize("command", ["pagerank", "analyze"])
 def test_a_link_activated_twice_is_a_parse_error(tmp_path, capsys, command):
     strategy = {"pages": [{"page": 0, "kind": "discrete", "activated": [1, 1]}]}
@@ -545,6 +571,8 @@ def _with(path, value):
         doc["coupling"] = [{"entries": [value], "bound": 1.0}]
     elif path == "rewards":
         doc["rewards"]["entries"] = doc["rewards"]["entries"][1:] + [value]
+    elif path == "per_page":
+        doc["rewards"] = {"type": "per_page", "values": value}
     else:
         doc["facultative"] = value
     return doc
@@ -556,8 +584,11 @@ def _with(path, value):
     _with("coupling", [0, 1.5, 1.0]),
     _with("facultative", [["a", 1]]),
     _with("facultative", [[0, 1], [1]]),
+    # numpy would read a boolean among numbers as 1: reward 1.0, link (0, 1)
+    _with("per_page", [True, 0.5]),
+    _with("facultative", [[0, True]]),
 ], ids=["float-link", "float-reward-index", "float-coupling-index",
-        "string-link", "ragged-links"])
+        "string-link", "ragged-links", "bool-reward", "bool-link"])
 def test_non_integer_indices_are_parse_errors(tmp_path, capsys, doc):
     code, env = _run(capsys, ["optimize", _write(tmp_path, "g.json", doc)])
     assert code == 1
@@ -721,6 +752,8 @@ def test_fuzzed_documents_end_in_one_envelope(slot, value):
             envelope = json.loads(out.getvalue())  # one JSON document
             assert envelope["command"] == command
             assert code == {"ok": 0, "error": 1, "qualified": 2, "limit": 3}[envelope["status"]]
+            if value is True:  # no field takes a boolean, nor is one read as 0 or 1
+                assert (envelope["status"], code) == ("error", 1)
 
 
 def _solved_strategy(doc):

@@ -281,11 +281,13 @@ def _reference_outlink_rows(inst, strategy):
         ch = strategy.choices.get(i)
         weight = i in inst.skeletons.pages
         if weight or isinstance(ch, ContinuousChoice):
-            # the floor plus the slack spread as the free mass says
+            # the floor plus the slack spread as the free mass says, its
+            # weights clipped at 0 and divided by their sum
             ch = ch or inst.skeletons.default_choice(i)
             floor = weight_box(inst.skeletons, i)[0] if weight else np.zeros(n)
             slack = max(1.0 - float(floor.sum()), 0.0) if weight else 1.0
-            floor[list(ch.cols)] += slack * np.array(ch.probs)
+            used = np.maximum(np.array(ch.probs, dtype=float), 0.0)
+            floor[list(ch.cols)] += slack * (used / sum(used))
             s[i] = np.maximum(floor, 0.0)
         else:
             support = inst.obligatory_of(i).tolist() + list(ch.activated if ch else ())
@@ -659,6 +661,23 @@ FAULTS = [
     ("ban-negative", _set(*_SKELETON, "banned", [-1]), ParseError, None),
     ("every-target-banned", _set(*_SKELETON, "banned", [3, 0, 2, 1, 0]), ValidationError,
      "skeleton on page 2 leaves no feasible row"),
+    # a boolean among numbers, which numpy would read as 0 or 1
+    ("per-page-reward-bool", _set("rewards", {"type": "per_page",
+                                              "values": [True, 0.5, 0.0, 0.0]}), ParseError, None),
+    ("teleport-bool", _set("teleport", [True, 0.25, 0.25, 0.25]), ParseError, None),
+    ("dangling-teleport-bool", _set("dangling_teleport", [0, True, 0, 0]), ParseError, None),
+    ("link-bool-index", _set("facultative", [[0, 2], [True, 0]]), ParseError, None),
+    ("reward-bool-index", _set(*_REWARD, "entries", [[0, True, 1.0], [1, 0, 0.5]]),
+     ParseError, None),
+    ("reward-bool-value", _set(*_REWARD, "entries", [[0, 1, True], [1, 0, 0.5]]), ParseError,
+     None),
+    ("coupling-bool-index", _set(*_COUPLING, "entries", [[0, 2, 1.0], [True, 0, 0.5]]),
+     ParseError, None),
+    ("coupling-bool-value", _set(*_COUPLING, "entries", [[0, 2, True], [1, 0, 0.5]]),
+     ParseError, None),
+    ("coupling-per-page-bool", _set("coupling", [{"per_page": [True, 0.5, 0.0, 0.0],
+                                                  "bound": 0.5}]), ParseError, None),
+    ("q-bool-among-numbers", _set(*_SKELETON, "q", [0.0, True, 0.0, 0.0]), ParseError, None),
 ]
 
 

@@ -79,3 +79,22 @@ def test_graph_loads_apart_from_the_solvers():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
+
+
+def test_only_the_list_reader_scans_item_types():
+    # every list of a document is read by sparse.flat_array, which checks
+    # its items' types once; a type scan elsewhere is a second check that
+    # can drift from it
+    scans = []
+    for path in sorted((ROOT / "src" / "pro").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reader = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "flat_array"
+                  for node in ast.walk(fn)}
+        scans += [f"{path.stem}:{node.lineno}" + (" (the reader)" if id(node) in reader else "")
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "map" and node.args
+                  and isinstance(node.args[0], ast.Name) and node.args[0].id == "type"]
+    assert [scan for scan in scans if not scan.endswith("(the reader)")] == []
+    assert len(scans) == 1
